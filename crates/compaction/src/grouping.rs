@@ -7,6 +7,7 @@ use soctam_hypergraph::{Hypergraph, HypergraphBuilder, Partition, PartitionConfi
 use soctam_model::{CoreId, Soc};
 use soctam_patterns::{PackedLayout, PackedSet, SiPattern};
 
+use crate::vertical::assert_in_terminal_space;
 use crate::CompactionError;
 
 /// Builds the core hypergraph of Section 3: one vertex per core (weight =
@@ -47,42 +48,75 @@ pub fn build_core_hypergraph(soc: &Soc, patterns: &[SiPattern]) -> Hypergraph {
 /// # Panics
 ///
 /// Panics if a pattern references a terminal outside `soc`.
-// Invariant: care cores come from the layout, so every pin indexes a declared vertex.
-#[allow(clippy::expect_used)]
 pub fn build_core_hypergraph_packed(
     soc: &Soc,
     set: &PackedSet,
     layout: &PackedLayout,
 ) -> Hypergraph {
-    let mut builder = HypergraphBuilder::new();
-    builder.add_vertices(soc.iter().map(|(_, core)| u64::from(core.woc_count())));
-    // BTreeMap keeps the distinct care-core sets in sorted order, so the
-    // edge emission below is deterministic without a separate sort.
-    let mut edge_counts: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
-    let mut cores: Vec<CoreId> = Vec::new();
-    let mut raw: Vec<u32> = Vec::new();
-    for i in 0..set.len() {
-        layout.care_cores_into(set.get(i), &mut cores);
-        raw.clear();
-        raw.extend(cores.iter().map(|c| c.raw()));
-        if raw.is_empty() {
-            continue;
+    CareCoreSets::extract(set, layout).hypergraph(soc)
+}
+
+/// Every pattern's care-core set, extracted once: the distinct sets with
+/// their pattern counts, and each pattern's index into them. Grouping
+/// builds the hypergraph from the distinct sets and then buckets every
+/// pattern by classifying its set, without a second extraction pass.
+struct CareCoreSets {
+    /// Distinct care-core sets (sorted raw core ids, possibly empty) →
+    /// index into `weights`. Sorted keys make the edge emission in
+    /// [`CareCoreSets::hypergraph`] deterministic without a separate sort.
+    index: BTreeMap<Vec<u32>, u32>,
+    /// Patterns per distinct set, in first-seen order.
+    weights: Vec<u64>,
+    /// `of_pattern[i]` is pattern `i`'s index into `weights`.
+    of_pattern: Vec<u32>,
+}
+
+impl CareCoreSets {
+    fn extract(set: &PackedSet, layout: &PackedLayout) -> Self {
+        let mut sets = CareCoreSets {
+            index: BTreeMap::new(),
+            weights: Vec::new(),
+            of_pattern: Vec::with_capacity(set.len()),
+        };
+        let mut cores: Vec<CoreId> = Vec::new();
+        let mut raw: Vec<u32> = Vec::new();
+        for i in 0..set.len() {
+            layout.care_cores_into(set.get(i), &mut cores);
+            raw.clear();
+            raw.extend(cores.iter().map(|c| c.raw()));
+            // Borrow-keyed lookup first: the key `Vec` is only allocated for
+            // care-core sets seen for the first time.
+            let id = match sets.index.get(raw.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = sets.weights.len() as u32;
+                    sets.index.insert(raw.clone(), id);
+                    sets.weights.push(0);
+                    id
+                }
+            };
+            sets.weights[id as usize] += 1;
+            sets.of_pattern.push(id);
         }
-        // Borrow-keyed lookup first: the key `Vec` is only allocated for
-        // care-core sets seen for the first time.
-        match edge_counts.get_mut(raw.as_slice()) {
-            Some(weight) => *weight += 1,
-            None => {
-                edge_counts.insert(raw.clone(), 1);
+        sets
+    }
+
+    /// The core hypergraph: one edge per distinct non-empty set, in
+    /// sorted pin order.
+    // Invariant: care cores come from the layout, so every pin indexes a declared vertex.
+    #[allow(clippy::expect_used)]
+    fn hypergraph(&self, soc: &Soc) -> Hypergraph {
+        let mut builder = HypergraphBuilder::new();
+        builder.add_vertices(soc.iter().map(|(_, core)| u64::from(core.woc_count())));
+        for (pins, &id) in &self.index {
+            if !pins.is_empty() {
+                builder
+                    .add_edge(self.weights[id as usize], pins)
+                    .expect("care cores are valid vertices");
             }
         }
+        builder.build()
     }
-    for (pins, weight) in edge_counts {
-        builder
-            .add_edge(weight, &pins)
-            .expect("care cores are valid vertices");
-    }
-    builder.build()
 }
 
 /// The assignment of raw patterns to partition buckets.
@@ -160,25 +194,48 @@ pub fn group_patterns_packed(
             cores: soc.num_cores(),
         });
     }
-    let (core_part, cut_weight) = if parts <= 1 {
-        (vec![0u32; soc.num_cores()], 0)
-    } else {
-        let hg = build_core_hypergraph_packed(soc, set, layout);
-        let config = PartitionConfig {
-            parts,
-            ..partition_config.clone()
-        };
-        let partition: Partition = hg.partition(&config)?;
-        let cut = partition.cut_weight(&hg);
-        (partition.assignment().to_vec(), cut)
+    // Checked up front because `i = 1` never reaches the extraction, whose
+    // own check backs the `# Panics` contract otherwise.
+    assert_in_terminal_space(soc, set);
+    if parts <= 1 {
+        // One part: every pattern lands in bucket 0 whatever its care
+        // cores, so none are extracted.
+        return Ok(PatternGrouping {
+            core_part: vec![0; soc.num_cores()],
+            parts: 1,
+            buckets: vec![(0..set.len()).collect()],
+            remainder: Vec::new(),
+            cut_weight: 0,
+        });
+    }
+    let sets = CareCoreSets::extract(set, layout);
+    let hg = sets.hypergraph(soc);
+    let config = PartitionConfig {
+        parts,
+        ..partition_config.clone()
     };
+    let partition: Partition = hg.partition(&config)?;
+    let cut_weight = partition.cut_weight(&hg);
+    let core_part = partition.assignment().to_vec();
 
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts.max(1) as usize];
+    // Classify each distinct set once: `Some(part)` when all its cores lie
+    // in one part (an empty set goes to part 0), `None` when it is cut.
+    let mut set_part: Vec<Option<u32>> = vec![None; sets.weights.len()];
+    for (cores, &id) in &sets.index {
+        set_part[id as usize] = match cores.split_first() {
+            None => Some(0),
+            Some((&first, rest)) => {
+                let part = core_part[first as usize];
+                rest.iter()
+                    .all(|&c| core_part[c as usize] == part)
+                    .then_some(part)
+            }
+        };
+    }
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts as usize];
     let mut remainder = Vec::new();
-    let mut cores: Vec<CoreId> = Vec::new();
-    for index in 0..set.len() {
-        layout.care_cores_into(set.get(index), &mut cores);
-        match single_part(&core_part, &cores) {
+    for (index, &id) in sets.of_pattern.iter().enumerate() {
+        match set_part[id as usize] {
             Some(part) => buckets[part as usize].push(index),
             None => remainder.push(index),
         }
@@ -186,29 +243,18 @@ pub fn group_patterns_packed(
 
     Ok(PatternGrouping {
         core_part,
-        parts: parts.max(1),
+        parts,
         buckets,
         remainder,
         cut_weight,
     })
 }
 
-/// `Some(part)` when all cores lie in one part, else `None`. Patterns with
-/// no care cores go to part 0.
-fn single_part(core_part: &[u32], cores: &[CoreId]) -> Option<u32> {
-    let mut iter = cores.iter();
-    let first = match iter.next() {
-        Some(c) => core_part[c.index()],
-        None => return Some(0),
-    };
-    iter.all(|c| core_part[c.index()] == first).then_some(first)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctam_model::Benchmark;
-    use soctam_patterns::{RandomPatternConfig, SiPatternSet};
+    use soctam_model::{Benchmark, TerminalId};
+    use soctam_patterns::{RandomPatternConfig, SiPatternSet, Symbol};
 
     fn setup(n: usize) -> (Soc, SiPatternSet) {
         let soc = Benchmark::D695.soc();
@@ -295,6 +341,15 @@ mod tests {
             group_patterns(&soc, set.as_slice(), 11, &PartitionConfig::new(11)),
             Err(CompactionError::TooManyPartitions { .. })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the soc")]
+    fn out_of_range_terminal_panics_without_partitioning() {
+        let soc = Benchmark::D695.soc();
+        let bogus = SiPattern::new(vec![(TerminalId::new(10_000_000), Symbol::Rise)], vec![])
+            .expect("valid pattern");
+        let _ = group_patterns(&soc, &[bogus], 1, &PartitionConfig::new(1));
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn split(
 
     let k0 = k.div_ceil(2);
     let k1 = k - k0;
-    let (induced, _) = induce(hg, vertices);
+    let induced = induce(hg, vertices);
     let side = bisect(
         &induced,
         f64::from(k0) / f64::from(k),
@@ -72,11 +72,11 @@ fn split(
 }
 
 /// Builds the sub-hypergraph induced by `vertices` (edges restricted to the
-/// subset; restrictions with fewer than two pins are dropped). Returns the
-/// graph and the local→global vertex map (which equals `vertices`).
+/// subset; restrictions with fewer than two pins are dropped). Local vertex
+/// `i` is `vertices[i]`.
 // Invariant: induced pins are renumbered through the vertex map, so every pin indexes a declared vertex.
 #[allow(clippy::expect_used)]
-fn induce(hg: &Hypergraph, vertices: &[u32]) -> (Hypergraph, Vec<u32>) {
+fn induce(hg: &Hypergraph, vertices: &[u32]) -> Hypergraph {
     let mut local_of = vec![u32::MAX; hg.num_vertices()];
     for (local, &v) in vertices.iter().enumerate() {
         local_of[v as usize] = local as u32;
@@ -108,7 +108,7 @@ fn induce(hg: &Hypergraph, vertices: &[u32]) -> (Hypergraph, Vec<u32>) {
             }
         }
     }
-    (builder.build(), vertices.to_vec())
+    builder.build()
 }
 
 /// Multilevel bisection of `hg` with target part-0 weight fraction `frac`.
@@ -160,27 +160,11 @@ fn bisect(
     }
     let mut side = best_side.expect("at least one try ran");
 
-    // Project back through the levels, refining at each.
-    for level in levels.iter().rev() {
-        let fine_n = level.map.len();
-        let mut fine_side = vec![false; fine_n];
-        for v in 0..fine_n {
-            fine_side[v] = side[level.map[v] as usize];
-        }
-        side = fine_side;
-        // Note: `level.graph` is the *coarse* graph; the fine graph is the
-        // next level down (or `hg` itself). Identify it for refinement.
-        let fine_graph: &Hypergraph = {
-            let idx = levels
-                .iter()
-                .position(|l| std::ptr::eq(l, level))
-                .expect("level is in the chain");
-            if idx == 0 {
-                hg
-            } else {
-                &levels[idx - 1].graph
-            }
-        };
+    // Project back through the levels, refining at each. `level.graph` is
+    // the *coarse* graph; the fine graph is the level below (or `hg`).
+    for (idx, level) in levels.iter().enumerate().rev() {
+        side = level.map.iter().map(|&c| side[c as usize]).collect();
+        let fine_graph = if idx == 0 { hg } else { &levels[idx - 1].graph };
         let caps = caps_for(
             fine_graph,
             fine_graph.total_vertex_weight(),
@@ -190,7 +174,7 @@ fn bisect(
         refine(fine_graph, &mut side, caps, config.max_fm_passes);
     }
 
-    enforce_min_counts(hg, &mut side, min_counts, config, rng);
+    enforce_min_counts(hg, &mut side, min_counts);
     side
 }
 
@@ -257,16 +241,10 @@ fn grow_initial(hg: &Hypergraph, frac: f64, rng: &mut Rng) -> Vec<bool> {
 }
 
 /// Guarantees each side keeps at least its minimum vertex count by moving
-/// the lightest vertices from the larger side (then re-refining lightly).
+/// the lightest vertex of the other side across, one at a time.
 // Invariant: while one side is short of its minimum the other holds the surplus, so the donor side is never empty.
 #[allow(clippy::expect_used)]
-fn enforce_min_counts(
-    hg: &Hypergraph,
-    side: &mut [bool],
-    min_counts: (usize, usize),
-    config: &PartitionConfig,
-    _rng: &mut Rng,
-) {
+fn enforce_min_counts(hg: &Hypergraph, side: &mut [bool], min_counts: (usize, usize)) {
     loop {
         let count0 = side.iter().filter(|&&s| !s).count();
         let count1 = side.len() - count0;
@@ -284,7 +262,6 @@ fn enforce_min_counts(
             .expect("donor side cannot be empty while the other is short");
         side[donor as usize] = needy_side;
     }
-    let _ = config;
 }
 
 #[cfg(test)]
@@ -337,9 +314,8 @@ mod tests {
     #[test]
     fn induced_subgraph_keeps_internal_edges_only() {
         let hg = ring(8);
-        let (sub, map) = induce(&hg, &[0, 1, 2, 3]);
+        let sub = induce(&hg, &[0, 1, 2, 3]);
         assert_eq!(sub.num_vertices(), 4);
-        assert_eq!(map, vec![0, 1, 2, 3]);
         // Edges 0-1, 1-2, 2-3 survive; 3-4 and 7-0 drop to one pin.
         assert_eq!(sub.num_edges(), 3);
     }

@@ -98,6 +98,38 @@ fn fm_bisection_is_near_optimal_on_small_instances() {
     );
 }
 
+/// Figure 2 of the paper, as `examples/fig2_hypergraph.rs` builds it: seven
+/// cores (vertex = core number − 1) in two clusters joined by one light
+/// three-core hyperedge.
+#[test]
+fn fig2_cut_matches_figure() {
+    let mut builder = HypergraphBuilder::new();
+    for _ in 0..7 {
+        builder.add_vertex(24);
+    }
+    let edges: &[(&[u32], u64)] = &[
+        (&[0, 1], 120),
+        (&[0, 3], 110),
+        (&[1, 3], 95),
+        (&[2, 4], 90),
+        (&[4, 5], 85),
+        (&[5, 6], 80),
+        (&[4, 6], 75),
+        (&[3, 5, 6], 12),
+    ];
+    for &(pins, weight) in edges {
+        builder.add_edge(weight, pins).expect("pins valid");
+    }
+    let hg = builder.build();
+    let partition = hg
+        .partition(&PartitionConfig::new(2).with_seed(1))
+        .expect("partitions");
+    // Only the {4, 6, 7} hyperedge is cut: cores {1, 2, 4} | {3, 5, 6, 7}.
+    assert_eq!(partition.cut_weight(&hg), 12);
+    assert_eq!(partition.members(0), vec![0, 1, 3]);
+    assert_eq!(partition.members(1), vec![2, 4, 5, 6]);
+}
+
 #[test]
 fn kway_matches_repeated_bisection_quality() {
     for seed in 0..5u64 {

@@ -71,8 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hg.total_edge_weight()
     );
 
-    // The natural cut separates {1,2,3} from {4,5,6,7} and cuts only the
-    // three-core hyperedge, exactly as in the figure.
+    // The natural cut separates {1,2,4} from {3,5,6,7} and cuts only the
+    // three-core hyperedge, exactly as in the figure (pinned by the
+    // `fig2_cut_matches_figure` test of soctam-hypergraph).
     assert_eq!(partition.cut_weight(&hg), 12);
     Ok(())
 }

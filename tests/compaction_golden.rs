@@ -1,18 +1,26 @@
-//! Golden vertical-compaction covers: fixed seeds must produce
-//! bit-identical cliques across platforms and kernel rewrites.
+//! Golden compaction outputs: fixed seeds must produce bit-identical
+//! vertical covers and horizontal groupings across platforms and rewrites.
 //!
-//! The fingerprints below were recorded from the *pre-kernel* sparse
+//! The cover fingerprints were recorded from the *pre-kernel* sparse
 //! implementation and re-verified against the epoch-based packed
 //! accumulator; the single-pass first-fit cover must reproduce them
-//! exactly (the three formulations are provably output-equivalent). A
-//! failure here means the greedy cover's semantics drifted — update the
-//! constants only for a deliberate model change.
+//! exactly (the three formulations are provably output-equivalent). The
+//! grouping fingerprints pin the hypergraph partitioner and the pattern
+//! bucketing; they were recorded from the FM refinement that recomputed
+//! every neighbour's gain after each move, and the delta-gain update must
+//! reproduce them exactly. A failure here means the greedy cover's or the
+//! partitioner's semantics drifted — update the constants only for a
+//! deliberate model change.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::hash::Hasher;
 
-use soctam::compaction::{compact_greedy_ordered, MergeOrder};
+use soctam::compaction::{
+    compact_greedy_ordered, group_patterns_packed, MergeOrder, PatternGrouping,
+};
+use soctam::hypergraph::PartitionConfig;
+use soctam::patterns::{PackedLayout, PackedSet};
 use soctam::{Benchmark, RandomPatternConfig, SiPattern, SiPatternSet};
 use soctam_exec::FxHasher;
 
@@ -85,5 +93,115 @@ fn p34392_most_care_bits_cover_is_stable() {
         MergeOrder::MostCareBitsFirst,
         64,
         0xa1781c848d55c11a,
+    );
+}
+
+/// Order-sensitive fingerprint of a grouping: the core partition, every
+/// bucket's pattern indices, the remainder and the cut weight.
+fn grouping_fingerprint(grouping: &PatternGrouping) -> u64 {
+    let mut hasher = FxHasher::default();
+    let mut write_indices = |indices: &[usize]| {
+        hasher.write_u64(indices.len() as u64);
+        for &i in indices {
+            hasher.write_u64(i as u64);
+        }
+    };
+    for bucket in &grouping.buckets {
+        write_indices(bucket);
+    }
+    write_indices(&grouping.remainder);
+    hasher.write_u64(grouping.core_part.len() as u64);
+    for &part in &grouping.core_part {
+        hasher.write_u32(part);
+    }
+    hasher.write_u64(grouping.cut_weight);
+    hasher.finish()
+}
+
+/// Groups N_r = 10 000 patterns of `benchmark` at pattern and partitioner
+/// seeds 1–3 and i ∈ {2, 4, 8}, as `optimize --seed s --partitions i`
+/// does, and checks each `(seed, parts, cut weight, fingerprint)` case.
+fn grouping_golden(benchmark: Benchmark, cases: &[(u64, u32, u64, u64)]) {
+    let soc = benchmark.soc();
+    let layout = PackedLayout::new(&soc);
+    let mut seen = Vec::new();
+    for seed in 1..=3u64 {
+        let raw = SiPatternSet::random(&soc, &RandomPatternConfig::new(10_000).with_seed(seed))
+            .expect("valid set");
+        let set = PackedSet::build(raw.as_slice());
+        for parts in [2u32, 4, 8] {
+            let grouping = group_patterns_packed(
+                &soc,
+                &set,
+                &layout,
+                parts,
+                &PartitionConfig::new(parts).with_seed(seed),
+            )
+            .expect("groups");
+            seen.push((
+                seed,
+                parts,
+                grouping.cut_weight,
+                grouping_fingerprint(&grouping),
+            ));
+        }
+    }
+    assert_eq!(
+        seen, cases,
+        "{benchmark:?} groupings (seed, parts, cut, fingerprint)"
+    );
+}
+
+#[test]
+fn d695_grouping_is_stable() {
+    grouping_golden(
+        Benchmark::D695,
+        &[
+            (1, 2, 3123, 0xf85644fc275063b0),
+            (1, 4, 4472, 0x4cf17ad88e79b28d),
+            (1, 8, 5778, 0xa1a5bbe6d9ea2b7b),
+            (2, 2, 3037, 0x711af11e39e48c75),
+            (2, 4, 4495, 0x795f417c66d62adb),
+            (2, 8, 5780, 0xd50d27266321a2eb),
+            (3, 2, 3064, 0x096d5f0e6d90372b),
+            (3, 4, 4422, 0x64b7ec8ecb728137),
+            (3, 8, 5684, 0x115abe1ccb790abe),
+        ],
+    );
+}
+
+#[test]
+fn p34392_grouping_is_stable() {
+    grouping_golden(
+        Benchmark::P34392,
+        &[
+            (1, 2, 3739, 0x92d1ad861763c131),
+            (1, 4, 5183, 0xc0d042df3fa9fa8e),
+            (1, 8, 5867, 0xcbeb5b3969535c6c),
+            (2, 2, 3685, 0xcaf80cb5c1bce5c0),
+            (2, 4, 5172, 0xc8e5cd779449b04c),
+            (2, 8, 5852, 0x6ec3955032702a34),
+            (3, 2, 3674, 0xc7fc16565cc82455),
+            (3, 4, 5155, 0xff3e7e484f06725f),
+            (3, 8, 5907, 0x5798981f91a98c59),
+        ],
+    );
+}
+
+#[test]
+fn p93791_grouping_is_stable() {
+    grouping_golden(
+        Benchmark::P93791,
+        &[
+            (1, 2, 3292, 0x184dde0323e836b0),
+            (1, 4, 4730, 0x851621b7b9831cf9),
+            (1, 8, 5391, 0x3d5abc8d449597fa),
+            (2, 2, 3342, 0x19815fe0d2b57f65),
+            (2, 4, 4792, 0x8611a73c24991d11),
+            (2, 8, 5433, 0xce5ed7fec25a03a6),
+            (3, 2, 2743, 0x54a0a14b9f078a5c),
+            (3, 4, 4558, 0xd72ecc42238d0dce),
+            (3, 8, 5340, 0xf4829dd30a9e687d),
+        ],
     );
 }
