@@ -36,5 +36,19 @@ fn main() {
                 .expect("compaction succeeds")
         });
     }
+    // The whole pipeline at the size an `optimize --patterns 100000`
+    // request compacts, on the serial pool: validation, packing,
+    // grouping, duplicate removal and the per-bucket covers.
+    let raw = bench_patterns(&soc, 100_000);
+    for parts in [1u32, 4] {
+        session.bench(
+            &format!("compact_two_dimensional/p93791/100000/{parts}"),
+            samples,
+            || {
+                compact_two_dimensional(&soc, &raw, &CompactionConfig::new(parts))
+                    .expect("compaction succeeds")
+            },
+        );
+    }
     session.finish();
 }

@@ -1,12 +1,15 @@
 //! Horizontal compaction: core grouping via hypergraph partitioning
 //! (Fig. 2 of the paper).
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::hash::Hasher;
 
+use soctam_exec::FxHasher;
 use soctam_hypergraph::{Hypergraph, HypergraphBuilder, Partition, PartitionConfig};
 use soctam_model::{CoreId, Soc};
 use soctam_patterns::{PackedLayout, PackedSet, SiPattern};
 
+use crate::first_seen::FirstSeen;
 use crate::vertical::assert_in_terminal_space;
 use crate::CompactionError;
 
@@ -19,7 +22,8 @@ use crate::CompactionError;
 ///
 /// # Panics
 ///
-/// Panics if a pattern references a terminal outside `soc`.
+/// Panics if a pattern references a terminal or a bus driver core
+/// outside `soc`.
 ///
 /// # Example
 ///
@@ -47,7 +51,8 @@ pub fn build_core_hypergraph(soc: &Soc, patterns: &[SiPattern]) -> Hypergraph {
 ///
 /// # Panics
 ///
-/// Panics if a pattern references a terminal outside `soc`.
+/// Panics if a pattern references a terminal or a bus driver core
+/// outside `soc`.
 pub fn build_core_hypergraph_packed(
     soc: &Soc,
     set: &PackedSet,
@@ -56,15 +61,17 @@ pub fn build_core_hypergraph_packed(
     CareCoreSets::extract(set, layout).hypergraph(soc)
 }
 
-/// Every pattern's care-core set, extracted once: the distinct sets with
-/// their pattern counts, and each pattern's index into them. Grouping
-/// builds the hypergraph from the distinct sets and then buckets every
-/// pattern by classifying its set, without a second extraction pass.
+/// Every pattern's care-core set, extracted once as a bitset of
+/// [`PackedLayout::core_words`] words: the distinct sets with their
+/// pattern counts, and each pattern's index into them. Grouping builds
+/// the hypergraph from the distinct sets and then buckets every pattern
+/// by classifying its set, without a second extraction pass.
 struct CareCoreSets {
-    /// Distinct care-core sets (sorted raw core ids, possibly empty) →
-    /// index into `weights`. Sorted keys make the edge emission in
-    /// [`CareCoreSets::hypergraph`] deterministic without a separate sort.
-    index: BTreeMap<Vec<u32>, u32>,
+    /// Words per bitset.
+    words: usize,
+    /// Distinct care-core bitsets (possibly empty), `words` words each,
+    /// in first-seen order.
+    distinct: Vec<u64>,
     /// Patterns per distinct set, in first-seen order.
     weights: Vec<u64>,
     /// `of_pattern[i]` is pattern `i`'s index into `weights`.
@@ -74,49 +81,97 @@ struct CareCoreSets {
 impl CareCoreSets {
     fn extract(set: &PackedSet, layout: &PackedLayout) -> Self {
         let mut sets = CareCoreSets {
-            index: BTreeMap::new(),
+            words: layout.core_words(),
+            distinct: Vec::new(),
             weights: Vec::new(),
             of_pattern: Vec::with_capacity(set.len()),
         };
-        let mut cores: Vec<CoreId> = Vec::new();
-        let mut raw: Vec<u32> = Vec::new();
+        let mut seen = FirstSeen::with_capacity(0);
+        let mut bits = vec![0u64; sets.words];
         for i in 0..set.len() {
-            layout.care_cores_into(set.get(i), &mut cores);
-            raw.clear();
-            raw.extend(cores.iter().map(|c| c.raw()));
-            // Borrow-keyed lookup first: the key `Vec` is only allocated for
-            // care-core sets seen for the first time.
-            let id = match sets.index.get(raw.as_slice()) {
-                Some(&id) => id,
-                None => {
-                    let id = sets.weights.len() as u32;
-                    sets.index.insert(raw.clone(), id);
-                    sets.weights.push(0);
-                    id
-                }
-            };
+            layout.care_core_bits(set.get(i), &mut bits);
+            let mut hasher = FxHasher::default();
+            for &word in &bits {
+                hasher.write_u64(word);
+            }
+            let (id, first) = seen.id_of(hasher.finish(), |id| sets.bits(id) == bits);
+            if first {
+                sets.distinct.extend_from_slice(&bits);
+                sets.weights.push(0);
+            }
             sets.weights[id as usize] += 1;
             sets.of_pattern.push(id);
         }
         sets
     }
 
+    /// The bitset of distinct set `id`.
+    fn bits(&self, id: u32) -> &[u64] {
+        let start = id as usize * self.words;
+        &self.distinct[start..start + self.words]
+    }
+
     /// The core hypergraph: one edge per distinct non-empty set, in
-    /// sorted pin order.
+    /// ascending order of the sets' sorted pin lists.
     // Invariant: care cores come from the layout, so every pin indexes a declared vertex.
     #[allow(clippy::expect_used)]
     fn hypergraph(&self, soc: &Soc) -> Hypergraph {
         let mut builder = HypergraphBuilder::new();
         builder.add_vertices(soc.iter().map(|(_, core)| u64::from(core.woc_count())));
-        for (pins, &id) in &self.index {
+        let mut ids: Vec<u32> = (0..self.weights.len() as u32).collect();
+        ids.sort_unstable_by(|&a, &b| pin_list_cmp(self.bits(a), self.bits(b)));
+        let mut pins: Vec<u32> = Vec::new();
+        for id in ids {
+            pins.clear();
+            pins.extend(bitset_cores(self.bits(id)));
             if !pins.is_empty() {
                 builder
-                    .add_edge(self.weights[id as usize], pins)
+                    .add_edge(self.weights[id as usize], &pins)
                     .expect("care cores are valid vertices");
             }
         }
         builder.build()
     }
+}
+
+/// The cores of a care-core bitset, ascending.
+fn bitset_cores(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    bits.iter().enumerate().flat_map(|(k, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                k as u32 * 64 + bit
+            })
+        })
+    })
+}
+
+/// Compares two care-core bitsets the way their ascending core lists
+/// compare lexicographically, so edges keep the order of a map keyed by
+/// the sorted pin list.
+///
+/// The lists agree up to the lowest core `c` in exactly one of the sets.
+/// The set holding `c` sorts first, unless the other set has no core
+/// above `c`: the other list is then a prefix, and a prefix sorts first.
+fn pin_list_cmp(a: &[u64], b: &[u64]) -> Ordering {
+    for k in 0..a.len() {
+        let diff = a[k] ^ b[k];
+        if diff != 0 {
+            let lowest = diff & diff.wrapping_neg();
+            let a_holds = a[k] & lowest != 0;
+            let other = if a_holds { b } else { a };
+            let other_goes_on =
+                other[k] & !(lowest | (lowest - 1)) != 0 || other[k + 1..].iter().any(|&w| w != 0);
+            return if a_holds == other_goes_on {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+        }
+    }
+    Ordering::Equal
 }
 
 /// The assignment of raw patterns to partition buckets.
@@ -160,7 +215,8 @@ impl PatternGrouping {
 ///
 /// # Panics
 ///
-/// Panics if a pattern references a terminal outside `soc`.
+/// Panics if a pattern references a terminal or a bus driver core
+/// outside `soc`.
 pub fn group_patterns(
     soc: &Soc,
     patterns: &[SiPattern],
@@ -180,7 +236,8 @@ pub fn group_patterns(
 ///
 /// # Panics
 ///
-/// Panics if a pattern references a terminal outside `soc`.
+/// Panics if a pattern references a terminal or a bus driver core
+/// outside `soc`.
 pub fn group_patterns_packed(
     soc: &Soc,
     set: &PackedSet,
@@ -195,8 +252,14 @@ pub fn group_patterns_packed(
         });
     }
     // Checked up front because `i = 1` never reaches the extraction, whose
-    // own check backs the `# Panics` contract otherwise.
+    // own checks back the `# Panics` contract otherwise.
     assert_in_terminal_space(soc, set);
+    if let Some(driver) = set.max_driver() {
+        assert!(
+            usize::from(driver) < soc.num_cores(),
+            "pattern references a bus driver outside the soc"
+        );
+    }
     if parts <= 1 {
         // One part: every pattern lands in bucket 0 whatever its care
         // cores, so none are extracted.
@@ -220,18 +283,27 @@ pub fn group_patterns_packed(
 
     // Classify each distinct set once: `Some(part)` when all its cores lie
     // in one part (an empty set goes to part 0), `None` when it is cut.
-    let mut set_part: Vec<Option<u32>> = vec![None; sets.weights.len()];
-    for (cores, &id) in &sets.index {
-        set_part[id as usize] = match cores.split_first() {
-            None => Some(0),
-            Some((&first, rest)) => {
-                let part = core_part[first as usize];
-                rest.iter()
-                    .all(|&c| core_part[c as usize] == part)
-                    .then_some(part)
-            }
-        };
+    let words = sets.words;
+    let mut part_bits = vec![0u64; parts as usize * words];
+    for (core, &part) in core_part.iter().enumerate() {
+        part_bits[part as usize * words + core / 64] |= 1 << (core % 64);
     }
+    let set_part: Vec<Option<u32>> = (0..sets.weights.len() as u32)
+        .map(|id| {
+            let bits = sets.bits(id);
+            match bitset_cores(bits).next() {
+                None => Some(0),
+                Some(first) => {
+                    let part = core_part[first as usize];
+                    let within = &part_bits[part as usize * words..][..words];
+                    bits.iter()
+                        .zip(within)
+                        .all(|(&set, &part)| set & !part == 0)
+                        .then_some(part)
+                }
+            }
+        })
+        .collect();
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts as usize];
     let mut remainder = Vec::new();
     for (index, &id) in sets.of_pattern.iter().enumerate() {
@@ -253,7 +325,9 @@ pub fn group_patterns_packed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctam_model::{Benchmark, TerminalId};
+    use std::collections::BTreeMap;
+
+    use soctam_model::{Benchmark, BusLineId, TerminalId};
     use soctam_patterns::{RandomPatternConfig, SiPatternSet, Symbol};
 
     fn setup(n: usize) -> (Soc, SiPatternSet) {
@@ -350,6 +424,98 @@ mod tests {
         let bogus = SiPattern::new(vec![(TerminalId::new(10_000_000), Symbol::Rise)], vec![])
             .expect("valid pattern");
         let _ = group_patterns(&soc, &[bogus], 1, &PartitionConfig::new(1));
+    }
+
+    /// Grouping as it was built before care-core bitsets: sorted
+    /// `care_cores` lists keyed in a `BTreeMap`, edges in key order, and
+    /// each pattern classified by its own list.
+    fn reference_grouping(
+        soc: &Soc,
+        patterns: &[SiPattern],
+        parts: u32,
+    ) -> (Hypergraph, PatternGrouping) {
+        let sets: Vec<Vec<u32>> = patterns
+            .iter()
+            .map(|p| p.care_cores(soc).iter().map(|c| c.raw()).collect())
+            .collect();
+        let mut weights: BTreeMap<&[u32], u64> = BTreeMap::new();
+        for set in &sets {
+            *weights.entry(set).or_default() += 1;
+        }
+        let mut builder = HypergraphBuilder::new();
+        builder.add_vertices(soc.iter().map(|(_, core)| u64::from(core.woc_count())));
+        for (pins, &weight) in &weights {
+            if !pins.is_empty() {
+                builder.add_edge(weight, pins).expect("valid pins");
+            }
+        }
+        let hg = builder.build();
+        let partition = hg
+            .partition(&PartitionConfig::new(parts))
+            .expect("partitions");
+        let core_part = partition.assignment().to_vec();
+        let mut buckets = vec![Vec::new(); parts as usize];
+        let mut remainder = Vec::new();
+        for (index, set) in sets.iter().enumerate() {
+            let part = set.first().map_or(0, |&c| core_part[c as usize]);
+            if set.iter().all(|&c| core_part[c as usize] == part) {
+                buckets[part as usize].push(index);
+            } else {
+                remainder.push(index);
+            }
+        }
+        let grouping = PatternGrouping {
+            cut_weight: partition.cut_weight(&hg),
+            core_part,
+            parts,
+            buckets,
+            remainder,
+        };
+        (hg, grouping)
+    }
+
+    #[test]
+    fn bitset_grouping_matches_the_sorted_list_reference_above_64_cores() {
+        use soctam_model::synth::{synth_soc, SynthConfig};
+        let soc = synth_soc(&SynthConfig::new(100).with_seed(4)).expect("valid soc");
+        let raw = SiPatternSet::random(&soc, &RandomPatternConfig::new(3_000).with_seed(9))
+            .expect("valid");
+        let spans_words = raw.iter().filter(|p| {
+            let cores = p.care_cores(&soc);
+            cores.first().is_some_and(|c| c.index() < 64) && cores.iter().any(|c| c.index() >= 64)
+        });
+        assert!(spans_words.count() > 0, "some sets span both bitset words");
+        for parts in [2u32, 4, 8] {
+            let (hg, grouping) = reference_grouping(&soc, raw.as_slice(), parts);
+            assert_eq!(build_core_hypergraph(&soc, raw.as_slice()), hg);
+            assert_eq!(
+                group_patterns(&soc, raw.as_slice(), parts, &PartitionConfig::new(parts))
+                    .expect("groups"),
+                grouping,
+                "i = {parts}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bus driver outside the soc")]
+    fn out_of_range_driver_panics_without_partitioning() {
+        let soc = Benchmark::D695.soc();
+        let bogus = SiPattern::new(
+            vec![(TerminalId::new(3), Symbol::Rise)],
+            vec![(BusLineId::new(1), CoreId::new(40))],
+        )
+        .expect("valid pattern");
+        let _ = group_patterns(&soc, &[bogus], 1, &PartitionConfig::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "bus driver in range")]
+    fn out_of_range_driver_panics_in_the_hypergraph_build() {
+        let soc = Benchmark::D695.soc();
+        let bogus = SiPattern::new(vec![], vec![(BusLineId::new(1), CoreId::new(10))])
+            .expect("valid pattern");
+        let _ = build_core_hypergraph(&soc, &[bogus]);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
+mod first_seen;
 mod grouping;
 mod pipeline;
 mod types;

@@ -1,16 +1,17 @@
 //! The full two-dimensional compaction pipeline.
 
-use std::collections::HashSet;
+use std::hash::Hasher;
 
-use soctam_exec::Pool;
+use soctam_exec::{FxHasher, Pool};
 use soctam_hypergraph::PartitionConfig;
 use soctam_model::Soc;
-use soctam_patterns::{KernelStats, PackedLayout, PackedSet, SiPattern, SiPatternSet};
+use soctam_patterns::{KernelStats, PackedLayout, PackedRef, PackedSet, SiPatternSet};
 
+use crate::first_seen::FirstSeen;
 use crate::vertical::{assert_in_terminal_space, compact_packed_subset};
 use crate::{
     group_patterns_packed, CompactedSiTests, CompactionError, CompactionStats, MergeOrder,
-    SiTestGroup,
+    PatternGrouping, SiTestGroup,
 };
 
 /// Configuration for [`compact_two_dimensional`].
@@ -139,27 +140,8 @@ pub fn compact_two_dimensional_with(
         ..CompactionStats::default()
     };
 
-    // One work item per part bucket, plus the cross-partition remainder
-    // (when any pattern was cut) as the final item. Exact duplicates are
-    // dropped keep-first: a duplicate always lands in its first copy's
-    // clique and absorbing it there is a no-op, so removal cannot change
-    // the compacted output.
-    // soctam-analyze: allow(DET-01) -- insert/contains only, never iterated, so hash order cannot affect output
-    let mut seen: HashSet<&SiPattern> = HashSet::new();
-    let mut dedup = |indices: &[usize]| -> Vec<u32> {
-        seen.clear();
-        indices
-            // soctam-analyze: allow(DET-10) -- iterates the index slice, not the HashSet; the set is insert-only (see the DET-01 waiver above)
-            .iter()
-            .filter(|&&i| seen.insert(&raw.as_slice()[i]))
-            .map(|&i| i as u32)
-            .collect()
-    };
-    let mut work: Vec<Vec<u32>> = grouping.buckets.iter().map(|b| dedup(b)).collect();
+    let work = work_items(&set, &grouping, fingerprint);
     let has_remainder = !grouping.remainder.is_empty();
-    if has_remainder {
-        work.push(dedup(&grouping.remainder));
-    }
     stats.duplicate_patterns = raw.len() - work.iter().map(Vec::len).sum::<usize>();
 
     let compacted_buckets = pool.par_map(&work, |indices| {
@@ -190,7 +172,7 @@ pub fn compact_two_dimensional_with(
         ));
     }
     if has_remainder {
-        // Invariant: the remainder was pushed as the final work item above.
+        // Invariant: `work_items` puts the remainder last when it is non-empty.
         #[allow(clippy::expect_used)]
         let (compacted, remainder_kernel) = iter.next().expect("remainder result present");
         kernel.merge(remainder_kernel);
@@ -208,11 +190,80 @@ pub fn compact_two_dimensional_with(
     Ok(CompactedSiTests::new(groups, stats))
 }
 
+/// The greedy covers' work items: one per part bucket, plus the
+/// cross-partition remainder (when any pattern was cut) as the final
+/// item.
+///
+/// Exact duplicates are dropped keep-first: a duplicate always lands in
+/// its first copy's clique and absorbing it there is a no-op, so removal
+/// cannot change the compacted output. One pass over the whole set
+/// serves every bucket: copies share a care-core set, hence a bucket,
+/// and each bucket lists its patterns in ascending order.
+fn work_items(
+    set: &PackedSet,
+    grouping: &PatternGrouping,
+    fingerprint: impl Fn(PackedRef<'_>) -> u64,
+) -> Vec<Vec<u32>> {
+    let repeat = repeated_patterns(set, fingerprint);
+    let keep = |indices: &[usize]| -> Vec<u32> {
+        indices
+            .iter()
+            .filter(|&&i| !repeat[i])
+            .map(|&i| i as u32)
+            .collect()
+    };
+    let mut work: Vec<Vec<u32>> = grouping.buckets.iter().map(|b| keep(b)).collect();
+    if !grouping.remainder.is_empty() {
+        work.push(keep(&grouping.remainder));
+    }
+    work
+}
+
+/// 64-bit Fx fingerprint of a packed pattern: its words and bus lines.
+fn fingerprint(p: PackedRef<'_>) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write_usize(p.words.len());
+    for w in p.words {
+        hasher.write_u32(w.index);
+        hasher.write_u64(w.care);
+        hasher.write_u64(w.lo);
+        hasher.write_u64(w.hi);
+    }
+    for line in p.bus {
+        hasher.write_u16(u16::from(line.line) << 8 | u16::from(line.driver));
+    }
+    hasher.finish()
+}
+
+/// Marks every pattern of `set` that repeats a lower-indexed pattern
+/// exactly (same words, same bus lines); the first copy stays unmarked.
+/// Patterns are looked up by `fingerprint`, and every match is confirmed
+/// on the arena slices.
+fn repeated_patterns(set: &PackedSet, fingerprint: impl Fn(PackedRef<'_>) -> u64) -> Vec<bool> {
+    let mut seen = FirstSeen::with_capacity(set.len());
+    // The index of each distinct pattern's first copy, by id.
+    let mut first_copies: Vec<u32> = Vec::with_capacity(set.len());
+    (0..set.len())
+        .map(|i| {
+            let p = set.get(i);
+            let (_, first) = seen.id_of(fingerprint(p), |id| {
+                set.get(first_copies[id as usize] as usize) == p
+            });
+            if first {
+                first_copies.push(i as u32);
+            }
+            !first
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctam_model::Benchmark;
-    use soctam_patterns::RandomPatternConfig;
+    use std::collections::HashSet;
+
+    use soctam_model::{Benchmark, BusLineId, CoreId, TerminalId};
+    use soctam_patterns::{RandomPatternConfig, SiPattern, Symbol};
 
     fn setup(n: usize) -> (Soc, SiPatternSet) {
         let soc = Benchmark::D695.soc();
@@ -310,11 +361,99 @@ mod tests {
         assert_eq!(base.groups(), deduped.groups());
     }
 
+    /// The per-bucket keep-first filter over the sparse patterns that the
+    /// arena pass replaced: the reference `work_items` must match.
+    fn reference_work_items(raw: &SiPatternSet, grouping: &PatternGrouping) -> Vec<Vec<u32>> {
+        let mut seen: HashSet<&SiPattern> = HashSet::new();
+        let mut dedup = |indices: &[usize]| -> Vec<u32> {
+            seen.clear();
+            indices
+                .iter()
+                .filter(|&&i| seen.insert(&raw.as_slice()[i]))
+                .map(|&i| i as u32)
+                .collect()
+        };
+        let mut work: Vec<Vec<u32>> = grouping.buckets.iter().map(|b| dedup(b)).collect();
+        if !grouping.remainder.is_empty() {
+            work.push(dedup(&grouping.remainder));
+        }
+        work
+    }
+
+    #[test]
+    fn arena_dedup_matches_the_sparse_per_bucket_filter() {
+        let soc = Benchmark::D695.soc();
+        for seed in [1u64, 2, 3] {
+            let mut patterns =
+                SiPatternSet::random(&soc, &RandomPatternConfig::new(600).with_seed(seed))
+                    .expect("valid")
+                    .into_vec();
+            // Copies of earlier patterns, some of them copies of copies,
+            // spread over the whole set (and so over every bucket).
+            for i in (5..patterns.len()).step_by(7) {
+                patterns[i] = patterns[i * seed as usize % i].clone();
+            }
+            let extra: Vec<SiPattern> = patterns.iter().step_by(11).cloned().collect();
+            patterns.extend(extra);
+            let raw = SiPatternSet::from_patterns(patterns);
+            let set = PackedSet::build(raw.as_slice());
+            let layout = PackedLayout::new(&soc);
+            for parts in [1u32, 4] {
+                let grouping =
+                    group_patterns_packed(&soc, &set, &layout, parts, &PartitionConfig::new(parts))
+                        .expect("groups");
+                let reference = reference_work_items(&raw, &grouping);
+                let dropped_in = reference
+                    .iter()
+                    .zip(grouping.buckets.iter().chain([&grouping.remainder]))
+                    .filter(|(kept, all)| kept.len() < all.len())
+                    .count();
+                assert!(
+                    parts == 1 || dropped_in > 1,
+                    "duplicates in one bucket only"
+                );
+                assert_eq!(work_items(&set, &grouping, fingerprint), reference);
+                // Every pattern shares one fingerprint: only the exact
+                // comparison of the arena slices tells them apart.
+                assert_eq!(work_items(&set, &grouping, |_| 0), reference);
+            }
+        }
+    }
+
     #[test]
     fn kernel_counters_are_populated() {
         let (soc, raw) = setup(200);
         let result = compact_two_dimensional(&soc, &raw, &CompactionConfig::new(1)).expect("valid");
         assert!(result.stats().kernel_words_compared > 0);
+    }
+
+    #[test]
+    fn out_of_range_bus_driver_is_a_validation_error() {
+        let soc = Benchmark::D695.soc();
+        let mut patterns = SiPatternSet::random(&soc, &RandomPatternConfig::new(200).with_seed(1))
+            .expect("valid")
+            .into_vec();
+        patterns.push(
+            SiPattern::new(
+                vec![(TerminalId::new(3), Symbol::Rise)],
+                vec![(BusLineId::new(1), CoreId::new(40))],
+            )
+            .expect("valid pattern"),
+        );
+        let raw = SiPatternSet::from_patterns(patterns);
+        for parts in [1u32, 2, 4] {
+            let err = compact_two_dimensional(&soc, &raw, &CompactionConfig::new(parts))
+                .expect_err("driver core 40 is not in d695");
+            assert_eq!(
+                err,
+                CompactionError::from(soctam_patterns::PatternError::DriverOutOfRange {
+                    line: 1,
+                    driver: CoreId::new(40),
+                    cores: 10,
+                }),
+                "i = {parts}"
+            );
+        }
     }
 
     #[test]

@@ -439,7 +439,13 @@ impl Pool {
 
 impl Drop for PoolCore {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            // Set under the injector lock: a worker holds it from its
+            // `shutdown` check until its wait begins, so the wake-up below
+            // cannot fall between the two and leave it asleep forever.
+            let _queue = lock_recover(&self.shared.injector);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_available.notify_all();
         let handles = std::mem::take(&mut *lock_recover(&self.handles));
         for handle in handles {
@@ -561,6 +567,28 @@ mod tests {
         let order = Mutex::new(Vec::new());
         pool.par_map_index(10, |i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn dropping_fresh_pools_never_strands_a_worker() {
+        // Drop races the workers' first wait: a wake-up sent between a
+        // worker's shutdown check and its wait used to leave it asleep and
+        // the join below it hanging. A watchdog turns a hang into a failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..3_000 {
+                let pool = Pool::new(8);
+                assert_eq!(pool.par_map_index(16, |i| i).len(), 16);
+                drop(pool);
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .is_ok(),
+            "dropping a pool hung on a worker that missed the shutdown wake-up"
+        );
     }
 
     #[test]

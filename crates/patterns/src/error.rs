@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use soctam_model::TerminalId;
+use soctam_model::{CoreId, TerminalId};
 
 /// Errors produced when building SI patterns or pattern sets.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,6 +25,15 @@ pub enum PatternError {
         terminal: TerminalId,
         /// Size of the terminal space.
         total: u32,
+    },
+    /// A bus line is driven from a core outside the SOC.
+    DriverOutOfRange {
+        /// The occupied bus line.
+        line: u8,
+        /// The offending driver core.
+        driver: CoreId,
+        /// Number of cores in the SOC.
+        cores: usize,
     },
     /// Pattern generation needs at least this many terminals.
     NotEnoughTerminals {
@@ -58,6 +67,14 @@ impl fmt::Display for PatternError {
             PatternError::TerminalOutOfRange { terminal, total } => write!(
                 f,
                 "terminal {terminal} outside the {total}-terminal space of the soc"
+            ),
+            PatternError::DriverOutOfRange {
+                line,
+                driver,
+                cores,
+            } => write!(
+                f,
+                "bus line {line} driven from {driver}, outside the {cores}-core soc"
             ),
             PatternError::NotEnoughTerminals {
                 required,

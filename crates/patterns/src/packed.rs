@@ -128,8 +128,9 @@ pub struct PackedPattern {
 }
 
 /// A borrowed view of one packed pattern (either a standalone
-/// [`PackedPattern`] or a slice of a [`PackedSet`] arena).
-#[derive(Clone, Copy, Debug)]
+/// [`PackedPattern`] or a slice of a [`PackedSet`] arena). Two views are
+/// equal exactly when the sparse patterns they pack are equal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackedRef<'a> {
     /// Care/symbol words, ascending by word index.
     pub words: &'a [PackedWord],
@@ -408,6 +409,7 @@ pub struct PackedSet {
     bus: Vec<PackedBusLine>,
     spans: Vec<PackedSpan>,
     max_terminal: Option<u32>,
+    max_driver: Option<u8>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -435,6 +437,7 @@ impl PackedSet {
             bus: Vec::with_capacity(total_bus),
             spans: Vec::with_capacity(patterns.len()),
             max_terminal: None,
+            max_driver: None,
         };
         for pattern in patterns {
             let word_off = set.words.len() as u32;
@@ -449,6 +452,9 @@ impl PackedSet {
             });
             if let Some(&(t, _)) = pattern.care_bits().last() {
                 set.max_terminal = Some(set.max_terminal.map_or(t.raw(), |m| m.max(t.raw())));
+            }
+            for line in &set.bus[bus_off as usize..] {
+                set.max_driver = Some(set.max_driver.map_or(line.driver, |m| m.max(line.driver)));
             }
         }
         set
@@ -487,6 +493,13 @@ impl PackedSet {
     #[must_use]
     pub fn max_terminal(&self) -> Option<u32> {
         self.max_terminal
+    }
+
+    /// The largest bus driver core id in the set, `None` when no pattern
+    /// occupies a bus line. Used to validate against a SOC's core count.
+    #[must_use]
+    pub fn max_driver(&self) -> Option<u8> {
+        self.max_driver
     }
 
     /// Number of `u64` words needed to cover every care terminal in the
@@ -1026,12 +1039,18 @@ fn cover_with_accumulator(
 /// Word-aligned ownership map of a SOC's terminal space: for every
 /// terminal word, the cores owning bits of that word and their in-word
 /// masks. Built once per SOC, it turns care-core extraction (hypergraph
-/// construction, pattern bucketing) into a few AND/popcount ops per
-/// pattern word.
+/// construction, pattern bucketing) into a few AND ops per pattern word
+/// plus one bit per bus line, written into a care-core *bitset* of
+/// [`PackedLayout::core_words`] words.
 #[derive(Clone, Debug)]
 pub struct PackedLayout {
-    word_cores: Vec<Vec<(CoreId, u64)>>,
+    /// `owners[word_start[w]..word_start[w + 1]]` are the `(core, mask)`
+    /// pairs of terminal word `w`, ascending by core.
+    owners: Vec<(u32, u64)>,
+    word_start: Vec<u32>,
+    /// Union of the masks of each terminal word: the bits any core owns.
     word_mask: Vec<u64>,
+    cores: usize,
 }
 
 impl PackedLayout {
@@ -1039,13 +1058,11 @@ impl PackedLayout {
     #[must_use]
     pub fn new(soc: &Soc) -> Self {
         let words = words_for_terminals(soc.total_wocs() as usize);
-        let mut word_cores: Vec<Vec<(CoreId, u64)>> = vec![Vec::new(); words];
-        let mut word_mask = vec![0u64; words];
+        let mut word_owners: Vec<Vec<(u32, u64)>> = vec![Vec::new(); words];
         for core in soc.core_ids() {
             let range = soc.terminal_range(core);
             let mut t = range.start;
             while t < range.end {
-                let word = (t / 64) as usize;
                 let upto = ((t / 64 + 1) * 64).min(range.end);
                 let len = upto - t;
                 let mask = if len == 64 {
@@ -1053,48 +1070,73 @@ impl PackedLayout {
                 } else {
                     ((1u64 << len) - 1) << (t % 64)
                 };
-                word_cores[word].push((core, mask));
-                word_mask[word] |= mask;
+                word_owners[(t / 64) as usize].push((core.raw(), mask));
                 t = upto;
             }
         }
-        PackedLayout {
-            word_cores,
-            word_mask,
+        let mut layout = PackedLayout {
+            owners: Vec::new(),
+            word_start: Vec::with_capacity(words + 1),
+            word_mask: Vec::with_capacity(words),
+            cores: soc.num_cores(),
+        };
+        for owners in word_owners {
+            layout.word_start.push(layout.owners.len() as u32);
+            layout
+                .word_mask
+                .push(owners.iter().fold(0, |acc, &(_, mask)| acc | mask));
+            layout.owners.extend(owners);
         }
+        layout.word_start.push(layout.owners.len() as u32);
+        layout
     }
 
-    /// Collects the *care cores* of `p` into `out` (cleared first):
-    /// owners of all care terminals plus all bus driver cores, sorted
-    /// and deduplicated — exactly [`SiPattern::care_cores`].
+    /// Words per care-core bitset: ⌈cores / 64⌉. One word covers every
+    /// embedded benchmark; larger SOCs take more words through the same
+    /// code path.
+    #[must_use]
+    pub fn core_words(&self) -> usize {
+        self.cores.div_ceil(64)
+    }
+
+    /// Writes the *care cores* of `p` into `bits` as a bitset (bit
+    /// `c % 64` of word `c / 64` set ⇔ core `c` is a care core): owners
+    /// of all care terminals plus all bus driver cores — exactly the set
+    /// [`SiPattern::care_cores`] lists. `bits` is overwritten.
     ///
     /// # Panics
     ///
-    /// Panics if `p` has a care bit outside the SOC's terminal space.
-    // Invariant: out-of-range terminals are a documented `# Panics` contract of this method.
+    /// Panics if `bits` is not [`PackedLayout::core_words`] long, or if
+    /// `p` has a care bit outside the SOC's terminal space or a bus
+    /// driver outside its cores.
+    // Invariant: out-of-range terminals and drivers are a documented `# Panics` contract of this method.
     #[allow(clippy::expect_used)]
-    pub fn care_cores_into(&self, p: PackedRef<'_>, out: &mut Vec<CoreId>) {
-        out.clear();
+    pub fn care_core_bits(&self, p: PackedRef<'_>, bits: &mut [u64]) {
+        assert_eq!(
+            bits.len(),
+            self.core_words(),
+            "one bitset word per 64 cores"
+        );
+        bits.fill(0);
         for w in p.words {
-            let cores = self
-                .word_cores
-                .get(w.index as usize)
-                .expect("care terminal in range");
-            assert!(
-                w.care & !self.word_mask[w.index as usize] == 0,
-                "care terminal in range"
-            );
-            for &(core, mask) in cores {
+            let word = w.index as usize;
+            let in_range = self.word_mask.get(word).expect("care terminal in range");
+            assert!(w.care & !in_range == 0, "care terminal in range");
+            let owners =
+                &self.owners[self.word_start[word] as usize..self.word_start[word + 1] as usize];
+            for &(core, mask) in owners {
                 if w.care & mask != 0 {
-                    out.push(core);
+                    bits[(core / 64) as usize] |= 1 << (core % 64);
                 }
             }
         }
         for pl in p.bus {
-            out.push(CoreId::new(u32::from(pl.driver)));
+            let driver = usize::from(pl.driver);
+            // Checked before the shift: a driver past the last core would
+            // otherwise set the bit of a core the SOC does not have.
+            assert!(driver < self.cores, "bus driver in range");
+            bits[driver / 64] |= 1 << (driver % 64);
         }
-        out.sort_unstable();
-        out.dedup();
     }
 }
 
@@ -1207,11 +1249,15 @@ mod tests {
         assert_eq!(set.len(), 3);
         assert_eq!(set.max_terminal(), Some(65));
         assert_eq!(set.terminal_words(), 2);
+        assert_eq!(set.max_driver(), Some(1));
+        assert_eq!(PackedSet::build(&patterns[1..]).max_driver(), None);
         for (i, p) in patterns.iter().enumerate() {
             let packed = PackedPattern::from_sparse(p);
             assert_eq!(set.get(i).words, packed.words());
             assert_eq!(set.get(i).bus, packed.bus());
+            assert_eq!(set.get(i), packed.as_packed_ref());
         }
+        assert_ne!(set.get(0), set.get(2));
     }
 
     #[test]
@@ -1258,6 +1304,29 @@ mod tests {
         let _ = PackedPattern::from_sparse(&p);
     }
 
+    /// The cores a care-core bitset holds, ascending.
+    fn bitset_cores(bits: &[u64]) -> Vec<CoreId> {
+        (0..bits.len() * 64)
+            .filter(|&c| bits[c / 64] >> (c % 64) & 1 != 0)
+            .map(|c| CoreId::new(c as u32))
+            .collect()
+    }
+
+    fn assert_bitsets_match_sparse(soc: &Soc, patterns: &[SiPattern]) {
+        let layout = PackedLayout::new(soc);
+        let set = PackedSet::build(patterns);
+        let mut bits = vec![0; layout.core_words()];
+        for (i, p) in patterns.iter().enumerate() {
+            layout.care_core_bits(set.get(i), &mut bits);
+            assert_eq!(
+                bitset_cores(&bits),
+                p.care_cores(soc),
+                "{} pattern {i}",
+                soc.name()
+            );
+        }
+    }
+
     #[test]
     fn layout_care_cores_match_sparse() {
         use soctam_model::CoreSpec;
@@ -1269,11 +1338,42 @@ mod tests {
             ],
         )
         .expect("valid soc");
-        let layout = PackedLayout::new(&soc);
         let p = sparse(&[(69, Symbol::Rise), (70, Symbol::Fall)], &[(2, 0)]);
-        let mut cores = Vec::new();
-        layout.care_cores_into(PackedPattern::from_sparse(&p).as_packed_ref(), &mut cores);
-        assert_eq!(cores, p.care_cores(&soc));
+        assert_bitsets_match_sparse(&soc, &[p, sparse(&[], &[]), sparse(&[], &[(9, 1)])]);
+    }
+
+    #[test]
+    fn care_core_bitsets_match_sparse_on_every_benchmark() {
+        use crate::{RandomPatternConfig, SiPatternSet};
+        for bench in soctam_model::Benchmark::ALL {
+            let soc = bench.soc();
+            let raw = SiPatternSet::random(&soc, &RandomPatternConfig::new(500).with_seed(5))
+                .expect("valid set");
+            assert_bitsets_match_sparse(&soc, raw.as_slice());
+        }
+    }
+
+    #[test]
+    fn care_core_bitsets_span_words_above_64_cores() {
+        use crate::{RandomPatternConfig, SiPatternSet};
+        use soctam_model::synth::{synth_soc, SynthConfig};
+        let soc = synth_soc(&SynthConfig::new(100).with_seed(3)).expect("valid soc");
+        assert_eq!(PackedLayout::new(&soc).core_words(), 2);
+        let raw = SiPatternSet::random(&soc, &RandomPatternConfig::new(2_000).with_seed(8))
+            .expect("valid set");
+        assert!(raw
+            .iter()
+            .any(|p| p.care_cores(&soc).iter().any(|c| c.index() >= 64)));
+        assert_bitsets_match_sparse(&soc, raw.as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "bus driver in range")]
+    fn care_core_bits_reject_a_driver_past_the_last_core() {
+        let soc = soctam_model::Benchmark::D695.soc();
+        let layout = PackedLayout::new(&soc);
+        let p = PackedPattern::from_sparse(&sparse(&[], &[(1, 40)]));
+        layout.care_core_bits(p.as_packed_ref(), &mut [0]);
     }
 
     /// First-fit cover built from pairwise [`PackedPattern::merged`]

@@ -120,22 +120,38 @@ impl SiPattern {
         cores
     }
 
-    /// Checks that every care terminal exists in `soc`.
+    /// Checks that every care terminal and every bus driver core exists
+    /// in `soc`.
     ///
     /// # Errors
     ///
-    /// Returns [`PatternError::TerminalOutOfRange`] for the first offending
-    /// care bit.
+    /// Returns [`PatternError::TerminalOutOfRange`] for the first
+    /// offending care bit, otherwise [`PatternError::DriverOutOfRange`]
+    /// for the first bus line driven from a core `soc` does not have.
     pub fn validate_for(&self, soc: &Soc) -> Result<(), PatternError> {
-        for &(terminal, _) in &self.care {
-            if soc.owner(terminal).is_none() {
-                return Err(PatternError::TerminalOutOfRange {
-                    terminal,
-                    total: soc.total_wocs(),
-                });
-            }
+        let total = soc.total_wocs();
+        // Care bits are sorted by terminal: only the last one can be the
+        // first out of range, and the search runs only on failure.
+        if self.care.last().is_some_and(|&(t, _)| t.raw() >= total) {
+            let first = self.care.partition_point(|&(t, _)| t.raw() < total);
+            return Err(PatternError::TerminalOutOfRange {
+                terminal: self.care[first].0,
+                total,
+            });
         }
-        Ok(())
+        let cores = soc.num_cores();
+        match self
+            .bus
+            .iter()
+            .find(|&&(_, driver)| driver.index() >= cores)
+        {
+            Some(&(line, driver)) => Err(PatternError::DriverOutOfRange {
+                line: line.raw(),
+                driver,
+                cores,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// `true` when `self` and `other` can be compacted into one pattern:
@@ -357,6 +373,52 @@ mod tests {
             p.validate_for(&soc),
             Err(PatternError::TerminalOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn validate_names_the_first_out_of_range_terminal() {
+        let soc = soc(); // 5 terminals
+        let p = SiPattern::new(
+            vec![
+                (t(4), Symbol::One),
+                (t(9), Symbol::Rise),
+                (t(6), Symbol::Zero),
+            ],
+            vec![(BusLineId::new(0), CoreId::new(7))],
+        )
+        .expect("valid");
+        assert_eq!(
+            p.validate_for(&soc),
+            Err(PatternError::TerminalOutOfRange {
+                terminal: t(6),
+                total: 5
+            })
+        );
+        let in_range =
+            SiPattern::new(vec![(t(0), Symbol::Rise), (t(4), Symbol::One)], vec![]).expect("valid");
+        assert_eq!(in_range.validate_for(&soc), Ok(()));
+    }
+
+    #[test]
+    fn validate_detects_a_driver_past_the_last_core() {
+        let soc = soc(); // 2 cores
+        let p = SiPattern::new(
+            vec![(t(3), Symbol::Rise)],
+            vec![
+                (BusLineId::new(0), CoreId::new(1)),
+                (BusLineId::new(2), CoreId::new(2)),
+                (BusLineId::new(5), CoreId::new(40)),
+            ],
+        )
+        .expect("valid");
+        assert_eq!(
+            p.validate_for(&soc),
+            Err(PatternError::DriverOutOfRange {
+                line: 2,
+                driver: CoreId::new(2),
+                cores: 2
+            })
+        );
     }
 
     #[test]

@@ -120,11 +120,11 @@ impl SiPatternSet {
         self.patterns
     }
 
-    /// Validates every pattern against `soc`'s terminal space.
+    /// Validates every pattern against `soc`'s terminal space and cores.
     ///
     /// # Errors
     ///
-    /// Returns the first [`PatternError::TerminalOutOfRange`] found.
+    /// Returns the first error [`SiPattern::validate_for`] finds.
     pub fn validate_for(&self, soc: &Soc) -> Result<(), PatternError> {
         self.patterns.iter().try_for_each(|p| p.validate_for(soc))
     }

@@ -8,16 +8,22 @@
 //! grouping fingerprints pin the hypergraph partitioner and the pattern
 //! bucketing; they were recorded from the FM refinement that recomputed
 //! every neighbour's gain after each move, and the delta-gain update must
-//! reproduce them exactly. A failure here means the greedy cover's or the
-//! partitioner's semantics drifted — update the constants only for a
-//! deliberate model change.
+//! reproduce them exactly. The pipeline goldens pin the counters of whole
+//! two-dimensional compactions of sets with injected duplicates (the
+//! duplicate count, the compacted counts, the cut and both kernel
+//! counters); they were recorded with the per-bucket `HashSet<&SiPattern>`
+//! duplicate filter, and the fingerprinted pass over the packed arena must
+//! reproduce them exactly. A failure here means the greedy cover's, the
+//! partitioner's or the duplicate filter's semantics drifted — update the
+//! constants only for a deliberate model change.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::hash::Hasher;
 
 use soctam::compaction::{
-    compact_greedy_ordered, group_patterns_packed, MergeOrder, PatternGrouping,
+    compact_greedy_ordered, compact_two_dimensional, group_patterns_packed, CompactionConfig,
+    CompactionStats, MergeOrder, PatternGrouping,
 };
 use soctam::hypergraph::PartitionConfig;
 use soctam::patterns::{PackedLayout, PackedSet};
@@ -202,6 +208,75 @@ fn p93791_grouping_is_stable() {
             (3, 2, 2743, 0x54a0a14b9f078a5c),
             (3, 4, 4558, 0xd72ecc42238d0dce),
             (3, 8, 5340, 0xf4829dd30a9e687d),
+        ],
+    );
+}
+
+/// N_r = 10 000 patterns of `benchmark` at seed 2007 with exact
+/// duplicates injected: every 37th pattern is replaced by a copy of an
+/// earlier one, so copies land in every bucket and in the remainder.
+fn set_with_duplicates(benchmark: Benchmark) -> SiPatternSet {
+    let soc = benchmark.soc();
+    let raw = SiPatternSet::random(&soc, &RandomPatternConfig::new(10_000).with_seed(2007))
+        .expect("valid set");
+    let mut patterns = raw.into_vec();
+    for i in (37..patterns.len()).step_by(37) {
+        patterns[i] = patterns[i / 3].clone();
+    }
+    SiPatternSet::from_patterns(patterns)
+}
+
+/// The counters of one pipeline run that no cover fingerprint sees:
+/// `(i, duplicates, compacted per part, compacted remainder, cut weight,
+/// kernel words compared, kernel fast rejects)`.
+type PipelineCase = (u32, usize, Vec<usize>, usize, u64, u64, u64);
+
+fn pipeline_case(parts: u32, stats: &CompactionStats) -> PipelineCase {
+    (
+        parts,
+        stats.duplicate_patterns,
+        stats.group_patterns.clone(),
+        stats.remainder_patterns,
+        stats.cut_weight,
+        stats.kernel_words_compared,
+        stats.kernel_fast_rejects,
+    )
+}
+
+/// Runs the two-dimensional pipeline on [`set_with_duplicates`] at
+/// i ∈ {1, 4} and checks each [`PipelineCase`].
+fn pipeline_golden(benchmark: Benchmark, cases: &[PipelineCase]) {
+    let soc = benchmark.soc();
+    let raw = set_with_duplicates(benchmark);
+    let seen: Vec<PipelineCase> = [1u32, 4]
+        .into_iter()
+        .map(|parts| {
+            let config = CompactionConfig::new(parts).with_seed(2007);
+            let result = compact_two_dimensional(&soc, &raw, &config).expect("compacts");
+            pipeline_case(parts, result.stats())
+        })
+        .collect();
+    assert_eq!(seen, cases, "{benchmark:?} pipeline counters");
+}
+
+#[test]
+fn d695_pipeline_counters_are_stable() {
+    pipeline_golden(
+        Benchmark::D695,
+        &[
+            (1, 270, vec![164], 0, 0, 88232, 226708),
+            (4, 270, vec![22, 71, 18, 17], 95, 4397, 70075, 109488),
+        ],
+    );
+}
+
+#[test]
+fn p93791_pipeline_counters_are_stable() {
+    pipeline_golden(
+        Benchmark::P93791,
+        &[
+            (1, 270, vec![273], 0, 0, 57064, 414686),
+            (4, 270, vec![9, 28, 27, 108], 145, 4588, 45652, 176448),
         ],
     );
 }
