@@ -254,7 +254,7 @@ impl TamBackend for RectPackBackend {
             .collect::<Result<Vec<_>, _>>()?;
         let architecture = TestRailArchitecture::new(ctx.soc, rails)?;
         architecture.check_width(ctx.max_width)?;
-        let evaluation = (*evaluator.evaluate_cached(&architecture)).clone();
+        let evaluation = (*evaluator.evaluate_cached(architecture.rails())).clone();
         if let Some(p) = &ctx.progress {
             p.record_best(evaluation.t_total());
         }

@@ -5,11 +5,12 @@
 //! [`RailEval`] (its InTest time plus its per-group shift sums), and an
 //! architecture evaluation is a cheap reduction over its rails'
 //! components. Because the optimizer's moves change only one or two
-//! rails at a time, components are memoized by rail fingerprint and the
-//! delta API [`Evaluator::evaluate_from`] reuses every untouched
-//! component — and, when no group's rail set changed, the previous
-//! Algorithm 1 schedule too. Assembled results are bit-identical to a
-//! from-scratch evaluation (see DESIGN.md §12).
+//! rails at a time, components are memoized by rail fingerprint and
+//! moves are priced on one incremental [`SwapState`]: a probe or an
+//! accepted move is a short list of [`RailEdit`]s that patches only the
+//! group rows the edited rails touch. Everything read off the state is
+//! bit-identical to [`Evaluator::evaluate`], the from-scratch referee
+//! (see DESIGN.md §12).
 
 use std::sync::Arc;
 
@@ -133,17 +134,6 @@ impl EvalCache {
     pub fn clear(&self) {
         self.store.clear();
     }
-}
-
-/// Fingerprint identifying a rail's evaluation-relevant content: its
-/// width and hosted cores. Collision odds are the documented
-/// ~N²/2¹²⁹ of [`fx_fingerprint128`] — negligible for any reachable
-/// number of distinct rails.
-/// The fingerprint is composed from the core list's own fingerprint so
-/// width-only probes (the optimizer's hottest lookup) can key the rail
-/// cache without rehashing the core list.
-fn rail_fingerprint_fp(width: u32, cores_fp: u128) -> u128 {
-    fx_fingerprint128(&(width, cores_fp))
 }
 
 /// Fingerprint identifying an architecture: the exact rail list (width
@@ -283,77 +273,63 @@ pub struct Evaluation {
     /// `T_soc^si`: the SI schedule makespan.
     pub t_si: u64,
     /// The per-rail components the evaluation was assembled from, in
-    /// rail order. [`Evaluator::evaluate_from`] reuses these for every
-    /// rail an optimizer move does not touch.
+    /// rail order. [`Evaluator::swap_state`] seeds its state from them.
     pub rail_evals: Vec<Arc<RailEval>>,
 }
 
-/// The cost summary of a candidate architecture, produced by
-/// [`Evaluator::cost_from`] / [`Evaluator::cost_from_mapped`] without
-/// materializing a full [`Evaluation`]. Each field is bit-identical to
-/// the corresponding quantity of the assembled evaluation.
+/// The cost summary of a [`SwapState`] with a list of edits applied,
+/// produced by [`Evaluator::state_cost`] without materializing a full
+/// [`Evaluation`]. Each field is bit-identical to the corresponding
+/// quantity of the evaluation of the edited rail list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaCost {
     /// `T_soc^in` of the candidate.
     pub t_in: u64,
     /// `T_soc^si` of the candidate.
     pub t_si: u64,
-    /// `Σ_r time_used(r)` — the secondary key wire rebalancing breaks
-    /// ties with (equals `Evaluation::rail_time_used().iter().sum()`).
+    /// `Σ_r time_used(r)`, saturating at `u64::MAX` — the secondary key
+    /// wire rebalancing breaks ties with (equals
+    /// [`Evaluation::rail_used_sum`]).
     pub rail_used_sum: u64,
 }
 
-/// Precomputed reduction state over one base [`Evaluation`], built by
-/// [`Evaluator::probe_ctx`] and consumed by [`Evaluator::cost_swap`]:
-/// the top-two per-rail InTest times (so the max excluding any one rail
-/// is O(1)), the utilized-time sum, and the per-group transpose of the
-/// rails' sparse shift columns (each row ascending by rail index, as
-/// the group walk visits them). Immutable once built.
-#[derive(Clone, Debug)]
-pub struct ProbeCtx<'b> {
-    base: &'b Evaluation,
-    t_in_max: u64,
-    t_in_argmax: usize,
-    t_in_second: u64,
-    used_sum: u64,
-    rows: Vec<Vec<(usize, u64)>>,
-    /// Per-group `(max, argmax, second-max, second-argmax)` over the
-    /// transpose row, with the same first-strict-maximum tie-break as
-    /// the row scan in [`patched_row`]: `argmax` is the lowest rail
-    /// index holding `max`, `second` the maximum over the remaining
-    /// rails. Lets [`Evaluator::swap_t_si`] decide "did this group's
-    /// time or bottleneck change?" in O(1) without rebuilding the row.
-    tops: Vec<(u64, usize, u64, usize)>,
-}
+/// One edit of a [`SwapState`]: `(rail, Some(component))` replaces the
+/// rail's component, `(rail, None)` removes the rail, and every other
+/// rail keeps its label. A width swap is one edit, a core move two, and
+/// a merge `[(target, Some(merged)), (dead, None)]`; an edit list names
+/// each rail at most once.
+pub type RailEdit<'c> = (usize, Option<&'c Arc<RailEval>>);
 
-impl ProbeCtx<'_> {
-    /// The base evaluation the context was built over.
-    pub fn base(&self) -> &Evaluation {
-        self.base
-    }
-}
-
-/// Owned, patchable probe state: the reductions a [`ProbeCtx`]
-/// precomputes plus the group-times vector and makespan, all mutable,
-/// so a *sequence* of speculative width swaps — the mergeTAMs nested
-/// wire redistribution — can accept steps in place without
-/// materializing an [`Evaluation`] per step.
+/// The incremental evaluation state: an architecture's per-rail
+/// components plus the reductions that price an edit without
+/// re-assembling the architecture — the top-two per-rail InTest times
+/// (so the max excluding any one rail is O(1)), the exact utilized-time
+/// sum, the per-group transpose of the rails' sparse shift columns
+/// (each row ascending by rail index, as the group walk visits them)
+/// with its top-two, and the group-times vector and makespan.
+/// [`Evaluator::state_cost`] prices a list of [`RailEdit`]s read-only,
+/// so concurrent probes share one state; [`Evaluator::state_apply`]
+/// accepts them in place.
 ///
 /// Rail indices keep the labels of the evaluation the state was seeded
-/// from: a rail removed by [`Evaluator::swap_state_merged`] leaves a
-/// `None` hole so every surviving rail keeps its label. The quantities
-/// read out of the state (`T_soc^in`, `T_soc^si`) are label-invariant —
-/// the scheduler consumes only group times and rail *sharing*, which
-/// any relabeling preserves — so costs computed here are bit-identical
-/// to those of the compacted candidate rail list the optimizer would
-/// otherwise materialize.
+/// from: a removed rail leaves a `None` hole so every surviving rail
+/// keeps its label. The quantities read out of the state (`T_soc^in`,
+/// `T_soc^si`, `Σ time_used`) are label-invariant — the scheduler
+/// consumes only group times and rail *sharing*, which any relabeling
+/// preserves — so they are bit-identical to those of the compacted
+/// rail list the optimizer would otherwise materialize.
 #[derive(Clone, Debug)]
 pub struct SwapState {
     comps: Vec<Option<Arc<RailEval>>>,
     t_in_max: u64,
     t_in_argmax: usize,
     t_in_second: u64,
+    /// `Σ_r time_used(r)` over the live rails, kept exact so edits can
+    /// subtract what they replace.
+    used_sum: u128,
     rows: Vec<Vec<(usize, u64)>>,
+    /// Per-group `(max, argmax, second-max, second-argmax)` over the
+    /// transpose row, from [`row_reduction`].
     tops: Vec<(u64, usize, u64, usize)>,
     group_times: Vec<SiGroupTime>,
     t_si: u64,
@@ -375,9 +351,70 @@ impl SwapState {
         self.comps[i].as_deref()
     }
 
+    /// The per-group SI timing of the state's architecture, naming
+    /// rails by their state labels.
+    pub fn group_times(&self) -> &[SiGroupTime] {
+        &self.group_times
+    }
+
+    /// `T_soc^in` with `edits` applied: O(1) through the top-two for a
+    /// single edit, one scan over the rails otherwise.
+    fn t_in_with(&self, edits: &[RailEdit<'_>]) -> u64 {
+        if let [(i, new)] = edits {
+            let others = if self.t_in_argmax == *i {
+                self.t_in_second
+            } else {
+                self.t_in_max
+            };
+            return new.map_or(others, |comp| comp.t_in.max(others));
+        }
+        (0..self.comps.len())
+            .filter_map(|r| match edits.iter().find(|&&(e, _)| e == r) {
+                Some(&(_, new)) => new.map(|comp| comp.t_in),
+                None => self.comps[r].as_ref().map(|comp| comp.t_in),
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The exact `Σ time_used` with `edits` applied.
+    fn used_sum_with(&self, edits: &[RailEdit<'_>]) -> u128 {
+        edits.iter().fold(self.used_sum, |sum, &(r, new)| {
+            sum - self.comps[r].as_deref().map_or(0, used_of) + new.map_or(0, |comp| used_of(comp))
+        })
+    }
+
+    /// The rows a probe of `edits` changes, ascending by group, without
+    /// touching the state: a row is rebuilt only where
+    /// [`keeps_timing`] cannot rule a change out.
+    fn probe_rows(&self, edits: &[RailEdit<'_>]) -> Vec<(usize, SiGroupTime)> {
+        let mut changed = Vec::new();
+        for_each_touched(&self.comps, edits, |g, kept| {
+            let base = &self.group_times[g];
+            if !kept.is_some_and(|(i, cycles)| keeps_timing(self.tops[g], base, i, cycles)) {
+                self.probe_row(edits, g, &mut changed);
+            }
+        });
+        changed
+    }
+
+    /// Rebuilds group `g`'s row with `edits` applied and records it in
+    /// `changed` when its timing differs. Kept out of line so that the
+    /// walk's per-group visitor in [`SwapState::probe_rows`] stays small
+    /// enough to inline, which the merge probes' hot loop measurably
+    /// depends on.
+    #[inline(never)]
+    fn probe_row(&self, edits: &[RailEdit<'_>], g: usize, changed: &mut Vec<(usize, SiGroupTime)>) {
+        let mut row = self.rows[g].clone();
+        patch_row(&mut row, edits, g);
+        let (_, row_time) = row_reduction(&row);
+        if row_time != self.group_times[g] {
+            changed.push((g, row_time));
+        }
+    }
+
     /// Rebuilds the top-two InTest reduction after a component change,
-    /// with the same first-strict-maximum argmax tie-break as
-    /// [`Evaluator::probe_ctx`]'s scan.
+    /// with the first-strict-maximum argmax tie-break.
     fn recompute_t_in(&mut self) {
         let (mut max, mut argmax, mut second) = (0u64, usize::MAX, 0u64);
         for (r, comp) in self.comps.iter().enumerate() {
@@ -396,9 +433,17 @@ impl SwapState {
     }
 }
 
+/// `time_used(r) = time_in(r) + time_si(r)` of one component, widened
+/// so that sums of it are exact.
+fn used_of(comp: &RailEval) -> u128 {
+    u128::from(comp.t_in.saturating_add(comp.si_sum))
+}
+
 /// One pass over a transpose row: its top-two reduction and its
-/// [`SiGroupTime`], both with the first-strict-maximum tie-break of
-/// [`patched_row`] and [`Evaluator::probe_ctx`].
+/// [`SiGroupTime`]. `argmax` is the lowest rail index holding the
+/// maximum (the first-strict-maximum tie-break of
+/// [`Evaluator::evaluate`]'s group walk), `second` the maximum over the
+/// remaining rails.
 fn row_reduction(row: &[(usize, u64)]) -> ((u64, usize, u64, usize), SiGroupTime) {
     let (mut m1, mut r1, mut m2, mut r2) = (0u64, usize::MAX, 0u64, usize::MAX);
     let mut rails = Vec::with_capacity(row.len());
@@ -421,36 +466,94 @@ fn row_reduction(row: &[(usize, u64)]) -> ((u64, usize, u64, usize), SiGroupTime
     )
 }
 
-/// Rebuilds one group's [`SiGroupTime`] row from its transpose row with
-/// rail `i`'s cycles replaced by `new_c` (`None` removes the rail from
-/// the group). Rails stay in ascending index order and the bottleneck
-/// keeps the first-strict-maximum tie-break, matching
-/// [`Evaluator::group_times_of`] exactly.
-fn patched_row(row: &[(usize, u64)], i: usize, new_c: Option<u64>) -> SiGroupTime {
-    let mut entries: Vec<(usize, u64)> = Vec::with_capacity(row.len() + 1);
-    for &(r, cycles) in row {
-        if r != i {
-            entries.push((r, cycles));
+/// Applies `edits` to group `g`'s transpose row, one edited rail at a
+/// time: its entry takes the replacement component's cycles in `g`,
+/// leaves when it has none, or enters at its rail's position, so the
+/// row stays ascending by rail.
+fn patch_row(row: &mut Vec<(usize, u64)>, edits: &[RailEdit<'_>], g: usize) {
+    for &(r, new) in edits {
+        let cycles = new.and_then(|comp| {
+            let col = &comp.group_shift;
+            let k = col.binary_search_by_key(&g, |&(cg, _)| cg as usize).ok()?;
+            Some(col[k].1)
+        });
+        let at = row.partition_point(|&(x, _)| x < r);
+        match (row.get(at).is_some_and(|&(x, _)| x == r), cycles) {
+            (true, Some(cycles)) => row[at].1 = cycles,
+            (true, None) => {
+                row.remove(at);
+            }
+            (false, Some(cycles)) => row.insert(at, (r, cycles)),
+            (false, None) => {}
         }
     }
-    if let Some(cycles) = new_c {
-        let pos = entries.partition_point(|&(r, _)| r < i);
-        entries.insert(pos, (i, cycles));
-    }
-    let mut rails = Vec::with_capacity(entries.len());
-    let (mut best_rail, mut best_time) = (usize::MAX, 0u64);
-    for &(r, cycles) in &entries {
-        if cycles > best_time {
-            best_time = cycles;
-            best_rail = r;
+}
+
+/// The group walk behind [`Evaluator::state_cost`] and
+/// [`Evaluator::state_apply`]: calls `visit(g, kept)` for every group
+/// whose transpose row `edits` change, ascending. A single edit that
+/// replaces a live rail walks the union of its old and new columns,
+/// skips groups whose cycles did not change (all of them on a width
+/// plateau) and passes `kept = Some((rail, new cycles))` where the rail
+/// stays a member. Any other edit list visits every group its old and
+/// new columns touch, with `kept = None`.
+fn for_each_touched(
+    comps: &[Option<Arc<RailEval>>],
+    edits: &[RailEdit<'_>],
+    mut visit: impl FnMut(usize, Option<(usize, u64)>),
+) {
+    if let [(i, Some(new))] = edits {
+        if let Some(old) = comps[*i].as_deref() {
+            let (old, new) = (&old.group_shift, &new.group_shift);
+            if old == new {
+                return;
+            }
+            let (mut a, mut b) = (0usize, 0usize);
+            loop {
+                let (g, old_c, new_c) = match (old.get(a), new.get(b)) {
+                    (None, None) => return,
+                    (Some(&(ga, ca)), Some(&(gb, cb))) if ga == gb => (ga, Some(ca), Some(cb)),
+                    (Some(&(ga, ca)), Some(&(gb, _))) if ga < gb => (ga, Some(ca), None),
+                    (Some(&(ga, ca)), None) => (ga, Some(ca), None),
+                    (_, Some(&(gb, cb))) => (gb, None, Some(cb)),
+                };
+                a += usize::from(old_c.is_some());
+                b += usize::from(new_c.is_some());
+                if old_c != new_c {
+                    visit(g as usize, old_c.and(new_c).map(|cycles| (*i, cycles)));
+                }
+            }
         }
-        rails.push(r);
     }
-    SiGroupTime {
-        time: best_time,
-        rails,
-        bottleneck_rail: best_rail,
+    let mut groups: Vec<u32> = Vec::new();
+    for &(r, new) in edits {
+        for comp in comps[r].iter().chain(new) {
+            groups.extend(comp.group_shift.iter().map(|&(g, _)| g));
+        }
     }
+    groups.sort_unstable();
+    groups.dedup();
+    for g in groups {
+        visit(g as usize, None);
+    }
+}
+
+/// Whether giving rail `i` `cycles` in a group it stays a member of
+/// keeps the group's time and bottleneck, decided in O(1) from the
+/// row's top-two `tops` against its current timing `base`: the max
+/// over the other rails, then the new cycles, ties resolving to the
+/// lowest rail index.
+fn keeps_timing(tops: (u64, usize, u64, usize), base: &SiGroupTime, i: usize, cycles: u64) -> bool {
+    let (m1, r1, m2, r2) = tops;
+    let (excl_max, excl_arg) = if r1 == i { (m2, r2) } else { (m1, r1) };
+    let (time, bottleneck) = if cycles > excl_max {
+        (cycles, i)
+    } else if cycles == excl_max {
+        (excl_max, excl_arg.min(i))
+    } else {
+        (excl_max, excl_arg)
+    };
+    time == base.time && bottleneck == base.bottleneck_rail
 }
 
 impl Evaluation {
@@ -467,6 +570,14 @@ impl Evaluation {
             .zip(&self.rail_time_si)
             .map(|(a, b)| a.saturating_add(*b))
             .collect()
+    }
+
+    /// `Σ_r time_used(r)`, saturating at `u64::MAX`: the secondary key
+    /// wire rebalancing breaks ties with.
+    pub fn rail_used_sum(&self) -> u64 {
+        self.rail_time_used()
+            .into_iter()
+            .fold(0u64, u64::saturating_add)
     }
 }
 
@@ -628,18 +739,13 @@ impl<'a> Evaluator<'a> {
         FpKey::new(space, fp ^ self.ctx_fp)
     }
 
-    /// [`Evaluator::evaluate`] through the memo cache: architectures
-    /// with the same rail fingerprint share one evaluation. Safe for
-    /// concurrent use; evaluation is a pure function of the
-    /// architecture, so racing computations produce identical values.
-    pub fn evaluate_cached(&self, arch: &TestRailArchitecture) -> Arc<Evaluation> {
-        self.evaluate_rails_cached(arch.rails())
-    }
-
-    /// [`Evaluator::evaluate_cached`] on a bare rail list (the
-    /// optimizer's candidate representation — no architecture needs to
-    /// be constructed to probe the cache).
-    pub fn evaluate_rails_cached(&self, rails: &[TestRail]) -> Arc<Evaluation> {
+    /// [`Evaluator::evaluate`] of a rail list through the memo cache:
+    /// rail lists with the same fingerprint share one evaluation. Takes
+    /// a bare rail slice (the optimizer's candidate representation), so
+    /// no architecture needs to be constructed to probe the cache. Safe
+    /// for concurrent use; evaluation is a pure function of the rails,
+    /// so racing computations produce identical values.
+    pub fn evaluate_cached(&self, rails: &[TestRail]) -> Arc<Evaluation> {
         let key = self.cache_key(SPACE_ARCH, arch_fingerprint(rails));
         if let Some(Cached::Arch(eval)) = self.cache.get(&key) {
             if let Some(m) = &self.metrics {
@@ -654,674 +760,94 @@ impl<'a> Evaluator<'a> {
         self.insert_arch(key, eval)
     }
 
-    /// Delta evaluation: evaluates `rails` reusing `base`'s per-rail
-    /// components for every index not listed in `changed`, and `base`'s
-    /// Algorithm 1 schedule when no group's rail set or time changed.
-    /// The result is bit-identical to [`Evaluator::evaluate`] on the
-    /// same rails.
-    ///
-    /// `rails[i]` must equal the rail `base` was evaluated on for every
-    /// `i` not in `changed` (checked in debug builds); indices ≥
-    /// `base`'s rail count are always evaluated fresh, so candidates
-    /// may drop or append rails.
-    pub fn evaluate_from(
-        &self,
-        base: &Evaluation,
-        changed: &[usize],
-        rails: &[TestRail],
-    ) -> Evaluation {
-        let rail_evals = self.delta_components(base, changed, rails);
-        self.assemble(rail_evals, Some(base))
-    }
-
-    /// The cost of `rails` as a delta against `base` — the fast path
-    /// for speculative candidates, which only need numbers, not a full
-    /// [`Evaluation`]. Same reuse contract as
-    /// [`Evaluator::evaluate_from`].
-    pub fn cost_from(&self, base: &Evaluation, changed: &[usize], rails: &[TestRail]) -> DeltaCost {
-        let rail_evals = self.delta_components(base, changed, rails);
-        self.cost_of_components(&rail_evals, base)
-    }
-
-    /// Per-rail components for a delta against `base`: reused where the
-    /// rail is unchanged, served from the rail cache otherwise.
-    fn delta_components(
-        &self,
-        base: &Evaluation,
-        changed: &[usize],
-        rails: &[TestRail],
-    ) -> Vec<Arc<RailEval>> {
-        rails
-            .iter()
-            .enumerate()
-            .map(|(i, rail)| {
-                if !changed.contains(&i) && i < base.rail_evals.len() {
-                    let reused = &base.rail_evals[i];
-                    debug_assert_eq!(
-                        (reused.width, reused.cores_fp),
-                        (rail.width(), fx_fingerprint128(&rail.cores())),
-                        "rail {i} differs from the base but is not listed as changed"
-                    );
-                    if let Some(m) = &self.metrics {
-                        m.count_rail_eval_hit();
-                    }
-                    Arc::clone(reused)
-                } else {
-                    self.rail_eval_cached(rail.width(), rail.cores())
-                }
-            })
-            .collect()
-    }
-
-    /// Delta evaluation with explicit provenance, for candidates that
-    /// *reorder* rails (the mergeTAMs sweep removes two rails and
-    /// appends their merge, shifting every later index): components are
-    /// position-independent, so `source[j] = Some(i)` reuses `base`'s
-    /// component `i` for the new rail `j` wherever the caller knows
-    /// `rails[j]` equals the rail `base` was evaluated on at index `i`
-    /// (checked in debug builds). `None` entries evaluate fresh (via
-    /// the rail cache). Bit-identical to [`Evaluator::evaluate`].
-    pub fn evaluate_from_mapped(
-        &self,
-        base: &Evaluation,
-        source: &[Option<usize>],
-        rails: &[TestRail],
-    ) -> Evaluation {
-        let rail_evals = self.delta_components_mapped(base, source, rails);
-        self.assemble(rail_evals, Some(base))
-    }
-
-    /// The cost of `rails` as a delta against `base` with explicit
-    /// provenance — [`Evaluator::cost_from`] for candidates that
-    /// reorder rails. Same reuse contract as
-    /// [`Evaluator::evaluate_from_mapped`].
-    pub fn cost_from_mapped(
-        &self,
-        base: &Evaluation,
-        source: &[Option<usize>],
-        rails: &[TestRail],
-    ) -> DeltaCost {
-        let rail_evals = self.delta_components_mapped(base, source, rails);
-        self.cost_of_components(&rail_evals, base)
-    }
-
-    /// Per-rail components for a provenance-mapped delta against `base`.
-    fn delta_components_mapped(
-        &self,
-        base: &Evaluation,
-        source: &[Option<usize>],
-        rails: &[TestRail],
-    ) -> Vec<Arc<RailEval>> {
-        debug_assert_eq!(source.len(), rails.len());
-        rails
-            .iter()
-            .zip(source)
-            .map(|(rail, src)| match src {
-                Some(i) if *i < base.rail_evals.len() => {
-                    let reused = &base.rail_evals[*i];
-                    debug_assert_eq!(
-                        (reused.width, reused.cores_fp),
-                        (rail.width(), fx_fingerprint128(&rail.cores())),
-                        "mapped source {i} does not match the candidate rail"
-                    );
-                    if let Some(m) = &self.metrics {
-                        m.count_rail_eval_hit();
-                    }
-                    Arc::clone(reused)
-                }
-                _ => self.rail_eval_cached(rail.width(), rail.cores()),
-            })
-            .collect()
-    }
-
-    /// Precomputed reduction state for repeated width-only probes
-    /// against one base evaluation (see [`Evaluator::cost_swap`]).
-    /// Read-only once built, so one context can serve many concurrent
-    /// speculative probes.
-    pub fn probe_ctx<'b>(&self, base: &'b Evaluation) -> ProbeCtx<'b> {
-        debug_assert_eq!(base.group_times.len(), self.groups.len());
-        let (mut t_in_max, mut t_in_argmax, mut t_in_second) = (0u64, usize::MAX, 0u64);
-        for (r, &t) in base.rail_time_in.iter().enumerate() {
-            if t > t_in_max {
-                t_in_second = t_in_max;
-                t_in_max = t;
-                t_in_argmax = r;
-            } else if t > t_in_second {
-                t_in_second = t;
-            }
-        }
-        // Matches `cost_of_components`'s plain sum in release builds;
-        // wrapping accumulation only diverges where the plain sum would
-        // abort a debug build on degenerate inputs.
-        let mut used_sum = 0u64;
-        for (t_in, t_si) in base.rail_time_in.iter().zip(&base.rail_time_si) {
-            used_sum = used_sum.wrapping_add(t_in.saturating_add(*t_si));
-        }
+    /// Seeds a [`SwapState`] from `base`; its labels are `base`'s rail
+    /// indices.
+    pub fn swap_state(&self, base: &Evaluation) -> SwapState {
         let mut rows: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.groups.len()];
         for (r, comp) in base.rail_evals.iter().enumerate() {
             for &(g, cycles) in &comp.group_shift {
                 rows[g as usize].push((r, cycles));
             }
         }
-        let tops = rows
-            .iter()
-            .map(|row| {
-                let (mut m1, mut r1, mut m2, mut r2) = (0u64, usize::MAX, 0u64, usize::MAX);
-                for &(r, cycles) in row {
-                    if cycles > m1 {
-                        (m2, r2) = (m1, r1);
-                        (m1, r1) = (cycles, r);
-                    } else if cycles > m2 {
-                        (m2, r2) = (cycles, r);
-                    }
-                }
-                (m1, r1, m2, r2)
-            })
-            .collect();
-        ProbeCtx {
-            base,
-            t_in_max,
-            t_in_argmax,
-            t_in_second,
-            used_sum,
+        let (tops, group_times): (Vec<_>, Vec<_>) =
+            rows.iter().map(|row| row_reduction(row)).unzip();
+        debug_assert_eq!(group_times, base.group_times);
+        let mut st = SwapState {
+            comps: base.rail_evals.iter().cloned().map(Some).collect(),
+            t_in_max: 0,
+            t_in_argmax: usize::MAX,
+            t_in_second: 0,
+            used_sum: base.rail_evals.iter().map(|comp| used_of(comp)).sum(),
             rows,
             tops,
-        }
-    }
-
-    /// The cost of swapping rail `i` of `ctx`'s base to `width` —
-    /// bit-identical to [`Evaluator::cost_from`] with `changed = [i]`
-    /// and the base rail list with rail `i` rebuilt at `width`, but in
-    /// ~O(groups touched by rail i) with no rail clone and no per-rail
-    /// `Arc` traffic. This is the optimizer's innermost probe: the
-    /// rail component comes from the cache via the base component's
-    /// precomputed core fingerprint, `T_soc^in` from the context's
-    /// top-two reduction, and the schedule is reused whenever rail
-    /// `i`'s patched group rows match the base's (the common case on
-    /// width plateaus).
-    ///
-    /// `cores` must be rail `i`'s core list (checked in debug builds) —
-    /// it is only consulted to compute the component on a cache miss.
-    pub fn cost_swap(
-        &self,
-        ctx: &ProbeCtx<'_>,
-        i: usize,
-        cores: &[CoreId],
-        width: u32,
-    ) -> DeltaCost {
-        let comp = self.swap_component(ctx.base, i, cores, width);
-        self.cost_swap_with(ctx, i, &comp)
-    }
-
-    /// The memoized rail component for swapping rail `i` of `base` to
-    /// `width`, fetched via the base component's precomputed core
-    /// fingerprint. Callers that probe the same `(rail, width)` pair
-    /// many times against one base (the optimizer's wire-distribution
-    /// loop) fetch the component once and feed it to
-    /// [`Evaluator::cost_swap_with`] per probe, keeping all cache
-    /// traffic out of the probe batch.
-    ///
-    /// `cores` must be rail `i`'s core list (checked in debug builds) —
-    /// it is only consulted to compute the component on a cache miss.
-    pub fn swap_component(
-        &self,
-        base: &Evaluation,
-        i: usize,
-        cores: &[CoreId],
-        width: u32,
-    ) -> Arc<RailEval> {
-        let old = &base.rail_evals[i];
-        debug_assert_eq!(
-            old.cores_fp,
-            fx_fingerprint128(&cores),
-            "cost_swap changes rail {i}'s width only; cores must match the base rail"
-        );
-        self.rail_eval_cached_fp(width, old.cores_fp, cores)
-    }
-
-    /// The pure-math half of [`Evaluator::cost_swap`]: scores replacing
-    /// rail `i`'s component with `comp` (any width, same cores) against
-    /// the context's precomputed reductions. No cache lookups, no
-    /// allocation on the schedule-reuse path.
-    pub fn cost_swap_with(&self, ctx: &ProbeCtx<'_>, i: usize, comp: &RailEval) -> DeltaCost {
-        let base = ctx.base;
-        let old = &base.rail_evals[i];
-        debug_assert_eq!(
-            old.cores_fp, comp.cores_fp,
-            "cost_swap changes rail {i}'s width only; cores must match the base rail"
-        );
-
-        let others_max = if ctx.t_in_argmax == i {
-            ctx.t_in_second
-        } else {
-            ctx.t_in_max
-        };
-        let t_in = comp.t_in.max(others_max);
-
-        // Rail i's utilized SI time: the component's precomputed column
-        // sum accumulates per group in ascending order, exactly as
-        // `cost_of_components` folds its column.
-        let new_si = comp.si_sum;
-        let old_used = base.rail_time_in[i].saturating_add(base.rail_time_si[i]);
-        let rail_used_sum = ctx
-            .used_sum
-            .wrapping_sub(old_used)
-            .wrapping_add(comp.t_in.saturating_add(new_si));
-
-        let t_si = if old.group_shift == comp.group_shift {
-            // The swap changed no group column (a width plateau): every
-            // group row — and therefore the schedule — is the base's.
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            base.t_si
-        } else {
-            self.swap_t_si(ctx, i, &old.group_shift, &comp.group_shift)
-        };
-        DeltaCost {
-            t_in,
-            t_si,
-            rail_used_sum,
-        }
-    }
-
-    /// `T_soc^si` after swapping rail `i`'s sparse group column from
-    /// `old_col` to `new_col`: walks the union of the two columns,
-    /// recomputes only the group rows whose cycles for rail `i`
-    /// actually changed, and reuses the base schedule when every
-    /// patched row still equals the base's.
-    fn swap_t_si(
-        &self,
-        ctx: &ProbeCtx<'_>,
-        i: usize,
-        old_col: &[(u32, u64)],
-        new_col: &[(u32, u64)],
-    ) -> u64 {
-        let base = ctx.base;
-        let changed_rows = self.swap_changed_rows(ctx, i, old_col, new_col);
-        if changed_rows.is_empty() {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            base.t_si
-        } else {
-            self.makespan_patched(&base.group_times, &changed_rows)
-        }
-    }
-
-    /// The group rows that actually differ from `ctx`'s base after
-    /// swapping rail `i`'s sparse column from `old_col` to `new_col`,
-    /// ascending by group index; empty means every row — and therefore
-    /// the schedule — is the base's. Rows whose cycles change but whose
-    /// time, membership and bottleneck do not are *not* reported: the
-    /// patched [`SiGroupTime`] would equal the base's bit for bit.
-    fn swap_changed_rows(
-        &self,
-        ctx: &ProbeCtx<'_>,
-        i: usize,
-        old_col: &[(u32, u64)],
-        new_col: &[(u32, u64)],
-    ) -> Vec<(usize, SiGroupTime)> {
-        changed_rows_for(
-            &ctx.rows,
-            &ctx.tops,
-            &ctx.base.group_times,
-            i,
-            old_col,
-            new_col,
-        )
-    }
-}
-
-/// [`Evaluator::swap_changed_rows`] generalized over any reduction
-/// triple — a [`ProbeCtx`]'s borrowed state or a [`SwapState`]'s owned
-/// one: `rows` is the per-group transpose, `tops` its top-two
-/// reduction, `group_times` the matching [`SiGroupTime`] vector.
-fn changed_rows_for(
-    rows: &[Vec<(usize, u64)>],
-    tops: &[(u64, usize, u64, usize)],
-    group_times: &[SiGroupTime],
-    i: usize,
-    old_col: &[(u32, u64)],
-    new_col: &[(u32, u64)],
-) -> Vec<(usize, SiGroupTime)> {
-    {
-        let mut changed_rows: Vec<(usize, SiGroupTime)> = Vec::new();
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < old_col.len() || b < new_col.len() {
-            let ga = old_col.get(a).map(|&(g, _)| g);
-            let gb = new_col.get(b).map(|&(g, _)| g);
-            let (g, old_c, new_c) = match (ga, gb) {
-                (Some(x), Some(y)) if x == y => {
-                    let pair = (x, Some(old_col[a].1), Some(new_col[b].1));
-                    a += 1;
-                    b += 1;
-                    pair
-                }
-                (Some(x), gy) if gy.map_or(true, |y| x < y) => {
-                    let pair = (x, Some(old_col[a].1), None);
-                    a += 1;
-                    pair
-                }
-                (_, Some(y)) => {
-                    let pair = (y, None, Some(new_col[b].1));
-                    b += 1;
-                    pair
-                }
-                // Both cursors dead contradicts the loop condition, and
-                // the second arm's guard caught a live `a` with a dead
-                // `b` — only the checker can reach this arm.
-                (_, None) => break,
-            };
-            if old_c == new_c {
-                continue;
-            }
-            let g = g as usize;
-            if let (Some(_), Some(new_cycles)) = (old_c, new_c) {
-                // Membership unchanged: the patched row keeps the base's
-                // rail list, and its time/bottleneck follow in O(1) from
-                // the precomputed top-two (max excluding rail `i`, then
-                // the candidate cycles; ties resolve to the lowest rail
-                // index, matching the row scan's first-strict-maximum).
-                let (m1, r1, m2, r2) = tops[g];
-                let (excl_max, excl_arg) = if r1 == i { (m2, r2) } else { (m1, r1) };
-                let (time, bottleneck) = if new_cycles > excl_max {
-                    (new_cycles, i)
-                } else if new_cycles == excl_max {
-                    (excl_max, excl_arg.min(i))
-                } else {
-                    (excl_max, excl_arg)
-                };
-                let bg = &group_times[g];
-                if time == bg.time && bottleneck == bg.bottleneck_rail {
-                    // Patched row equals the base row exactly — writing
-                    // it back would be a no-op, so skip the rebuild.
-                    continue;
-                }
-                changed_rows.push((g, patched_row(&rows[g], i, new_c)));
-            } else {
-                // Rail i enters or leaves the group: the rail list —
-                // and therefore the row — always changes.
-                changed_rows.push((g, patched_row(&rows[g], i, new_c)));
-            }
-        }
-        changed_rows
-    }
-}
-
-impl<'a> Evaluator<'a> {
-    /// Materializes the evaluation of swapping rail `i` of `ctx`'s base
-    /// to `comp` — the accept half of a probed width swap, bit-identical
-    /// to [`Evaluator::evaluate_from`] with `changed = [i]` on the
-    /// swapped rail list, but assembled by patching the base's vectors
-    /// instead of re-reducing every component.
-    pub fn evaluate_swap_with(
-        &self,
-        ctx: &ProbeCtx<'_>,
-        i: usize,
-        comp: Arc<RailEval>,
-    ) -> Evaluation {
-        let base = ctx.base;
-        let old = &base.rail_evals[i];
-        debug_assert_eq!(
-            old.cores_fp, comp.cores_fp,
-            "evaluate_swap_with changes rail {i}'s width only; cores must match the base rail"
-        );
-
-        let others_max = if ctx.t_in_argmax == i {
-            ctx.t_in_second
-        } else {
-            ctx.t_in_max
-        };
-        let t_in = comp.t_in.max(others_max);
-
-        let mut rail_time_in = base.rail_time_in.clone();
-        rail_time_in[i] = comp.t_in;
-        // Other rails' utilized SI times depend only on their own
-        // columns, which the swap leaves untouched.
-        let mut rail_time_si = base.rail_time_si.clone();
-        rail_time_si[i] = comp.si_sum;
-
-        let changed_rows = self.swap_changed_rows(ctx, i, &old.group_shift, &comp.group_shift);
-        let mut group_times = base.group_times.clone();
-        let schedule = if changed_rows.is_empty() {
-            // Same reuse condition — and the same metrics event — as
-            // `assemble` comparing the full group-times vectors.
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            Arc::clone(&base.schedule)
-        } else {
-            for (g, row) in changed_rows {
-                group_times[g] = row;
-            }
-            self.schedule_cached(&group_times)
-        };
-        let t_si = schedule.makespan();
-
-        let mut rail_evals = base.rail_evals.clone();
-        rail_evals[i] = comp;
-        Evaluation {
-            rail_time_in,
-            rail_time_si,
             group_times,
-            schedule,
-            t_in,
-            t_si,
-            rail_evals,
-        }
-    }
-
-    /// Seeds an owned [`SwapState`] from `base`: the same reductions as
-    /// [`Evaluator::probe_ctx`], detached from the base's lifetime and
-    /// patchable.
-    pub fn swap_state(&self, base: &Evaluation) -> SwapState {
-        let ProbeCtx {
-            t_in_max,
-            t_in_argmax,
-            t_in_second,
-            rows,
-            tops,
-            ..
-        } = self.probe_ctx(base);
-        SwapState {
-            comps: base
-                .rail_evals
-                .iter()
-                .map(|c| Some(Arc::clone(c)))
-                .collect(),
-            t_in_max,
-            t_in_argmax,
-            t_in_second,
-            rows,
-            tops,
-            group_times: base.group_times.clone(),
             t_si: base.t_si,
-        }
-    }
-
-    /// Derives the state of merging rail `dead` into rail `target`:
-    /// rail `dead` is removed (its label left as a hole) and `target`'s
-    /// component replaced by `merged` — the merged rail keeps `target`'s
-    /// label. `T_soc^si` and every patched reduction are bit-identical
-    /// to evaluating the compacted candidate rail list, because all of
-    /// them are invariant under the relabeling (see [`SwapState`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` or `dead` is not a live rail of `parent`.
-    #[allow(clippy::expect_used)]
-    pub fn swap_state_merged(
-        &self,
-        parent: &SwapState,
-        target: usize,
-        dead: usize,
-        merged: Arc<RailEval>,
-    ) -> SwapState {
-        let mut st = parent.clone();
-        let old_target = st.comps[target].take().expect("target rail is live");
-        let old_dead = st.comps[dead].take().expect("dead rail is live");
-        // Groups whose rows the merge touches: any group appearing in
-        // the replaced, removed, or merged columns.
-        let mut affected: Vec<usize> = Vec::new();
-        for col in [
-            &old_target.group_shift,
-            &old_dead.group_shift,
-            &merged.group_shift,
-        ] {
-            affected.extend(col.iter().map(|&(g, _)| g as usize));
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        let mut changed: Vec<(usize, SiGroupTime)> = Vec::new();
-        let mut cursor = 0usize;
-        for &g in &affected {
-            while cursor < merged.group_shift.len() && (merged.group_shift[cursor].0 as usize) < g {
-                cursor += 1;
-            }
-            let merged_c = (cursor < merged.group_shift.len()
-                && merged.group_shift[cursor].0 as usize == g)
-                .then(|| merged.group_shift[cursor].1);
-            let row = &mut st.rows[g];
-            row.retain(|&(r, _)| r != target && r != dead);
-            if let Some(cycles) = merged_c {
-                let pos = row.partition_point(|&(r, _)| r < target);
-                row.insert(pos, (target, cycles));
-            }
-            let (tops, row_time) = row_reduction(row);
-            st.tops[g] = tops;
-            if row_time != st.group_times[g] {
-                changed.push((g, row_time));
-            }
-        }
-        if changed.is_empty() {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-        } else {
-            st.t_si = self.makespan_patched(&st.group_times, &changed);
-            for (g, row) in changed {
-                st.group_times[g] = row;
-            }
-        }
-        st.comps[target] = Some(merged);
+        };
         st.recompute_t_in();
         st
     }
 
-    /// The `(T_soc^in, T_soc^si)` of swapping live rail `i` of `st` to
-    /// `comp` — [`Evaluator::cost_swap_with`] against an owned state.
-    /// Read-only: many concurrent probes may share one state.
+    /// The cost of `st` with `edits` applied, read-only so concurrent
+    /// probes can share one state. A single width edit costs
+    /// O(groups the rail touches) and allocates nothing when the
+    /// schedule is reused; see [`for_each_touched`].
     ///
     /// # Panics
     ///
-    /// Panics if rail `i` is not live in `st`.
-    #[allow(clippy::expect_used)]
-    pub fn state_cost_swap(&self, st: &SwapState, i: usize, comp: &RailEval) -> (u64, u64) {
-        let old = st.comps[i].as_deref().expect("swapped rail is live");
-        debug_assert_eq!(
-            old.cores_fp, comp.cores_fp,
-            "state_cost_swap changes rail {i}'s width only; cores must match"
-        );
-        let others_max = if st.t_in_argmax == i {
-            st.t_in_second
-        } else {
-            st.t_in_max
-        };
-        let t_in = comp.t_in.max(others_max);
-        let t_si = if old.group_shift == comp.group_shift {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            st.t_si
-        } else {
-            let changed = changed_rows_for(
-                &st.rows,
-                &st.tops,
-                &st.group_times,
-                i,
-                &old.group_shift,
-                &comp.group_shift,
-            );
-            if changed.is_empty() {
-                if let Some(m) = &self.metrics {
-                    m.count_schedule_reuse();
-                }
-                st.t_si
-            } else {
-                self.makespan_patched(&st.group_times, &changed)
-            }
-        };
-        (t_in, t_si)
+    /// Panics if an edited rail is not a label of `st`.
+    pub fn state_cost(&self, st: &SwapState, edits: &[RailEdit<'_>]) -> DeltaCost {
+        let changed = st.probe_rows(edits);
+        DeltaCost {
+            t_in: st.t_in_with(edits),
+            t_si: self.t_si_patched(&st.group_times, st.t_si, &changed),
+            rail_used_sum: u64::try_from(st.used_sum_with(edits)).unwrap_or(u64::MAX),
+        }
     }
 
-    /// Accepts a probed width swap on `st`: replaces live rail `i`'s
-    /// component with `comp` and patches every reduction in place. The
-    /// resulting `T_soc^si` equals [`Evaluator::state_cost_swap`]'s for
-    /// the same swap (the change detection is shared).
+    /// Accepts `edits` on `st`, patching every reduction in place. The
+    /// state then reads exactly what [`Evaluator::state_cost`] returned
+    /// for the same edits.
     ///
     /// # Panics
     ///
-    /// Panics if rail `i` is not live in `st`.
-    #[allow(clippy::expect_used)]
-    pub fn state_apply_swap(&self, st: &mut SwapState, i: usize, comp: Arc<RailEval>) {
-        let old = st.comps[i].take().expect("swapped rail is live");
-        debug_assert_eq!(
-            old.cores_fp, comp.cores_fp,
-            "state_apply_swap changes rail {i}'s width only; cores must match"
-        );
-        let (old_col, new_col) = (&old.group_shift, &comp.group_shift);
-        let mut changed: Vec<(usize, SiGroupTime)> = Vec::new();
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < old_col.len() || b < new_col.len() {
-            let ga = old_col.get(a).map(|&(g, _)| g);
-            let gb = new_col.get(b).map(|&(g, _)| g);
-            let (g, old_c, new_c) = match (ga, gb) {
-                (Some(x), Some(y)) if x == y => {
-                    let pair = (x, Some(old_col[a].1), Some(new_col[b].1));
-                    a += 1;
-                    b += 1;
-                    pair
-                }
-                (Some(x), gy) if gy.map_or(true, |y| x < y) => {
-                    let pair = (x, Some(old_col[a].1), None);
-                    a += 1;
-                    pair
-                }
-                _ => {
-                    let pair = (gb.expect("one cursor is live"), None, Some(new_col[b].1));
-                    b += 1;
-                    pair
-                }
-            };
-            if old_c == new_c {
-                continue;
-            }
-            let g = g as usize;
-            let row = &mut st.rows[g];
-            row.retain(|&(r, _)| r != i);
-            if let Some(cycles) = new_c {
-                let pos = row.partition_point(|&(r, _)| r < i);
-                row.insert(pos, (i, cycles));
-            }
-            let (tops, row_time) = row_reduction(row);
+    /// Panics if an edited rail is not a label of `st`.
+    pub fn state_apply(&self, st: &mut SwapState, edits: &[RailEdit<'_>]) {
+        st.used_sum = st.used_sum_with(edits);
+        let mut changed = Vec::new();
+        for_each_touched(&st.comps, edits, |g, _| {
+            patch_row(&mut st.rows[g], edits, g);
+            let (tops, row_time) = row_reduction(&st.rows[g]);
             st.tops[g] = tops;
             if row_time != st.group_times[g] {
                 changed.push((g, row_time));
             }
+        });
+        st.t_si = self.t_si_patched(&st.group_times, st.t_si, &changed);
+        for (g, row) in changed {
+            st.group_times[g] = row;
         }
+        for &(r, new) in edits {
+            st.comps[r] = new.cloned();
+        }
+        st.recompute_t_in();
+    }
+
+    /// `T_soc^si` of `group_times` with the `changed` rows substituted:
+    /// `t_si` itself when no row changed.
+    fn t_si_patched(
+        &self,
+        group_times: &[SiGroupTime],
+        t_si: u64,
+        changed: &[(usize, SiGroupTime)],
+    ) -> u64 {
         if changed.is_empty() {
             if let Some(m) = &self.metrics {
                 m.count_schedule_reuse();
             }
+            t_si
         } else {
-            st.t_si = self.makespan_patched(&st.group_times, &changed);
-            for (g, row) in changed {
-                st.group_times[g] = row;
-            }
+            self.makespan_patched(group_times, changed)
         }
-        st.comps[i] = Some(comp);
-        st.recompute_t_in();
     }
 
     /// Publishes an assembled evaluation under `key`, returning the
@@ -1337,20 +863,14 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The memoized per-rail component for (`width`, `cores`). Crate
-    /// visibility lets the optimizer prefetch merged-rail components
-    /// (rails not present in any base evaluation) for its fused merge
-    /// probes.
-    pub(crate) fn rail_eval_cached(&self, width: u32, cores: &[CoreId]) -> Arc<RailEval> {
-        self.rail_eval_cached_fp(width, fx_fingerprint128(&cores), cores)
-    }
-
-    /// [`Evaluator::rail_eval_cached`] with a precomputed core-list
-    /// fingerprint: the cache key hashes two words instead of the core
-    /// list, which is what makes [`Evaluator::cost_swap`] O(1) on the
-    /// (overwhelmingly common) cache-hit path.
-    fn rail_eval_cached_fp(&self, width: u32, cores_fp: u128, cores: &[CoreId]) -> Arc<RailEval> {
-        let key = self.cache_key(SPACE_RAIL, rail_fingerprint_fp(width, cores_fp));
+    /// The memoized rail component for (`width`, `cores`): every rail
+    /// the optimizer prices comes from here. The key fingerprints the
+    /// width and the core list; collision odds are the documented
+    /// ~N²/2¹²⁹ of [`fx_fingerprint128`], negligible for any reachable
+    /// number of distinct rails.
+    pub fn component(&self, width: u32, cores: &[CoreId]) -> Arc<RailEval> {
+        let fp = fx_fingerprint128(&(width, fx_fingerprint128(&cores)));
+        let key = self.cache_key(SPACE_RAIL, fp);
         if let Some(Cached::Rail(rail_eval)) = self.cache.get(&key) {
             if let Some(m) = &self.metrics {
                 m.count_rail_eval_hit();
@@ -1418,44 +938,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Reduces per-rail components into a full [`Evaluation`].
-    ///
-    /// Rails are visited in ascending index order within each group, so
-    /// `SiGroupTime.rails` ordering and the first-strict-maximum
-    /// bottleneck tie-break match the monolithic loop exactly. The
-    /// Algorithm 1 schedule is reused from `reuse` when the group times
-    /// are unchanged (the optimizer's common case: a move that touched
-    /// no group's bottleneck), otherwise served from the schedule cache
-    /// or recomputed.
-    fn assemble(&self, rail_evals: Vec<Arc<RailEval>>, reuse: Option<&Evaluation>) -> Evaluation {
-        let num_rails = rail_evals.len();
-        let rail_time_in: Vec<u64> = rail_evals.iter().map(|r| r.t_in).collect();
-        let t_in = rail_time_in.iter().copied().max().unwrap_or(0);
-
-        let mut rail_time_si = vec![0u64; num_rails];
-        let group_times = self.group_times_of(&rail_evals, &mut rail_time_si);
-
-        let schedule = match reuse {
-            Some(base) if base.group_times == group_times => {
-                if let Some(m) = &self.metrics {
-                    m.count_schedule_reuse();
-                }
-                Arc::clone(&base.schedule)
-            }
-            _ => self.schedule_cached(&group_times),
-        };
-        let t_si = schedule.makespan();
-        Evaluation {
-            rail_time_in,
-            rail_time_si,
-            group_times,
-            schedule,
-            t_in,
-            t_si,
-            rail_evals,
-        }
-    }
-
     /// Merges the per-rail sparse group columns into per-group
     /// [`SiGroupTime`] rows, accumulating each rail's utilized SI time
     /// into `rail_time_si`.
@@ -1498,108 +980,14 @@ impl<'a> Evaluator<'a> {
         group_times
     }
 
-    /// Costs the rail components of a candidate without materializing a
-    /// full [`Evaluation`]: the group walk runs in lockstep against
-    /// `base.group_times`, and when every group matches — the
-    /// optimizer's common case — `base`'s makespan is reused without
-    /// allocating a single `SiGroupTime`. The returned numbers are
-    /// bit-identical to the corresponding fields of the assembled
-    /// evaluation.
-    fn cost_of_components(&self, rail_evals: &[Arc<RailEval>], base: &Evaluation) -> DeltaCost {
-        let num_rails = rail_evals.len();
-        let t_in = rail_evals.iter().map(|r| r.t_in).max().unwrap_or(0);
-
-        let mut rail_si = vec![0u64; num_rails];
-        let mut cursors = vec![0usize; num_rails];
-        let mut same = base.group_times.len() == self.groups.len();
-        for g in 0..self.groups.len() {
-            let base_group = base.group_times.get(g);
-            let (mut best_rail, mut best_time) = (usize::MAX, 0u64);
-            let mut pos = 0usize;
-            for (r, comp) in rail_evals.iter().enumerate() {
-                let column = &comp.group_shift;
-                // soctam-analyze: allow(ARITH-01) -- compares against a stored u32 group id; group count fits u32
-                if cursors[r] < column.len() && column[cursors[r]].0 == g as u32 {
-                    let cycles = column[cursors[r]].1;
-                    cursors[r] += 1;
-                    rail_si[r] = rail_si[r].saturating_add(cycles);
-                    if cycles > best_time {
-                        best_time = cycles;
-                        best_rail = r;
-                    }
-                    if same {
-                        match base_group {
-                            Some(bg) if bg.rails.get(pos) == Some(&r) => pos += 1,
-                            _ => same = false,
-                        }
-                    }
-                }
-            }
-            if same {
-                if let Some(bg) = base_group {
-                    if pos != bg.rails.len()
-                        || best_time != bg.time
-                        || best_rail != bg.bottleneck_rail
-                    {
-                        same = false;
-                    }
-                }
-            }
-        }
-
-        // Matches `Evaluation::rail_time_used().iter().sum()`: per-rail
-        // saturating add, then a plain (overflow-checked in debug) sum.
-        let rail_used_sum = rail_evals
-            .iter()
-            .zip(&rail_si)
-            .map(|(comp, &si)| comp.t_in.saturating_add(si))
-            .sum::<u64>();
-
-        let t_si = if same {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            base.t_si
-        } else {
-            let mut scratch_si = vec![0u64; num_rails];
-            let group_times = self.group_times_of(rail_evals, &mut scratch_si);
-            self.makespan_cached(&group_times)
-        };
-        DeltaCost {
-            t_in,
-            t_si,
-            rail_used_sum,
-        }
-    }
-
-    /// The Algorithm 1 makespan of `group_times`, served from the
-    /// schedule cache (a full schedule is already known), the makespan
-    /// cache, or the makespan-only scheduler — never materializing a
-    /// schedule on the candidate-costing path.
-    fn makespan_cached(&self, group_times: &[SiGroupTime]) -> u64 {
-        let fp = group_times_fp(group_times, &[]);
-        self.makespan_for_fp(fp, || group_times.to_vec())
-    }
-
-    /// [`Evaluator::makespan_cached`] over `base` with the sorted
-    /// `changed` rows substituted, without materializing the patched
-    /// vector on the (overwhelmingly common) cache-hit path: the key is
-    /// fingerprinted through the substitution, and the vector is only
-    /// built when the makespan actually needs recomputing.
+    /// The Algorithm 1 makespan of `base` with the sorted `changed` rows
+    /// substituted, served from the makespan cache, the schedule cache
+    /// (a full schedule is already known) or the makespan-only
+    /// scheduler — never materializing a schedule, and never the
+    /// patched vector on the (overwhelmingly common) cache-hit path: the
+    /// key is fingerprinted through the substitution.
     fn makespan_patched(&self, base: &[SiGroupTime], changed: &[(usize, SiGroupTime)]) -> u64 {
         let fp = group_times_fp(base, changed);
-        self.makespan_for_fp(fp, || {
-            let mut group_times = base.to_vec();
-            for (g, row) in changed {
-                group_times[*g] = row.clone();
-            }
-            group_times
-        })
-    }
-
-    /// Cache core shared by the makespan paths: `fp` must be the
-    /// [`group_times_fp`] digest of exactly the vector `build` returns.
-    fn makespan_for_fp(&self, fp: u128, build: impl FnOnce() -> Vec<SiGroupTime>) -> u64 {
         // Probe the cost-only namespace first: repeated probes of the
         // same patched rows land there, so the hot path pays a single
         // shard lookup. The schedule namespace is only consulted on a
@@ -1618,7 +1006,11 @@ impl<'a> Evaluator<'a> {
             }
             return schedule.makespan();
         }
-        let makespan = crate::schedule::si_makespan(&build());
+        let mut group_times = base.to_vec();
+        for (g, row) in changed {
+            group_times[*g] = row.clone();
+        }
+        let makespan = crate::schedule::si_makespan(&group_times);
         self.cache
             .get_or_insert_with(key, || Cached::Makespan(makespan));
         makespan
@@ -1701,16 +1093,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The utilized time `time_in + time_si` a rail hosting `cores` would
-    /// accumulate at `width` — without building an architecture. Used by
-    /// the optimizer's wire distribution to find the next width at which a
-    /// rail actually gets faster (its time is a non-increasing staircase
-    /// in width, flat on long plateaus).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or exceeds the evaluator's budget, or a
-    /// core is out of range.
-    pub fn rail_time_used_at(&self, cores: &[CoreId], width: u32) -> u64 {
+    /// accumulate at `width` — one step of
+    /// [`Evaluator::rail_used_staircase`].
+    fn rail_time_used_at(&self, cores: &[CoreId], width: u32) -> u64 {
         cores
             .iter()
             .map(|&c| {
@@ -1741,18 +1126,6 @@ impl<'a> Evaluator<'a> {
         &self.table
     }
 
-    /// `time_in(r)` for one rail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rail's width exceeds the evaluator's budget.
-    pub fn rail_intest_time(&self, rail: &crate::TestRail) -> u64 {
-        rail.cores()
-            .iter()
-            .map(|&c| self.table.intest(c, rail.width()))
-            .fold(0u64, u64::saturating_add)
-    }
-
     /// Full evaluation of `arch`: per-rail times, per-group SI times
     /// (`CalculateSITestTime`), the Algorithm 1 schedule and the combined
     /// objective. Assembled from memoized per-rail components.
@@ -1766,12 +1139,33 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates a bare rail list from memoized components.
+    ///
+    /// Rails are visited in ascending index order within each group, so
+    /// `SiGroupTime.rails` ordering and the first-strict-maximum
+    /// bottleneck tie-break match the monolithic loop exactly. The
+    /// Algorithm 1 schedule is served from the schedule cache or
+    /// recomputed.
     fn evaluate_rails(&self, rails: &[TestRail]) -> Evaluation {
-        let rail_evals = rails
+        let rail_evals: Vec<Arc<RailEval>> = rails
             .iter()
-            .map(|rail| self.rail_eval_cached(rail.width(), rail.cores()))
+            .map(|rail| self.component(rail.width(), rail.cores()))
             .collect();
-        self.assemble(rail_evals, None)
+        let rail_time_in: Vec<u64> = rail_evals.iter().map(|r| r.t_in).collect();
+        let t_in = rail_time_in.iter().copied().max().unwrap_or(0);
+
+        let mut rail_time_si = vec![0u64; rail_evals.len()];
+        let group_times = self.group_times_of(&rail_evals, &mut rail_time_si);
+        let schedule = self.schedule_cached(&group_times);
+        let t_si = schedule.makespan();
+        Evaluation {
+            rail_time_in,
+            rail_time_si,
+            group_times,
+            schedule,
+            t_in,
+            t_si,
+            rail_evals,
+        }
     }
 }
 
@@ -1845,8 +1239,9 @@ mod tests {
         // compare against evaluating the compacted candidate rail list
         // — the relabeling must not move `T_soc^in` or `T_soc^si`.
         let merged = rails[0].merged(&rails[1], 7).expect("valid");
-        let merged_comp = evaluator.rail_eval_cached(7, merged.cores());
-        let mut st = evaluator.swap_state_merged(&parent, 0, 1, merged_comp);
+        let merged_comp = evaluator.component(7, merged.cores());
+        let mut st = parent.clone();
+        evaluator.state_apply(&mut st, &[(0, Some(&merged_comp)), (1, None)]);
         let cand_arch =
             TestRailArchitecture::new(&soc, vec![rails[2].clone(), merged.clone()]).expect("valid");
         let cand = evaluator.evaluate(&cand_arch);
@@ -1854,22 +1249,22 @@ mod tests {
 
         // Probing a survivor width swap must agree with evaluating the
         // swapped candidate, and accepting it must land on the probe.
-        let wider = evaluator.rail_eval_cached(9, rails[2].cores());
-        let probed = evaluator.state_cost_swap(&st, 2, &wider);
+        let wider = evaluator.component(9, rails[2].cores());
+        let probed = evaluator.state_cost(&st, &[(2, Some(&wider))]);
         let swapped_arch = TestRailArchitecture::new(
             &soc,
             vec![rails[2].with_width(9).expect("valid"), merged.clone()],
         )
         .expect("valid");
         let swapped = evaluator.evaluate(&swapped_arch);
-        assert_eq!(probed, (swapped.t_in, swapped.t_si));
-        evaluator.state_apply_swap(&mut st, 2, wider);
+        assert_eq!((probed.t_in, probed.t_si), (swapped.t_in, swapped.t_si));
+        evaluator.state_apply(&mut st, &[(2, Some(&wider))]);
         assert_eq!((st.t_in(), st.t_si()), (swapped.t_in, swapped.t_si));
 
         // And the merged rail itself can widen (label 0, appended last
         // in the materialized list).
-        let merged_wide = evaluator.rail_eval_cached(8, merged.cores());
-        let probed = evaluator.state_cost_swap(&st, 0, &merged_wide);
+        let merged_wide = evaluator.component(8, merged.cores());
+        let probed = evaluator.state_cost(&st, &[(0, Some(&merged_wide))]);
         let final_arch = TestRailArchitecture::new(
             &soc,
             vec![
@@ -1879,8 +1274,15 @@ mod tests {
         )
         .expect("valid");
         let fin = evaluator.evaluate(&final_arch);
-        assert_eq!(probed, (fin.t_in, fin.t_si));
-        evaluator.state_apply_swap(&mut st, 0, merged_wide);
+        assert_eq!(
+            probed,
+            DeltaCost {
+                t_in: fin.t_in,
+                t_si: fin.t_si,
+                rail_used_sum: fin.rail_used_sum(),
+            }
+        );
+        evaluator.state_apply(&mut st, &[(0, Some(&merged_wide))]);
         assert_eq!((st.t_in(), st.t_si()), (fin.t_in, fin.t_si));
         assert_eq!(st.component(1), None);
         assert_eq!(st.component(0).map(|comp| comp.width), Some(8));
@@ -1900,8 +1302,8 @@ mod tests {
         evaluator.attach_metrics(Arc::clone(&metrics));
 
         let direct = evaluator.evaluate(&arch);
-        let first = evaluator.evaluate_cached(&arch);
-        let second = evaluator.evaluate_cached(&arch);
+        let first = evaluator.evaluate_cached(arch.rails());
+        let second = evaluator.evaluate_cached(arch.rails());
         assert_eq!(*first, direct);
         assert_eq!(*second, direct);
 
@@ -1915,7 +1317,7 @@ mod tests {
             vec![TestRail::new(soc.core_ids().collect(), 16).expect("valid")],
         )
         .expect("valid");
-        let third = evaluator.evaluate_cached(&other);
+        let third = evaluator.evaluate_cached(other.rails());
         assert_eq!(*third, evaluator.evaluate(&other));
         assert_eq!(metrics.snapshot().cache_misses, 2);
     }
@@ -2013,74 +1415,36 @@ mod tests {
     }
 
     #[test]
-    fn cost_swap_matches_cost_from_at_every_width() {
-        let soc = Benchmark::D695.soc();
-        let rails = vec![
-            TestRail::new((0..4).map(c).collect(), 6).expect("valid"),
-            TestRail::new((4..7).map(c).collect(), 3).expect("valid"),
-            TestRail::new((7..10).map(c).collect(), 5).expect("valid"),
-        ];
-        let arch = TestRailArchitecture::new(&soc, rails.clone()).expect("valid");
-        let groups = vec![
-            SiGroupSpec::new(soc.core_ids().collect(), 40),
-            SiGroupSpec::new((0..6).map(c).collect(), 15),
-            SiGroupSpec::new(vec![c(8), c(9)], 9),
-        ];
-        let evaluator = Evaluator::new(&soc, 16, groups).expect("valid");
-        let base = evaluator.evaluate(&arch);
-        let ctx = evaluator.probe_ctx(&base);
-        for i in 0..rails.len() {
-            for w in 1..=16u32 {
-                let mut cand = rails.clone();
-                cand[i] = rails[i].with_width(w).expect("valid");
-                let expected = evaluator.cost_from(&base, &[i], &cand);
-                let got = evaluator.cost_swap(&ctx, i, rails[i].cores(), w);
-                assert_eq!(got, expected, "rail {i} at width {w}");
-            }
-        }
-    }
+    fn rail_used_sum_saturates_where_the_plain_sum_overflows() {
+        use soctam_model::CoreSpec;
+        // Each core's own InTest time fits in a u64, but three of them
+        // on separate rails sum past u64::MAX.
+        let huge = 2_000_000_000_000_000_000;
+        let cores = (0..3)
+            .map(|i| CoreSpec::new(format!("c{i}"), 2, 2, 0, vec![2], huge).expect("valid"))
+            .collect();
+        let soc = Soc::new("huge", cores).expect("valid");
+        let rails: Vec<TestRail> = (0..3)
+            .map(|i| TestRail::new(vec![c(i)], 1).expect("valid"))
+            .collect();
+        let groups = vec![SiGroupSpec::new(soc.core_ids().collect(), 200)];
+        let evaluator = Evaluator::new(&soc, 4, groups).expect("valid");
+        let eval = evaluator.evaluate_cached(&rails);
+        let exact: u128 = eval.rail_time_used().iter().map(|&t| u128::from(t)).sum();
+        assert!(exact > u128::from(u64::MAX), "the fixture must overflow");
+        assert_eq!(eval.rail_used_sum(), u64::MAX);
 
-    #[test]
-    fn cost_swap_matches_without_groups() {
-        // The SI-free (InTestOnly baseline) configuration exercises the
-        // empty-transpose path: every swap must reuse t_si = 0.
-        let soc = Benchmark::D695.soc();
-        let rails = vec![
-            TestRail::new((0..5).map(c).collect(), 4).expect("valid"),
-            TestRail::new((5..10).map(c).collect(), 4).expect("valid"),
-        ];
-        let arch = TestRailArchitecture::new(&soc, rails.clone()).expect("valid");
-        let evaluator = Evaluator::new(&soc, 8, vec![]).expect("valid");
-        let base = evaluator.evaluate(&arch);
-        let ctx = evaluator.probe_ctx(&base);
-        for i in 0..rails.len() {
-            for w in 1..=8u32 {
-                let mut cand = rails.clone();
-                cand[i] = rails[i].with_width(w).expect("valid");
-                let expected = evaluator.cost_from(&base, &[i], &cand);
-                let got = evaluator.cost_swap(&ctx, i, rails[i].cores(), w);
-                assert_eq!(got, expected, "rail {i} at width {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn cost_swap_single_rail_architecture() {
-        // n = 1: the max-excluding-i reduction falls back to 0.
-        let soc = Benchmark::D695.soc();
-        let rails = vec![TestRail::new(soc.core_ids().collect(), 8).expect("valid")];
-        let arch = TestRailArchitecture::new(&soc, rails.clone()).expect("valid");
-        let groups = vec![SiGroupSpec::new(soc.core_ids().collect(), 25)];
-        let evaluator = Evaluator::new(&soc, 16, groups).expect("valid");
-        let base = evaluator.evaluate(&arch);
-        let ctx = evaluator.probe_ctx(&base);
-        for w in 1..=16u32 {
-            let mut cand = rails.clone();
-            cand[0] = rails[0].with_width(w).expect("valid");
-            let expected = evaluator.cost_from(&base, &[0], &cand);
-            let got = evaluator.cost_swap(&ctx, 0, rails[0].cores(), w);
-            assert_eq!(got, expected, "width {w}");
-        }
+        let mut st = evaluator.swap_state(&eval);
+        assert_eq!(evaluator.state_cost(&st, &[]).rail_used_sum, u64::MAX);
+        // Removing two rails brings the exact sum back under the cap;
+        // the state subtracts them without having lost precision.
+        evaluator.state_apply(&mut st, &[(1, None), (2, None)]);
+        let alone = evaluator.evaluate_cached(&rails[..1]);
+        assert!(alone.rail_used_sum() < u64::MAX);
+        assert_eq!(
+            evaluator.state_cost(&st, &[]).rail_used_sum,
+            alone.rail_used_sum()
+        );
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use bus::TestBusEvaluator;
 
 pub use error::TamError;
 pub use evaluator::{
-    DeltaCost, EvalCache, Evaluation, Evaluator, ProbeCtx, RailEval, SiGroupSpec, SiGroupTime,
+    DeltaCost, EvalCache, Evaluation, Evaluator, RailEdit, RailEval, SiGroupSpec, SiGroupTime,
     SwapState,
 };
 pub use optimizer::{Objective, OptimizedArchitecture, TamOptimizer};

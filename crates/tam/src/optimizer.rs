@@ -9,10 +9,9 @@ use soctam_exec::{fault, fx_fingerprint128, CancelToken, FaultError, Pool, Progr
 use soctam_model::{CoreId, Soc};
 
 use crate::budget::BudgetTracker;
-use crate::evaluator::SwapState;
 use crate::{
-    DeltaCost, EvalCache, Evaluation, Evaluator, OptimizerBudget, RailEval, SiGroupSpec, TamError,
-    TestRail, TestRailArchitecture,
+    EvalCache, Evaluation, Evaluator, OptimizerBudget, RailEdit, RailEval, SiGroupSpec, SwapState,
+    TamError, TestRail, TestRailArchitecture,
 };
 
 /// What the optimizer minimizes.
@@ -26,6 +25,17 @@ pub enum Objective {
     /// evaluation (this is exactly how the paper computes `T_[8]`), they
     /// just do not steer the optimization.
     InTestOnly,
+}
+
+impl Objective {
+    /// The objective value of an architecture with makespans `t_in`
+    /// and `t_si`: the one fold every optimizer cost goes through.
+    fn cost(self, t_in: u64, t_si: u64) -> u64 {
+        match self {
+            Objective::Total => t_in.saturating_add(t_si),
+            Objective::InTestOnly => t_in,
+        }
+    }
 }
 
 /// The result of a TAM optimization run.
@@ -83,7 +93,6 @@ pub struct TamOptimizer<'a> {
     pool: Pool,
     probe_pool: Pool,
     budget: OptimizerBudget,
-    shared_cache: Option<EvalCache>,
     progress: Option<Arc<Progress>>,
     cancel: Option<CancelToken>,
 }
@@ -107,7 +116,6 @@ impl<'a> TamOptimizer<'a> {
             pool,
             probe_pool: Pool::serial(),
             budget: OptimizerBudget::unlimited(),
-            shared_cache: None,
             progress: None,
             cancel: None,
         })
@@ -120,7 +128,6 @@ impl<'a> TamOptimizer<'a> {
     /// attaching metrics leaves a shared store warm.
     pub fn eval_cache(mut self, cache: &EvalCache) -> Self {
         self.evaluator.attach_cache(cache);
-        self.shared_cache = Some(cache.clone());
         self
     }
 
@@ -188,45 +195,17 @@ impl<'a> TamOptimizer<'a> {
     // Invariant: every rails vector the optimizer builds keeps each core on
     // exactly one rail (checked in debug builds), so candidates evaluate
     // directly — no architecture construction per candidate.
+    //
+    // Speculative candidates are never evaluated here: the move loops
+    // price them as edits on a `SwapState`, and only incumbents go
+    // through the architecture-level cache.
     fn eval(&self, rails: &[TestRail]) -> Arc<Evaluation> {
         debug_assert!(TestRailArchitecture::new(self.soc(), rails.to_vec()).is_ok());
-        self.evaluator.evaluate_rails_cached(rails)
-    }
-
-    /// Delta evaluation against an incumbent: only the rails listed in
-    /// `changed` differ from what `base` was evaluated on. Speculative
-    /// candidates skip the architecture-level cache on purpose — most
-    /// are visited once, so fingerprinting the whole rail list and
-    /// inserting every candidate costs more than the delta assembly it
-    /// would save; the per-rail and schedule caches below it do the
-    /// cross-candidate sharing.
-    fn eval_from(&self, base: &Evaluation, changed: &[usize], rails: &[TestRail]) -> Evaluation {
-        debug_assert!(TestRailArchitecture::new(self.soc(), rails.to_vec()).is_ok());
-        self.evaluator.evaluate_from(base, changed, rails)
+        self.evaluator.evaluate_cached(rails)
     }
 
     fn cost_of(&self, eval: &Evaluation) -> u64 {
-        match self.objective {
-            Objective::Total => eval.t_total(),
-            Objective::InTestOnly => eval.t_in,
-        }
-    }
-
-    /// [`TamOptimizer::cost_of`] on a cost-only delta evaluation.
-    fn cost_of_delta(&self, delta: &DeltaCost) -> u64 {
-        match self.objective {
-            Objective::Total => delta.t_in.saturating_add(delta.t_si),
-            Objective::InTestOnly => delta.t_in,
-        }
-    }
-
-    /// [`TamOptimizer::cost_of`] from the two makespans of a fused
-    /// swap state.
-    fn cost_of_parts(&self, t_in: u64, t_si: u64) -> u64 {
-        match self.objective {
-            Objective::Total => t_in.saturating_add(t_si),
-            Objective::InTestOnly => t_in,
-        }
+        self.objective.cost(eval.t_in, eval.t_si)
     }
 
     fn cost(&self, rails: &[TestRail]) -> u64 {
@@ -365,10 +344,8 @@ impl<'a> TamOptimizer<'a> {
     /// would make iteration-budgeted runs thread-count-dependent. Only
     /// committed, serial wire-distribution steps count as iterations.
     ///
-    /// `incumbent` optionally seeds the evaluation of `rails` as passed
-    /// in (callers that already evaluated them); the running evaluation
-    /// is carried across iterations as rail deltas, and the final
-    /// rails' evaluation is returned alongside them.
+    /// Every jump is probed and accepted as one width edit on a
+    /// [`SwapState`] seeded from the cached evaluation of `rails`.
     // Invariant: widths only ever grow here, so `with_width` cannot see 0.
     #[allow(clippy::expect_used)]
     fn distribute_free_wires(
@@ -377,10 +354,9 @@ impl<'a> TamOptimizer<'a> {
         wires: u32,
         tracker: &BudgetTracker,
         speculative: bool,
-        incumbent: Option<Evaluation>,
         staircases: Option<&[Arc<Vec<u64>>]>,
-    ) -> (Vec<TestRail>, Evaluation) {
-        let mut incumbent = incumbent.unwrap_or_else(|| (*self.eval(&rails)).clone());
+    ) -> Vec<TestRail> {
+        let mut st = self.evaluator.swap_state(&self.eval(&rails));
         let mut remaining = wires;
         // Core sets never change below — only widths do — so every
         // iteration reads the same memoized staircases; probe them once
@@ -415,36 +391,14 @@ impl<'a> TamOptimizer<'a> {
         let mut components: Vec<Option<Arc<RailEval>>> = vec![None; rails.len() * stride];
         let slot_of = |i: usize, w: u32| i * stride + (w - init_widths[i]) as usize;
         // Per-rail strict drop points `(d, neg_rate)` at the rail's
-        // current width, ascending in `d`. The walk is prefix-stable
-        // (each verdict depends only on earlier staircase entries), so
-        // a list built under a larger budget truncated to `d <=
-        // remaining` equals the list built under `remaining` — lists
-        // are built once per rail and rebuilt only when that rail's
-        // width changes, not on every accepted step.
-        let drops_for = |i: usize, width: u32, budget: u32, mut out: Vec<(u32, u128)>| {
-            out.clear();
-            let staircase = &staircases[i];
-            let before = staircase[(width - 1) as usize];
-            // soctam-analyze: allow(ARITH-01) -- the staircase has max_width entries, and max_width is u32
-            let limit = budget.min((staircase.len() as u32).saturating_sub(width));
-            let mut best = before;
-            for d in 1..=limit {
-                let after = staircase[(width + d - 1) as usize];
-                if after < best {
-                    best = after;
-                    let gain = before - after;
-                    // Rate comparison without floats: encode gain/d as a
-                    // scaled fixed-point value (negated so smaller = better).
-                    let neg_rate = u128::MAX - (u128::from(gain) << 32) / u128::from(d);
-                    out.push((d, neg_rate));
-                }
-            }
-            out
-        };
-        let mut per_rail: Vec<Vec<(u32, u128)>> = Vec::with_capacity(rails.len());
-        for (i, rail) in rails.iter().enumerate() {
-            per_rail.push(drops_for(i, rail.width(), wires, Vec::new()));
-        }
+        // current width, ascending in `d`. The walk is prefix-stable, so
+        // lists are built once per rail and rebuilt only when that
+        // rail's width changes, not on every accepted step.
+        let mut per_rail: Vec<Vec<(u32, u128)>> = rails
+            .iter()
+            .zip(staircases)
+            .map(|(rail, staircase)| staircase_drops(staircase, rail.width(), wires).collect())
+            .collect();
         let mut candidates: Vec<(usize, u32, u128)> = Vec::new();
         while remaining > 0
             && if speculative {
@@ -471,66 +425,49 @@ impl<'a> TamOptimizer<'a> {
                     }
                     let slot = slot_of(i, width + d);
                     if components[slot].is_none() {
-                        components[slot] = Some(self.evaluator.swap_component(
-                            &incumbent,
-                            i,
-                            rails[i].cores(),
-                            width + d,
-                        ));
+                        components[slot] =
+                            Some(self.evaluator.component(width + d, rails[i].cores()));
                     }
                     candidates.push((i, d, neg_rate));
                 }
             }
+            // Each candidate differs from the state only at rail `i`'s
+            // width: one edit, priced through the top-two fast path.
+            let edit = |i: usize, d: u32| -> RailEdit<'_> {
+                let slot = slot_of(i, rails[i].width().saturating_add(d));
+                let comp = components[slot].as_ref();
+                (i, Some(comp.expect("prefetched during enumeration")))
+            };
+            let costed = self.probe(tracker, speculative, &candidates, |&(i, d, _)| {
+                let cost = self.evaluator.state_cost(&st, &[edit(i, d)]);
+                self.objective.cost(cost.t_in, cost.t_si)
+            });
             let mut best: Option<(usize, u32)> = None;
-            let mut staged: Option<Evaluation> = None;
-            {
-                // Each candidate differs from the incumbent only at
-                // rail `i`'s width, so the width-swap fast path applies.
-                let ctx = self.evaluator.probe_ctx(&incumbent);
-                let costed = self.probe(tracker, speculative, &candidates, |&(i, d, _)| {
-                    let comp = components[slot_of(i, rails[i].width().saturating_add(d))]
-                        .as_deref()
-                        .expect("prefetched during enumeration");
-                    self.cost_of_delta(&self.evaluator.cost_swap_with(&ctx, i, comp))
-                });
-                let mut best_key: Option<(u64, u128, u32)> = None;
-                for (&(i, d, neg_rate), cost) in candidates.iter().zip(costed) {
-                    let Some(cost) = cost else { continue };
-                    let key = (cost, neg_rate, d);
-                    if best_key.map_or(true, |b| key < b) {
-                        best_key = Some(key);
-                        best = Some((i, d));
-                    }
-                }
-                // Materialize the winner's evaluation while the probe
-                // context is still alive: patching the incumbent beats
-                // re-reducing all components on every accepted step.
-                if let Some((i, d)) = best {
-                    let comp = components[slot_of(i, rails[i].width().saturating_add(d))]
-                        .clone()
-                        .expect("prefetched during enumeration");
-                    staged = Some(self.evaluator.evaluate_swap_with(&ctx, i, comp));
+            let mut best_key: Option<(u64, u128, u32)> = None;
+            for (&(i, d, neg_rate), cost) in candidates.iter().zip(costed) {
+                let Some(cost) = cost else { continue };
+                let key = (cost, neg_rate, d);
+                if best_key.map_or(true, |b| key < b) {
+                    best_key = Some(key);
+                    best = Some((i, d));
                 }
             }
-            match best {
-                Some((i, d)) => {
-                    rails[i] = rails[i]
-                        .with_width(rails[i].width().saturating_add(d))
-                        .expect("width > 0");
-                    remaining -= d;
-                    incumbent = staged.expect("staged alongside best");
-                    let buf = std::mem::take(&mut per_rail[i]);
-                    per_rail[i] = drops_for(i, rails[i].width(), remaining, buf);
-                }
-                None => break, // no affordable jump improves any rail
-            }
+            // No affordable jump improves any rail.
+            let Some((i, d)) = best else { break };
+            self.evaluator.state_apply(&mut st, &[edit(i, d)]);
+            rails[i] = rails[i]
+                .with_width(rails[i].width().saturating_add(d))
+                .expect("width > 0");
+            remaining -= d;
+            per_rail[i].clear();
+            per_rail[i].extend(staircase_drops(&staircases[i], rails[i].width(), remaining));
         }
         // Leftover wires that cannot improve anything on their own: park
         // them on bottleneck rails (they may enable future merges). Purely
         // cosmetic for feasibility, so it is skipped once the budget trips.
         while remaining > 0 && tracker.within() {
             let target = self
-                .bottleneck_rails(&incumbent)
+                .bottleneck_rails(&self.eval(&rails))
                 .into_iter()
                 .chain(0..rails.len())
                 .find(|&i| rails[i].width() < self.max_width);
@@ -539,9 +476,8 @@ impl<'a> TamOptimizer<'a> {
                 .with_width(rails[i].width().saturating_add(1))
                 .expect("width > 0");
             remaining -= 1;
-            incumbent = self.eval_from(&incumbent, &[i], &rails);
         }
-        (rails, incumbent)
+        rails
     }
 
     /// `mergeTAMs`: merges `rails[r1]` with the partner and merged width
@@ -579,21 +515,17 @@ impl<'a> TamOptimizer<'a> {
             }
         }
         // Builds one merge candidate: survivors keep their original
-        // order (and, via `source`, their incumbent components); the
-        // merged rail joins at the tail.
-        let build = |i: usize, w: u32| -> (Vec<Option<usize>>, Vec<TestRail>) {
+        // order; the merged rail joins at the tail.
+        let build = |i: usize, w: u32| -> Vec<TestRail> {
             let merged = rails[r1].merged(&rails[i], w).expect("merged width >= 1");
-            let mut source: Vec<Option<usize>> = Vec::with_capacity(rails.len() - 1);
             let mut cand: Vec<TestRail> = Vec::with_capacity(rails.len() - 1);
             for (j, rail) in rails.iter().enumerate() {
                 if j != r1 && j != i {
-                    source.push(Some(j));
                     cand.push(rail.clone());
                 }
             }
-            source.push(None);
             cand.push(merged);
-            (source, cand)
+            cand
         };
         // Redistribution costs are memoized under a canonical
         // (rails, unordered pair, merged width, objective) key:
@@ -644,15 +576,15 @@ impl<'a> TamOptimizer<'a> {
             // holds `Σ widths <= max_width`, so `w1 + wi` is in range.
             partner_merged[i] = Some(
                 (w_lo..=w_hi)
-                    .map(|w| self.evaluator.rail_eval_cached(w, merged.cores()))
+                    .map(|w| self.evaluator.component(w, merged.cores()))
                     .collect(),
             );
         }
-        // Fused probing shares one owned copy of the parent reduction
-        // state plus each survivor's drop list and components, bounded
-        // by the largest leftover any candidate can free. Probes patch
-        // a clone of the state instead of materializing candidate
-        // evaluations, and the nested redistribution runs cost-only.
+        // Fused probing shares one parent state plus each survivor's
+        // drop list and components, bounded by the largest leftover any
+        // candidate can free. Probes apply the merge to a clone of the
+        // state instead of materializing candidate evaluations, and the
+        // nested redistribution runs cost-only.
         let parent_state = self.evaluator.swap_state(&current_eval);
         let l_max = candidates
             .iter()
@@ -662,13 +594,10 @@ impl<'a> TamOptimizer<'a> {
         let mut rail_drops: Vec<Vec<(u32, u128)>> = Vec::with_capacity(rails.len());
         let mut rail_comps: Vec<Vec<Arc<RailEval>>> = Vec::with_capacity(rails.len());
         for (j, rail) in rails.iter().enumerate() {
-            let drops = staircase_drops(&parent_stairs[j], rail.width(), l_max);
+            let drops = target_drops(&parent_stairs[j], rail.width(), l_max);
             let comps = drops
                 .iter()
-                .map(|&(wt, _)| {
-                    self.evaluator
-                        .swap_component(&current_eval, j, rail.cores(), wt)
-                })
+                .map(|&(wt, _)| self.evaluator.component(wt, rail.cores()))
                 .collect();
             rail_drops.push(drops);
             rail_comps.push(comps);
@@ -715,19 +644,17 @@ impl<'a> TamOptimizer<'a> {
                     return cost;
                 }
             }
-            // Fused cost-only evaluation: patch the shared parent state
-            // (rail i dies, the merged rail takes label r1) and spend
-            // the freed wires with the same greedy the committed path
-            // runs — every lookup below hits the precomputed lists, so
-            // the probe allocates one state clone and nothing else.
+            // Fused cost-only evaluation: edit a clone of the shared
+            // parent state (the merged rail takes label r1, rail i
+            // dies) and spend the freed wires with the same greedy the
+            // committed path runs — every lookup below hits the
+            // precomputed lists.
             let merged_comps = partner_merged[i].as_ref().expect("prefetched per partner");
             let w_lo = rails[r1].width().max(rails[i].width());
-            let mut st = self.evaluator.swap_state_merged(
-                &parent_state,
-                r1,
-                i,
-                Arc::clone(&merged_comps[(w - w_lo) as usize]),
-            );
+            let mut st = parent_state.clone();
+            let merged = &merged_comps[(w - w_lo) as usize];
+            self.evaluator
+                .state_apply(&mut st, &[(r1, Some(merged)), (i, None)]);
             if leftover > 0 {
                 let merged_stairs = partner_stairs[i]
                     .as_ref()
@@ -748,7 +675,7 @@ impl<'a> TamOptimizer<'a> {
                     w_lo,
                 );
             }
-            let cost = self.cost_of_parts(st.t_in(), st.t_si());
+            let cost = self.objective.cost(st.t_in(), st.t_si());
             if let Some(fp) = dist_fp {
                 if tracker.within() {
                     self.evaluator.store_dist_cost(fp, cost);
@@ -770,24 +697,13 @@ impl<'a> TamOptimizer<'a> {
         match best {
             Some((idx, cost)) if cost < current => {
                 let (i, w) = candidates[idx];
-                let (source, cand) = build(i, w);
+                let mut cand = build(i, w);
                 let leftover = rails[r1].width().saturating_add(rails[i].width()) - w;
                 if leftover > 0 {
-                    let eval = self
-                        .evaluator
-                        .evaluate_from_mapped(&current_eval, &source, &cand);
-                    let (cand, _) = self.distribute_free_wires(
-                        cand,
-                        leftover,
-                        tracker,
-                        true,
-                        Some(eval),
-                        partner_stairs[i].as_deref(),
-                    );
-                    (cand, true)
-                } else {
-                    (cand, true)
+                    let stairs = partner_stairs[i].as_deref();
+                    cand = self.distribute_free_wires(cand, leftover, tracker, true, stairs);
                 }
+                (cand, true)
             }
             _ => (rails, false),
         }
@@ -839,7 +755,7 @@ impl<'a> TamOptimizer<'a> {
         // accepted rail's list per step); everyone else reads the
         // shared parent list, truncated to the live budget below.
         let mut local_drops: Vec<Option<Vec<(u32, u128)>>> = vec![None; rail_drops.len()];
-        local_drops[r1] = Some(staircase_drops(
+        local_drops[r1] = Some(target_drops(
             merged_stairs,
             st.component(r1).expect("merged rail is live").width,
             leftover,
@@ -873,8 +789,8 @@ impl<'a> TamOptimizer<'a> {
                 }
             }
             let costed = self.probe(tracker, true, &cands, |&(j, wt, _, _)| {
-                let (t_in, t_si) = self.evaluator.state_cost_swap(st, j, comp_at(j, wt));
-                self.cost_of_parts(t_in, t_si)
+                let cost = self.evaluator.state_cost(st, &[(j, Some(comp_at(j, wt)))]);
+                self.objective.cost(cost.t_in, cost.t_si)
             });
             let mut best: Option<(usize, u32, u32)> = None;
             let mut best_key: Option<(u64, u128, u32)> = None;
@@ -888,15 +804,14 @@ impl<'a> TamOptimizer<'a> {
             }
             match best {
                 Some((j, wt, d)) => {
-                    self.evaluator
-                        .state_apply_swap(st, j, Arc::clone(comp_at(j, wt)));
+                    self.evaluator.state_apply(st, &[(j, Some(comp_at(j, wt)))]);
                     remaining -= d;
                     let stairs = if j == r1 {
                         merged_stairs
                     } else {
                         &parent_stairs[j]
                     };
-                    local_drops[j] = Some(staircase_drops(stairs, wt, remaining));
+                    local_drops[j] = Some(target_drops(stairs, wt, remaining));
                 }
                 None => break,
             }
@@ -918,11 +833,9 @@ impl<'a> TamOptimizer<'a> {
                 break;
             }
             let eval = self.eval(&rails);
-            let key = (
-                self.cost_of(&eval),
-                eval.rail_time_used().iter().sum::<u64>(),
-            );
+            let key = (self.cost_of(&eval), eval.rail_used_sum());
             self.publish_best(key.0);
+            let st = self.evaluator.swap_state(&eval);
             // All donor selections read the same memoized staircases.
             let staircases: Vec<Arc<Vec<u64>>> = rails
                 .iter()
@@ -935,7 +848,7 @@ impl<'a> TamOptimizer<'a> {
             for b in 0..rails.len() {
                 let donor_budget: u32 =
                     rails.iter().map(|r| r.width() - 1).sum::<u32>() - (rails[b].width() - 1);
-                for delta in drop_points(&staircases[b], rails[b].width(), donor_budget) {
+                for (delta, _) in staircase_drops(&staircases[b], rails[b].width(), donor_budget) {
                     candidates.push((b, delta));
                 }
             }
@@ -945,44 +858,50 @@ impl<'a> TamOptimizer<'a> {
                 // smallest (zero on a width plateau). The greedy donor
                 // walk is a pure function of the current rails, so the
                 // probe is deterministic wherever it runs.
-                let mut cand = rails.clone();
+                let mut widths: Vec<u32> = rails.iter().map(TestRail::width).collect();
                 let mut funded = 0;
-                let mut touched = BTreeSet::new();
                 while funded < delta {
-                    let donor = (0..cand.len())
-                        .filter(|&o| o != b && cand[o].width() > 1)
+                    let donor = (0..widths.len())
+                        .filter(|&o| o != b && widths[o] > 1)
                         .min_by_key(|&o| {
                             let at = |w: u32| staircases[o][(w - 1) as usize];
-                            at(cand[o].width() - 1) - at(cand[o].width())
+                            at(widths[o] - 1) - at(widths[o])
                         });
                     let Some(o) = donor else { break };
-                    cand[o] = cand[o].with_width(cand[o].width() - 1).expect("width > 1");
-                    touched.insert(o);
+                    widths[o] -= 1;
                     funded += 1;
                 }
                 if funded < delta {
                     return None; // not enough donor wires
                 }
-                cand[b] = cand[b]
-                    .with_width(cand[b].width().saturating_add(delta))
-                    .expect("width > 0");
-                touched.insert(b);
-                let changed: Vec<usize> = touched.into_iter().collect();
-                let dc = self.evaluator.cost_from(&eval, &changed, &cand);
-                Some((cand, (self.cost_of_delta(&dc), dc.rail_used_sum)))
+                widths[b] = widths[b].saturating_add(delta);
+                // One width edit per rail the step touched.
+                let comps: Vec<(usize, Arc<RailEval>)> = (0..rails.len())
+                    .filter(|&o| widths[o] != rails[o].width())
+                    .map(|o| (o, self.evaluator.component(widths[o], rails[o].cores())))
+                    .collect();
+                let edits: Vec<RailEdit<'_>> = comps.iter().map(|(o, c)| (*o, Some(c))).collect();
+                let cost = self.evaluator.state_cost(&st, &edits);
+                let cand_key = (
+                    self.objective.cost(cost.t_in, cost.t_si),
+                    cost.rail_used_sum,
+                );
+                Some((widths, cand_key))
             });
-            let mut best: Option<(Vec<TestRail>, (u64, u64))> = None;
+            let mut best: Option<(Vec<u32>, (u64, u64))> = None;
             for probed in costed {
-                let Some(Some((cand, cand_key))) = probed else {
+                let Some(Some((widths, cand_key))) = probed else {
                     continue;
                 };
                 if cand_key < key && best.as_ref().map_or(true, |&(_, k)| cand_key < k) {
-                    best = Some((cand, cand_key));
+                    best = Some((widths, cand_key));
                 }
             }
-            match best {
-                Some((cand, _)) => rails = cand,
-                None => break,
+            let Some((widths, _)) = best else { break };
+            for (rail, w) in rails.iter_mut().zip(widths) {
+                if rail.width() != w {
+                    *rail = rail.with_width(w).expect("width >= 1");
+                }
             }
         }
         rails
@@ -1016,6 +935,7 @@ impl<'a> TamOptimizer<'a> {
             let current = self.cost_of(&eval);
             self.publish_best(current);
             let bottlenecks = self.bottleneck_rails(&eval);
+            let st = self.evaluator.swap_state(&eval);
             // Enumerate the (source, core, target) moves serially, probe
             // them as one speculative batch, and reduce in enumeration
             // order (first lowest cost wins).
@@ -1032,32 +952,39 @@ impl<'a> TamOptimizer<'a> {
                     }
                 }
             }
+            // Moving `core` from rail `b` to rail `t` rewrites exactly
+            // those two rails: a two-edit probe on the state.
+            let moved = |b: usize, core: CoreId, t: usize| -> (TestRail, TestRail) {
+                let source = rails[b].cores().iter().copied().filter(|&c| c != core);
+                let mut target = rails[t].cores().to_vec();
+                target.push(core);
+                (
+                    TestRail::new(source.collect(), rails[b].width())
+                        .expect("source keeps at least one core"),
+                    TestRail::new(target, rails[t].width()).expect("target keeps its width"),
+                )
+            };
             let costed = self.probe(tracker, false, &candidates, |&(b, core, t)| {
-                let mut cand = rails.clone();
-                let remaining: Vec<CoreId> = cand[b]
-                    .cores()
-                    .iter()
-                    .copied()
-                    .filter(|&c| c != core)
-                    .collect();
-                cand[b] = TestRail::new(remaining, cand[b].width())
-                    .expect("source keeps at least one core");
-                let mut target_cores = cand[t].cores().to_vec();
-                target_cores.push(core);
-                cand[t] =
-                    TestRail::new(target_cores, cand[t].width()).expect("target keeps its width");
-                let cost = self.cost_of_delta(&self.evaluator.cost_from(&eval, &[b, t], &cand));
-                (cand, cost)
+                let (source, target) = moved(b, core, t);
+                let source = self.evaluator.component(source.width(), source.cores());
+                let target = self.evaluator.component(target.width(), target.cores());
+                let cost = self
+                    .evaluator
+                    .state_cost(&st, &[(b, Some(&source)), (t, Some(&target))]);
+                self.objective.cost(cost.t_in, cost.t_si)
             });
-            let mut best: Option<(Vec<TestRail>, u64)> = None;
-            for probed in costed {
-                let Some((cand, cost)) = probed else { continue };
-                if best.as_ref().map_or(true, |&(_, c)| cost < c) {
-                    best = Some((cand, cost));
+            let mut best: Option<(usize, u64)> = None;
+            for (idx, probed) in costed.into_iter().enumerate() {
+                let Some(cost) = probed else { continue };
+                if best.map_or(true, |(_, c)| cost < c) {
+                    best = Some((idx, cost));
                 }
             }
             match best {
-                Some((cand, cost)) if cost < current => rails = cand,
+                Some((idx, cost)) if cost < current => {
+                    let (b, core, t) = candidates[idx];
+                    (rails[b], rails[t]) = moved(b, core, t);
+                }
                 _ => return rails,
             }
         }
@@ -1111,7 +1038,6 @@ impl<'a> TamOptimizer<'a> {
             pool: self.pool.clone(),
             probe_pool: self.probe_pool.clone(),
             budget: self.budget,
-            shared_cache: self.shared_cache.clone(),
             progress: self.progress.clone(),
             cancel: self.cancel.clone(),
         };
@@ -1252,9 +1178,9 @@ impl<'a> TamOptimizer<'a> {
                     rails[i] = rails[i].merged(&victim, w).expect("width >= 1");
                 }
             } else if n < w_max {
-                (rails, _) =
+                rails =
                     // soctam-analyze: allow(ARITH-01) -- w_max - n counts TAM wires, bounded by the u32 max_width
-                    self.distribute_free_wires(rails, (w_max - n) as u32, tracker, false, None, None);
+                    self.distribute_free_wires(rails, (w_max - n) as u32, tracker, false, None);
             }
         } else {
             rails = self.packed_start(perturbation);
@@ -1332,7 +1258,7 @@ impl<'a> TamOptimizer<'a> {
         let architecture = TestRailArchitecture::new(self.soc(), rails)
             .expect("optimizer maintains a consistent core assignment");
         debug_assert!(architecture.check_width(self.max_width).is_ok());
-        let evaluation = (*self.evaluator.evaluate_cached(&architecture)).clone();
+        let evaluation = (*self.evaluator.evaluate_cached(architecture.rails())).clone();
         self.publish_best(evaluation.t_total());
         Ok(OptimizedArchitecture {
             architecture,
@@ -1387,53 +1313,45 @@ fn rails_key(rails: &[TestRail], i: usize) -> u128 {
     fx_fingerprint128(&rails[i].cores())
 }
 
-/// The strict drop points of a rail's time staircase: the jump sizes
-/// `d ≤ budget` (with `width + d ≤ max_width`) at which the utilized
-/// time falls below every smaller width. `staircase[w - 1]` is the
-/// rail's `time_used` at width `w`
-/// (see [`Evaluator::rail_used_staircase`]).
-fn drop_points(staircase: &[u64], width: u32, budget: u32) -> Vec<u32> {
-    let mut points = Vec::new();
-    let mut best = staircase[(width - 1) as usize];
-    // soctam-analyze: allow(ARITH-01) -- the staircase has max_width entries, and max_width is u32
-    let limit = budget.min((staircase.len() as u32).saturating_sub(width));
-    for d in 1..=limit {
-        let t = staircase[(width + d - 1) as usize];
-        if t < best {
-            best = t;
-            points.push(d);
-        }
-    }
-    points
-}
-
-/// [`drop_points`] in the absolute-width form the fused merge probes
-/// share across candidates: `(target width, neg_rate)` per strict drop,
-/// with the identical fixed-point `neg_rate` encoding the wire
-/// distribution ranks jumps by. The walk is prefix-stable (each verdict
-/// depends only on earlier staircase entries), so a list built under a
-/// larger budget truncated to `target - width <= remaining` equals the
-/// list built under `remaining` — and because every later strict drop
-/// is also a strict drop from any drop point in between, a list rebuilt
-/// at an accepted drop's width targets a subset of these widths (its
-/// `neg_rate`s are rebuilt relative to the new width, but its
-/// components are already prefetched).
-fn staircase_drops(staircase: &[u64], width: u32, budget: u32) -> Vec<(u32, u128)> {
+/// The strict drop points of a rail's `time_used` staircase
+/// (`staircase[w - 1]` is the rail's `time_used` at width `w`, see
+/// [`Evaluator::rail_used_staircase`]): every jump `d ≤ budget` (with
+/// `width + d ≤ max_width`) at which the time falls below every smaller
+/// width, ascending, paired with its rate key `neg_rate` — the time
+/// gain per wire as a scaled fixed-point value, negated so that smaller
+/// ranks better. The walk is prefix-stable (each verdict depends only
+/// on earlier staircase entries), so the drops of a larger budget,
+/// truncated to `d ≤ remaining`, are the drops of `remaining`.
+fn staircase_drops(
+    staircase: &[u64],
+    width: u32,
+    budget: u32,
+) -> impl Iterator<Item = (u32, u128)> + '_ {
     let before = staircase[(width - 1) as usize];
     // soctam-analyze: allow(ARITH-01) -- the staircase has max_width entries, and max_width is u32
     let limit = budget.min((staircase.len() as u32).saturating_sub(width));
     let mut best = before;
-    let mut out = Vec::new();
-    for d in 1..=limit {
+    (1..=limit).filter_map(move |d| {
         let after = staircase[(width + d - 1) as usize];
-        if after < best {
-            best = after;
-            let gain = before - after;
-            let neg_rate = u128::MAX - (u128::from(gain) << 32) / u128::from(d);
-            out.push((width + d, neg_rate));
+        if after >= best {
+            return None;
         }
-    }
-    out
+        best = after;
+        let neg_rate = u128::MAX - (u128::from(before - after) << 32) / u128::from(d);
+        Some((d, neg_rate))
+    })
+}
+
+/// [`staircase_drops`] in the absolute-width form the fused merge
+/// probes share across candidates: `(target width, neg_rate)`. Because
+/// every later strict drop is also a strict drop from any drop point in
+/// between, a list rebuilt at an accepted drop's width targets a subset
+/// of these widths (its `neg_rate`s are relative to the new width, but
+/// its components are already prefetched).
+fn target_drops(staircase: &[u64], width: u32, budget: u32) -> Vec<(u32, u128)> {
+    staircase_drops(staircase, width, budget)
+        .map(|(d, neg_rate)| (width + d, neg_rate))
+        .collect()
 }
 
 /// Deterministic Fisher–Yates shuffle driven by a splitmix64 stream (the
@@ -1628,6 +1546,38 @@ mod tests {
             .expect("degrades, does not fail");
         assert!(result.degraded());
         assert!(result.architecture().total_width() <= 16);
+    }
+
+    #[test]
+    fn huge_time_used_sums_do_not_overflow_the_rebalance_key() {
+        // Each core's own width-1 time fits in a u64 (so the SOC
+        // validates), but the rails' `time_used` sum does not.
+        let text = "SocName huge\nTotalModules 4\n\
+            Module 0 Level 0 Inputs 8 Outputs 8 Bidirs 0 ScanChains 0 TotalTests 0\n\
+            Module 1 Level 1 Inputs 2 Outputs 2 Bidirs 0 ScanChains 1 : 2 TotalTests 1\n\
+            Test 1 ScanUse 1 TamUse 1 Patterns 2000000000000000000\n\
+            Module 2 Level 1 Inputs 2 Outputs 2 Bidirs 0 ScanChains 1 : 2 TotalTests 1\n\
+            Test 1 ScanUse 1 TamUse 1 Patterns 2000000000000000000\n\
+            Module 3 Level 1 Inputs 2 Outputs 2 Bidirs 0 ScanChains 1 : 2 TotalTests 1\n\
+            Test 1 ScanUse 1 TamUse 1 Patterns 2000000000000000000\n";
+        let soc = soctam_model::parser::parse_soc(text)
+            .expect("parses")
+            .into_soc()
+            .expect("valid");
+        let result = TamOptimizer::new(&soc, 4, groups_for(&soc, 200))
+            .expect("valid")
+            .optimize()
+            .expect("optimizes");
+        assert!(result.architecture().total_width() <= 4);
+        assert_eq!(
+            result
+                .architecture()
+                .rails()
+                .iter()
+                .map(|r| r.cores().len())
+                .sum::<usize>(),
+            soc.num_cores()
+        );
     }
 
     #[test]

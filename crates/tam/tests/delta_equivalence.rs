@@ -1,18 +1,29 @@
 //! Property: incremental evaluation equals full evaluation.
 //!
 //! For random synthetic SOCs, random TestRail architectures and random
-//! rail edits, [`Evaluator::evaluate_from`] (reusing every untouched
-//! rail's component) must equal [`Evaluator::evaluate`] field for field,
-//! and the cost-only [`Evaluator::cost_from`] /
-//! [`Evaluator::cost_from_mapped`] paths must report the same numbers
-//! the assembled evaluation would.
+//! edits of every shape the optimizer makes — a width swap, a core move,
+//! a merge and a width change on three or more rails —
+//! [`Evaluator::state_cost`] on a [`SwapState`] must report the numbers
+//! [`Evaluator::evaluate`] computes from scratch on the edited rail list,
+//! and any sequence of [`Evaluator::state_apply`] calls must leave the
+//! state reading exactly what evaluating the final rails reads.
+//!
+//! The state names rails by label and leaves a hole where a merge
+//! removed one; the rail list it is compared against holds the live
+//! rails in label order, so group times compare after renaming each
+//! label to its rank among the live ones.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::sync::Arc;
+
 use soctam_exec::check::{cases, forall, Gen};
 use soctam_model::synth::{synth_soc, SynthConfig};
-use soctam_model::{CoreId, Soc};
-use soctam_tam::{Evaluator, SiGroupSpec, TestRail, TestRailArchitecture};
+use soctam_model::{Benchmark, CoreId, Soc};
+use soctam_tam::{
+    DeltaCost, Evaluation, Evaluator, RailEdit, RailEval, SiGroupSpec, SiGroupTime, SwapState,
+    TestRail, TestRailArchitecture,
+};
 
 /// A random SOC of `3..=8` cores with modest wrapper geometry.
 fn random_soc(g: &mut Gen) -> Soc {
@@ -31,9 +42,10 @@ fn random_soc(g: &mut Gen) -> Soc {
     .expect("valid soc")
 }
 
-/// A random partition of the SOC's cores into rails with random widths.
+/// A random partition of the SOC's cores into up to five rails with
+/// random widths.
 fn random_rails(g: &mut Gen, soc: &Soc, max_width: u32) -> Vec<TestRail> {
-    let n_rails = g.usize_in(1, soc.num_cores().min(4) + 1);
+    let n_rails = g.usize_in(1, soc.num_cores().min(5) + 1);
     let mut buckets: Vec<Vec<CoreId>> = vec![Vec::new(); n_rails];
     for core in soc.core_ids() {
         let r = g.usize_in(0, n_rails);
@@ -46,9 +58,9 @@ fn random_rails(g: &mut Gen, soc: &Soc, max_width: u32) -> Vec<TestRail> {
         .collect()
 }
 
-/// `1..=3` random SI test groups over random core subsets.
+/// `0..=3` random SI test groups over random core subsets.
 fn random_groups(g: &mut Gen, soc: &Soc) -> Vec<SiGroupSpec> {
-    let n = g.usize_in(1, 4);
+    let n = g.usize_in(0, 4);
     (0..n)
         .map(|_| {
             let cores: Vec<CoreId> = soc.core_ids().filter(|_| g.bool_with(0.6)).collect();
@@ -62,108 +74,276 @@ fn random_groups(g: &mut Gen, soc: &Soc) -> Vec<SiGroupSpec> {
         .collect()
 }
 
+/// The four edit shapes of Algorithm 2's move loops.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// `distributeFreeWires`: one rail changes width.
+    WidthSwap,
+    /// `coreReshuffle`: one core moves between two rails.
+    CoreMove,
+    /// `mergeTAMs`: two rails become one, which keeps the first label.
+    Merge,
+    /// Wire rebalancing: three or more rails change width.
+    Rebalance,
+}
+
+const SHAPES: [Shape; 4] = [
+    Shape::WidthSwap,
+    Shape::CoreMove,
+    Shape::Merge,
+    Shape::Rebalance,
+];
+
+/// The rails behind a state, by label; `None` marks a removed rail.
+type Labels = Vec<Option<TestRail>>;
+
+fn live(labels: &Labels) -> Vec<usize> {
+    (0..labels.len()).filter(|&r| labels[r].is_some()).collect()
+}
+
+fn rail(labels: &Labels, r: usize) -> &TestRail {
+    labels[r].as_ref().expect("live label")
+}
+
+/// A random edit of `shape` on `labels`: the new rail of every edited
+/// label. Shapes the current rails cannot take fall back to a width
+/// swap.
+fn random_edit(
+    g: &mut Gen,
+    labels: &Labels,
+    max_width: u32,
+    shape: Shape,
+) -> Vec<(usize, Option<TestRail>)> {
+    let live = live(labels);
+    let pick = |g: &mut Gen, from: &[usize]| from[g.usize_in(0, from.len())];
+    let movable: Vec<usize> = live
+        .iter()
+        .copied()
+        .filter(|&r| rail(labels, r).cores().len() >= 2)
+        .collect();
+    match shape {
+        Shape::CoreMove if live.len() >= 2 && !movable.is_empty() => {
+            let src = pick(g, &movable);
+            let others: Vec<usize> = live.iter().copied().filter(|&r| r != src).collect();
+            let dst = pick(g, &others);
+            let cores = rail(labels, src).cores();
+            let core = cores[g.usize_in(0, cores.len())];
+            let kept: Vec<CoreId> = cores.iter().copied().filter(|&c| c != core).collect();
+            let mut grown = rail(labels, dst).cores().to_vec();
+            grown.push(core);
+            vec![
+                (
+                    src,
+                    Some(TestRail::new(kept, rail(labels, src).width()).expect("valid")),
+                ),
+                (
+                    dst,
+                    Some(TestRail::new(grown, rail(labels, dst).width()).expect("valid")),
+                ),
+            ]
+        }
+        Shape::Merge if live.len() >= 2 => {
+            let target = pick(g, &live);
+            let others: Vec<usize> = live.iter().copied().filter(|&r| r != target).collect();
+            let dead = pick(g, &others);
+            let w = g.u32_in(1, max_width + 1);
+            let merged = rail(labels, target)
+                .merged(rail(labels, dead), w)
+                .expect("valid");
+            vec![(target, Some(merged)), (dead, None)]
+        }
+        Shape::Rebalance if live.len() >= 2 => {
+            // Three or more rails where the architecture has them.
+            let mut chosen = live.clone();
+            while chosen.len() > 3 && g.bool_with(0.5) {
+                chosen.remove(g.usize_in(0, chosen.len()));
+            }
+            chosen
+                .into_iter()
+                .map(|r| {
+                    let w = g.u32_in(1, max_width + 1);
+                    (r, Some(rail(labels, r).with_width(w).expect("valid")))
+                })
+                .collect()
+        }
+        _ => {
+            let r = pick(g, &live);
+            let w = g.u32_in(1, max_width + 1);
+            vec![(r, Some(rail(labels, r).with_width(w).expect("valid")))]
+        }
+    }
+}
+
+/// Fetches the components an edit list refers to.
+fn components(
+    evaluator: &Evaluator<'_>,
+    edit: &[(usize, Option<TestRail>)],
+) -> Vec<(usize, Option<Arc<RailEval>>)> {
+    edit.iter()
+        .map(|(r, new)| {
+            let comp = new
+                .as_ref()
+                .map(|rail| evaluator.component(rail.width(), rail.cores()));
+            (*r, comp)
+        })
+        .collect()
+}
+
+fn as_edits(comps: &[(usize, Option<Arc<RailEval>>)]) -> Vec<RailEdit<'_>> {
+    comps.iter().map(|(r, comp)| (*r, comp.as_ref())).collect()
+}
+
+fn apply_labels(labels: &mut Labels, edit: Vec<(usize, Option<TestRail>)>) {
+    for (r, new) in edit {
+        labels[r] = new;
+    }
+}
+
+/// The referee: a from-scratch evaluation of the live rails in label
+/// order.
+fn full(evaluator: &Evaluator<'_>, soc: &Soc, labels: &Labels) -> Evaluation {
+    let rails: Vec<TestRail> = labels.iter().flatten().cloned().collect();
+    evaluator.evaluate(&TestRailArchitecture::new(soc, rails).expect("valid"))
+}
+
+fn cost_of(eval: &Evaluation) -> DeltaCost {
+    DeltaCost {
+        t_in: eval.t_in,
+        t_si: eval.t_si,
+        rail_used_sum: eval.rail_used_sum(),
+    }
+}
+
+/// The state's group times with every label renamed to its rank among
+/// the live labels.
+fn ranked_group_times(st: &SwapState, labels: &Labels) -> Vec<SiGroupTime> {
+    let live = live(labels);
+    let rank = |r: usize| live.binary_search(&r).expect("group rail is live");
+    st.group_times()
+        .iter()
+        .map(|row| SiGroupTime {
+            time: row.time,
+            rails: row.rails.iter().map(|&r| rank(r)).collect(),
+            bottleneck_rail: if row.bottleneck_rail == usize::MAX {
+                usize::MAX
+            } else {
+                rank(row.bottleneck_rail)
+            },
+        })
+        .collect()
+}
+
+/// Asserts that `st` reads exactly what evaluating `labels` reads.
+fn assert_state_matches(evaluator: &Evaluator<'_>, soc: &Soc, st: &SwapState, labels: &Labels) {
+    let eval = full(evaluator, soc, labels);
+    assert_eq!((st.t_in(), st.t_si()), (eval.t_in, eval.t_si));
+    assert_eq!(evaluator.state_cost(st, &[]), cost_of(&eval));
+    assert_eq!(ranked_group_times(st, labels), eval.group_times);
+}
+
+/// Asserts that a width swap of every live rail of `st` to every width
+/// costs what evaluating the swapped rails costs: the single-edit fast
+/// path reads the state's top-two reductions, which every accepted
+/// edit must have kept current.
+fn assert_width_swaps_match(evaluator: &Evaluator<'_>, soc: &Soc, st: &SwapState, labels: &Labels) {
+    for i in live(labels) {
+        for w in 1..=evaluator.max_width() {
+            let edit = vec![(i, Some(rail(labels, i).with_width(w).expect("valid")))];
+            let comps = components(evaluator, &edit);
+            let probed = evaluator.state_cost(st, &as_edits(&comps));
+            let mut edited = labels.clone();
+            apply_labels(&mut edited, edit);
+            let expected = cost_of(&full(evaluator, soc, &edited));
+            assert_eq!(probed, expected, "rail {i} at width {w}");
+        }
+    }
+}
+
 #[test]
-fn evaluate_from_matches_full_evaluate() {
-    forall("delta_vs_full", cases(60), |g| {
+fn state_cost_matches_full_evaluate_for_every_edit_shape() {
+    forall("state_cost_vs_full", cases(60), |g| {
         let soc = random_soc(g);
         let max_width = 8;
-        let groups = random_groups(g, &soc);
-        let evaluator = Evaluator::new(&soc, max_width, groups).expect("valid");
-        let mut rails = random_rails(g, &soc, max_width);
-        let base =
-            evaluator.evaluate(&TestRailArchitecture::new(&soc, rails.clone()).expect("valid"));
-
-        // A random edit: rail width change, or moving one core between
-        // rails (two changed indices).
-        let mut changed: Vec<usize> = Vec::new();
-        let r = g.usize_in(0, rails.len());
-        if rails.len() >= 2 && rails[r].cores().len() >= 2 && g.bool_with(0.5) {
-            let mut dst = g.usize_in(0, rails.len() - 1);
-            if dst >= r {
-                dst += 1;
-            }
-            let c = rails[r].cores()[g.usize_in(0, rails[r].cores().len())];
-            let src_cores: Vec<CoreId> = rails[r]
-                .cores()
-                .iter()
-                .copied()
-                .filter(|&x| x != c)
-                .collect();
-            let mut dst_cores = rails[dst].cores().to_vec();
-            dst_cores.push(c);
-            rails[r] = TestRail::new(src_cores, rails[r].width()).expect("valid");
-            rails[dst] = TestRail::new(dst_cores, rails[dst].width()).expect("valid");
-            changed.extend([r, dst]);
-        } else {
-            rails[r] = rails[r]
-                .with_width(g.u32_in(1, max_width + 1))
-                .expect("valid");
-            changed.push(r);
+        let evaluator = Evaluator::new(&soc, max_width, random_groups(g, &soc)).expect("valid");
+        let labels: Labels = random_rails(g, &soc, max_width)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let st = evaluator.swap_state(&full(&evaluator, &soc, &labels));
+        assert_state_matches(&evaluator, &soc, &st, &labels);
+        for shape in SHAPES {
+            let edit = random_edit(g, &labels, max_width, shape);
+            let comps = components(&evaluator, &edit);
+            let probed = evaluator.state_cost(&st, &as_edits(&comps));
+            let mut edited = labels.clone();
+            apply_labels(&mut edited, edit);
+            let expected = cost_of(&full(&evaluator, &soc, &edited));
+            assert_eq!(probed, expected, "{shape:?} probe diverged from full");
         }
-
-        let delta = evaluator.evaluate_from(&base, &changed, &rails);
-        let full =
-            evaluator.evaluate(&TestRailArchitecture::new(&soc, rails.clone()).expect("valid"));
-        assert_eq!(delta, full, "delta evaluation diverged from full");
-
-        // The cost-only path must report the assembled evaluation's
-        // numbers bit for bit.
-        let cost = evaluator.cost_from(&base, &changed, &rails);
-        assert_eq!(cost.t_in, full.t_in);
-        assert_eq!(cost.t_si, full.t_si);
-        assert_eq!(
-            cost.rail_used_sum,
-            full.rail_time_used().iter().sum::<u64>()
-        );
     });
 }
 
 #[test]
-fn mapped_delta_matches_full_evaluate_on_merges() {
-    forall("mapped_delta_vs_full", cases(60), |g| {
+fn state_apply_sequences_match_full_evaluate() {
+    forall("state_apply_vs_full", cases(60), |g| {
         let soc = random_soc(g);
         let max_width = 8;
-        let groups = random_groups(g, &soc);
-        let evaluator = Evaluator::new(&soc, max_width, groups).expect("valid");
-        let rails = random_rails(g, &soc, max_width);
-        if rails.len() < 2 {
-            return;
+        let evaluator = Evaluator::new(&soc, max_width, random_groups(g, &soc)).expect("valid");
+        let mut labels: Labels = random_rails(g, &soc, max_width)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut st = evaluator.swap_state(&full(&evaluator, &soc, &labels));
+        for _ in 0..g.usize_in(1, 7) {
+            let shape = SHAPES[g.usize_in(0, SHAPES.len())];
+            let edit = random_edit(g, &labels, max_width, shape);
+            let comps = components(&evaluator, &edit);
+            let edits = as_edits(&comps);
+            // Probing first must not disturb the state, and must land
+            // where accepting the same edits lands.
+            let probed = evaluator.state_cost(&st, &edits);
+            evaluator.state_apply(&mut st, &edits);
+            apply_labels(&mut labels, edit);
+            assert_eq!(probed, evaluator.state_cost(&st, &[]), "{shape:?}");
+            assert_state_matches(&evaluator, &soc, &st, &labels);
         }
-        let base =
-            evaluator.evaluate(&TestRailArchitecture::new(&soc, rails.clone()).expect("valid"));
-
-        // Merge two random rails, keeping the others: the candidate's
-        // source map sends every kept rail to its old index and the
-        // merged rail to `None`.
-        let a = g.usize_in(0, rails.len());
-        let mut b = g.usize_in(0, rails.len() - 1);
-        if b >= a {
-            b += 1;
-        }
-        let w = g.u32_in(1, max_width + 1);
-        let merged = rails[a].merged(&rails[b], w).expect("valid");
-        let mut cand = Vec::new();
-        let mut source = Vec::new();
-        for (i, rail) in rails.iter().enumerate() {
-            if i != a && i != b {
-                cand.push(rail.clone());
-                source.push(Some(i));
-            }
-        }
-        cand.push(merged);
-        source.push(None);
-
-        let delta = evaluator.evaluate_from_mapped(&base, &source, &cand);
-        let full =
-            evaluator.evaluate(&TestRailArchitecture::new(&soc, cand.clone()).expect("valid"));
-        assert_eq!(delta, full, "mapped delta diverged from full");
-
-        let cost = evaluator.cost_from_mapped(&base, &source, &cand);
-        assert_eq!(cost.t_in, full.t_in);
-        assert_eq!(cost.t_si, full.t_si);
-        assert_eq!(
-            cost.rail_used_sum,
-            full.rail_time_used().iter().sum::<u64>()
-        );
+        assert_width_swaps_match(&evaluator, &soc, &st, &labels);
     });
+}
+
+/// Width swaps of every rail to every width on fixed d695
+/// architectures: three rails under three groups, two rails without
+/// groups (the SI-free baseline, where every swap keeps `t_si = 0`),
+/// and a single rail (the top-two reduction's max over the other rails
+/// falls back to 0).
+#[test]
+fn width_swaps_at_every_width_match_full_evaluate() {
+    let soc = Benchmark::D695.soc();
+    let c = |range: std::ops::Range<u32>| -> Vec<CoreId> { range.map(CoreId::new).collect() };
+    let cases = [
+        (
+            vec![(c(0..4), 6), (c(4..7), 3), (c(7..10), 5)],
+            vec![
+                SiGroupSpec::new(c(0..10), 40),
+                SiGroupSpec::new(c(0..6), 15),
+                SiGroupSpec::new(c(8..10), 9),
+            ],
+            16,
+        ),
+        (vec![(c(0..5), 4), (c(5..10), 4)], vec![], 8),
+        (
+            vec![(c(0..10), 8)],
+            vec![SiGroupSpec::new(c(0..10), 25)],
+            16,
+        ),
+    ];
+    for (rails, groups, max_width) in cases {
+        let evaluator = Evaluator::new(&soc, max_width, groups).expect("valid");
+        let labels: Labels = rails
+            .into_iter()
+            .map(|(cores, w)| Some(TestRail::new(cores, w).expect("valid")))
+            .collect();
+        let st = evaluator.swap_state(&full(&evaluator, &soc, &labels));
+        assert_width_swaps_match(&evaluator, &soc, &st, &labels);
+    }
 }
