@@ -30,9 +30,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use soctam::exec::{fault, Progress};
-use soctam::Pool;
+use soctam::{EvalCache, Pool, RunCtx};
 use soctam_registry::{
-    expand_profile, parse_cli, resolve_soc, standard_registry, ParamKind, Tool, ToolCtx, ToolError,
+    expand_profile, parse_cli, resolve_soc, standard_registry, ParamKind, Tool, ToolError,
     ToolErrorKind,
 };
 
@@ -207,16 +207,27 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let mut params = parse_cli(tool.params, rest).map_err(|e| CliError::usage(e.message))?;
     expand_profile(tool.params, &mut params)?;
 
-    // `jobs` and `stats` are front-end concerns: the worker pool is
-    // built here (the daemon sizes its own at startup), and statistics
-    // are appended after the tool returns.
+    // The run context and `stats` are front-end concerns: the pools and
+    // the cache are built here from `jobs`, `probe-jobs` and `cache-cap`
+    // (the daemon builds its own at startup), and statistics are
+    // appended after the tool returns. A `probe-jobs` of 1 keeps
+    // speculative probing on the optimizer's private serial pool.
     let jobs = if params.contains("jobs") {
         params.usize("jobs")
     } else {
         1
     };
     let pool = Pool::new(jobs);
-    let mut ctx = ToolCtx::new(pool.clone());
+    let mut ctx = RunCtx {
+        probe_pool: match params.opt_usize("probe-jobs") {
+            None | Some(1) => None,
+            Some(jobs) => Some(Pool::new(jobs)),
+        },
+        eval_cache: params
+            .opt_usize("cache-cap")
+            .map(|cap| EvalCache::with_capacity_and_metrics(cap, pool.metrics())),
+        ..RunCtx::new(pool.clone())
+    };
     // The `--progress` ticker is display-only and goes to stderr; it
     // stays silent when stdout is piped so `soctam ... > file` and
     // captured test output never see it.

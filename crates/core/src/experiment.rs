@@ -33,13 +33,12 @@
 //! ```
 
 use std::fmt;
-use std::sync::Arc;
 
 use soctam_compaction::{compact_two_dimensional_with, CompactionConfig};
-use soctam_exec::{CancelToken, Pool, Progress};
+use soctam_exec::Pool;
 use soctam_model::Soc;
 use soctam_patterns::{RandomPatternConfig, SiPatternSet};
-use soctam_tam::{backend_for, BackendCtx, BackendKind, Objective, SiGroupSpec};
+use soctam_tam::{backend_for, BackendCtx, BackendKind, Objective, RunCtx, SiGroupSpec};
 
 use crate::SoctamError;
 
@@ -183,64 +182,30 @@ pub fn run_table_with(
     config: &ExperimentConfig,
     pool: &Pool,
 ) -> Result<ExperimentTable, SoctamError> {
-    run_table_cached(soc, config, pool, None)
+    run_table_in(
+        soc,
+        config,
+        &RunCtx::new(pool.clone()),
+        BackendKind::TrArchitect,
+    )
 }
 
-/// [`run_table_with`] reusing a shared evaluator cache across the grid
-/// and across calls. The cache only skips recomputation; results are
-/// bit-identical with or without it (cache keys carry a per-context
-/// fingerprint, so entries from other SOCs or sweeps can never alias).
+/// [`run_table_with`] on the run context `run`, with `backend`
+/// optimizing every grid cell (baseline column included). Every cell
+/// gets `run`, so its budget bounds each cell on its own; a tripped
+/// budget or cancel token degrades the remaining cells to their
+/// best-so-far architectures, and the table stays complete and valid.
 ///
 /// # Errors
 ///
 /// Same contract as [`run_table`].
-pub fn run_table_cached(
+pub fn run_table_in(
     soc: &Soc,
     config: &ExperimentConfig,
-    pool: &Pool,
-    cache: Option<&soctam_tam::EvalCache>,
+    run: &RunCtx,
+    backend: BackendKind,
 ) -> Result<ExperimentTable, SoctamError> {
-    let opts = TableOpts {
-        cache: cache.cloned(),
-        ..TableOpts::default()
-    };
-    run_table_opts(soc, config, pool, &opts)
-}
-
-/// Optional extras for a table run, all defaulting to off. None of them
-/// changes results — the cache only skips recomputation, the probe pool
-/// only reschedules speculative candidate probes (reduced in candidate
-/// order either way) and the progress sink is purely advisory.
-#[derive(Clone, Debug, Default)]
-pub struct TableOpts {
-    /// Shared evaluator cache (see [`run_table_cached`]).
-    pub cache: Option<soctam_tam::EvalCache>,
-    /// Pool for the optimizer's speculative candidate probing; `None`
-    /// keeps probes on the calling worker.
-    pub probe_pool: Option<Pool>,
-    /// Progress sink for a live display (phase, probes, best `T_soc`).
-    pub progress: Option<Arc<Progress>>,
-    /// Cooperative cancellation: a tripped token makes every remaining
-    /// grid cell degrade to its best-so-far architecture (the run still
-    /// returns a complete, valid table).
-    pub cancel: Option<CancelToken>,
-    /// TAM-optimization backend used for every grid cell (baseline
-    /// column included). Defaults to [`BackendKind::TrArchitect`].
-    pub backend: BackendKind,
-}
-
-/// [`run_table_cached`] with the full option set ([`TableOpts`]).
-///
-/// # Errors
-///
-/// Same contract as [`run_table`].
-pub fn run_table_opts(
-    soc: &Soc,
-    config: &ExperimentConfig,
-    pool: &Pool,
-    opts: &TableOpts,
-) -> Result<ExperimentTable, SoctamError> {
-    let cache = opts.cache.as_ref();
+    let pool = &run.pool;
     let metrics = pool.metrics();
     let raw = metrics.time("generate", || {
         SiPatternSet::random_with(
@@ -301,17 +266,9 @@ pub fn run_table_opts(
                 groups,
                 objective,
                 restarts: 1,
-                pool: pool.clone(),
-                probe_pool: opts.probe_pool.clone(),
-                budget: Default::default(),
-                eval_cache: cache.cloned(),
-                progress: opts.progress.as_ref().map(Arc::clone),
-                cancel: opts.cancel.clone(),
+                run: run.clone(),
             };
-            Ok(backend_for(opts.backend)
-                .optimize(&ctx)?
-                .evaluation()
-                .t_total())
+            Ok(backend_for(backend).optimize(&ctx)?.evaluation().t_total())
         })
         .into_iter()
         .collect()

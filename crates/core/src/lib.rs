@@ -74,7 +74,7 @@ pub use soctam_model::{Benchmark, CoreId, CoreSpec, Diagnostic, Diagnostics, Soc
 pub use soctam_patterns::{RandomPatternConfig, SiPattern, SiPatternSet, Symbol};
 pub use soctam_tam::{
     backend_for, BackendCaps, BackendCtx, BackendKind, DeltaCost, EvalCache, Evaluation, Evaluator,
-    Objective, OptimizedArchitecture, OptimizerBudget, RailEval, SiGroupSpec, TamBackend,
+    Objective, OptimizedArchitecture, OptimizerBudget, RailEval, RunCtx, SiGroupSpec, TamBackend,
     TamOptimizer, TestBusEvaluator, TestRail, TestRailArchitecture,
 };
 pub use soctam_wrapper::{intest_time, si_time, TimeTable, WrapperDesign};

@@ -4,12 +4,12 @@ use std::panic;
 use std::sync::Arc;
 
 use soctam_compaction::{compact_two_dimensional_with, CompactedSiTests, CompactionConfig};
-use soctam_exec::{fault, CancelToken, Metrics, Pool, Progress};
+use soctam_exec::{fault, Metrics, Pool};
 use soctam_model::Soc;
 use soctam_patterns::SiPatternSet;
 use soctam_tam::{
-    backend_for, BackendCtx, BackendKind, EvalCache, Evaluation, Objective, OptimizedArchitecture,
-    OptimizerBudget, SiGroupSpec, TestRailArchitecture,
+    backend_for, BackendCtx, BackendKind, Evaluation, Objective, OptimizedArchitecture, RunCtx,
+    SiGroupSpec, TestRailArchitecture,
 };
 
 use crate::SoctamError;
@@ -67,12 +67,7 @@ pub struct SiOptimizer<'a> {
     objective: Objective,
     backend: BackendKind,
     restarts: u32,
-    pool: Pool,
-    probe_pool: Option<Pool>,
-    progress: Option<Arc<Progress>>,
-    budget: OptimizerBudget,
-    eval_cache: Option<EvalCache>,
-    cancel: Option<CancelToken>,
+    run: RunCtx,
 }
 
 impl<'a> SiOptimizer<'a> {
@@ -87,74 +82,25 @@ impl<'a> SiOptimizer<'a> {
             objective: Objective::Total,
             backend: BackendKind::TrArchitect,
             restarts: 1,
-            pool: Pool::serial(),
-            probe_pool: None,
-            progress: None,
-            budget: OptimizerBudget::unlimited(),
-            eval_cache: None,
-            cancel: None,
+            run: RunCtx::default(),
         }
     }
 
-    /// Serves TAM evaluation lookups from `cache`, a store that may be
-    /// shared across pipeline runs (and, in `soctam-serve`, across
-    /// requests): identical per-rail evaluations become warm cache
-    /// hits. Results are bit-identical with or without sharing.
-    pub fn eval_cache(mut self, cache: EvalCache) -> Self {
-        self.eval_cache = Some(cache);
+    /// Runs the pipeline on the resources of `run`, replacing every one
+    /// set before, the pool included. Results are bit-identical for
+    /// every pool size and with or without a shared cache; a tripped
+    /// budget or cancel token returns a valid best-so-far architecture
+    /// flagged [`SiOptimizationResult::degraded`].
+    pub fn run(mut self, run: RunCtx) -> Self {
+        self.run = run;
         self
-    }
-
-    /// Bounds the TAM optimization work. When the budget trips, the
-    /// pipeline still returns a valid architecture — the best found so
-    /// far — flagged [`SiOptimizationResult::degraded`].
-    pub fn budget(mut self, budget: OptimizerBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Runs the pipeline on `jobs` threads (0 = all available cores).
-    /// Results are bit-identical for every job count; only wall-clock
-    /// changes. Shorthand for [`SiOptimizer::pool`] with a fresh pool.
-    pub fn jobs(self, jobs: usize) -> Self {
-        self.pool(Pool::new(jobs))
     }
 
     /// Runs the pipeline on an existing [`Pool`] (shared across runs,
-    /// metrics accumulate in the pool's [`Metrics`]).
+    /// metrics accumulate in the pool's [`Metrics`]), keeping the rest
+    /// of the run context.
     pub fn pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Probes optimizer move candidates on `jobs` threads (0 = all
-    /// available cores), independent of the compaction pool. Results
-    /// are bit-identical for every probe-job count; only wall-clock
-    /// changes. Shorthand for [`SiOptimizer::probe_pool`].
-    pub fn probe_jobs(self, jobs: usize) -> Self {
-        self.probe_pool(Pool::new(jobs))
-    }
-
-    /// Probes optimizer move candidates on an existing [`Pool`]. When
-    /// unset, candidate probing shares the pipeline's main pool.
-    pub fn probe_pool(mut self, pool: Pool) -> Self {
-        self.probe_pool = Some(pool);
-        self
-    }
-
-    /// Publishes optimizer phase / probe-count / best-objective updates
-    /// into `progress` for a live display such as the CLI `--progress`
-    /// stderr ticker. Purely advisory; never affects results.
-    pub fn progress(mut self, progress: Arc<Progress>) -> Self {
-        self.progress = Some(progress);
-        self
-    }
-
-    /// Observes `cancel` at every optimizer budget checkpoint. A
-    /// tripped token degrades the run to its best-so-far architecture
-    /// ([`SiOptimizationResult::degraded`]) — never an error.
-    pub fn cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
+        self.run.pool = pool;
         self
     }
 
@@ -162,7 +108,7 @@ impl<'a> SiOptimizer<'a> {
     /// hits and misses, per-phase wall-clock. Snapshot after
     /// [`SiOptimizer::optimize`] to report runtime statistics.
     pub fn metrics(&self) -> Arc<Metrics> {
-        self.pool.metrics()
+        self.run.pool.metrics()
     }
 
     /// Sets the SOC-level TAM width budget `W_max`.
@@ -220,14 +166,13 @@ impl<'a> SiOptimizer<'a> {
         self.soc.validate().into_result()?;
         patterns.validate(self.soc).into_result()?;
         let compacted = contain_panics("pipeline.compact", || {
-            self.pool
-                .metrics()
+            self.metrics()
                 .time("compact", || {
                     compact_two_dimensional_with(
                         self.soc,
                         patterns,
                         &CompactionConfig::new(self.partitions).with_seed(self.seed),
-                        &self.pool,
+                        &self.run.pool,
                     )
                 })
                 .map_err(SoctamError::from)
@@ -253,15 +198,9 @@ impl<'a> SiOptimizer<'a> {
                 groups: &groups,
                 objective: self.objective,
                 restarts: self.restarts,
-                pool: self.pool.clone(),
-                probe_pool: self.probe_pool.clone(),
-                budget: self.budget,
-                eval_cache: self.eval_cache.clone(),
-                progress: self.progress.as_ref().map(Arc::clone),
-                cancel: self.cancel.clone(),
+                run: self.run.clone(),
             };
             let optimized = self
-                .pool
                 .metrics()
                 .time("optimize", || backend_for(self.backend).optimize(&ctx))?;
             Ok(optimized)
@@ -312,7 +251,7 @@ impl SiOptimizationResult {
         self.evaluation().t_si
     }
 
-    /// True when the optimizer hit its [`OptimizerBudget`] and the
+    /// True when the run's budget or cancel token tripped and the
     /// architecture is best-so-far rather than fully converged.
     pub fn degraded(&self) -> bool {
         self.optimized.degraded()
@@ -324,6 +263,7 @@ mod tests {
     use super::*;
     use soctam_model::Benchmark;
     use soctam_patterns::RandomPatternConfig;
+    use soctam_tam::OptimizerBudget;
 
     #[test]
     fn pipeline_runs_on_every_benchmark() {
@@ -383,7 +323,10 @@ mod tests {
         let result = SiOptimizer::new(&soc)
             .max_tam_width(16)
             .partitions(2)
-            .budget(OptimizerBudget::default().with_deadline(Duration::from_millis(50)))
+            .run(RunCtx {
+                budget: OptimizerBudget::default().with_deadline(Duration::from_millis(50)),
+                ..RunCtx::default()
+            })
             .optimize(&patterns)
             .expect("degrades, does not fail");
         // Degraded or not (a fast machine may finish in time), the
@@ -394,7 +337,10 @@ mod tests {
         let strangled = SiOptimizer::new(&soc)
             .max_tam_width(16)
             .partitions(2)
-            .budget(OptimizerBudget::default().with_max_iterations(1))
+            .run(RunCtx {
+                budget: OptimizerBudget::default().with_max_iterations(1),
+                ..RunCtx::default()
+            })
             .optimize(&patterns)
             .expect("degrades, does not fail");
         assert!(strangled.degraded());

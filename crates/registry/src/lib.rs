@@ -15,7 +15,8 @@
 //!
 //! Parsing either surface yields the same [`ParamValues`], so a tool
 //! body cannot tell which front end invoked it — which is what makes
-//! CLI-vs-server byte-parity testable.
+//! CLI-vs-server byte-parity testable. The execution resources arrive
+//! beside the parameters, in the [`soctam::RunCtx`] the front end builds.
 //!
 //! The crate also hosts the dependency-free [`Json`] value used by the
 //! daemon's wire format (the workspace is std-only by policy).
@@ -23,13 +24,13 @@
 //! # Example
 //!
 //! ```
-//! use soctam::Pool;
-//! use soctam_registry::{parse_cli, standard_registry, ToolCtx};
+//! use soctam::RunCtx;
+//! use soctam_registry::{parse_cli, standard_registry};
 //!
 //! let tool = standard_registry().get("info").unwrap();
 //! let params = parse_cli(tool.params, &[]).unwrap();
 //! let soc = soctam_registry::resolve_soc("d695").unwrap();
-//! let out = (tool.run)(&soc, &params, &ToolCtx::new(Pool::serial())).unwrap();
+//! let out = (tool.run)(&soc, &params, &RunCtx::default()).unwrap();
 //! assert!(out.text.contains("d695"));
 //! ```
 
@@ -46,5 +47,5 @@ mod tools;
 pub use json::{Json, JsonError};
 pub use param::{parse_cli, parse_json, ParamError, ParamKind, ParamSpec, ParamValue, ParamValues};
 pub use profile::{expand_profile, parse_profile};
-pub use tool::{Tool, ToolCtx, ToolError, ToolErrorKind, ToolFn, ToolOutput, ToolRegistry};
-pub use tools::{budget_from, resolve_soc, resolve_soc_text, standard_registry};
+pub use tool::{Tool, ToolError, ToolErrorKind, ToolFn, ToolOutput, ToolRegistry};
+pub use tools::{resolve_soc, resolve_soc_text, standard_registry};

@@ -3,10 +3,7 @@
 
 use std::fmt;
 
-use std::sync::Arc;
-
-use soctam::exec::{CancelToken, Progress};
-use soctam::{EvalCache, Pool, Soc, SoctamError};
+use soctam::{RunCtx, Soc, SoctamError};
 
 use crate::json::Json;
 use crate::param::{ParamSpec, ParamValues};
@@ -102,39 +99,12 @@ impl ToolOutput {
     }
 }
 
-/// Execution context a front end hands to a tool: the worker pool and,
-/// optionally, a shared evaluator cache that outlives the invocation
-/// (the daemon keeps one warm across requests).
-#[derive(Clone)]
-pub struct ToolCtx {
-    /// Worker pool; all parallel stages run on it.
-    pub pool: Pool,
-    /// Cross-invocation evaluator cache, if the front end keeps one.
-    pub eval_cache: Option<EvalCache>,
-    /// Progress sink the front end polls for a live display (the CLI
-    /// `--progress` ticker). Tools publish into it when present; it is
-    /// advisory and never changes results.
-    pub progress: Option<Arc<Progress>>,
-    /// Cooperative cancellation token. Tools that can degrade observe
-    /// it at their budget checkpoints and return a best-so-far
-    /// `degraded:true` output instead of an error once it trips.
-    pub cancel: Option<CancelToken>,
-}
-
-impl ToolCtx {
-    /// A context running on `pool` with no shared cache.
-    pub fn new(pool: Pool) -> Self {
-        ToolCtx {
-            pool,
-            eval_cache: None,
-            progress: None,
-            cancel: None,
-        }
-    }
-}
-
-/// The signature every tool implementation has.
-pub type ToolFn = fn(&Soc, &ParamValues, &ToolCtx) -> Result<ToolOutput, ToolError>;
+/// The signature every tool implementation has. The front end builds
+/// the [`RunCtx`] once per invocation (the CLI from its flags, the
+/// daemon from its startup pool and shared cache plus the job's cancel
+/// token and progress sink); tools only read it and construct no pool
+/// or cache of their own.
+pub type ToolFn = fn(&Soc, &ParamValues, &RunCtx) -> Result<ToolOutput, ToolError>;
 
 /// A registered pipeline operation.
 #[derive(Clone)]
@@ -216,7 +186,7 @@ mod tests {
 
     static P: &[ParamSpec] = &[ParamSpec::new("n", ParamKind::U64, Some("1"), "a number")];
 
-    fn dummy(_: &Soc, params: &ParamValues, _: &ToolCtx) -> Result<ToolOutput, ToolError> {
+    fn dummy(_: &Soc, params: &ParamValues, _: &RunCtx) -> Result<ToolOutput, ToolError> {
         Ok(ToolOutput::text(format!("n={}", params.u64("n"))))
     }
 

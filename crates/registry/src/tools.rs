@@ -2,25 +2,28 @@
 //! daemon expose, ported to the registry signature.
 //!
 //! Tool bodies are front-end-agnostic: they read typed parameters,
-//! run on the context's pool and return a report string. Front-end
-//! concerns stay outside — the CLI builds the pool from `--jobs` and
-//! appends `--stats` output itself; the daemon keeps a warm shared
-//! [`EvalCache`] in the context.
+//! run on the [`RunCtx`] they are handed and return a report string.
+//! Front-end concerns stay outside — the CLI builds the context from
+//! `--jobs`, `--probe-jobs`, `--cache-cap` and `--progress` and appends
+//! `--stats` output itself; the daemon builds it from its startup pool
+//! and warm shared cache plus the job's cancel token and progress sink.
+//! Tools construct no pool and no cache.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
-use soctam::experiment::{run_table_opts, ExperimentConfig, TableOpts};
+use soctam::experiment::{run_table_in, ExperimentConfig};
 use soctam::model::parser::{parse_soc, write_soc};
 use soctam::tam::bounds::{intest_lower_bound, si_lower_bound};
 use soctam::tam::{render_schedule, render_schedule_svg};
 use soctam::{
-    compact_two_dimensional_with, BackendKind, Benchmark, CompactionConfig, EvalCache, Objective,
-    OptimizerBudget, RandomPatternConfig, SiGroupSpec, SiOptimizer, SiPatternSet, Soc, SoctamError,
+    compact_two_dimensional_with, BackendKind, Benchmark, CompactionConfig, Objective,
+    OptimizerBudget, RandomPatternConfig, RunCtx, SiGroupSpec, SiOptimizer, SiPatternSet, Soc,
+    SoctamError,
 };
 
 use crate::param::{ParamKind, ParamSpec, ParamValues};
-use crate::tool::{Tool, ToolCtx, ToolError, ToolOutput, ToolRegistry};
+use crate::tool::{Tool, ToolError, ToolOutput, ToolRegistry};
 
 const PATTERNS: ParamSpec = ParamSpec::new(
     "patterns",
@@ -58,7 +61,7 @@ const PROBE_JOBS: ParamSpec = ParamSpec::new(
     ParamKind::Usize,
     Some("1"),
     "threads for speculative candidate probing (0 = all cores); \
-     bit-identical results at every value",
+     bit-identical results at every value; CLI only",
 );
 const PROFILE: ParamSpec = ParamSpec::new(
     "profile",
@@ -229,7 +232,7 @@ pub fn resolve_soc_text(text: &str, origin: &str) -> Result<Soc, ToolError> {
 }
 
 /// The optimizer budget the parameters describe (unlimited by default).
-pub fn budget_from(params: &ParamValues) -> OptimizerBudget {
+fn budget_from(params: &ParamValues) -> OptimizerBudget {
     let mut budget = OptimizerBudget::unlimited();
     if let Some(ms) = params.opt_u64("deadline-ms") {
         budget = budget.with_deadline(std::time::Duration::from_millis(ms));
@@ -253,30 +256,6 @@ pub fn backend_from(params: &ParamValues) -> Result<BackendKind, ToolError> {
     }
 }
 
-/// The evaluator cache an invocation runs with: the front end's shared
-/// store when one is attached (the daemon), else a fresh bounded store
-/// when `cache-cap` was given, else none (the optimizer's private
-/// per-run cache).
-fn effective_cache(params: &ParamValues, ctx: &ToolCtx) -> Option<EvalCache> {
-    if let Some(cache) = &ctx.eval_cache {
-        return Some(cache.clone());
-    }
-    params
-        .opt_usize("cache-cap")
-        .map(|cap| EvalCache::with_capacity_and_metrics(cap, ctx.pool.metrics()))
-}
-
-/// The probe pool an invocation runs with: `None` keeps speculative
-/// candidate probing on the main pool's calling worker; any other
-/// `probe-jobs` value gets its own pool (0 = all cores). Results are
-/// bit-identical either way — probes are reduced in candidate order.
-fn probe_pool_from(params: &ParamValues) -> Option<soctam::Pool> {
-    match params.usize("probe-jobs") {
-        1 => None,
-        jobs => Some(soctam::Pool::new(jobs)),
-    }
-}
-
 fn pipeline_err(err: impl Into<SoctamError>) -> ToolError {
     ToolError::from_soctam(&err.into())
 }
@@ -287,7 +266,7 @@ fn runtime_err(err: impl std::fmt::Display) -> ToolError {
     ToolError::failed(err.to_string())
 }
 
-fn info_tool(soc: &Soc, _params: &ParamValues, _ctx: &ToolCtx) -> Result<ToolOutput, ToolError> {
+fn info_tool(soc: &Soc, _params: &ParamValues, _ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     let mut out = String::new();
     let _ = writeln!(out, "{soc}");
     let _ = writeln!(
@@ -318,11 +297,11 @@ fn info_tool(soc: &Soc, _params: &ParamValues, _ctx: &ToolCtx) -> Result<ToolOut
     Ok(ToolOutput::text(out))
 }
 
-fn export_tool(soc: &Soc, _params: &ParamValues, _ctx: &ToolCtx) -> Result<ToolOutput, ToolError> {
+fn export_tool(soc: &Soc, _params: &ParamValues, _ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     Ok(ToolOutput::text(write_soc(soc)))
 }
 
-fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolOutput, ToolError> {
+fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     let pool = &ctx.pool;
     let patterns = pool
         .metrics()
@@ -339,27 +318,18 @@ fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolO
     } else {
         Objective::Total
     };
-    let mut optimizer = SiOptimizer::new(soc)
+    let result = SiOptimizer::new(soc)
         .max_tam_width(params.u32("width"))
         .partitions(params.u32("partitions"))
         .seed(params.u64("seed"))
         .objective(objective)
         .backend(backend_from(params)?)
-        .budget(budget_from(params))
-        .pool(pool.clone());
-    if let Some(probe_pool) = probe_pool_from(params) {
-        optimizer = optimizer.probe_pool(probe_pool);
-    }
-    if let Some(progress) = &ctx.progress {
-        optimizer = optimizer.progress(std::sync::Arc::clone(progress));
-    }
-    if let Some(cache) = effective_cache(params, ctx) {
-        optimizer = optimizer.eval_cache(cache);
-    }
-    if let Some(cancel) = &ctx.cancel {
-        optimizer = optimizer.cancel(cancel.clone());
-    }
-    let result = optimizer.optimize(&patterns).map_err(pipeline_err)?;
+        .run(RunCtx {
+            budget: budget_from(params),
+            ..ctx.clone()
+        })
+        .optimize(&patterns)
+        .map_err(pipeline_err)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -395,25 +365,18 @@ fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolO
     })
 }
 
-fn table_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolOutput, ToolError> {
+fn table_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     let config = ExperimentConfig {
         pattern_count: params.usize("patterns"),
         widths: params.u32_list("widths"),
         partitions: params.u32_list("parts"),
         seed: params.u64("seed"),
     };
-    let opts = TableOpts {
-        cache: effective_cache(params, ctx),
-        probe_pool: probe_pool_from(params),
-        progress: ctx.progress.clone(),
-        cancel: ctx.cancel.clone(),
-        backend: backend_from(params)?,
-    };
-    let table = run_table_opts(soc, &config, &ctx.pool, &opts).map_err(pipeline_err)?;
+    let table = run_table_in(soc, &config, ctx, backend_from(params)?).map_err(pipeline_err)?;
     Ok(ToolOutput::text(table.to_string()))
 }
 
-fn compact_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolOutput, ToolError> {
+fn compact_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     let pool = &ctx.pool;
     let patterns = pool
         .metrics()
@@ -467,7 +430,7 @@ fn compact_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolOu
     Ok(ToolOutput::text(out))
 }
 
-fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolOutput, ToolError> {
+fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     let pool = &ctx.pool;
     let patterns = SiPatternSet::random_with(
         soc,
@@ -512,7 +475,7 @@ fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolOut
     Ok(ToolOutput::text(out))
 }
 
-fn simulate_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolOutput, ToolError> {
+fn simulate_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     let pool = &ctx.pool;
     let patterns = SiPatternSet::random_with(
         soc,
@@ -524,7 +487,7 @@ fn simulate_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolO
         .max_tam_width(params.u32("width"))
         .partitions(params.u32("partitions"))
         .seed(params.u64("seed"))
-        .pool(pool.clone())
+        .run(ctx.clone())
         .optimize(&patterns)
         .map_err(pipeline_err)?;
     let sim = soctam::tester::simulate(
@@ -561,24 +524,28 @@ fn simulate_tool(soc: &Soc, params: &ParamValues, ctx: &ToolCtx) -> Result<ToolO
     if !agree {
         return Err(ToolError::failed(out));
     }
-    Ok(ToolOutput::text(out))
+    Ok(ToolOutput {
+        text: out,
+        degraded: result.degraded(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::param::parse_cli;
-    use soctam::Pool;
+    use soctam::exec::CancelToken;
+    use soctam::EvalCache;
 
-    fn ctx() -> ToolCtx {
-        ToolCtx::new(Pool::serial())
+    fn ctx() -> RunCtx {
+        RunCtx::default()
     }
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
     }
 
-    fn invoke(tool: &str, soc: &Soc, flags: &[&str], ctx: &ToolCtx) -> ToolOutput {
+    fn invoke(tool: &str, soc: &Soc, flags: &[&str], ctx: &RunCtx) -> ToolOutput {
         let tool = standard_registry().get(tool).expect("registered");
         let params = parse_cli(tool.params, &args(flags)).expect("parses");
         (tool.run)(soc, &params, ctx).expect("runs")
@@ -614,6 +581,21 @@ mod tests {
         );
         assert!(out.degraded);
         assert!(out.text.contains("optimization budget exhausted"));
+    }
+
+    #[test]
+    fn simulate_observes_the_run_context() {
+        let soc = Benchmark::D695.soc();
+        let token = CancelToken::new();
+        token.cancel();
+        let ctx = RunCtx {
+            cancel: Some(token),
+            ..ctx()
+        };
+        let flags = &["--patterns", "150", "--width", "8"][..];
+        let out = invoke("simulate", &soc, flags, &ctx);
+        assert!(out.degraded, "a cancelled simulate run must degrade");
+        assert!(out.text.contains("agree exactly"), "{}", out.text);
     }
 
     #[test]

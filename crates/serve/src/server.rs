@@ -23,12 +23,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use soctam::{BackendKind, EvalCache, MetricsSnapshot, Pool, Soc};
+use soctam::{BackendKind, EvalCache, MetricsSnapshot, Pool, RunCtx, Soc};
 use soctam_exec::fault::panic_message;
 use soctam_exec::{fault, signal, CancelToken, Progress};
 use soctam_registry::{
-    parse_json, resolve_soc, resolve_soc_text, standard_registry, Json, ParamValue, ToolCtx,
-    ToolError, ToolErrorKind,
+    parse_json, resolve_soc, resolve_soc_text, standard_registry, Json, ParamValue, ToolError,
+    ToolErrorKind,
 };
 
 use crate::http::{read_request, write_response_with, Request};
@@ -502,11 +502,14 @@ fn execute(
         return Response::error(500, None, "failed", &ToolError::failed(e.to_string()));
     }
 
-    let ctx = ToolCtx {
-        pool: state.pool.clone(),
+    // Startup state plus the job's token and sink only: nothing in the
+    // request body sizes a pool or a cache (`jobs`, `probe-jobs` and
+    // `cache-cap` are CLI-only), so admission bounds the daemon's threads.
+    let ctx = RunCtx {
         eval_cache: Some(state.cache.clone()),
         progress,
         cancel,
+        ..RunCtx::new(state.pool.clone())
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| (tool.run)(&soc, &params, &ctx)));
     match outcome {

@@ -38,15 +38,10 @@ mod rectpack;
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
-use soctam_exec::{CancelToken, Pool, Progress};
 use soctam_model::Soc;
 
-use crate::{
-    EvalCache, Objective, OptimizedArchitecture, OptimizerBudget, SiGroupSpec, TamError,
-    TamOptimizer,
-};
+use crate::{Objective, OptimizedArchitecture, RunCtx, SiGroupSpec, TamError, TamOptimizer};
 
 pub use rectpack::RectPackBackend;
 
@@ -104,7 +99,7 @@ impl FromStr for BackendKind {
 pub struct BackendCaps {
     /// Honours [`BackendCtx::restarts`] > 1 (multi-start portfolio).
     pub multi_start: bool,
-    /// Uses the speculative probe pool ([`BackendCtx::probe_pool`]).
+    /// Uses the speculative probe pool ([`RunCtx::probe_pool`]).
     pub probe_parallel: bool,
     /// Steers the *search* by [`BackendCtx::objective`]. Backends that
     /// ignore it still report the full referee evaluation.
@@ -112,8 +107,8 @@ pub struct BackendCaps {
 }
 
 /// Everything a backend may consume: the problem (SOC, width budget,
-/// compacted SI groups, objective), the effort knobs (restarts, budget)
-/// and the execution resources (pools, cache, progress, cancellation).
+/// compacted SI groups, objective, restarts) plus the run context
+/// (pools, cache, budget, progress, cancellation).
 ///
 /// Construct with [`BackendCtx::new`] and override fields as needed;
 /// the defaults reproduce a plain serial, unlimited run.
@@ -131,18 +126,8 @@ pub struct BackendCtx<'a> {
     /// Multi-start restarts (`1` = single run; backends without
     /// [`BackendCaps::multi_start`] ignore higher values).
     pub restarts: u32,
-    /// Worker pool for parallel phases; its metrics record the run.
-    pub pool: Pool,
-    /// Optional dedicated pool for speculative candidate probes.
-    pub probe_pool: Option<Pool>,
-    /// Work limits; exhaustion degrades to best-so-far, never an error.
-    pub budget: OptimizerBudget,
-    /// Optional shared evaluation cache (cheap handle clone).
-    pub eval_cache: Option<EvalCache>,
-    /// Optional live progress sink (phase, iterations, best-so-far).
-    pub progress: Option<Arc<Progress>>,
-    /// Optional cooperative cancellation; treated like budget exhaustion.
-    pub cancel: Option<CancelToken>,
+    /// The execution resources the run carries down from its front end.
+    pub run: RunCtx,
 }
 
 impl<'a> BackendCtx<'a> {
@@ -155,12 +140,7 @@ impl<'a> BackendCtx<'a> {
             groups,
             objective: Objective::default(),
             restarts: 1,
-            pool: Pool::serial(),
-            probe_pool: None,
-            budget: OptimizerBudget::unlimited(),
-            eval_cache: None,
-            progress: None,
-            cancel: None,
+            run: RunCtx::default(),
         }
     }
 }
@@ -223,22 +203,9 @@ impl TamBackend for TrArchitectBackend {
     }
 
     fn optimize(&self, ctx: &BackendCtx<'_>) -> Result<OptimizedArchitecture, TamError> {
-        let mut optimizer = TamOptimizer::new(ctx.soc, ctx.max_width, ctx.groups.to_vec())?
+        let optimizer = TamOptimizer::new(ctx.soc, ctx.max_width, ctx.groups.to_vec())?
             .objective(ctx.objective)
-            .budget(ctx.budget)
-            .pool(ctx.pool.clone());
-        if let Some(probe_pool) = &ctx.probe_pool {
-            optimizer = optimizer.probe_pool(probe_pool.clone());
-        }
-        if let Some(progress) = &ctx.progress {
-            optimizer = optimizer.progress(Arc::clone(progress));
-        }
-        if let Some(cache) = &ctx.eval_cache {
-            optimizer = optimizer.eval_cache(cache);
-        }
-        if let Some(cancel) = &ctx.cancel {
-            optimizer = optimizer.cancel(cancel.clone());
-        }
+            .run(ctx.run.clone());
         if ctx.restarts > 1 {
             optimizer.optimize_multi(ctx.restarts)
         } else {

@@ -137,7 +137,7 @@ fn place(ctx: &BackendCtx<'_>, table: &TimeTable, tracker: &BudgetTracker) -> (V
                 best = Some(candidate);
             }
         }
-        if let Some(p) = &ctx.progress {
+        if let Some(p) = &ctx.run.progress {
             p.add_probed(probed);
         }
         match best {
@@ -230,20 +230,19 @@ impl TamBackend for RectPackBackend {
 
     fn optimize(&self, ctx: &BackendCtx<'_>) -> Result<OptimizedArchitecture, TamError> {
         let mut evaluator = Evaluator::new(ctx.soc, ctx.max_width, ctx.groups.to_vec())?;
-        evaluator.attach_metrics(ctx.pool.metrics());
-        if let Some(cache) = &ctx.eval_cache {
+        evaluator.attach_metrics(ctx.run.pool.metrics());
+        if let Some(cache) = &ctx.run.eval_cache {
             evaluator.attach_cache(cache);
         }
-        let tracker =
-            BudgetTracker::start_with(ctx.budget, ctx.cancel.clone(), ctx.progress.clone());
+        let tracker = BudgetTracker::start_in(&ctx.run);
         fault::hit("tam.rectpack");
 
-        if let Some(p) = &ctx.progress {
+        if let Some(p) = &ctx.run.progress {
             p.set_phase("rect-pack place");
         }
         let table = evaluator.time_table();
         let (mut bins, mut used_width) = place(ctx, table, &tracker);
-        if let Some(p) = &ctx.progress {
+        if let Some(p) = &ctx.run.progress {
             p.set_phase("rect-pack widen");
         }
         widen(ctx, table, &tracker, &mut bins, &mut used_width);
@@ -255,7 +254,7 @@ impl TamBackend for RectPackBackend {
         let architecture = TestRailArchitecture::new(ctx.soc, rails)?;
         architecture.check_width(ctx.max_width)?;
         let evaluation = (*evaluator.evaluate_cached(architecture.rails())).clone();
-        if let Some(p) = &ctx.progress {
+        if let Some(p) = &ctx.run.progress {
             p.record_best(evaluation.t_total());
         }
         Ok(OptimizedArchitecture::from_parts(
@@ -316,7 +315,7 @@ mod tests {
         let soc = Benchmark::D695.soc();
         let groups = ctx_groups(&soc);
         let mut ctx = BackendCtx::new(&soc, 16, &groups);
-        ctx.budget = OptimizerBudget::default().with_max_iterations(2);
+        ctx.run.budget = OptimizerBudget::default().with_max_iterations(2);
         let result = backend_for(BackendKind::RectPack)
             .optimize(&ctx)
             .expect("degrades, never errors");
@@ -329,7 +328,7 @@ mod tests {
         let soc = Benchmark::P34392.soc();
         let groups = ctx_groups(&soc);
         let mut ctx = BackendCtx::new(&soc, 8, &groups);
-        ctx.budget = OptimizerBudget::default().with_max_iterations(0);
+        ctx.run.budget = OptimizerBudget::default().with_max_iterations(0);
         let result = backend_for(BackendKind::RectPack)
             .optimize(&ctx)
             .expect("fallback fill");
@@ -344,7 +343,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut ctx = BackendCtx::new(&soc, 16, &groups);
-        ctx.cancel = Some(token);
+        ctx.run.cancel = Some(token);
         let result = backend_for(BackendKind::RectPack)
             .optimize(&ctx)
             .expect("degrades");
@@ -357,7 +356,7 @@ mod tests {
         let soc = Benchmark::D695.soc();
         let groups = ctx_groups(&soc);
         let mut ctx = BackendCtx::new(&soc, 16, &groups);
-        ctx.budget = OptimizerBudget::default().with_deadline(Duration::ZERO);
+        ctx.run.budget = OptimizerBudget::default().with_deadline(Duration::ZERO);
         let result = backend_for(BackendKind::RectPack)
             .optimize(&ctx)
             .expect("degrades");
@@ -370,7 +369,7 @@ mod tests {
         let groups = ctx_groups(&soc);
         let progress = Arc::new(Progress::new());
         let mut ctx = BackendCtx::new(&soc, 16, &groups);
-        ctx.progress = Some(Arc::clone(&progress));
+        ctx.run.progress = Some(Arc::clone(&progress));
         let result = backend_for(BackendKind::RectPack)
             .optimize(&ctx)
             .expect("packs");
@@ -389,8 +388,8 @@ mod tests {
             .expect("serial run");
         for jobs in [2usize, 8] {
             let mut ctx = BackendCtx::new(&soc, 24, &groups);
-            ctx.pool = soctam_exec::Pool::new(jobs);
-            ctx.probe_pool = Some(soctam_exec::Pool::new(jobs));
+            ctx.run.pool = soctam_exec::Pool::new(jobs);
+            ctx.run.probe_pool = Some(soctam_exec::Pool::new(jobs));
             let run = backend_for(BackendKind::RectPack)
                 .optimize(&ctx)
                 .expect("pooled run");

@@ -27,6 +27,8 @@ use std::time::{Duration, Instant};
 
 use soctam_exec::{CancelToken, Progress};
 
+use crate::RunCtx;
+
 /// Work limits for a TAM optimization run. The default is unlimited.
 ///
 /// # Example
@@ -97,27 +99,26 @@ pub(crate) struct BudgetTracker {
 
 impl BudgetTracker {
     /// Starts tracking `budget`, anchoring the deadline at *now*.
-    /// Production callers go through `start_with`; tests use this
+    /// Production callers go through `start_in`; tests use this
     /// shorthand when neither cancellation nor progress matters.
     #[cfg(test)]
     pub(crate) fn start(budget: OptimizerBudget) -> Self {
-        Self::start_with(budget, None, None)
+        Self::start_in(&RunCtx {
+            budget,
+            ..RunCtx::default()
+        })
     }
 
-    /// Starts tracking `budget` with an optional cancellation token and
-    /// an optional progress sink counting committed iterations.
-    pub(crate) fn start_with(
-        budget: OptimizerBudget,
-        cancel: Option<CancelToken>,
-        progress: Option<Arc<Progress>>,
-    ) -> Self {
+    /// Starts tracking the budget of `run`, observing its cancellation
+    /// token and counting committed iterations into its progress sink.
+    pub(crate) fn start_in(run: &RunCtx) -> Self {
         BudgetTracker {
-            deadline: budget.deadline.map(|d| Instant::now() + d),
-            max_iterations: budget.max_iterations,
+            deadline: run.budget.deadline.map(|d| Instant::now() + d),
+            max_iterations: run.budget.max_iterations,
             iterations: AtomicU64::new(0),
             exhausted: AtomicBool::new(false),
-            cancel,
-            progress,
+            cancel: run.cancel.clone(),
+            progress: run.progress.clone(),
         }
     }
 
@@ -226,8 +227,10 @@ mod tests {
     #[test]
     fn cancellation_trips_like_an_exhausted_budget() {
         let token = CancelToken::new();
-        let tracker =
-            BudgetTracker::start_with(OptimizerBudget::unlimited(), Some(token.clone()), None);
+        let tracker = BudgetTracker::start_in(&RunCtx {
+            cancel: Some(token.clone()),
+            ..RunCtx::default()
+        });
         assert!(tracker.tick());
         assert!(tracker.within());
         assert!(!tracker.exhausted());
@@ -240,11 +243,10 @@ mod tests {
     #[test]
     fn progress_sink_counts_ticks_even_when_unlimited() {
         let progress = Arc::new(Progress::new());
-        let tracker = BudgetTracker::start_with(
-            OptimizerBudget::unlimited(),
-            None,
-            Some(Arc::clone(&progress)),
-        );
+        let tracker = BudgetTracker::start_in(&RunCtx {
+            progress: Some(Arc::clone(&progress)),
+            ..RunCtx::default()
+        });
         assert!(tracker.tick());
         assert!(tracker.tick());
         assert_eq!(progress.iterations(), 2);

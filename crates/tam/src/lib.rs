@@ -56,6 +56,7 @@ pub mod power;
 mod rail;
 mod render;
 pub mod report;
+mod run;
 mod schedule;
 
 pub use backend::{
@@ -73,6 +74,7 @@ pub use evaluator::{
 pub use optimizer::{Objective, OptimizedArchitecture, TamOptimizer};
 pub use rail::{TestRail, TestRailArchitecture};
 pub use render::{render_schedule, render_schedule_svg};
+pub use run::RunCtx;
 pub use schedule::{
     schedule_si_tests, schedule_si_tests_with, ScheduleOrder, ScheduledSiTest, SiSchedule,
 };

@@ -5,13 +5,13 @@ use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use soctam_exec::{fault, fx_fingerprint128, CancelToken, FaultError, Pool, Progress};
+use soctam_exec::{fault, fx_fingerprint128, FaultError, Pool};
 use soctam_model::{CoreId, Soc};
 
 use crate::budget::BudgetTracker;
 use crate::{
-    EvalCache, Evaluation, Evaluator, OptimizerBudget, RailEdit, RailEval, SiGroupSpec, SwapState,
-    TamError, TestRail, TestRailArchitecture,
+    Evaluation, Evaluator, RailEdit, RailEval, RunCtx, SiGroupSpec, SwapState, TamError, TestRail,
+    TestRailArchitecture,
 };
 
 /// What the optimizer minimizes.
@@ -58,7 +58,7 @@ impl OptimizedArchitecture {
         &self.evaluation
     }
 
-    /// True when the run hit its [`OptimizerBudget`] and returned the
+    /// True when the run hit its [`RunCtx::budget`] and returned the
     /// best-so-far architecture instead of a fully converged one. The
     /// architecture is still valid and feasible.
     pub fn degraded(&self) -> bool {
@@ -90,11 +90,9 @@ pub struct TamOptimizer<'a> {
     evaluator: Evaluator<'a>,
     max_width: u32,
     objective: Objective,
-    pool: Pool,
+    run: RunCtx,
+    /// `run.probe_pool`, or a private serial pool when that is unset.
     probe_pool: Pool,
-    budget: OptimizerBudget,
-    progress: Option<Arc<Progress>>,
-    cancel: Option<CancelToken>,
 }
 
 impl<'a> TamOptimizer<'a> {
@@ -106,29 +104,16 @@ impl<'a> TamOptimizer<'a> {
     /// [`TamError::ZeroWidthBudget`] when `max_width == 0`;
     /// [`TamError::CoreOutOfRange`] for groups referencing unknown cores.
     pub fn new(soc: &'a Soc, max_width: u32, groups: Vec<SiGroupSpec>) -> Result<Self, TamError> {
-        let pool = Pool::serial();
+        let run = RunCtx::default();
         let mut evaluator = Evaluator::new(soc, max_width, groups)?;
-        evaluator.attach_metrics(pool.metrics());
+        evaluator.attach_metrics(run.pool.metrics());
         Ok(TamOptimizer {
             evaluator,
             max_width,
             objective: Objective::Total,
-            pool,
+            run,
             probe_pool: Pool::serial(),
-            budget: OptimizerBudget::unlimited(),
-            progress: None,
-            cancel: None,
         })
-    }
-
-    /// Serves evaluation lookups from `cache`, a store shared across
-    /// runs (and, in a service, across requests). Results are
-    /// bit-identical with or without sharing; identical contexts get
-    /// warm cross-run cache hits. Call after [`TamOptimizer::pool`] —
-    /// attaching metrics leaves a shared store warm.
-    pub fn eval_cache(mut self, cache: &EvalCache) -> Self {
-        self.evaluator.attach_cache(cache);
-        self
     }
 
     /// Sets the optimization objective (builder style).
@@ -137,49 +122,23 @@ impl<'a> TamOptimizer<'a> {
         self
     }
 
-    /// Bounds the run's work (builder style). When the budget trips,
-    /// the optimizer stops improving and returns the best valid
-    /// architecture found so far, flagged
-    /// [`OptimizedArchitecture::degraded`].
-    pub fn budget(mut self, budget: OptimizerBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Runs candidate evaluations on `pool` (builder style). The result
-    /// is identical for every pool size: candidates are evaluated
-    /// speculatively in parallel but reduced in the serial visit order.
-    /// Cache hits and misses are counted into the pool's metrics.
-    pub fn pool(mut self, pool: Pool) -> Self {
-        self.evaluator.attach_metrics(pool.metrics());
-        self.pool = pool;
-        self
-    }
-
-    /// Runs speculative candidate probes of the four move loops on
-    /// `pool` (builder style). Probes are reduced in candidate order on
-    /// the calling thread, so — like [`TamOptimizer::pool`] — the
-    /// result is bit-identical for every probe-pool size.
-    pub fn probe_pool(mut self, pool: Pool) -> Self {
-        self.probe_pool = pool;
-        self
-    }
-
-    /// Publishes phase, probe-count and best-objective progress into
-    /// `progress` (builder style) for a live display such as the CLI
-    /// `--progress` ticker. Purely advisory; never affects results.
-    pub fn progress(mut self, progress: Arc<Progress>) -> Self {
-        self.progress = Some(progress);
-        self
-    }
-
-    /// Observes `cancel` at every budget checkpoint (builder style).
-    /// Once the token trips the run stops improving and returns its
-    /// best-so-far architecture flagged
-    /// [`OptimizedArchitecture::degraded`] — the same graceful path an
-    /// exhausted budget takes, never an error.
-    pub fn cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
+    /// Runs on the resources of `run` (builder style). Restarts run on
+    /// `run.pool`, whose metrics count cache hits, misses and probes;
+    /// the four move loops probe candidates on `run.probe_pool` and
+    /// reduce them in candidate order, so the result is bit-identical
+    /// for every pool size, and with or without the shared
+    /// `run.eval_cache`. Once `run.budget` or `run.cancel` trips, the
+    /// run returns its best valid architecture so far, flagged
+    /// [`OptimizedArchitecture::degraded`] — never an error.
+    pub fn run(mut self, run: RunCtx) -> Self {
+        // Metrics first: attaching them clears a private cache but
+        // leaves a shared store warm.
+        self.evaluator.attach_metrics(run.pool.metrics());
+        if let Some(cache) = &run.eval_cache {
+            self.evaluator.attach_cache(cache);
+        }
+        self.probe_pool = run.probe_pool.clone().unwrap_or_else(Pool::serial);
+        self.run = run;
         self
     }
 
@@ -214,7 +173,7 @@ impl<'a> TamOptimizer<'a> {
 
     /// Publishes the current optimizer phase to the progress sink.
     fn set_phase(&self, phase: &str) {
-        if let Some(p) = &self.progress {
+        if let Some(p) = &self.run.progress {
             p.set_phase(phase);
         }
     }
@@ -225,7 +184,7 @@ impl<'a> TamOptimizer<'a> {
     /// spurious improvements.
     fn publish_best(&self, cost: u64) {
         if self.objective == Objective::Total {
-            if let Some(p) = &self.progress {
+            if let Some(p) = &self.run.progress {
                 p.record_best(cost);
             }
         }
@@ -263,10 +222,10 @@ impl<'a> TamOptimizer<'a> {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let metrics = self.pool.metrics();
+        let metrics = self.run.pool.metrics();
         metrics.count_probe_batch();
         metrics.add_speculative_probes(candidates.len() as u64);
-        if let Some(p) = &self.progress {
+        if let Some(p) = &self.run.progress {
             p.add_probed(candidates.len() as u64);
         }
         let task = |cand: &T| -> Option<R> {
@@ -1003,20 +962,14 @@ impl<'a> TamOptimizer<'a> {
     /// # Errors
     ///
     /// Currently infallible after construction; the signature matches the
-    /// other fallible APIs. A tripped [`OptimizerBudget`] is *not* an
+    /// other fallible APIs. A tripped [`RunCtx::budget`] is *not* an
     /// error — the run returns its best-so-far architecture with
     /// [`OptimizedArchitecture::degraded`] set.
     pub fn optimize(&self) -> Result<OptimizedArchitecture, TamError> {
-        let tracker = self.start_tracker();
+        let tracker = BudgetTracker::start_in(&self.run);
         let mut result = self.optimize_tracked(&tracker)?;
         result.degraded = tracker.exhausted();
         Ok(result)
-    }
-
-    /// Builds the run's budget tracker, wiring in the cancellation
-    /// token and the progress sink (for checkpoint iteration counts).
-    fn start_tracker(&self) -> BudgetTracker {
-        BudgetTracker::start_with(self.budget, self.cancel.clone(), self.progress.clone())
     }
 
     fn optimize_tracked(&self, tracker: &BudgetTracker) -> Result<OptimizedArchitecture, TamError> {
@@ -1035,11 +988,8 @@ impl<'a> TamOptimizer<'a> {
             evaluator: self.evaluator.fork(),
             max_width: self.max_width,
             objective: Objective::InTestOnly,
-            pool: self.pool.clone(),
+            run: self.run.clone(),
             probe_pool: self.probe_pool.clone(),
-            budget: self.budget,
-            progress: self.progress.clone(),
-            cancel: self.cancel.clone(),
         };
         let secondary = alt.optimize_perturbed(0, tracker)?;
         let winner = if secondary.evaluation().t_total() < primary.evaluation().t_total() {
@@ -1080,7 +1030,7 @@ impl<'a> TamOptimizer<'a> {
     pub fn optimize_multi(&self, restarts: u32) -> Result<OptimizedArchitecture, TamError> {
         // One tracker for the whole multi-start run: the budget bounds the
         // total work, not each restart individually.
-        let tracker = self.start_tracker();
+        let tracker = BudgetTracker::start_in(&self.run);
         let mut best = self.optimize_tracked(&tracker)?;
         // Restarts are independent runs; farm them out and reduce in
         // perturbation order (ties keep the earlier start, exactly as
@@ -1094,7 +1044,7 @@ impl<'a> TamOptimizer<'a> {
         // (and thus the result) depend on the pool size. Deadline-only
         // and unlimited budgets keep the parallel fan-out.
         let candidates: Vec<Result<Option<OptimizedArchitecture>, TamError>> =
-            if self.budget.max_iterations.is_some() {
+            if self.run.budget.max_iterations.is_some() {
                 perturbations
                     .iter()
                     .map(|&p| {
@@ -1105,7 +1055,7 @@ impl<'a> TamOptimizer<'a> {
                     })
                     .collect()
             } else {
-                self.pool.par_map(&perturbations, |&p| {
+                self.run.pool.par_map(&perturbations, |&p| {
                     if !tracker.within() {
                         return Ok(None);
                     }
@@ -1375,6 +1325,7 @@ fn shuffle_cores(cores: &mut [CoreId], seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OptimizerBudget;
     use soctam_model::Benchmark;
 
     fn groups_for(soc: &Soc, patterns: u64) -> Vec<SiGroupSpec> {
@@ -1495,7 +1446,10 @@ mod tests {
         let soc = Benchmark::P34392.soc(); // 19 cores, wire budget below that
         let make = || TamOptimizer::new(&soc, 8, groups_for(&soc, 50)).expect("valid");
         let strangled = make()
-            .budget(OptimizerBudget::default().with_max_iterations(1))
+            .run(RunCtx {
+                budget: OptimizerBudget::default().with_max_iterations(1),
+                ..RunCtx::default()
+            })
             .optimize()
             .expect("degrades, does not fail");
         assert!(strangled.degraded());
@@ -1512,7 +1466,10 @@ mod tests {
         // The iteration cut-off is deterministic: a second strangled run
         // lands on the identical architecture.
         let again = make()
-            .budget(OptimizerBudget::default().with_max_iterations(1))
+            .run(RunCtx {
+                budget: OptimizerBudget::default().with_max_iterations(1),
+                ..RunCtx::default()
+            })
             .optimize()
             .expect("degrades, does not fail");
         assert_eq!(strangled.architecture(), again.architecture());
@@ -1528,7 +1485,10 @@ mod tests {
         let soc = Benchmark::D695.soc();
         let result = TamOptimizer::new(&soc, 16, groups_for(&soc, 100))
             .expect("valid")
-            .budget(OptimizerBudget::default().with_deadline(Duration::ZERO))
+            .run(RunCtx {
+                budget: OptimizerBudget::default().with_deadline(Duration::ZERO),
+                ..RunCtx::default()
+            })
             .optimize()
             .expect("degrades, does not fail");
         assert!(result.degraded());
@@ -1541,7 +1501,10 @@ mod tests {
         let soc = Benchmark::D695.soc();
         let result = TamOptimizer::new(&soc, 16, groups_for(&soc, 100))
             .expect("valid")
-            .budget(OptimizerBudget::default().with_max_iterations(2))
+            .run(RunCtx {
+                budget: OptimizerBudget::default().with_max_iterations(2),
+                ..RunCtx::default()
+            })
             .optimize_multi(4)
             .expect("degrades, does not fail");
         assert!(result.degraded());
@@ -1595,6 +1558,7 @@ mod tests {
 #[cfg(test)]
 mod rebalance_tests {
     use super::*;
+    use crate::OptimizerBudget;
     use soctam_model::{Benchmark, CoreId};
 
     #[test]

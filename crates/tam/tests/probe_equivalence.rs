@@ -20,7 +20,7 @@ use soctam_exec::fault::{self, FaultAction};
 use soctam_exec::Pool;
 use soctam_model::synth::{synth_soc, SynthConfig};
 use soctam_model::{Benchmark, Soc};
-use soctam_tam::{OptimizerBudget, SiGroupSpec, TamOptimizer};
+use soctam_tam::{OptimizerBudget, RunCtx, SiGroupSpec, TamOptimizer};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -74,14 +74,16 @@ fn optimize_with(
     budget: Option<OptimizerBudget>,
     probe_pool: Option<Pool>,
 ) -> (Vec<soctam_tam::TestRail>, u64, u64) {
-    let mut opt = TamOptimizer::new(soc, max_width, groups.to_vec()).expect("valid");
-    if let Some(budget) = budget {
-        opt = opt.budget(budget);
-    }
-    if let Some(pool) = probe_pool {
-        opt = opt.probe_pool(pool);
-    }
-    let result = opt.optimize().expect("optimizes");
+    let run = RunCtx {
+        probe_pool,
+        budget: budget.unwrap_or_default(),
+        ..RunCtx::default()
+    };
+    let result = TamOptimizer::new(soc, max_width, groups.to_vec())
+        .expect("valid")
+        .run(run)
+        .optimize()
+        .expect("optimizes");
     let eval = result.evaluation();
     (result.architecture().rails().to_vec(), eval.t_in, eval.t_si)
 }
@@ -179,8 +181,10 @@ fn errored_probe_counts_as_wasted_and_run_still_succeeds() {
     fault::set_after("tam.probe", FaultAction::Error, 5);
     let result = TamOptimizer::new(&soc, 16, groups)
         .expect("valid")
-        .pool(pool.clone())
-        .probe_pool(Pool::new(4))
+        .run(RunCtx {
+            probe_pool: Some(Pool::new(4)),
+            ..RunCtx::new(pool.clone())
+        })
         .optimize();
     fault::reset();
 

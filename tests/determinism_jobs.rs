@@ -11,10 +11,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use soctam::experiment::{run_table_opts, run_table_with, ExperimentConfig, TableOpts};
+use soctam::experiment::{run_table_in, run_table_with, ExperimentConfig};
 use soctam::{
-    BackendKind, Benchmark, OptimizerBudget, Pool, RandomPatternConfig, SiOptimizationResult,
-    SiOptimizer, SiPatternSet,
+    BackendKind, Benchmark, OptimizerBudget, Pool, RandomPatternConfig, RunCtx,
+    SiOptimizationResult, SiOptimizer, SiPatternSet,
 };
 
 const JOBS: [usize; 3] = [1, 4, 8];
@@ -24,6 +24,15 @@ const PROBE_JOBS: [usize; 3] = [1, 4, 8];
 fn job_grid() -> impl Iterator<Item = (usize, usize)> {
     JOBS.into_iter()
         .flat_map(|jobs| PROBE_JOBS.into_iter().map(move |probe| (jobs, probe)))
+}
+
+/// The run context of one grid point: a `jobs`-worker pool, plus a
+/// dedicated probe pool unless `probe_jobs` is 1 (the CLI's mapping).
+fn run_ctx(jobs: usize, probe_jobs: usize) -> RunCtx {
+    RunCtx {
+        probe_pool: (probe_jobs != 1).then(|| Pool::new(probe_jobs)),
+        ..RunCtx::new(Pool::new(jobs))
+    }
 }
 
 fn optimize_backend(
@@ -40,16 +49,14 @@ fn optimize_backend(
         &Pool::new(jobs),
     )
     .expect("valid patterns");
-    let mut opt = SiOptimizer::new(&soc)
+    SiOptimizer::new(&soc)
         .max_tam_width(16)
         .partitions(2)
         .seed(3)
-        .jobs(jobs)
-        .backend(backend);
-    if probe_jobs != 1 {
-        opt = opt.probe_jobs(probe_jobs);
-    }
-    opt.optimize(&set).expect("optimizes")
+        .backend(backend)
+        .run(run_ctx(jobs, probe_jobs))
+        .optimize(&set)
+        .expect("optimizes")
 }
 
 fn assert_identical_backend_runs(bench: Benchmark, patterns: usize, backend: BackendKind) {
@@ -116,16 +123,16 @@ fn optimize_budgeted(
         &Pool::new(jobs),
     )
     .expect("valid patterns");
-    let mut opt = SiOptimizer::new(&soc)
+    SiOptimizer::new(&soc)
         .max_tam_width(16)
         .partitions(2)
         .seed(3)
-        .jobs(jobs)
-        .budget(OptimizerBudget::unlimited().with_max_iterations(6));
-    if probe_jobs != 1 {
-        opt = opt.probe_jobs(probe_jobs);
-    }
-    opt.optimize(&set).expect("optimizes")
+        .run(RunCtx {
+            budget: OptimizerBudget::unlimited().with_max_iterations(6),
+            ..run_ctx(jobs, probe_jobs)
+        })
+        .optimize(&set)
+        .expect("optimizes")
 }
 
 /// An iteration-bounded budget must trip at the same point regardless of
@@ -187,11 +194,8 @@ fn experiment_table_is_bit_identical_across_jobs() {
     };
     let baseline = run_table_with(&soc, &config, &Pool::serial()).expect("runs");
     for (jobs, probe_jobs) in job_grid().skip(1) {
-        let opts = TableOpts {
-            probe_pool: (probe_jobs != 1).then(|| Pool::new(probe_jobs)),
-            ..TableOpts::default()
-        };
-        let table = run_table_opts(&soc, &config, &Pool::new(jobs), &opts).expect("runs");
+        let run = run_ctx(jobs, probe_jobs);
+        let table = run_table_in(&soc, &config, &run, BackendKind::TrArchitect).expect("runs");
         assert_eq!(
             table, baseline,
             "table diverges at jobs={jobs} probe-jobs={probe_jobs}"
