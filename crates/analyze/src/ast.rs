@@ -1,9 +1,11 @@
 //! A lightweight recursive-descent parser over the lexer's token
-//! stream, producing just enough AST for the interprocedural passes:
-//! function items (with byte spans and body token ranges), `impl`
-//! blocks (so methods carry their type), `mod` nesting, `use`
-//! declarations (for cross-crate call resolution) and every call
-//! expression inside each function body.
+//! stream, producing just enough AST for every pass: function items
+//! (with byte spans and body token ranges), `impl` blocks (so methods
+//! carry their type), `mod` nesting, `use` declarations (for
+//! cross-crate call resolution), every call expression and lock
+//! acquisition inside each function body, and the file-level facts the
+//! local lints read — test-item ranges, `use` ranges and inner
+//! attributes. It is the one walk that finds a file's structure.
 //!
 //! The parser never fails and never panics: malformed input degrades to
 //! fewer or sloppier items, which the over-approximate passes tolerate.
@@ -41,7 +43,9 @@ pub struct Call {
     /// Resolution shape.
     pub kind: CallKind,
     /// For [`CallKind::Path`]: the path segment directly before the
-    /// callee name (`Evaluator` in `Evaluator::new`). Empty otherwise.
+    /// callee name (`Evaluator` in `Evaluator::new`). For
+    /// [`CallKind::Method`]: `self` when the receiver is exactly `self`.
+    /// Empty otherwise.
     pub qualifier: String,
     /// Simple callee name.
     pub name: String,
@@ -54,6 +58,17 @@ pub struct Call {
     /// or `"as <ty>"` applied directly to the call result (ARITH-02).
     /// Empty when none.
     pub arith: String,
+}
+
+/// One lock acquisition inside a function body (see `lock_label`).
+#[derive(Clone, Debug)]
+pub(crate) struct Acq {
+    /// Normalized lock label.
+    pub(crate) label: String,
+    /// 1-based line.
+    pub(crate) line: usize,
+    /// Token index (orders acquisitions against calls).
+    pub(crate) tok: usize,
 }
 
 /// One parsed function (free function or method).
@@ -74,6 +89,8 @@ pub struct FnDef {
     pub body: Option<(usize, usize)>,
     /// Call expressions in the body, in token order.
     pub calls: Vec<Call>,
+    /// Lock acquisitions in the body, in token order.
+    pub(crate) acqs: Vec<Acq>,
 }
 
 /// One `use` declaration leaf: `use soctam_exec::FpKey` yields
@@ -90,11 +107,24 @@ pub struct UseDecl {
 /// Parse result for one file.
 #[derive(Clone, Debug, Default)]
 pub struct Ast {
+    /// Indices of non-comment tokens.
+    pub(crate) code: Vec<usize>,
     /// Every function item, in source order (nested functions are
-    /// separate entries; calls belong to the innermost function).
+    /// separate entries; calls and acquisitions belong to the innermost
+    /// function).
     pub fns: Vec<FnDef>,
     /// Flattened `use` declarations.
     pub uses: Vec<UseDecl>,
+    /// Inclusive token-index ranges of `#[test]` / `#[cfg(test)]` items,
+    /// from the attribute to the item's closing `}` or `;`. Sorted and
+    /// disjoint: an item nested in a test item is not listed again.
+    pub(crate) test_ranges: Vec<(usize, usize)>,
+    /// Inclusive token-index ranges of `use` declarations, from the
+    /// `use` keyword to its `;`.
+    pub(crate) use_ranges: Vec<(usize, usize)>,
+    /// Inner attributes (`#![...]`), their code tokens concatenated
+    /// without whitespace.
+    pub(crate) inner_attrs: Vec<String>,
 }
 
 /// Keywords that must not be mistaken for callee names.
@@ -141,7 +171,7 @@ fn is_keyword(s: &str) -> bool {
     )
 }
 
-/// Cast targets ARITH-02 treats as narrowing.
+/// Cast targets ARITH-01 and ARITH-02 treat as narrowing.
 pub(crate) const NARROW_CASTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "i64", "isize"];
 
 /// What a `{` opened, tracked on a stack so `}` pops the right thing.
@@ -180,7 +210,10 @@ pub fn parse(toks: &[Tok]) -> Ast {
         fn_stack: Vec::new(),
     };
     parser.run();
-    parser.ast
+    Ast {
+        code: parser.code,
+        ..parser.ast
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -231,6 +264,7 @@ impl<'a> Parser<'a> {
                 p + 1
             }
             _ => {
+                self.maybe_acq(p);
                 self.maybe_call(p);
                 p + 1
             }
@@ -257,14 +291,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Skips an outer or inner attribute starting at `#`.
-    fn skip_attr(&mut self, p: usize) -> usize {
+    /// Code position just past the attribute opening at `#` (outer
+    /// `#[..]` or inner `#![..]`), or `None` when `p` opens none.
+    fn attr_end(&self, p: usize) -> Option<usize> {
         let mut j = p + 1;
         if self.text(j) == "!" {
             j += 1;
         }
         if self.text(j) != "[" {
-            return p + 1;
+            return None;
         }
         let mut depth = 0i64;
         while j < self.code.len() {
@@ -273,14 +308,102 @@ impl<'a> Parser<'a> {
                 "]" => {
                     depth -= 1;
                     if depth <= 0 {
-                        return j + 1;
+                        return Some(j + 1);
                     }
                 }
                 _ => {}
             }
             j += 1;
         }
-        j
+        Some(j)
+    }
+
+    /// Skips an attribute starting at `#`, recording the text of an
+    /// inner attribute and the range of a test-gated item.
+    fn skip_attr(&mut self, p: usize) -> usize {
+        let Some(end) = self.attr_end(p) else {
+            return p + 1;
+        };
+        if self.text(p + 1) == "!" {
+            let text = self.code[p..end]
+                .iter()
+                .map(|&i| self.toks[i].text.as_str())
+                .collect();
+            self.ast.inner_attrs.push(text);
+        } else if self.is_test_gate(p + 1, end) {
+            let lo = self.code[p];
+            // An item nested in a test item is already covered.
+            if !self.ast.test_ranges.last().is_some_and(|&(_, hi)| lo <= hi) {
+                let hi = self.item_end(end);
+                self.ast.test_ranges.push((lo, hi));
+            }
+        }
+        end
+    }
+
+    /// Does the outer attribute whose `[` sits at `open` (and which ends
+    /// before `end`) gate its item on `test`? `#[test]` does, and so
+    /// does a `cfg` predicate that requires `test`: `all(..)` keeps the
+    /// requirement, while `not(..)` and `any(..)` release it.
+    fn is_test_gate(&self, open: usize, end: usize) -> bool {
+        if self.text(open + 1) == "test" {
+            return self.text(open + 2) == "]";
+        }
+        // Per open paren: does the predicate still require `test`? The
+        // outermost paren requires it only as `cfg(..)`.
+        let mut requires: Vec<bool> = Vec::new();
+        for j in open + 2..end {
+            match self.text(j) {
+                "(" => {
+                    let parent = requires.last().copied().unwrap_or(true);
+                    requires.push(parent && matches!(self.text(j - 1), "cfg" | "all"));
+                }
+                ")" => drop(requires.pop()),
+                "test" if requires.last() == Some(&true) => return true,
+                _ => {}
+            }
+        }
+        false
+    }
+
+    /// Token index of the last token of the item whose header starts at
+    /// code position `j`: further attributes are skipped, and the item
+    /// ends at the `}` matching its first top-level `{` or at a
+    /// top-level `;`. An unterminated item runs to the end of the file.
+    fn item_end(&self, mut j: usize) -> usize {
+        let eof = self.toks.len().saturating_sub(1);
+        let mut depth = 0i64;
+        while j < self.code.len() {
+            match self.text(j) {
+                "#" if depth == 0 => {
+                    j = self.attr_end(j).unwrap_or(j + 1);
+                    continue;
+                }
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth -= 1,
+                "{" if depth == 0 => {
+                    let mut braces = 0i64;
+                    while j < self.code.len() {
+                        match self.text(j) {
+                            "{" => braces += 1,
+                            "}" => {
+                                braces -= 1;
+                                if braces == 0 {
+                                    return self.code[j];
+                                }
+                            }
+                            _ => {}
+                        }
+                        j += 1;
+                    }
+                    return eof;
+                }
+                ";" if depth == 0 => return self.code[j],
+                _ => {}
+            }
+            j += 1;
+        }
+        eof
     }
 
     /// Parses a `use` declaration, flattening groups and renames.
@@ -299,7 +422,7 @@ impl<'a> Parser<'a> {
                     if !last_ident.is_empty() {
                         self.push_use(&last_ident, &root);
                     }
-                    return j + 1;
+                    break;
                 }
                 "{" => {
                     // The segment before a group is a module path, not
@@ -330,7 +453,10 @@ impl<'a> Parser<'a> {
             }
             j += 1;
         }
-        j
+        // The declaration ends at its `;`, or at the end of the file.
+        let hi = self.code.get(j).map_or(self.toks.len() - 1, |&i| i);
+        self.ast.use_ranges.push((self.code[p], hi));
+        j + 1
     }
 
     fn push_use(&mut self, leaf: &str, root: &str) {
@@ -458,6 +584,7 @@ impl<'a> Parser<'a> {
                         span: Span { lo, hi },
                         body: Some((self.code[j], self.code[j])),
                         calls: Vec::new(),
+                        acqs: Vec::new(),
                     });
                     let f = self.ast.fns.len() - 1;
                     self.scopes.push(ScopeKind::Fn(f));
@@ -474,6 +601,7 @@ impl<'a> Parser<'a> {
                         span: Span { lo, hi },
                         body: None,
                         calls: Vec::new(),
+                        acqs: Vec::new(),
                     });
                     return j + 1;
                 }
@@ -482,6 +610,20 @@ impl<'a> Parser<'a> {
             j += 1;
         }
         j
+    }
+
+    /// Records a lock acquisition at position `p` in the innermost open
+    /// function.
+    fn maybe_acq(&mut self, p: usize) {
+        let (Some(&f), Some(label)) = (self.fn_stack.last(), lock_label(self.toks, &self.code, p))
+        else {
+            return;
+        };
+        let tok = self.code[p];
+        let line = self.toks[tok].line;
+        if let Some(def) = self.ast.fns.get_mut(f) {
+            def.acqs.push(Acq { label, line, tok });
+        }
     }
 
     /// Records a call expression when the token at `p` is a callee name
@@ -504,7 +646,10 @@ impl<'a> Parser<'a> {
             return;
         }
         let (kind, qualifier) = if prev == "." {
-            (CallKind::Method, String::new())
+            let bare_self =
+                self.text(p.wrapping_sub(2)) == "self" && self.text(p.wrapping_sub(3)) != ".";
+            let qual = if bare_self { "self" } else { "" };
+            (CallKind::Method, qual.to_string())
         } else if prev == ":" && self.text(p.wrapping_sub(2)) == ":" {
             let q = p.wrapping_sub(3);
             let qual = match self.kind(q) {
@@ -609,6 +754,115 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// If the code token at position `p` (an index into `code`) is a lock
+/// acquisition, returns its normalized label: the argument path of a
+/// `lock_recover`/`lock_shard` helper call, `fault::registry` for
+/// `lock_registry`, or the receiver chain of `.lock()`/`.read()`/
+/// `.write()`, with index expressions normalized to `[_]`.
+fn lock_label(toks: &[Tok], code: &[usize], p: usize) -> Option<String> {
+    let tok = &toks[code[p]];
+    let next_is = |off: usize, s: &str| code.get(p + off).is_some_and(|&j| toks[j].text == s);
+    if tok.kind == TokKind::Ident
+        && (tok.text == "lock_recover" || tok.text == "lock_shard")
+        && next_is(1, "(")
+    {
+        // Helper call: label is the argument path.
+        let mut parts = Vec::new();
+        let mut j = p + 2;
+        let mut depth = 1i32;
+        while let Some(&ti) = code.get(j) {
+            match toks[ti].text.as_str() {
+                "(" => depth += 1,
+                ")" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                "&" | "mut" => {}
+                "[" => {
+                    // Normalize index expressions.
+                    let mut d = 1i32;
+                    j += 1;
+                    while let Some(&ui) = code.get(j) {
+                        match toks[ui].text.as_str() {
+                            "[" => d += 1,
+                            "]" => {
+                                d -= 1;
+                                if d == 0 {
+                                    break;
+                                }
+                            }
+                            _ => {}
+                        }
+                        j += 1;
+                    }
+                    parts.push("[_]".to_string());
+                }
+                t => parts.push(t.to_string()),
+            }
+            j += 1;
+        }
+        return Some(parts.concat());
+    }
+    if tok.kind == TokKind::Ident && tok.text == "lock_registry" && next_is(1, "(") {
+        return Some("fault::registry".to_string());
+    }
+    // Method form: `<receiver>.lock()` / `.read()` / `.write()`.
+    if tok.kind == TokKind::Punct && tok.text == "." {
+        let method = code.get(p + 1).map(|&j| &toks[j]);
+        let is_acq = method.is_some_and(|m| {
+            m.kind == TokKind::Ident && matches!(m.text.as_str(), "lock" | "read" | "write")
+        });
+        if is_acq && next_is(2, "(") && next_is(3, ")") {
+            // Walk backwards over the receiver chain.
+            let mut parts: Vec<String> = Vec::new();
+            let mut j = p;
+            while j > 0 {
+                let prev = &toks[code[j - 1]];
+                match (prev.kind, prev.text.as_str()) {
+                    (TokKind::Ident, t) => {
+                        parts.push(t.to_string());
+                        j -= 1;
+                    }
+                    (TokKind::Punct, "." | ":") => {
+                        parts.push(prev.text.clone());
+                        j -= 1;
+                    }
+                    (TokKind::Punct, "]") => {
+                        // Normalize `[expr]` and continue left.
+                        let mut d = 1i32;
+                        j -= 1;
+                        while j > 0 {
+                            let t = &toks[code[j - 1]];
+                            match t.text.as_str() {
+                                "]" => d += 1,
+                                "[" => {
+                                    d -= 1;
+                                    if d == 0 {
+                                        break;
+                                    }
+                                }
+                                _ => {}
+                            }
+                            j -= 1;
+                        }
+                        j -= 1;
+                        parts.push("[_]".to_string());
+                    }
+                    _ => break,
+                }
+            }
+            if parts.is_empty() {
+                return None;
+            }
+            parts.reverse();
+            return Some(parts.concat());
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,6 +870,28 @@ mod tests {
 
     fn parse_src(src: &str) -> Ast {
         parse(&lex(src))
+    }
+
+    /// Each inclusive token range as the source text it spans.
+    fn spans<'s>(src: &'s str, ranges: &[(usize, usize)]) -> Vec<&'s str> {
+        let toks = lex(src);
+        ranges
+            .iter()
+            .map(|&(lo, hi)| &src[toks[lo].lo..toks[hi].hi()])
+            .collect()
+    }
+
+    /// Names of the functions inside a test item.
+    fn test_fns(ast: &Ast) -> Vec<&str> {
+        ast.fns
+            .iter()
+            .filter(|f| {
+                ast.test_ranges
+                    .iter()
+                    .any(|&(lo, hi)| lo <= f.tok && f.tok <= hi)
+            })
+            .map(|f| f.name.as_str())
+            .collect()
     }
 
     #[test]
@@ -639,8 +915,10 @@ mod tests {
 
     #[test]
     fn call_kinds_and_qualifiers() {
-        let ast =
-            parse_src("fn f() { plain(); Type::assoc(); a::b::nested(); recv.method(); mac!(x); }");
+        let ast = parse_src(
+            "fn f() { plain(); Type::assoc(); a::b::nested(); recv.method(); mac!(x); \
+             self.own(); self.field.other(); }",
+        );
         let calls = &ast.fns[0].calls;
         let summary: Vec<(CallKind, &str, &str)> = calls
             .iter()
@@ -653,8 +931,91 @@ mod tests {
                 (CallKind::Path, "Type", "assoc"),
                 (CallKind::Path, "b", "nested"),
                 (CallKind::Method, "", "method"),
+                (CallKind::Method, "self", "own"),
+                (CallKind::Method, "", "other"),
             ]
         );
+    }
+
+    #[test]
+    fn test_items_run_from_the_attribute_to_the_item_end() {
+        let src = "#[cfg(test)]\nuse x::y;\n\
+                   #[cfg(test)]\nconst T: [u8; 3] = [1, 2, 3];\n\
+                   fn prod() {}\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+        let ast = parse_src(src);
+        assert_eq!(
+            spans(src, &ast.test_ranges),
+            [
+                "#[cfg(test)]\nuse x::y;",
+                "#[cfg(test)]\nconst T: [u8; 3] = [1, 2, 3];",
+                "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}",
+            ]
+        );
+        assert_eq!(test_fns(&ast), ["t"]);
+    }
+
+    #[test]
+    fn only_a_required_test_predicate_gates_an_item() {
+        let ast = parse_src(
+            "#[cfg(not(test))] fn a() {}\n\
+             #[cfg(any(test, feature = \"x\"))] fn b() {}\n\
+             #[cfg(all(test, feature = \"x\"))] fn c() {}\n\
+             #[cfg(all(unix, not(test)))] fn d() {}\n\
+             #[cfg_attr(test, allow(dead_code))] fn e() {}\n\
+             #[test] fn f() {}\n",
+        );
+        assert_eq!(test_fns(&ast), ["c", "f"]);
+    }
+
+    #[test]
+    fn use_ranges_cover_pub_grouped_and_nested_imports() {
+        let src = "pub use a::b;\nuse std::{fmt, io::{self, Read}};\nfn f() { use c::d; }\n";
+        let ast = parse_src(src);
+        assert_eq!(
+            spans(src, &ast.use_ranges),
+            [
+                "use a::b;",
+                "use std::{fmt, io::{self, Read}};",
+                "use c::d;"
+            ]
+        );
+    }
+
+    #[test]
+    fn inner_attributes_are_recorded_without_whitespace() {
+        let ast = parse_src(
+            "#![forbid(unsafe_code)]\n\
+             #![cfg_attr(test, allow(clippy::unwrap_used))]\n\
+             #[derive(Debug)]\nstruct S;\n",
+        );
+        assert_eq!(
+            ast.inner_attrs,
+            [
+                "#![forbid(unsafe_code)]",
+                "#![cfg_attr(test,allow(clippy::unwrap_used))]"
+            ]
+        );
+    }
+
+    #[test]
+    fn acquisitions_belong_to_the_innermost_fn() {
+        let ast = parse_src(
+            "fn outer(a: &Mutex<u8>) {\n\
+                 let _a = a.lock();\n\
+                 fn inner(b: &RwLock<u8>) { let _b = b.read(); }\n\
+                 let _c = lock_recover(&self.c[i]);\n\
+             }\n",
+        );
+        let acqs = |name: &str| -> Vec<(String, usize)> {
+            let def = ast.fns.iter().find(|f| f.name == name).unwrap();
+            def.acqs.iter().map(|a| (a.label.clone(), a.line)).collect()
+        };
+        assert_eq!(
+            acqs("outer"),
+            [("a".to_string(), 2), ("self.c[_]".to_string(), 4)]
+        );
+        assert_eq!(acqs("inner"), [("b".to_string(), 3)]);
     }
 
     #[test]
@@ -758,6 +1119,12 @@ mod tests {
             "mod {",
             "fn f() { ( }",
             "# [ fn",
+            "#[cfg(",
+            "#![",
+            "#[test] fn",
+            "#[cfg(test)] mod m {",
+            "use a::{b",
+            "fn f() { x.lock(",
         ] {
             let _ = parse_src(src);
         }

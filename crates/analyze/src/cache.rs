@@ -22,7 +22,7 @@ use crate::ast::CallKind;
 use crate::facts::{Event, FileFacts, FindingRec, FnFact, WaiverRec};
 
 /// Format version tag; first line of every cache file.
-const VERSION: &str = "soctam-analyze-facts/1";
+const VERSION: &str = "soctam-analyze-facts/2";
 
 /// Cache file path for a workspace-relative display path.
 fn entry_path(dir: &Path, display_path: &str) -> PathBuf {

@@ -2,14 +2,14 @@
 //!
 //! [`build`] runs the lexer, the parser and every *local* (single-file)
 //! lint over one source file and distills the result into a
-//! [`FileFacts`] value — token-lint findings, waiver comments, `use`
+//! [`FileFacts`] value — local-lint findings, waiver comments, `use`
 //! resolution hints and one [`FnFact`] per function with its
 //! nondeterminism sources, fingerprint/golden sinks and the ordered
 //! lock-acquisition/call event stream. Everything the *global* passes
-//! (call graph, DET-10, LOCK-02, ARITH-02, LOCK-01) need is in here, so
-//! a warm engine run can skip lexing and parsing entirely by reloading
-//! facts from the on-disk cache (`cache` module), keyed by the file's
-//! content fingerprint.
+//! (call graph, DET-10, the LOCK-01/LOCK-02 lock-order search,
+//! ARITH-02) need is in here, so a warm engine run can skip lexing and
+//! parsing entirely by reloading facts from the on-disk cache (`cache`
+//! module), keyed by the file's content fingerprint.
 
 use soctam_exec::fx_fingerprint128;
 
@@ -41,13 +41,24 @@ pub struct FindingRec {
     pub message: String,
 }
 
+impl FindingRec {
+    pub(crate) fn new(lint: &str, line: usize, message: String) -> Self {
+        FindingRec {
+            lint: lint.to_string(),
+            line,
+            message,
+        }
+    }
+}
+
 /// One entry of a function's ordered event stream: lock acquisitions
-/// and call expressions, interleaved in source (token) order so LOCK-02
-/// can tell which locks are held at each call site.
+/// and call expressions, interleaved in source (token) order so the
+/// lock-order search can tell which locks are held at each call site.
 #[derive(Clone, Debug)]
 pub enum Event {
-    /// A `Mutex`/`RwLock` acquisition, labelled as in LOCK-01
-    /// (`self.`-prefixed labels are qualified by impl type in LOCK-02).
+    /// A `Mutex`/`RwLock` acquisition with its normalized label
+    /// (`self.`-prefixed labels are qualified by impl type in the
+    /// lock-order search).
     Acq {
         /// Normalized lock label.
         label: String,
@@ -162,33 +173,22 @@ pub fn is_quantity_fn(name: &str) -> bool {
 pub fn build(file: &SourceFile) -> FileFacts {
     let toks = lex(&file.source);
     let parsed = ast::parse(&toks);
-    let test_ranges = lints::test_ranges(&toks);
+    let test_ranges = &parsed.test_ranges;
     let in_test = |tok: usize| test_ranges.iter().any(|&(s, e)| s <= tok && tok <= e);
-    let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-
-    // Lock acquisitions, attributed to the innermost enclosing fn.
-    let mut acqs_per_fn: Vec<Vec<(usize, String, usize)>> = vec![Vec::new(); parsed.fns.len()];
-    for p in 0..code.len() {
-        let Some(label) = lints::lock_label(&toks, &code, p) else {
-            continue;
-        };
-        // A bare `self.lock()` is a helper-method call, not a mutex
-        // field acquisition — the call edge into the helper carries it.
-        if label == "self" {
-            continue;
-        }
-        let raw = code[p];
-        if let Some(f) = innermost_fn(&parsed.fns, raw) {
-            acqs_per_fn[f].push((raw, label, toks[raw].line));
-        }
-    }
 
     let mut fns = Vec::with_capacity(parsed.fns.len());
-    for (f, def) in parsed.fns.iter().enumerate() {
-        let mut events: Vec<(usize, Event)> = Vec::new();
-        for (raw, label, line) in acqs_per_fn[f].drain(..) {
-            events.push((raw, Event::Acq { label, line }));
-        }
+    for def in &parsed.fns {
+        // A bare `self.lock()` is a helper-method call, not a mutex
+        // field acquisition — the call edge into the helper carries it.
+        let mut events: Vec<(usize, Event)> = def
+            .acqs
+            .iter()
+            .filter(|a| a.label != "self")
+            .map(|a| {
+                let (label, line) = (a.label.clone(), a.line);
+                (a.tok, Event::Acq { label, line })
+            })
+            .collect();
         let mut sources: Vec<(String, usize)> = Vec::new();
         let mut sinks: Vec<(String, usize)> = Vec::new();
         let mut iter_call: Option<usize> = None;
@@ -197,7 +197,7 @@ pub fn build(file: &SourceFile) -> FileFacts {
             if call.kind == CallKind::Method && ITER_METHODS.contains(&call.name.as_str()) {
                 iter_call.get_or_insert(call.line);
             }
-            if let Some(event) = call_event(&toks, &code, call) {
+            if let Some(event) = call_event(call) {
                 events.push((call.tok, event));
             }
         }
@@ -236,7 +236,7 @@ pub fn build(file: &SourceFile) -> FileFacts {
         rel_path: file.rel_path.clone(),
         fp: fx_fingerprint128(&file.source),
         is_src: file.rel_path.starts_with("src/"),
-        findings: lints::local_findings(file, &toks),
+        findings: lints::local_findings(file, &toks, &parsed),
         waivers: parse_waivers(&toks),
         uses: parsed
             .uses
@@ -245,16 +245,6 @@ pub fn build(file: &SourceFile) -> FileFacts {
             .collect(),
         fns,
     }
-}
-
-/// Index of the innermost function whose body (token range, braces
-/// included) contains `raw`.
-fn innermost_fn(fns: &[ast::FnDef], raw: usize) -> Option<usize> {
-    fns.iter()
-        .enumerate()
-        .filter(|(_, d)| d.body.is_some_and(|(lo, hi)| lo <= raw && raw <= hi))
-        .min_by_key(|(_, d)| d.body.map(|(lo, hi)| hi - lo).unwrap_or(usize::MAX))
-        .map(|(i, _)| i)
 }
 
 /// Classifies one call as a DET-10 source and/or sink.
@@ -302,42 +292,24 @@ fn classify_call(
 }
 
 /// Converts a parsed call into a graph event, dropping primitive lock
-/// acquisitions (handled by [`Event::Acq`]) and tagging bare-`self`
-/// method calls so resolution can prefer the same impl block.
-fn call_event(toks: &[Tok], code: &[usize], call: &ast::Call) -> Option<Event> {
-    let mut qualifier = call.qualifier.clone();
-    if call.kind == CallKind::Method {
-        let bare_self = bare_self_receiver(toks, code, call.tok);
-        if matches!(call.name.as_str(), "lock" | "read" | "write") && !bare_self {
-            // `mutex.lock()` / `guard.read()`: the Acq event carries it.
-            return None;
-        }
-        if bare_self {
-            qualifier = "self".to_string();
-        }
+/// acquisitions (handled by [`Event::Acq`]). A bare-`self` method call
+/// keeps its `self` qualifier so resolution can prefer the same impl
+/// block.
+fn call_event(call: &ast::Call) -> Option<Event> {
+    if call.kind == CallKind::Method
+        && matches!(call.name.as_str(), "lock" | "read" | "write")
+        && call.qualifier != "self"
+    {
+        // `mutex.lock()` / `guard.read()`: the Acq event carries it.
+        return None;
     }
     Some(Event::Call {
         kind: call.kind,
-        qualifier,
+        qualifier: call.qualifier.clone(),
         name: call.name.clone(),
         line: call.line,
         arith: call.arith.clone(),
     })
-}
-
-/// Is the method call whose name token is `raw` of the form
-/// `self.name(...)` (receiver exactly `self`)?
-fn bare_self_receiver(toks: &[Tok], code: &[usize], raw: usize) -> bool {
-    let Ok(p) = code.binary_search(&raw) else {
-        return false;
-    };
-    let txt = |off: usize| {
-        p.checked_sub(off)
-            .and_then(|q| code.get(q))
-            .map(|&i| toks[i].text.as_str())
-            .unwrap_or("")
-    };
-    txt(1) == "." && txt(2) == "self" && txt(3) != "."
 }
 
 /// Does the function (signature included — a `HashMap`-typed parameter
@@ -489,10 +461,12 @@ mod tests {
     fn test_fns_are_flagged() {
         let f = file(
             "tam",
-            "fn prod() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n",
+            "fn prod() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n\
+             #[cfg(not(test))]\nfn shipped() {}\n",
         );
         let facts = build(&f);
         assert!(!facts.fns[0].is_test);
         assert!(facts.fns[1].is_test);
+        assert!(!facts.fns[2].is_test, "`not(test)` code ships");
     }
 }

@@ -8,8 +8,8 @@
 //! hand-rolled lexer (`lexer`) and recursive-descent parser (`ast`)
 //! turn every `.rs` file into per-file facts (`facts`); an
 //! over-approximate call graph (`graph`) links them; interprocedural
-//! passes (`passes`) and token-level lints (`lints::LINTS`) flag
-//! determinism and arithmetic hazards before they can reach an
+//! passes (`passes`) and local lints over each parse (`lints::LINTS`)
+//! flag determinism and arithmetic hazards before they can reach an
 //! evaluator run:
 //!
 //! | lint | hazard |
@@ -21,7 +21,7 @@
 //! | ARITH-01 | truncating casts / unchecked `+`,`*` on test times |
 //! | ARITH-02 | unchecked arithmetic on a quantity-returning call, interprocedurally |
 //! | UNSAFE-01 | `unsafe` outside `exec::pool` or missing `SAFETY:` |
-//! | LOCK-01 | inconsistent lock acquisition order in `exec` |
+//! | LOCK-01 | lock-order cycle inside functions in `exec`/`serve` |
 //! | LOCK-02 | lock-order cycle through calls made while a lock is held |
 //! | HEADER-01 | crate root missing the unified lint header |
 //! | WAIVER-01 | stale/malformed waiver comments |

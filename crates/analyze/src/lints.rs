@@ -17,6 +17,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::ast::{Ast, NARROW_CASTS};
+use crate::facts::FindingRec;
 use crate::lexer::{Tok, TokKind};
 
 /// Finding severity. Both fail the run; `Warning` marks hygiene lints
@@ -54,7 +56,7 @@ pub struct LintInfo {
 }
 
 /// The lint registry. Adding a lint means adding a row here plus a
-/// `match` arm in [`analyze`] — see DESIGN.md §13.
+/// pass wired into [`analyze`] — see DESIGN.md §13.
 pub const LINTS: &[LintInfo] = &[
     LintInfo {
         id: "DET-01",
@@ -94,9 +96,9 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         id: "LOCK-01",
         severity: Severity::Error,
-        summary: "inconsistent pairwise Mutex/RwLock acquisition order across \
-                  functions",
-        scope: "src/ of exec",
+        summary: "Mutex/RwLock lock-order cycle whose every edge lies inside \
+                  one function (no acquisition held across a call)",
+        scope: "src/ of exec, serve",
     },
     LintInfo {
         id: "DET-10",
@@ -111,7 +113,7 @@ pub const LINTS: &[LintInfo] = &[
         id: "LOCK-02",
         severity: Severity::Error,
         summary: "lock-order cycle with at least one acquisition held across \
-                  a call into another function (generalizes LOCK-01)",
+                  a call into another function",
         scope: "src/ of exec, serve",
     },
     LintInfo {
@@ -169,7 +171,7 @@ pub struct Finding {
     /// For waived findings: the waiver's written justification.
     pub waiver_reason: Option<String>,
     /// Call-path evidence for interprocedural lints (DET-10, LOCK-02,
-    /// ARITH-02); empty for token-level lints.
+    /// ARITH-02); empty for local lints and LOCK-01.
     pub path: Vec<PathStep>,
 }
 
@@ -238,7 +240,7 @@ const CLOCK_FREE_CRATES: &[&str] = &[
 /// DET-03 / ARITH-01 scope: the crates holding the paper's cost/time
 /// arithmetic.
 const TIME_MATH_CRATES: &[&str] = &["tam", "wrapper", "tester"];
-const CAST_CRATES: &[&str] = &["tam", "wrapper"];
+pub(crate) const CAST_CRATES: &[&str] = &["tam", "wrapper"];
 
 /// Identifiers treated as test-time quantities by ARITH-01's
 /// unchecked-operator heuristic (ARITH-02 extends this to function
@@ -255,212 +257,39 @@ pub(crate) fn is_time_quantity(ident: &str) -> bool {
 /// The waiver-comment tag (parsing lives in `facts::parse_waivers`).
 pub(crate) const WAIVER_TAG: &str = "soctam-analyze:";
 
-/// Computes token-index ranges belonging to `#[cfg(test)]` / `#[test]`
-/// items, so lints can skip test code.
-pub(crate) fn test_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::new();
-    let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-    let mut k = 0usize;
-    while k < code.len() {
-        if !is_test_attr(toks, &code, k) {
-            k += 1;
-            continue;
-        }
-        let attr_start = code[k];
-        // Skip this attribute and any further attributes / the item
-        // header up to the first `{` (item body) or `;` (bodyless item).
-        let mut j = skip_attr(toks, &code, k);
-        let mut depth_paren = 0i32;
-        let mut body_end = None;
-        while let Some(&ti) = code.get(j) {
-            match toks[ti].text.as_str() {
-                "#" if depth_paren == 0 => {
-                    j = skip_attr(toks, &code, j);
-                    continue;
-                }
-                "(" | "[" => depth_paren += 1,
-                ")" | "]" => depth_paren -= 1,
-                "{" if depth_paren == 0 => {
-                    let mut depth = 1i32;
-                    let mut m = j + 1;
-                    while let Some(&mi) = code.get(m) {
-                        match toks[mi].text.as_str() {
-                            "{" => depth += 1,
-                            "}" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        m += 1;
-                    }
-                    body_end = Some(*code.get(m).unwrap_or(&(toks.len() - 1)));
-                    k = m;
-                    break;
-                }
-                ";" if depth_paren == 0 => {
-                    body_end = Some(ti);
-                    k = j;
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        match body_end {
-            Some(end) => ranges.push((attr_start, end)),
-            None => ranges.push((attr_start, toks.len().saturating_sub(1))),
-        }
-        k += 1;
-    }
-    ranges
-}
-
-/// Is the code-token at position `k` (an index into `code`) the start of
-/// a `#[cfg(test)]` or `#[test]` attribute?
-fn is_test_attr(toks: &[Tok], code: &[usize], k: usize) -> bool {
-    let txt = |off: usize| code.get(k + off).map(|&i| toks[i].text.as_str());
-    if txt(0) != Some("#") || txt(1) != Some("[") {
-        return false;
-    }
-    match txt(2) {
-        Some("test") => txt(3) == Some("]"),
-        Some("cfg") => {
-            // Scan the attr for a bare `test` ident.
-            let mut j = k + 3;
-            let mut depth = 0i32;
-            while let Some(&ti) = code.get(j) {
-                match toks[ti].text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => {
-                        depth -= 1;
-                        if depth < 0 {
-                            break;
-                        }
-                    }
-                    "test" => return true,
-                    _ => {}
-                }
-                j += 1;
-            }
-            false
-        }
-        _ => false,
-    }
-}
-
-/// Skips an attribute starting at code position `k` (`#` token);
-/// returns the code position just past its closing `]`.
-fn skip_attr(toks: &[Tok], code: &[usize], k: usize) -> usize {
-    let mut j = k + 1; // at `[`
-    let mut depth = 0i32;
-    while let Some(&ti) = code.get(j) {
-        match toks[ti].text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
-/// Per-file context shared by the lint passes.
-struct FileCtx<'a> {
+/// What the local (single-file) lints read: the tokens and the one
+/// parse of the file.
+struct LocalCtx<'a> {
     file: &'a SourceFile,
     toks: &'a [Tok],
-    /// `toks[i]` lies inside a test item.
-    in_test: Vec<bool>,
-    /// `toks[i]` lies inside a `use` declaration.
-    in_use: Vec<bool>,
+    ast: &'a Ast,
+    /// `toks[i]` lies outside every test item and `use` declaration.
+    lintable: Vec<bool>,
     is_src: bool,
 }
 
-impl<'a> FileCtx<'a> {
-    fn new(file: &'a SourceFile, toks: &'a [Tok]) -> Self {
-        let mut in_test = vec![false; toks.len()];
-        for (start, end) in test_ranges(toks) {
-            for flag in in_test.iter_mut().take(end + 1).skip(start) {
-                *flag = true;
-            }
-        }
-        let mut in_use = vec![false; toks.len()];
-        let mut inside = false;
-        for (i, tok) in toks.iter().enumerate() {
-            if tok.is_comment() {
-                continue;
-            }
-            if !inside && tok.kind == TokKind::Ident && tok.text == "use" {
-                inside = true;
-            }
-            in_use[i] = inside;
-            if inside && tok.text == ";" {
-                inside = false;
-            }
-        }
-        let is_src = file.rel_path.starts_with("src/")
-            || file.rel_path == "src/lib.rs"
-            || file.rel_path == "src/main.rs";
-        FileCtx {
-            file,
-            toks,
-            in_test,
-            in_use,
-            is_src,
-        }
+/// Runs every local lint over one parsed file. The result is
+/// owned-string [`FindingRec`]s so it can live in the parse cache.
+pub(crate) fn local_findings(file: &SourceFile, toks: &[Tok], ast: &Ast) -> Vec<FindingRec> {
+    let mut lintable = vec![true; toks.len()];
+    for &(lo, hi) in ast.test_ranges.iter().chain(&ast.use_ranges) {
+        lintable[lo..=hi].fill(false);
     }
-
-    /// Non-test, non-`use` identifier positions.
-    fn lintable(&self, i: usize) -> bool {
-        !self.in_test[i] && !self.in_use[i]
-    }
-
-    fn finding(&self, lint: &'static str, line: usize, message: String) -> Finding {
-        Finding {
-            lint,
-            file: self.file.display_path.clone(),
-            line,
-            message,
-            waiver_reason: None,
-            path: Vec::new(),
-        }
-    }
-}
-
-/// Runs every single-file (token-level) lint over one file. The result
-/// is owned-string [`FindingRec`]s so it can live in the parse cache.
-pub(crate) fn local_findings(file: &SourceFile, toks: &[Tok]) -> Vec<crate::facts::FindingRec> {
-    let ctx = FileCtx::new(file, toks);
-    let mut raw = Vec::new();
-    det01(&ctx, &mut raw);
-    det02(&ctx, &mut raw);
-    det03(&ctx, &mut raw);
-    arith01(&ctx, &mut raw);
-    unsafe01(&ctx, &mut raw);
-    header01(&ctx, &mut raw);
-    raw.into_iter()
-        .map(|f| crate::facts::FindingRec {
-            lint: f.lint.to_string(),
-            line: f.line,
-            message: f.message,
-        })
-        .collect()
-}
-
-/// One lock acquisition extracted by LOCK-01.
-#[derive(Clone, Debug)]
-pub(crate) struct LockAcq {
-    pub file: String,
-    pub line: usize,
-    pub func: String,
-    pub label: String,
+    let ctx = LocalCtx {
+        file,
+        toks,
+        ast,
+        lintable,
+        is_src: file.rel_path.starts_with("src/"),
+    };
+    let mut out = Vec::new();
+    det01(&ctx, &mut out);
+    det02(&ctx, &mut out);
+    det03(&ctx, &mut out);
+    arith01(&ctx, &mut out);
+    unsafe01(&ctx, &mut out);
+    header01(&ctx, &mut out);
+    out
 }
 
 /// Runs every applicable lint over `files` and resolves waivers.
@@ -479,7 +308,6 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
 /// (interprocedural) passes over the call graph, deduplication, waiver
 /// resolution and waiver-staleness accounting.
 pub(crate) fn analyze_facts(facts: &[crate::facts::FileFacts]) -> Analysis {
-    use crate::facts::Event;
     let mut out = Analysis::default();
 
     let mut raw: Vec<Finding> = Vec::new();
@@ -500,41 +328,10 @@ pub(crate) fn analyze_facts(facts: &[crate::facts::FileFacts]) -> Analysis {
         }
     }
 
-    // LOCK-01: same-function pairwise inversions, from the per-function
-    // event streams.
-    let mut lock_seqs: Vec<Vec<LockAcq>> = Vec::new();
-    for file in facts {
-        if file.crate_dir != "exec" || !file.is_src {
-            continue;
-        }
-        for f in &file.fns {
-            if f.is_test {
-                continue;
-            }
-            let seq: Vec<LockAcq> = f
-                .events
-                .iter()
-                .filter_map(|e| match e {
-                    Event::Acq { label, line } => Some(LockAcq {
-                        file: file.display_path.clone(),
-                        line: *line,
-                        func: f.name.clone(),
-                        label: label.clone(),
-                    }),
-                    Event::Call { .. } => None,
-                })
-                .collect();
-            if !seq.is_empty() {
-                lock_seqs.push(seq);
-            }
-        }
-    }
-    raw.extend(lock01(&lock_seqs));
-
     // Interprocedural passes over the call graph.
     let graph = crate::graph::build(facts);
     raw.extend(crate::passes::det10(facts, &graph));
-    raw.extend(crate::passes::lock02(facts, &graph));
+    raw.extend(crate::passes::lock_order(facts, &graph));
     raw.extend(crate::passes::arith02(facts, &graph));
 
     // Dedupe to one finding per (lint, file, line). DET-10 additionally
@@ -647,16 +444,16 @@ pub(crate) fn analyze_facts(facts: &[crate::facts::FileFacts]) -> Analysis {
     out
 }
 
-fn det01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+fn det01(ctx: &LocalCtx<'_>, out: &mut Vec<FindingRec>) {
     if !ctx.is_src || !DET_CRATES.contains(&ctx.file.crate_dir.as_str()) {
         return;
     }
     for (i, tok) in ctx.toks.iter().enumerate() {
         if tok.kind == TokKind::Ident
             && (tok.text == "HashMap" || tok.text == "HashSet")
-            && ctx.lintable(i)
+            && ctx.lintable[i]
         {
-            out.push(ctx.finding(
+            out.push(FindingRec::new(
                 "DET-01",
                 tok.line,
                 format!(
@@ -670,7 +467,7 @@ fn det01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-fn det02(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+fn det02(ctx: &LocalCtx<'_>, out: &mut Vec<FindingRec>) {
     if !ctx.is_src || !CLOCK_FREE_CRATES.contains(&ctx.file.crate_dir.as_str()) {
         return;
     }
@@ -679,7 +476,7 @@ fn det02(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         return;
     }
     for (i, tok) in ctx.toks.iter().enumerate() {
-        if tok.kind != TokKind::Ident || !ctx.lintable(i) {
+        if tok.kind != TokKind::Ident || !ctx.lintable[i] {
             continue;
         }
         let hazard = match tok.text.as_str() {
@@ -691,7 +488,7 @@ fn det02(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             _ => None,
         };
         if let Some(what) = hazard {
-            out.push(ctx.finding(
+            out.push(FindingRec::new(
                 "DET-02",
                 tok.line,
                 format!(
@@ -704,12 +501,12 @@ fn det02(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-fn det03(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+fn det03(ctx: &LocalCtx<'_>, out: &mut Vec<FindingRec>) {
     if !ctx.is_src || !TIME_MATH_CRATES.contains(&ctx.file.crate_dir.as_str()) {
         return;
     }
     for (i, tok) in ctx.toks.iter().enumerate() {
-        if !ctx.lintable(i) {
+        if !ctx.lintable[i] {
             continue;
         }
         let hit = match tok.kind {
@@ -718,7 +515,7 @@ fn det03(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             _ => false,
         };
         if hit {
-            out.push(ctx.finding(
+            out.push(FindingRec::new(
                 "DET-03",
                 tok.line,
                 format!(
@@ -731,16 +528,13 @@ fn det03(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-fn arith01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+fn arith01(ctx: &LocalCtx<'_>, out: &mut Vec<FindingRec>) {
     if !ctx.is_src || !CAST_CRATES.contains(&ctx.file.crate_dir.as_str()) {
         return;
     }
-    const NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "i64", "isize"];
-    let code: Vec<usize> = (0..ctx.toks.len())
-        .filter(|&i| !ctx.toks[i].is_comment())
-        .collect();
+    let code = &ctx.ast.code;
     for (p, &i) in code.iter().enumerate() {
-        if !ctx.lintable(i) {
+        if !ctx.lintable[i] {
             continue;
         }
         let tok = &ctx.toks[i];
@@ -748,8 +542,8 @@ fn arith01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         if tok.kind == TokKind::Ident && tok.text == "as" {
             if let Some(&j) = code.get(p + 1) {
                 let target = &ctx.toks[j];
-                if target.kind == TokKind::Ident && NARROW.contains(&target.text.as_str()) {
-                    out.push(ctx.finding(
+                if target.kind == TokKind::Ident && NARROW_CASTS.contains(&target.text.as_str()) {
+                    out.push(FindingRec::new(
                         "ARITH-01",
                         tok.line,
                         format!(
@@ -796,7 +590,7 @@ fn arith01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 .flatten()
                 .find(|id| is_time_quantity(id));
             if let Some(id) = operand {
-                out.push(ctx.finding(
+                out.push(FindingRec::new(
                     "ARITH-01",
                     tok.line,
                     format!(
@@ -813,12 +607,10 @@ fn arith01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// The single file where `unsafe` is tolerated, given a SAFETY comment.
 const UNSAFE_SANCTUARY: (&str, &str) = ("exec", "src/pool.rs");
 
-fn unsafe01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+fn unsafe01(ctx: &LocalCtx<'_>, out: &mut Vec<FindingRec>) {
     let sanctioned =
         ctx.file.crate_dir == UNSAFE_SANCTUARY.0 && ctx.file.rel_path == UNSAFE_SANCTUARY.1;
-    let code: Vec<usize> = (0..ctx.toks.len())
-        .filter(|&i| !ctx.toks[i].is_comment())
-        .collect();
+    let code = &ctx.ast.code;
     for (p, &i) in code.iter().enumerate() {
         let tok = &ctx.toks[i];
         if tok.kind != TokKind::Ident || tok.text != "unsafe" {
@@ -831,19 +623,17 @@ fn unsafe01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             continue;
         }
         if !sanctioned {
-            out.push(
-                ctx.finding(
-                    "UNSAFE-01",
-                    tok.line,
-                    "`unsafe` outside `exec::pool` — the pool is the workspace's \
+            out.push(FindingRec::new(
+                "UNSAFE-01",
+                tok.line,
+                "`unsafe` outside `exec::pool` — the pool is the workspace's \
                  only sanctioned unsafe module"
-                        .to_string(),
-                ),
-            );
+                    .to_string(),
+            ));
             continue;
         }
         if !has_safety_comment(ctx.toks, i, tok.line) {
-            out.push(ctx.finding(
+            out.push(FindingRec::new(
                 "UNSAFE-01",
                 tok.line,
                 "`unsafe` without a `SAFETY:` comment on the preceding lines".to_string(),
@@ -875,29 +665,11 @@ fn has_safety_comment(toks: &[Tok], unsafe_idx: usize, line: usize) -> bool {
     false
 }
 
-fn header01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+fn header01(ctx: &LocalCtx<'_>, out: &mut Vec<FindingRec>) {
     if ctx.file.rel_path != "src/lib.rs" {
         return;
     }
-    // Reconstruct inner attributes `#![...]`, whitespace-normalized.
-    let code: Vec<usize> = (0..ctx.toks.len())
-        .filter(|&i| !ctx.toks[i].is_comment())
-        .collect();
-    let mut attrs = Vec::new();
-    let mut p = 0usize;
-    while p + 2 < code.len() {
-        if ctx.toks[code[p]].text == "#" && ctx.toks[code[p + 1]].text == "!" {
-            let end = skip_attr_bang(ctx.toks, &code, p);
-            let text: String = code[p..end]
-                .iter()
-                .map(|&j| ctx.toks[j].text.as_str())
-                .collect();
-            attrs.push(text);
-            p = end;
-        } else {
-            p += 1;
-        }
-    }
+    let attrs = &ctx.ast.inner_attrs;
     let have = |needle: &str| attrs.iter().any(|a| a.contains(needle));
     let mut missing = Vec::new();
     if ctx.file.crate_dir == "exec" {
@@ -918,177 +690,10 @@ fn header01(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         missing.push("#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]");
     }
     for attr in missing {
-        out.push(ctx.finding(
+        out.push(FindingRec::new(
             "HEADER-01",
             1,
             format!("crate root is missing the unified lint header attribute `{attr}`"),
         ));
     }
-}
-
-/// Skips an inner attribute `#![...]` starting at code position `p`;
-/// returns the code position just past the closing `]`.
-fn skip_attr_bang(toks: &[Tok], code: &[usize], p: usize) -> usize {
-    let mut j = p + 2; // at `[`
-    let mut depth = 0i32;
-    while let Some(&ti) = code.get(j) {
-        match toks[ti].text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
-/// If the code token at position `p` (an index into `code`) is a lock
-/// acquisition, returns its normalized label. Shared by LOCK-01 (via
-/// the facts event stream) and the facts builder.
-pub(crate) fn lock_label(toks: &[Tok], code: &[usize], p: usize) -> Option<String> {
-    let tok = &toks[code[p]];
-    let next_is = |off: usize, s: &str| code.get(p + off).is_some_and(|&j| toks[j].text == s);
-    if tok.kind == TokKind::Ident
-        && (tok.text == "lock_recover" || tok.text == "lock_shard")
-        && next_is(1, "(")
-    {
-        // Helper call: label is the argument path.
-        let mut parts = Vec::new();
-        let mut j = p + 2;
-        let mut depth = 1i32;
-        while let Some(&ti) = code.get(j) {
-            match toks[ti].text.as_str() {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                "&" | "mut" => {}
-                "[" => {
-                    // Normalize index expressions.
-                    let mut d = 1i32;
-                    j += 1;
-                    while let Some(&ui) = code.get(j) {
-                        match toks[ui].text.as_str() {
-                            "[" => d += 1,
-                            "]" => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    parts.push("[_]".to_string());
-                }
-                t => parts.push(t.to_string()),
-            }
-            j += 1;
-        }
-        return Some(parts.concat());
-    }
-    if tok.kind == TokKind::Ident && tok.text == "lock_registry" && next_is(1, "(") {
-        return Some("fault::registry".to_string());
-    }
-    // Method form: `<receiver>.lock()` / `.read()` / `.write()`.
-    if tok.kind == TokKind::Punct && tok.text == "." {
-        let method = code.get(p + 1).map(|&j| &toks[j]);
-        let is_acq = method.is_some_and(|m| {
-            m.kind == TokKind::Ident && matches!(m.text.as_str(), "lock" | "read" | "write")
-        });
-        if is_acq && next_is(2, "(") && next_is(3, ")") {
-            // Walk backwards over the receiver chain.
-            let mut parts: Vec<String> = Vec::new();
-            let mut j = p;
-            while j > 0 {
-                let prev = &toks[code[j - 1]];
-                match (prev.kind, prev.text.as_str()) {
-                    (TokKind::Ident, t) => {
-                        parts.push(t.to_string());
-                        j -= 1;
-                    }
-                    (TokKind::Punct, "." | ":") => {
-                        parts.push(prev.text.clone());
-                        j -= 1;
-                    }
-                    (TokKind::Punct, "]") => {
-                        // Normalize `[expr]` and continue left.
-                        let mut d = 1i32;
-                        j -= 1;
-                        while j > 0 {
-                            let t = &toks[code[j - 1]];
-                            match t.text.as_str() {
-                                "]" => d += 1,
-                                "[" => {
-                                    d -= 1;
-                                    if d == 0 {
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                            j -= 1;
-                        }
-                        j -= 1;
-                        parts.push("[_]".to_string());
-                    }
-                    _ => break,
-                }
-            }
-            if parts.is_empty() {
-                return None;
-            }
-            parts.reverse();
-            return Some(parts.concat());
-        }
-    }
-    None
-}
-
-/// Flags inconsistent pairwise lock orderings across all sequences.
-fn lock01(seqs: &[Vec<LockAcq>]) -> Vec<Finding> {
-    // (first, second) -> earliest witnessing acquisition of `second`.
-    let mut pairs: BTreeMap<(String, String), LockAcq> = BTreeMap::new();
-    for seq in seqs {
-        for a in 0..seq.len() {
-            for b in (a + 1)..seq.len() {
-                if seq[a].label == seq[b].label {
-                    continue;
-                }
-                pairs
-                    .entry((seq[a].label.clone(), seq[b].label.clone()))
-                    .or_insert_with(|| seq[b].clone());
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for ((a, b), site) in &pairs {
-        if a < b {
-            if let Some(rev) = pairs.get(&(b.clone(), a.clone())) {
-                out.push(Finding {
-                    lint: "LOCK-01",
-                    file: site.file.clone(),
-                    line: site.line,
-                    message: format!(
-                        "lock order inversion: `{a}` is acquired before `{b}` \
-                         in fn `{}` ({}:{}), but `{b}` before `{a}` in fn `{}` \
-                         ({}:{})",
-                        site.func, site.file, site.line, rev.func, rev.file, rev.line
-                    ),
-                    waiver_reason: None,
-                    path: Vec::new(),
-                });
-            }
-        }
-    }
-    out
 }

@@ -1,6 +1,7 @@
-//! The interprocedural passes: DET-10 (determinism taint), LOCK-02
-//! (lock-order cycles across functions) and ARITH-02 (unchecked
-//! arithmetic on quantity-function results).
+//! The interprocedural passes: DET-10 (determinism taint), the
+//! lock-order cycle search (LOCK-01 within functions, LOCK-02 across
+//! calls) and ARITH-02 (unchecked arithmetic on quantity-function
+//! results).
 //!
 //! All three walk the [`crate::graph::CallGraph`] with `BTreeMap`-only
 //! state and deterministic iteration order, so the findings — including
@@ -22,7 +23,7 @@ const DET10_EXEMPT_CRATES: &[&str] = &["bench"];
 /// (mirrors DET-02's carve-out).
 const DET10_EXEMPT_FILES: &[(&str, &str)] = &[("exec", "src/metrics.rs")];
 
-/// LOCK-02 scope: the crates owning the workspace's locks.
+/// LOCK-01 / LOCK-02 scope: the crates owning the workspace's locks.
 const LOCK_CRATES: &[&str] = &["exec", "serve"];
 
 /// ARITH-02 scope: crates deriving pattern counts, widths and times.
@@ -30,7 +31,7 @@ const ARITH02_CRATES: &[&str] = &["tam", "wrapper", "patterns"];
 
 /// Crates where ARITH-01 already flags every bare narrowing cast, so
 /// ARITH-02 skips its `as` form there to avoid double-reporting.
-const ARITH01_CAST_CRATES: &[&str] = &["tam", "wrapper"];
+const ARITH01_CAST_CRATES: &[&str] = crate::lints::CAST_CRATES;
 
 fn det10_exempt_file(file: &FileFacts) -> bool {
     DET10_EXEMPT_FILES
@@ -185,11 +186,13 @@ fn qualify(label: &str, impl_type: &str) -> String {
     }
 }
 
-/// LOCK-02: builds the lock-order digraph with acquisitions held across
-/// call edges, finds cycles, and reports each cycle that needs at least
-/// one cross-function edge (same-function inversions stay LOCK-01's).
+/// The lock-order search: builds the label digraph with acquisitions
+/// held across call edges, finds its cycles (strongly connected label
+/// groups) and reports one finding per cycle — LOCK-02 when an edge of
+/// the cycle crosses a call, LOCK-01 when every edge lies inside one
+/// function.
 #[must_use]
-pub fn lock02(facts: &[FileFacts], graph: &CallGraph) -> Vec<Finding> {
+pub fn lock_order(facts: &[FileFacts], graph: &CallGraph) -> Vec<Finding> {
     let in_scope = |n: usize| {
         let f = graph.file(facts, n);
         f.is_src && LOCK_CRATES.contains(&f.crate_dir.as_str())
@@ -332,14 +335,50 @@ pub fn lock02(facts: &[FileFacts], graph: &CallGraph) -> Vec<Finding> {
             .iter()
             .filter(|((x, y), _)| scc.contains(&x) && scc.contains(&y))
             .collect();
-        let Some(&((held, acquired), w)) = internal.iter().find(|(_, w)| w.via.is_some()) else {
-            continue; // purely same-function: LOCK-01 territory
-        };
-        out.push(lock02_finding(
-            facts, graph, &locks, &scc, held, acquired, w,
-        ));
+        out.push(match internal.iter().find(|(_, w)| w.via.is_some()) {
+            Some(&((held, acquired), w)) => {
+                lock02_finding(facts, graph, &locks, &scc, held, acquired, w)
+            }
+            None => lock01_finding(facts, graph, &scc, &internal),
+        });
     }
     out
+}
+
+/// LOCK-01: a cycle with no call edge, reported at the witness of its
+/// first edge in label order; the message lists every edge's witness.
+fn lock01_finding(
+    facts: &[FileFacts],
+    graph: &CallGraph,
+    scc: &[&String],
+    internal: &[(&(String, String), &OrderWitness)],
+) -> Finding {
+    let file = |w: &OrderWitness| graph.file(facts, w.node).display_path.clone();
+    let edges: Vec<String> = internal
+        .iter()
+        .map(|((held, acquired), w)| {
+            let func = graph.fact(facts, w.node).qual_name();
+            format!(
+                "`{held}` before `{acquired}` in fn `{func}` ({}:{})",
+                file(w),
+                w.line
+            )
+        })
+        .collect();
+    let cycle: Vec<String> = scc.iter().map(|l| format!("`{l}`")).collect();
+    let first = internal.first().map(|&(_, w)| w);
+    Finding {
+        lint: "LOCK-01",
+        file: first.map(file).unwrap_or_default(),
+        line: first.map_or(0, |w| w.line),
+        message: format!(
+            "lock-order cycle among {{{}}} with every edge inside one function: {}",
+            cycle.join(", "),
+            edges.join(", "),
+        ),
+        waiver_reason: None,
+        path: Vec::new(),
+    }
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -1,12 +1,6 @@
-//! Meta-test (feature `self-check`): the analyzer must come back clean
-//! on the live workspace it ships in. Run with
-//! `cargo test -p soctam-analyze --features self-check`.
-//!
-//! Kept behind a feature so plain `cargo test` stays independent of the
-//! sibling crates' sources: the default suite exercises the analyzer
-//! only through its hermetic corpus.
+//! Meta-test: the analyzer must come back clean on the live workspace
+//! it ships in, and must catch a determinism bug seeded into it.
 
-#![cfg(feature = "self-check")]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::Path;
