@@ -79,9 +79,31 @@ body_has() {
 expect 200 "tool schema" get /v1/tools && body_has "tool schema" '"optimize"'
 expect 200 "healthz" get /healthz
 
-expect 200 "good optimize" post /v1/tools/optimize \
-    '{"soc":"d695","params":{"patterns":300,"width":16,"partitions":2}}' &&
+GOOD='{"soc":"d695","params":{"patterns":300,"width":16,"partitions":2}}'
+expect 200 "good optimize" post /v1/tools/optimize "$GOOD" &&
     body_has "good optimize" '"request_id"'
+# The request ID is the envelope's first field; the rest must repeat.
+sed 's/^{"request_id":"[^"]*",//' "$WORK/body" >"$WORK/first"
+
+# The same body again is served from the compaction memo: identical
+# output, and /metrics counts the hit.
+expect 200 "repeated optimize" post /v1/tools/optimize "$GOOD" &&
+    sed 's/^{"request_id":"[^"]*",//' "$WORK/body" >"$WORK/second"
+if ! grep -q '"output":"' "$WORK/first" || ! cmp -s "$WORK/first" "$WORK/second"; then
+    echo "FAIL [repeated optimize]: output differs from the first answer"
+    diff "$WORK/first" "$WORK/second" | sed 's/^/    /'
+    failures=$((failures + 1))
+else
+    echo "ok   [repeated optimize] -> byte-identical output"
+fi
+expect 200 "memo metrics" get /metrics
+memo_hits="$(grep -o '"memo_hits":[0-9]*' "$WORK/body" | cut -d: -f2)"
+if [ "${memo_hits:-0}" -lt 1 ]; then
+    echo "FAIL [memo metrics]: expected >= 1 memo hit, got '${memo_hits:-none}'"
+    failures=$((failures + 1))
+else
+    echo "ok   [memo metrics] -> $memo_hits memo hit(s)"
+fi
 
 expect 400 "broken JSON" post /v1/tools/optimize '{nope' &&
     body_has "broken JSON" '"usage"'

@@ -628,4 +628,54 @@ mod tests {
         // A tiny cache only costs recomputation, never correctness.
         assert_eq!(run(&capped).expect("runs"), unbounded);
     }
+
+    /// The `--stats` lines starting with `prefix`.
+    fn stats_lines(out: &str, prefix: &str) -> Vec<String> {
+        out.lines()
+            .filter(|line| line.trim_start().starts_with(prefix))
+            .map(str::to_owned)
+            .collect()
+    }
+
+    const STATS_RUN: &[&str] = &[
+        "optimize",
+        "d695",
+        "--patterns",
+        "300",
+        "--width",
+        "16",
+        "--partitions",
+        "2",
+        "--stats",
+    ];
+
+    #[test]
+    fn a_cache_cap_that_never_evicts_reports_the_same_cache_counts() {
+        let plain = run(&args(STATS_RUN)).expect("runs");
+        let mut capped = args(STATS_RUN);
+        capped.extend(args(&["--cache-cap", "10000000"]));
+        let capped = run(&capped).expect("runs");
+        let cache = stats_lines(&plain, "cache ");
+        assert_eq!(cache.len(), 1, "{plain}");
+        assert_eq!(stats_lines(&capped, "cache "), cache, "{capped}");
+        assert!(stats_lines(&capped, "cache evictions").is_empty());
+        // The capped run has a store, so it consults the compaction memo.
+        assert_eq!(
+            stats_lines(&capped, "compaction memo"),
+            ["  compaction memo: 0 hits / 1 misses"]
+        );
+        assert!(stats_lines(&plain, "compaction memo").is_empty());
+    }
+
+    #[test]
+    fn cache_cap_zero_is_unbounded() {
+        let plain = run(&args(STATS_RUN)).expect("runs");
+        let mut zero = args(STATS_RUN);
+        zero.extend(args(&["--cache-cap", "0"]));
+        let zero = run(&zero).expect("runs");
+        let rail_evals = stats_lines(&plain, "rail evals");
+        assert_eq!(rail_evals.len(), 1, "{plain}");
+        assert_eq!(stats_lines(&zero, "rail evals"), rail_evals, "{zero}");
+        assert!(stats_lines(&zero, "cache evictions").is_empty(), "{zero}");
+    }
 }

@@ -3,10 +3,14 @@
 use std::panic;
 use std::sync::Arc;
 
-use soctam_compaction::{compact_two_dimensional_with, CompactedSiTests, CompactionConfig};
-use soctam_exec::{fault, Metrics, Pool};
+use soctam_compaction::{
+    compact_two_dimensional_with, CompactedSiTests, CompactionConfig, CompactionError,
+};
+use soctam_exec::{fault, fx_fingerprint128, Metrics, Pool};
+use soctam_hypergraph::PartitionConfig;
+use soctam_model::parser::write_soc;
 use soctam_model::Soc;
-use soctam_patterns::SiPatternSet;
+use soctam_patterns::{PatternError, RandomPatternConfig, SiPatternSet};
 use soctam_tam::{
     backend_for, BackendCtx, BackendKind, Evaluation, Objective, OptimizedArchitecture, RunCtx,
     SiGroupSpec, TestRailArchitecture,
@@ -163,21 +167,7 @@ impl<'a> SiOptimizer<'a> {
     /// Forwards compaction and TAM errors ([`SoctamError`]);
     /// [`SoctamError::Validation`] when a stage boundary check fails.
     pub fn optimize(&self, patterns: &SiPatternSet) -> Result<SiOptimizationResult, SoctamError> {
-        self.soc.validate().into_result()?;
-        patterns.validate(self.soc).into_result()?;
-        let compacted = contain_panics("pipeline.compact", || {
-            self.metrics()
-                .time("compact", || {
-                    compact_two_dimensional_with(
-                        self.soc,
-                        patterns,
-                        &CompactionConfig::new(self.partitions).with_seed(self.seed),
-                        &self.run.pool,
-                    )
-                })
-                .map_err(SoctamError::from)
-        })?;
-        self.optimize_compacted(compacted)
+        self.optimize_compacted(self.compact(patterns)?)
     }
 
     /// Runs only the TAM-optimization half on already-compacted groups.
@@ -190,12 +180,28 @@ impl<'a> SiOptimizer<'a> {
         &self,
         compacted: CompactedSiTests,
     ) -> Result<SiOptimizationResult, SoctamError> {
+        let optimized = self.optimize_specs(&SiGroupSpec::from_compacted(&compacted))?;
+        Ok(SiOptimizationResult {
+            compacted,
+            optimized,
+        })
+    }
+
+    /// Runs the TAM-optimization half on the group specs the optimizer
+    /// reads (see [`SiOptimizer::group_specs`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`SiOptimizer::optimize_compacted`].
+    pub fn optimize_specs(
+        &self,
+        groups: &[SiGroupSpec],
+    ) -> Result<OptimizedArchitecture, SoctamError> {
         let optimized = contain_panics("pipeline.optimize", || {
-            let groups = SiGroupSpec::from_compacted(&compacted);
             let ctx = BackendCtx {
                 soc: self.soc,
                 max_width: self.max_tam_width,
-                groups: &groups,
+                groups,
                 objective: self.objective,
                 restarts: self.restarts,
                 run: self.run.clone(),
@@ -206,11 +212,145 @@ impl<'a> SiOptimizer<'a> {
             Ok(optimized)
         })?;
         optimized.evaluation().schedule.validate().into_result()?;
-        Ok(SiOptimizationResult {
-            compacted,
-            optimized,
+        Ok(optimized)
+    }
+
+    /// Generates the random SI patterns `patterns` describes, compacts
+    /// them and returns the group specs the optimizer reads, in group
+    /// order (remainder last).
+    ///
+    /// When the run carries a shared [`EvalCache`](soctam_tam::EvalCache),
+    /// the specs are memoized there under a fingerprint of every input
+    /// generation and compaction read: the SOC's contents, `patterns`
+    /// and the partition count and seed. Nothing else enters, so the
+    /// same request at another width, objective, backend or budget is a
+    /// hit. A hit skips generation, pattern validation and compaction
+    /// and records no `generate` or `compact` phase, but still
+    /// validates the SOC and passes the `patterns.generate.random` and
+    /// `compaction.partition` failpoints, so an armed site fails a
+    /// recalled request exactly as it fails a computed one. Only
+    /// successes are stored, and the specs are bit-identical either way.
+    ///
+    /// # Errors
+    ///
+    /// Generation, validation and compaction errors, as
+    /// [`SiPatternSet::random_with`] followed by
+    /// [`SiOptimizer::optimize`] report them.
+    pub fn group_specs(
+        &self,
+        patterns: &RandomPatternConfig,
+    ) -> Result<Arc<Vec<SiGroupSpec>>, SoctamError> {
+        let Some(cache) = &self.run.eval_cache else {
+            return self.generate_and_compact(patterns);
+        };
+        let key = group_specs_key(self.soc, patterns, &self.compaction_config());
+        if let Some(groups) = cache.groups(key) {
+            self.metrics().count_memo_hit();
+            fault::check("patterns.generate.random").map_err(PatternError::from)?;
+            self.soc.validate().into_result()?;
+            contain_panics("pipeline.compact", || {
+                fault::check("compaction.partition")
+                    .map_err(|fault| CompactionError::from(fault).into())
+            })?;
+            return Ok(groups);
+        }
+        self.metrics().count_memo_miss();
+        let groups = self.generate_and_compact(patterns)?;
+        contain_panics("pipeline.compact", || Ok(cache.insert_groups(key, groups)))
+    }
+
+    /// [`SiOptimizer::group_specs`] without the memo: generation under
+    /// the `generate` phase, then [`SiOptimizer::compact`].
+    fn generate_and_compact(
+        &self,
+        patterns: &RandomPatternConfig,
+    ) -> Result<Arc<Vec<SiGroupSpec>>, SoctamError> {
+        let raw = self.metrics().time("generate", || {
+            SiPatternSet::random_with(self.soc, patterns, &self.run.pool)
+        })?;
+        let compacted = self.compact(&raw)?;
+        Ok(Arc::new(SiGroupSpec::from_compacted(&compacted)))
+    }
+
+    /// Validates the SOC and `patterns`, then compacts them under the
+    /// `compact` phase with panic containment.
+    fn compact(&self, patterns: &SiPatternSet) -> Result<CompactedSiTests, SoctamError> {
+        self.soc.validate().into_result()?;
+        patterns.validate(self.soc).into_result()?;
+        contain_panics("pipeline.compact", || {
+            self.metrics()
+                .time("compact", || {
+                    compact_two_dimensional_with(
+                        self.soc,
+                        patterns,
+                        &self.compaction_config(),
+                        &self.run.pool,
+                    )
+                })
+                .map_err(SoctamError::from)
         })
     }
+
+    fn compaction_config(&self) -> CompactionConfig {
+        CompactionConfig::new(self.partitions).with_seed(self.seed)
+    }
+}
+
+/// The memo key of the group specs that generating `patterns` on `soc`
+/// and compacting them under `compaction` produce: a fingerprint of
+/// every input those two stages read. The SOC enters as its canonical
+/// ITC'02 text, so inline SOCs that share a name do not alias. The
+/// destructuring is exhaustive: a field added to any of the configs
+/// fails to compile here until it is keyed.
+fn group_specs_key(
+    soc: &Soc,
+    patterns: &RandomPatternConfig,
+    compaction: &CompactionConfig,
+) -> u128 {
+    let RandomPatternConfig {
+        count,
+        seed,
+        min_aggressors,
+        max_aggressors,
+        max_external_aggressors,
+        locality,
+        bus_lines,
+        bus_probability,
+    } = patterns;
+    let CompactionConfig {
+        partitions,
+        partition_config:
+            PartitionConfig {
+                parts,
+                imbalance,
+                seed: partition_seed,
+                initial_tries,
+                max_fm_passes,
+            },
+        merge_order,
+    } = compaction;
+    fx_fingerprint128(&(
+        write_soc(soc),
+        (
+            count,
+            seed,
+            min_aggressors,
+            max_aggressors,
+            max_external_aggressors,
+            locality,
+            bus_lines,
+            bus_probability.to_bits(),
+        ),
+        (
+            partitions,
+            parts,
+            imbalance.to_bits(),
+            partition_seed,
+            initial_tries,
+            max_fm_passes,
+            merge_order,
+        ),
+    ))
 }
 
 /// The outcome of [`SiOptimizer::optimize`].
@@ -262,8 +402,7 @@ impl SiOptimizationResult {
 mod tests {
     use super::*;
     use soctam_model::Benchmark;
-    use soctam_patterns::RandomPatternConfig;
-    use soctam_tam::OptimizerBudget;
+    use soctam_tam::{EvalCache, OptimizerBudget};
 
     #[test]
     fn pipeline_runs_on_every_benchmark() {
@@ -345,6 +484,127 @@ mod tests {
             .expect("degrades, does not fail");
         assert!(strangled.degraded());
         assert!(strangled.evaluation().schedule.validate().is_ok());
+    }
+
+    #[test]
+    fn group_specs_key_covers_every_input() {
+        let soc = Benchmark::D695.soc();
+        let patterns = RandomPatternConfig::new(100).with_seed(3);
+        let compaction = CompactionConfig::new(2).with_seed(3);
+        let base = group_specs_key(&soc, &patterns, &compaction);
+        assert_eq!(
+            group_specs_key(&soc.clone(), &patterns.clone(), &compaction.clone()),
+            base
+        );
+        let pattern_edits: [fn(&mut RandomPatternConfig); 8] = [
+            |c| c.count += 1,
+            |c| c.seed += 1,
+            |c| c.min_aggressors += 1,
+            |c| c.max_aggressors += 1,
+            |c| c.max_external_aggressors += 1,
+            |c| c.locality = None,
+            |c| c.bus_lines += 1,
+            |c| c.bus_probability = 0.25,
+        ];
+        for (field, edit) in pattern_edits.iter().enumerate() {
+            let mut changed = patterns.clone();
+            edit(&mut changed);
+            let key = group_specs_key(&soc, &changed, &compaction);
+            assert_ne!(key, base, "pattern field {field}");
+        }
+        let compaction_edits: [fn(&mut CompactionConfig); 7] = [
+            |c| c.partitions += 1,
+            |c| c.partition_config.parts += 1,
+            |c| c.partition_config.imbalance = 0.2,
+            |c| c.partition_config.seed += 1,
+            |c| c.partition_config.initial_tries += 1,
+            |c| c.partition_config.max_fm_passes += 1,
+            |c| c.merge_order = soctam_compaction::MergeOrder::MostCareBitsFirst,
+        ];
+        for (field, edit) in compaction_edits.iter().enumerate() {
+            let mut changed = compaction.clone();
+            edit(&mut changed);
+            let key = group_specs_key(&soc, &patterns, &changed);
+            assert_ne!(key, base, "compaction field {field}");
+        }
+        // The SOC enters by contents: one scan chain one cell longer,
+        // same name, is another key.
+        let core = |chains| soctam_model::CoreSpec::new("c", 8, 8, 0, chains, 10).expect("valid");
+        let soc_a = Soc::new("s", vec![core(vec![4, 4]), core(vec![6])]).expect("valid");
+        let soc_b = Soc::new("s", vec![core(vec![4, 5]), core(vec![6])]).expect("valid");
+        assert_ne!(
+            group_specs_key(&soc_a, &patterns, &compaction),
+            group_specs_key(&soc_b, &patterns, &compaction)
+        );
+    }
+
+    /// A run on a fresh serial pool sharing `cache`.
+    fn on_cache(cache: &EvalCache) -> RunCtx {
+        RunCtx {
+            eval_cache: Some(cache.clone()),
+            ..RunCtx::default()
+        }
+    }
+
+    #[test]
+    fn group_specs_are_recalled_across_widths_and_match_a_cold_compaction() {
+        let soc = Benchmark::D695.soc();
+        let config = RandomPatternConfig::new(300).with_seed(4);
+        let cache = EvalCache::new();
+        let optimizer = |width: u32, run: RunCtx| {
+            SiOptimizer::new(&soc)
+                .max_tam_width(width)
+                .partitions(2)
+                .seed(4)
+                .run(run)
+        };
+        let cold = optimizer(16, RunCtx::default())
+            .optimize(&SiPatternSet::random(&soc, &config).expect("valid"))
+            .expect("optimizes");
+        let cold_specs = SiGroupSpec::from_compacted(cold.compacted());
+
+        let first = optimizer(16, on_cache(&cache));
+        let computed = first.group_specs(&config).expect("compacts");
+        assert_eq!(&computed[..], &cold_specs[..]);
+        let snap = first.metrics().snapshot();
+        assert_eq!((snap.memo_hits, snap.memo_misses), (0, 1));
+        assert!(snap.phases.iter().any(|(name, _)| name == "compact"));
+
+        // Another width, budget and pool: a hit that records no
+        // generation or compaction phase.
+        let second = optimizer(32, on_cache(&cache));
+        let recalled = second.group_specs(&config).expect("recalls");
+        assert!(Arc::ptr_eq(&recalled, &computed));
+        let snap = second.metrics().snapshot();
+        assert_eq!((snap.memo_hits, snap.memo_misses), (1, 0));
+        assert!(snap.phases.is_empty(), "{:?}", snap.phases);
+
+        // The optimize half on recalled specs is the cold answer.
+        let warm = first.optimize_specs(&recalled).expect("optimizes");
+        assert_eq!(warm.evaluation(), cold.evaluation());
+        assert_eq!(warm.architecture(), cold.architecture());
+
+        // Another partition count is another key.
+        let other = SiOptimizer::new(&soc)
+            .partitions(1)
+            .seed(4)
+            .run(on_cache(&cache));
+        other.group_specs(&config).expect("compacts");
+        assert_eq!(other.metrics().snapshot().memo_misses, 1);
+    }
+
+    #[test]
+    fn group_specs_without_a_cache_compute_and_count_nothing() {
+        let soc = Benchmark::D695.soc();
+        let optimizer = SiOptimizer::new(&soc).partitions(2);
+        let config = RandomPatternConfig::new(200);
+        let specs = optimizer.group_specs(&config).expect("compacts");
+        assert_eq!(
+            &specs[..],
+            &optimizer.group_specs(&config).expect("compacts")[..]
+        );
+        let snap = optimizer.metrics().snapshot();
+        assert_eq!((snap.memo_hits, snap.memo_misses), (0, 0));
     }
 
     #[test]

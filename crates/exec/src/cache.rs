@@ -24,6 +24,11 @@
 //! so bounded and unbounded runs stay bit-identical. Long-running
 //! services (`soctam-serve`) rely on this to keep one warm cache alive
 //! across arbitrarily many requests without unbounded growth.
+//!
+//! The store counts only its evictions into a [`Metrics`] sink. Hits
+//! and misses are counted by the callers, which know what a lookup
+//! means: one logical lookup may take several store calls, and an
+//! insertion after a miss is not a second miss.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -87,6 +92,7 @@ fn lock_shard<K, V>(shard: &Shard<K, V>) -> MutexGuard<'_, ShardState<K, V>> {
 #[derive(Debug)]
 pub struct MemoCache<K, V> {
     shards: Box<[Shard<K, V>]>,
+    /// Sink for eviction counts.
     metrics: Option<Arc<Metrics>>,
     /// Maximum live entries per shard; `None` means unbounded.
     per_shard_cap: Option<usize>,
@@ -101,11 +107,6 @@ impl<K: Clone + Eq + Hash, V: Clone> MemoCache<K, V> {
         Self::build(shards, None, None)
     }
 
-    /// As [`MemoCache::new`], reporting hits and misses to `metrics`.
-    pub fn with_metrics(shards: usize, metrics: Arc<Metrics>) -> Self {
-        Self::build(shards, Some(metrics), None)
-    }
-
     /// Creates a cache holding at most `capacity` entries in total:
     /// each shard evicts its oldest entries (FIFO) beyond its share of
     /// the budget. `capacity` is rounded up to at least one entry per
@@ -114,8 +115,7 @@ impl<K: Clone + Eq + Hash, V: Clone> MemoCache<K, V> {
         Self::build(shards, None, Some(capacity))
     }
 
-    /// As [`MemoCache::bounded`], reporting hits, misses and evictions
-    /// to `metrics`.
+    /// As [`MemoCache::bounded`], counting evictions into `metrics`.
     pub fn bounded_with_metrics(shards: usize, capacity: usize, metrics: Arc<Metrics>) -> Self {
         Self::build(shards, Some(metrics), Some(capacity))
     }
@@ -166,13 +166,7 @@ impl<K: Clone + Eq + Hash, V: Clone> MemoCache<K, V> {
         fault::hit("exec.cache.lookup");
         let shard = self.shard(&key);
         if let Some(value) = lock_shard(shard).map.get(&key) {
-            if let Some(m) = &self.metrics {
-                m.count_cache_hit();
-            }
             return value.clone();
-        }
-        if let Some(m) = &self.metrics {
-            m.count_cache_miss();
         }
         let value = compute();
         let mut guard = lock_shard(shard);
@@ -273,18 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn reports_hits_and_misses() {
-        let metrics = Arc::new(Metrics::new());
-        let cache: MemoCache<u32, u32> = MemoCache::with_metrics(2, Arc::clone(&metrics));
-        cache.get_or_insert_with(1, || 10);
-        cache.get_or_insert_with(1, || 10);
-        cache.get_or_insert_with(2, || 20);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 2);
-    }
-
-    #[test]
     fn bounded_cache_never_exceeds_capacity() {
         // One shard so the global bound is exact.
         let cache: MemoCache<u64, u64> = MemoCache::bounded(1, 4);
@@ -310,8 +292,12 @@ mod tests {
         for i in 0..5u64 {
             cache.get_or_insert_with(i, || i);
         }
-        assert_eq!(metrics.snapshot().cache_evictions, 3);
+        cache.get_or_insert_with(4, || 4);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.cache_evictions, 3);
         assert_eq!(cache.evictions(), 3);
+        // Hits and misses belong to the callers; the store counts none.
+        assert_eq!((snap.cache_hits, snap.cache_misses), (0, 0));
     }
 
     #[test]

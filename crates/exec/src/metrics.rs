@@ -1,5 +1,6 @@
 //! Runtime observability: atomic counters and per-phase wall-clock
-//! timers, surfaced by the CLI `--stats` flag.
+//! timers, surfaced by the CLI `--stats` flag and the daemon's
+//! `/metrics`.
 //!
 //! A [`Metrics`] instance is shared (via `Arc`) between the thread
 //! pool, the memoization cache and the pipeline phases. Counters are
@@ -28,6 +29,8 @@ pub struct Metrics {
     speculative_probes: AtomicU64,
     probe_batches: AtomicU64,
     probe_wasted: AtomicU64,
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
     phases: Mutex<Vec<(String, Duration)>>,
 }
 
@@ -48,12 +51,14 @@ impl Metrics {
         self.steals.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a memoization-cache hit.
+    /// Records an evaluation-cache hit (an architecture evaluation
+    /// served from the memo store).
     pub fn count_cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a memoization-cache miss.
+    /// Records an evaluation-cache miss (an architecture evaluation
+    /// computed).
     pub fn count_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -115,6 +120,18 @@ impl Metrics {
         self.probe_wasted.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one request whose compacted SI groups were recalled from
+    /// the shared memo instead of generated and compacted.
+    pub fn count_memo_hit(&self) {
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one request that looked up the compaction memo, missed,
+    /// and generated and compacted its patterns.
+    pub fn count_memo_miss(&self) {
+        self.memo_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Times `f` and records the elapsed wall-clock under `name`.
     /// Repeated phases with the same name accumulate.
     pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
@@ -153,6 +170,8 @@ impl Metrics {
             speculative_probes: self.speculative_probes.load(Ordering::Relaxed),
             probe_batches: self.probe_batches.load(Ordering::Relaxed),
             probe_wasted: self.probe_wasted.load(Ordering::Relaxed),
+            memo_hits: self.memo_hits.load(Ordering::Relaxed),
+            memo_misses: self.memo_misses.load(Ordering::Relaxed),
             phases: self
                 .phases
                 .lock()
@@ -169,9 +188,10 @@ pub struct MetricsSnapshot {
     pub tasks_executed: u64,
     /// Tasks executed from a chunk other than the participant's own.
     pub steals: u64,
-    /// Memoization-cache hits.
+    /// Evaluation-cache hits (architecture evaluations served from
+    /// the memo store).
     pub cache_hits: u64,
-    /// Memoization-cache misses (evaluations actually computed).
+    /// Evaluation-cache misses (architecture evaluations computed).
     pub cache_misses: u64,
     /// Memoization-cache entries evicted by a capacity bound.
     pub cache_evictions: u64,
@@ -193,6 +213,10 @@ pub struct MetricsSnapshot {
     pub probe_batches: u64,
     /// Speculative probes discarded (budget exhausted or faulted).
     pub probe_wasted: u64,
+    /// Requests whose compacted SI groups came from the compaction memo.
+    pub memo_hits: u64,
+    /// Compaction-memo lookups that missed (the groups were computed).
+    pub memo_misses: u64,
     /// Accumulated wall-clock per named phase, in recording order.
     pub phases: Vec<(String, Duration)>,
 }
@@ -256,6 +280,13 @@ impl fmt::Display for MetricsSnapshot {
                 f,
                 "  probes         : {} speculative in {} batches ({} wasted)",
                 self.speculative_probes, self.probe_batches, self.probe_wasted
+            )?;
+        }
+        if self.memo_hits != 0 || self.memo_misses != 0 {
+            writeln!(
+                f,
+                "  compaction memo: {} hits / {} misses",
+                self.memo_hits, self.memo_misses
             )?;
         }
         for (name, elapsed) in &self.phases {
@@ -327,6 +358,22 @@ mod tests {
         assert!(!text.contains("rail evals"));
         assert!(!text.contains("schedule reuse"));
         assert!(!text.contains("probes"));
+        assert!(!text.contains("memo"));
+    }
+
+    #[test]
+    fn memo_counters_accumulate() {
+        let m = Metrics::new();
+        m.count_memo_miss();
+        m.count_memo_hit();
+        m.count_memo_hit();
+        let snap = m.snapshot();
+        assert_eq!((snap.memo_hits, snap.memo_misses), (2, 1));
+        // Memo lookups are not evaluator-cache lookups.
+        assert_eq!(snap.cache_hit_rate(), None);
+        assert!(snap
+            .to_string()
+            .contains("compaction memo: 2 hits / 1 misses"));
     }
 
     #[test]

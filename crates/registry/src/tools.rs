@@ -8,6 +8,16 @@
 //! `--stats` output itself; the daemon builds it from its startup pool
 //! and warm shared cache plus the job's cancel token and progress sink.
 //! Tools construct no pool and no cache.
+//!
+//! `optimize` gets its compacted SI groups from
+//! [`SiOptimizer::group_specs`], so when the context carries a shared
+//! cache (always in the daemon, with `--cache-cap` in the CLI) a request
+//! whose SOC contents, pattern count, seed and partition count were
+//! seen before skips generation and compaction at any width, objective,
+//! backend or budget. The memo stores group specs, never patterns, and
+//! its report is byte-identical to a cold run's. `simulate` needs the
+//! full compacted groups and `bounds`, `compact` and `table` keep their
+//! own paths, so only `optimize` consults the memo.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -124,8 +134,9 @@ const CACHE_CAP: ParamSpec = ParamSpec::new(
     "cache-cap",
     ParamKind::Usize,
     None,
-    "bound the evaluator cache to this many entries (FIFO eviction); \
-     ignored by the daemon, which sizes its shared cache at startup",
+    "bound the evaluator cache to this many entries (FIFO eviction; \
+     0 = unbounded); ignored by the daemon, which sizes its shared \
+     cache at startup",
 );
 
 static INFO_PARAMS: &[ParamSpec] = &[];
@@ -302,23 +313,12 @@ fn export_tool(soc: &Soc, _params: &ParamValues, _ctx: &RunCtx) -> Result<ToolOu
 }
 
 fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
-    let pool = &ctx.pool;
-    let patterns = pool
-        .metrics()
-        .time("generate", || {
-            SiPatternSet::random_with(
-                soc,
-                &RandomPatternConfig::new(params.usize("patterns")).with_seed(params.u64("seed")),
-                pool,
-            )
-        })
-        .map_err(pipeline_err)?;
     let objective = if params.bool("baseline") {
         Objective::InTestOnly
     } else {
         Objective::Total
     };
-    let result = SiOptimizer::new(soc)
+    let optimizer = SiOptimizer::new(soc)
         .max_tam_width(params.u32("width"))
         .partitions(params.u32("partitions"))
         .seed(params.u64("seed"))
@@ -327,9 +327,13 @@ fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOu
         .run(RunCtx {
             budget: budget_from(params),
             ..ctx.clone()
-        })
-        .optimize(&patterns)
+        });
+    let groups = optimizer
+        .group_specs(
+            &RandomPatternConfig::new(params.usize("patterns")).with_seed(params.u64("seed")),
+        )
         .map_err(pipeline_err)?;
+    let result = optimizer.optimize_specs(&groups).map_err(pipeline_err)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -337,8 +341,8 @@ fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOu
         "{}: N_r={} -> {} compacted patterns in {} groups",
         soc.name(),
         params.usize("patterns"),
-        result.compacted().total_patterns(),
-        result.compacted().groups().len()
+        groups.iter().map(SiGroupSpec::patterns).sum::<u64>(),
+        groups.len()
     );
     if result.degraded() {
         let _ = writeln!(

@@ -17,7 +17,8 @@ OPTIONS:
     --jobs <N>           worker threads (0 = all cores)      [default: 0]
     --max-inflight <N>   concurrent sync job limit
                          (0 = unlimited)                     [default: 0]
-    --cache-cap <N>      evaluator cache entry bound
+    --cache-cap <N>      shared cache entry bound: evaluations and
+                         memoized compactions
                          (0 = unbounded)                [default: 1048576]
     --queue-cap <N>      async job queue bound (0 = unbounded)
                                                             [default: 64]

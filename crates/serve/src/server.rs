@@ -5,7 +5,10 @@
 //! total parallelism, not per-request parallelism) and one warm
 //! [`EvalCache`]; identical sub-evaluations across requests — same SOC,
 //! same width budget, same groups — hit the cache instead of
-//! recomputing. Admission control caps concurrently-running synchronous
+//! recomputing, and an `optimize` request whose SOC, pattern count,
+//! seed and partition count were seen before recalls its compacted SI
+//! groups instead of generating and compacting again (`memo_hits` in
+//! `/metrics`). Admission control caps concurrently-running synchronous
 //! jobs and rejects the overflow with a structured `429` (carrying a
 //! `Retry-After` pacing hint) instead of queueing unboundedly.
 //!
@@ -54,8 +57,8 @@ pub struct ServerConfig {
     /// Maximum concurrently-running synchronous tool jobs; further
     /// requests get a structured 429. 0 = unlimited.
     pub max_inflight: usize,
-    /// Entry bound for the shared evaluator cache (FIFO eviction);
-    /// 0 = unbounded.
+    /// Entry bound for the shared cache — evaluations and memoized
+    /// compactions alike (FIFO eviction); 0 = unbounded.
     pub cache_cap: usize,
     /// Bound on the async job queue; overflow gets a structured 429
     /// with `Retry-After`. 0 = unbounded.
@@ -155,11 +158,7 @@ impl Server {
             message: format!("cannot resolve local address: {e}"),
         })?;
         let pool = Pool::new(config.jobs);
-        let cache = if config.cache_cap > 0 {
-            EvalCache::with_capacity_and_metrics(config.cache_cap, pool.metrics())
-        } else {
-            EvalCache::new()
-        };
+        let cache = EvalCache::with_capacity_and_metrics(config.cache_cap, pool.metrics());
         let (jobs, replay_note) = match &config.journal {
             Some(path) => {
                 let (journal, replay) = Journal::open(path).map_err(|e| ServeError {
@@ -906,6 +905,8 @@ fn metrics_json(state: &ServerState) -> Json {
                 ),
                 ("probe_batches", Json::Int(snapshot.probe_batches as i128)),
                 ("probe_wasted", Json::Int(snapshot.probe_wasted as i128)),
+                ("memo_hits", Json::Int(snapshot.memo_hits as i128)),
+                ("memo_misses", Json::Int(snapshot.memo_misses as i128)),
                 (
                     "phases",
                     Json::Arr(

@@ -41,11 +41,17 @@ const SPACE_MAKESPAN: u8 = 4;
 /// Cache namespace: objective costs of speculative wire
 /// redistributions, keyed by (candidate rails, freed wires, objective).
 const SPACE_DIST: u8 = 5;
+/// Cache namespace: compacted SI group lists, keyed by the caller's
+/// fingerprint of everything generation and compaction read (see
+/// [`EvalCache::groups`]). The only namespace an [`Evaluator`] never
+/// touches: its values are the input evaluators are built from.
+const SPACE_GROUPS: u8 = 6;
 
-/// One value of the shared evaluation store. All six logical caches
+/// One value of the shared evaluation store. All seven logical caches
 /// (rail components, assembled architectures, schedules, staircases,
-/// makespans, redistribution costs) live in a single sharded
-/// [`MemoCache`], disambiguated by the [`FpKey`] namespace tag.
+/// makespans, redistribution costs, compacted group lists) live in a
+/// single sharded [`MemoCache`], disambiguated by the [`FpKey`]
+/// namespace tag.
 #[derive(Clone, Debug)]
 enum Cached {
     Rail(Arc<RailEval>),
@@ -54,14 +60,23 @@ enum Cached {
     Used(Arc<Vec<u64>>),
     Makespan(u64),
     Cost(u64),
+    /// A thin `Arc<Vec<_>>`, not a fat `Arc<[_]>`: the wider pointer
+    /// would widen every slot of the store, 48 → 64 bytes.
+    Groups(Arc<Vec<SiGroupSpec>>),
 }
+
+// Every slot of the store holds one `Cached`: keep it two words.
+const _: () = assert!(std::mem::size_of::<Cached>() <= 2 * std::mem::size_of::<u64>());
 
 /// A shareable evaluation store, usable across many [`Evaluator`]s —
 /// and, in `soctam-serve`, across many requests: every key an
 /// evaluator issues is mixed with a fingerprint of its full evaluation
 /// context (SOC, width budget, SI groups), so evaluators with
 /// different contexts can share one warm store without aliasing while
-/// identical contexts get cross-run cache hits.
+/// identical contexts get cross-run cache hits. The same store also
+/// memoizes compacted SI group lists for the pipeline
+/// ([`EvalCache::groups`]), so a repeated request skips pattern
+/// generation and compaction.
 ///
 /// Cheap to clone (an `Arc` handle). An optional capacity bound evicts
 /// the oldest entries FIFO so a long-running service cannot grow
@@ -90,23 +105,46 @@ impl EvalCache {
         }
     }
 
-    /// Creates a shared store holding at most `capacity` entries;
-    /// beyond that the oldest entries are evicted (FIFO).
-    pub fn with_capacity(capacity: usize) -> Self {
-        EvalCache {
-            store: Arc::new(MemoCache::bounded(Self::SHARED_SHARDS, capacity)),
-        }
-    }
-
-    /// As [`EvalCache::with_capacity`], reporting hits, misses and
-    /// evictions to `metrics`.
+    /// Creates a shared store holding at most `capacity` entries, or
+    /// an unbounded one when `capacity` is 0. Beyond the bound the
+    /// oldest entries are evicted (FIFO), each counted into `metrics`.
+    /// Hits and misses are counted by the store's users, never by the
+    /// store.
     pub fn with_capacity_and_metrics(capacity: usize, metrics: Arc<Metrics>) -> Self {
+        if capacity == 0 {
+            return Self::new();
+        }
         EvalCache {
             store: Arc::new(MemoCache::bounded_with_metrics(
                 Self::SHARED_SHARDS,
                 capacity,
                 metrics,
             )),
+        }
+    }
+
+    /// The compacted SI group list memoized under `key`, if present.
+    /// `key` must fingerprint every input the list was computed from
+    /// (the pipeline's key covers the SOC contents, the pattern
+    /// generator's and the compactor's configurations).
+    pub fn groups(&self, key: u128) -> Option<Arc<Vec<SiGroupSpec>>> {
+        match self.store.get(&FpKey::new(SPACE_GROUPS, key)) {
+            Some(Cached::Groups(groups)) => Some(groups),
+            _ => None,
+        }
+    }
+
+    /// Memoizes `groups` under `key` and returns the stored list
+    /// (first insert wins under concurrency).
+    pub fn insert_groups(&self, key: u128, groups: Arc<Vec<SiGroupSpec>>) -> Arc<Vec<SiGroupSpec>> {
+        match self
+            .store
+            .get_or_insert_with(FpKey::new(SPACE_GROUPS, key), || {
+                Cached::Groups(Arc::clone(&groups))
+            }) {
+            Cached::Groups(stored) => stored,
+            // Namespaces are disjoint: SPACE_GROUPS only stores Groups.
+            _ => groups,
         }
     }
 
@@ -1320,6 +1358,69 @@ mod tests {
         let third = evaluator.evaluate_cached(other.rails());
         assert_eq!(*third, evaluator.evaluate(&other));
         assert_eq!(metrics.snapshot().cache_misses, 2);
+    }
+
+    #[test]
+    fn metrics_attached_shared_store_counts_like_a_private_one() {
+        // The store counts only evictions, so the evaluator's
+        // architecture-level counts are the only hits and misses.
+        let soc = Benchmark::D695.soc();
+        let rails = vec![
+            TestRail::new((0..5).map(c).collect(), 8).expect("valid"),
+            TestRail::new((5..10).map(c).collect(), 8).expect("valid"),
+        ];
+        let arch = TestRailArchitecture::new(&soc, rails).expect("valid");
+        let groups = vec![SiGroupSpec::new(soc.core_ids().collect(), 10)];
+        let metrics = Arc::new(Metrics::new());
+        let cache = EvalCache::with_capacity_and_metrics(1 << 10, Arc::clone(&metrics));
+        let mut evaluator = Evaluator::new(&soc, 16, groups).expect("valid");
+        evaluator.attach_cache(&cache);
+        evaluator.attach_metrics(Arc::clone(&metrics));
+
+        let first = evaluator.evaluate_cached(arch.rails());
+        let second = evaluator.evaluate_cached(arch.rails());
+        assert_eq!(first, second);
+        let snapshot = metrics.snapshot();
+        assert_eq!((snapshot.cache_misses, snapshot.cache_hits), (1, 1));
+
+        let other = TestRailArchitecture::new(
+            &soc,
+            vec![TestRail::new(soc.core_ids().collect(), 16).expect("valid")],
+        )
+        .expect("valid");
+        evaluator.evaluate_cached(other.rails());
+        assert_eq!(metrics.snapshot().cache_misses, 2);
+    }
+
+    #[test]
+    fn zero_capacity_means_unbounded() {
+        let metrics = Arc::new(Metrics::new());
+        assert_eq!(
+            EvalCache::with_capacity_and_metrics(0, Arc::clone(&metrics)).capacity(),
+            None
+        );
+        let bounded = EvalCache::with_capacity_and_metrics(1 << 10, metrics);
+        assert_eq!(bounded.capacity(), Some(1 << 10));
+    }
+
+    #[test]
+    fn group_lists_round_trip_without_aliasing() {
+        let soc = Benchmark::D695.soc();
+        let cache = EvalCache::new();
+        let list = Arc::new(vec![SiGroupSpec::new(soc.core_ids().collect(), 10)]);
+        assert!(cache.groups(7).is_none());
+        let stored = cache.insert_groups(7, Arc::clone(&list));
+        assert!(Arc::ptr_eq(&stored, &list));
+        // First insert wins.
+        let other = Arc::new(vec![SiGroupSpec::new(vec![c(0)], 3)]);
+        assert!(Arc::ptr_eq(&cache.insert_groups(7, other), &list));
+        assert!(cache.groups(8).is_none());
+        // Evaluator entries share the store and leave the list alone.
+        let mut evaluator = Evaluator::new(&soc, 16, list.to_vec()).expect("valid");
+        evaluator.attach_cache(&cache);
+        evaluator.component(8, &[c(0)]);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.groups(7), Some(list));
     }
 
     #[test]
