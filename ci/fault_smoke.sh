@@ -34,42 +34,49 @@ trap cleanup EXIT
 
 failures=0
 
-# run <failpoint-spec> <target> [extra flags...] — the optimize
+# run_tool <failpoint-spec> <tool> <target> [flags...] — the tool
 # invocation must exit 1 with the failing site named on stderr.
-run() {
-    local spec="$1" target="$2"
-    shift 2
+run_tool() {
+    local spec="$1" tool="$2" target="$3"
+    shift 3
     local site="${spec%%=*}"
     local stderr_file="$WORK/stderr"
 
-    SOCTAM_FAILPOINTS="$spec" "$BIN" optimize "$target" \
-        --patterns 500 --width 8 --partitions 2 "$@" \
+    SOCTAM_FAILPOINTS="$spec" "$BIN" "$tool" "$target" "$@" \
         >"$WORK/stdout" 2>"$stderr_file"
     local code=$?
 
     if [ "$code" -eq 101 ]; then
-        echo "FAIL [$spec]: process panicked (exit 101) instead of failing cleanly"
+        echo "FAIL [$spec $tool]: process panicked (exit 101) instead of failing cleanly"
         failures=$((failures + 1))
         return
     fi
     if [ "$code" -ne 1 ]; then
-        echo "FAIL [$spec]: expected exit 1, got $code"
+        echo "FAIL [$spec $tool]: expected exit 1, got $code"
         failures=$((failures + 1))
         return
     fi
     if ! grep -q "error:" "$stderr_file"; then
-        echo "FAIL [$spec]: stderr carries no structured error line"
+        echo "FAIL [$spec $tool]: stderr carries no structured error line"
         sed 's/^/    /' "$stderr_file"
         failures=$((failures + 1))
         return
     fi
     if ! grep -q "$site" "$stderr_file"; then
-        echo "FAIL [$spec]: stderr does not name the failing site '$site'"
+        echo "FAIL [$spec $tool]: stderr does not name the failing site '$site'"
         sed 's/^/    /' "$stderr_file"
         failures=$((failures + 1))
         return
     fi
-    echo "ok   [$spec] -> $(grep -m1 'error:' "$stderr_file")"
+    echo "ok   [$spec $tool] -> $(grep -m1 'error:' "$stderr_file")"
+}
+
+# run <failpoint-spec> <target> [extra flags...] — run_tool on the
+# optimize invocation.
+run() {
+    local spec="$1" target="$2"
+    shift 2
+    run_tool "$spec" optimize "$target" --patterns 500 --width 8 --partitions 2 "$@"
 }
 
 # One spec per shipped failpoint reachable from `soctam optimize`:
@@ -83,7 +90,18 @@ run "tam.merge=panic"                d695
 run "tam.rail_eval=panic"            d695
 run "tam.schedule=panic"             d695
 run "exec.cache.lookup=panic"        d695
+run "exec.pool.task=panic"           d695
 run "tam.rectpack=panic"             d695 --backend rect-pack
+
+# The other tools that draw random patterns fan generation out on the
+# pool and compaction over the buckets, so both panicking sites must
+# fail them cleanly too.
+for spec in "compaction.bucket=panic" "exec.pool.task=panic"; do
+    run_tool "$spec" table    d695 --patterns 500 --widths 8 --parts 1,2
+    run_tool "$spec" compact  d695 --patterns 500 --partitions 2
+    run_tool "$spec" bounds   d695 --patterns 500 --widths 8
+    run_tool "$spec" simulate d695 --patterns 500 --width 8 --partitions 2
+done
 
 # The rect-pack site lives only on the rect-pack path: armed against the
 # default backend it is never reached, so the run must succeed.

@@ -1,15 +1,20 @@
 //! Timing benches for the Section 3 compaction machinery: the greedy
-//! clique cover and the full two-dimensional pipeline.
+//! clique cover, the full two-dimensional pipeline and the front half of
+//! a request (pattern generation plus compaction).
 //!
 //! Pass `--json <path>` to additionally write the results as a JSON
 //! report (used by the CI perf-smoke job).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use soctam::compaction::{compact_greedy, compact_two_dimensional, CompactionConfig};
-use soctam::Benchmark;
-use soctam_bench::bench_patterns;
+use soctam::compaction::{
+    compact_greedy, compact_packed_with, compact_two_dimensional, compact_two_dimensional_with,
+    CompactionConfig,
+};
+use soctam::patterns::generate_random_packed;
+use soctam::{Benchmark, Pool, RandomPatternConfig, SiPatternSet};
 use soctam_bench::harness::{samples, Session};
+use soctam_bench::{bench_patterns, TABLE_SEED};
 
 fn main() {
     let mut session = Session::from_args();
@@ -50,5 +55,21 @@ fn main() {
             },
         );
     }
+    // The front half of an `optimize --patterns 100000 --partitions 4
+    // --jobs 2` request: generation straight into the packed arena plus
+    // the packed compaction, next to the sparse set plus the sparse
+    // entry it replaced. Both include dropping what they built.
+    drop(raw);
+    let pool = Pool::new(2);
+    let patterns = RandomPatternConfig::new(100_000).with_seed(TABLE_SEED);
+    let config = CompactionConfig::new(4);
+    session.bench("front_half/p93791/100000/4", samples, || {
+        let set = generate_random_packed(&soc, &patterns, &pool).expect("generation succeeds");
+        compact_packed_with(&soc, &set, &config, &pool).expect("compaction succeeds")
+    });
+    session.bench("front_half_sparse/p93791/100000/4", samples, || {
+        let raw = SiPatternSet::random_with(&soc, &patterns, &pool).expect("generation succeeds");
+        compact_two_dimensional_with(&soc, &raw, &config, &pool).expect("compaction succeeds")
+    });
     session.finish();
 }

@@ -26,6 +26,7 @@
 use std::fmt::Write as _;
 use std::io::IsTerminal as _;
 use std::io::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -241,7 +242,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     } else {
         None
     };
-    let result = (tool.run)(&soc, &params, &ctx);
+    // A panicking tool (say, an armed `exec.pool.task=panic` failpoint
+    // outside the pipeline's own containment) fails the run the way the
+    // daemon fails the request: a structured error naming the site.
+    let result = catch_unwind(AssertUnwindSafe(|| (tool.run)(&soc, &params, &ctx)))
+        .unwrap_or_else(|panic| Err(ToolError::failed(fault::panic_message(panic.as_ref()))));
     if let Some(ticker) = ticker {
         ticker.finish();
     }

@@ -15,7 +15,8 @@
 //!   (cut) patterns stay full-length.
 //!
 //! [`compact_two_dimensional`] runs the full pipeline and produces the
-//! [`SiTestGroup`]s the TAM optimizer schedules.
+//! [`SiTestGroup`]s the TAM optimizer schedules; [`compact_packed_with`]
+//! runs the same pipeline on an already-packed pattern arena.
 //!
 //! # Example
 //!
@@ -50,7 +51,9 @@ pub use grouping::{
     build_core_hypergraph, build_core_hypergraph_packed, group_patterns, group_patterns_packed,
     PatternGrouping,
 };
-pub use pipeline::{compact_two_dimensional, compact_two_dimensional_with, CompactionConfig};
+pub use pipeline::{
+    compact_packed_with, compact_two_dimensional, compact_two_dimensional_with, CompactionConfig,
+};
 pub use types::{CompactedSiTests, CompactionStats, SiTestGroup};
 pub use vertical::{
     compact_greedy, compact_greedy_ordered, compact_optimal, MergeOrder, EXACT_COVER_LIMIT,

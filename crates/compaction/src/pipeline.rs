@@ -5,6 +5,7 @@ use std::hash::Hasher;
 use soctam_exec::{FxHasher, Pool};
 use soctam_hypergraph::PartitionConfig;
 use soctam_model::Soc;
+use soctam_patterns::packed::check_packable;
 use soctam_patterns::{KernelStats, PackedLayout, PackedRef, PackedSet, SiPatternSet};
 
 use crate::first_seen::FirstSeen;
@@ -73,7 +74,9 @@ impl CompactionConfig {
 ///
 /// # Errors
 ///
-/// * forwarded pattern validation errors;
+/// * forwarded pattern validation errors, and
+///   [`PatternError::TooManyCores`](soctam_patterns::PatternError::TooManyCores)
+///   for a SOC with more cores than packed patterns support;
 /// * [`CompactionError::TooManyPartitions`] / partitioning failures.
 ///
 /// # Example
@@ -107,6 +110,9 @@ pub fn compact_two_dimensional(
 /// independent; results are collected in bucket order and are
 /// bit-identical to the serial pipeline for any pool size.
 ///
+/// Validates `raw`, packs it and hands the arena to
+/// [`compact_packed_with`], which holds the pipeline.
+///
 /// # Errors
 ///
 /// Same contract as [`compact_two_dimensional`].
@@ -117,39 +123,59 @@ pub fn compact_two_dimensional_with(
     pool: &Pool,
 ) -> Result<CompactedSiTests, CompactionError> {
     raw.validate_for(soc)?;
+    check_packable(soc)?;
+    compact_packed_with(soc, &PackedSet::build(raw.as_slice()), config, pool)
+}
+
+/// [`compact_two_dimensional_with`] on an already-packed set, such as
+/// the one [`generate_random_packed`](soctam_patterns::generate_random_packed)
+/// writes: grouping, duplicate removal and every per-bucket greedy cover
+/// run against the arena, and patterns are only expanded back to sparse
+/// form when the compacted cliques are emitted. The output equals
+/// [`compact_two_dimensional_with`] of the unpacked set.
+///
+/// The set is validated from its summary, in O(1) when it fits `soc`;
+/// a failing set reports the error the sparse validation reports.
+///
+/// # Errors
+///
+/// Same contract as [`compact_two_dimensional`].
+pub fn compact_packed_with(
+    soc: &Soc,
+    set: &PackedSet,
+    config: &CompactionConfig,
+    pool: &Pool,
+) -> Result<CompactedSiTests, CompactionError> {
+    set.validate_for(soc)?;
     soctam_exec::fault::check("compaction.partition")?;
-    // Pack once: grouping, duplicate removal and every per-bucket greedy
-    // cover all run against the same bit-packed arena; patterns are only
-    // expanded back to sparse form when the compacted cliques are emitted.
-    let set = PackedSet::build(raw.as_slice());
-    let terminal_words = assert_in_terminal_space(soc, &set);
+    let terminal_words = assert_in_terminal_space(soc, set);
     let layout = PackedLayout::new(soc);
     let grouping = group_patterns_packed(
         soc,
-        &set,
+        set,
         &layout,
         config.partitions,
         &config.partition_config,
     )?;
 
     let mut stats = CompactionStats {
-        raw_patterns: raw.len(),
+        raw_patterns: set.len(),
         partitions: config.partitions.max(1),
         cut_weight: grouping.cut_weight,
         raw_remainder_patterns: grouping.remainder.len(),
         ..CompactionStats::default()
     };
 
-    let work = work_items(&set, &grouping, fingerprint);
+    let work = work_items(set, &grouping, fingerprint);
     let has_remainder = !grouping.remainder.is_empty();
-    stats.duplicate_patterns = raw.len() - work.iter().map(Vec::len).sum::<usize>();
+    stats.duplicate_patterns = set.len() - work.iter().map(Vec::len).sum::<usize>();
 
     let compacted_buckets = pool.par_map(&work, |indices| {
         soctam_exec::fault::hit("compaction.bucket");
         if indices.is_empty() {
             (Vec::new(), KernelStats::default())
         } else {
-            compact_packed_subset(&set, indices, terminal_words, config.merge_order)
+            compact_packed_subset(set, indices, terminal_words, config.merge_order)
         }
     });
 
@@ -230,7 +256,8 @@ fn fingerprint(p: PackedRef<'_>) -> u64 {
         hasher.write_u64(w.hi);
     }
     for line in p.bus {
-        hasher.write_u16(u16::from(line.line) << 8 | u16::from(line.driver));
+        hasher.write_u8(line.line);
+        hasher.write_u16(line.driver);
     }
     hasher.finish()
 }
@@ -454,6 +481,88 @@ mod tests {
                 "i = {parts}"
             );
         }
+    }
+
+    #[test]
+    fn both_entries_report_the_same_findings_on_corrupted_sets() {
+        let soc = Benchmark::D695.soc();
+        let total = soc.total_wocs();
+        let base = SiPatternSet::random(&soc, &RandomPatternConfig::new(200).with_seed(1))
+            .expect("valid")
+            .into_vec();
+        let pattern = |care: &[u32], drivers: &[u32]| {
+            SiPattern::new(
+                care.iter()
+                    .map(|&t| (TerminalId::new(t), Symbol::Rise))
+                    .collect(),
+                drivers
+                    .iter()
+                    .enumerate()
+                    .map(|(line, &d)| (BusLineId::new(line as u8), CoreId::new(d)))
+                    .collect(),
+            )
+            .expect("valid pattern")
+        };
+        // (position, pattern) insertions into the clean set.
+        let corruptions: Vec<Vec<(usize, SiPattern)>> = vec![
+            vec![(17, pattern(&[3, total], &[]))],
+            vec![(40, pattern(&[3], &[10]))],
+            vec![(5, SiPattern::default())],
+            vec![
+                (60, pattern(&[], &[2, 12])),
+                (30, pattern(&[total + 70], &[])),
+            ],
+            vec![
+                (3, SiPattern::default()),
+                (90, pattern(&[1, total + 1], &[4])),
+                (150, pattern(&[2], &[200])),
+            ],
+            vec![(0, pattern(&[total + 5], &[11, 300]))],
+        ];
+        let pool = Pool::serial();
+        for (case, corruption) in corruptions.into_iter().enumerate() {
+            let mut patterns = base.clone();
+            for (at, p) in corruption {
+                patterns.insert(at, p);
+            }
+            let sparse = SiPatternSet::from_patterns(patterns);
+            let packed = PackedSet::build(sparse.as_slice());
+            let diags = packed.validate(&soc);
+            assert!(!diags.is_empty(), "case {case}");
+            assert_eq!(diags, sparse.validate(&soc), "case {case}");
+            assert_eq!(
+                packed.validate_for(&soc),
+                sparse.validate_for(&soc),
+                "case {case}"
+            );
+            for parts in [1u32, 4] {
+                let config = CompactionConfig::new(parts).with_seed(5);
+                assert_eq!(
+                    compact_packed_with(&soc, &packed, &config, &pool),
+                    compact_two_dimensional_with(&soc, &sparse, &config, &pool),
+                    "case {case}, i = {parts}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_soc_beyond_the_driver_limit_is_a_structured_error() {
+        use soctam_model::CoreSpec;
+        use soctam_patterns::packed::MAX_PACKED_DRIVERS;
+        let core = CoreSpec::new("c", 1, 2, 0, vec![], 1).expect("valid");
+        let soc = Soc::new("huge", vec![core; MAX_PACKED_DRIVERS as usize + 1]).expect("valid");
+        let raw =
+            SiPatternSet::random(&soc, &RandomPatternConfig::new(50).with_seed(1)).expect("valid");
+        assert_eq!(
+            compact_two_dimensional(&soc, &raw, &CompactionConfig::new(1)),
+            Err(CompactionError::Pattern(
+                soctam_patterns::PatternError::TooManyCores {
+                    cores: MAX_PACKED_DRIVERS as usize + 1,
+                    limit: MAX_PACKED_DRIVERS,
+                }
+            ))
+        );
     }
 
     #[test]

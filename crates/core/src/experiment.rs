@@ -34,12 +34,13 @@
 
 use std::fmt;
 
-use soctam_compaction::{compact_two_dimensional_with, CompactionConfig};
+use soctam_compaction::{compact_packed_with, CompactionConfig};
 use soctam_exec::Pool;
 use soctam_model::Soc;
-use soctam_patterns::{RandomPatternConfig, SiPatternSet};
+use soctam_patterns::{generate_random_packed, RandomPatternConfig};
 use soctam_tam::{backend_for, BackendCtx, BackendKind, Objective, RunCtx, SiGroupSpec};
 
+use crate::pipeline::contain_panics;
 use crate::SoctamError;
 
 /// Parameters of one table run.
@@ -169,7 +170,7 @@ pub fn run_table(soc: &Soc, config: &ExperimentConfig) -> Result<ExperimentTable
 }
 
 /// [`run_table`] with every stage on `pool`: pattern generation fans out
-/// per pattern, compaction per partition count and the
+/// per block of patterns, compaction per partition count and the
 /// `widths × (baseline + partitions)` optimization grid per cell. The
 /// grid is reduced in sweep order, so the table is bit-identical to the
 /// serial run for any pool size.
@@ -196,6 +197,11 @@ pub fn run_table_with(
 /// budget or cancel token degrades the remaining cells to their
 /// best-so-far architectures, and the table stays complete and valid.
 ///
+/// The patterns are generated once, straight into a packed arena, and
+/// every partition count compacts that one arena, so generation,
+/// validation and packing happen once per table. Each stage runs with
+/// panic containment, like [`SiOptimizer`](crate::SiOptimizer)'s.
+///
 /// # Errors
 ///
 /// Same contract as [`run_table`].
@@ -207,29 +213,36 @@ pub fn run_table_in(
 ) -> Result<ExperimentTable, SoctamError> {
     let pool = &run.pool;
     let metrics = pool.metrics();
-    let raw = metrics.time("generate", || {
-        SiPatternSet::random_with(
-            soc,
-            &RandomPatternConfig::new(config.pattern_count).with_seed(config.seed),
-            pool,
-        )
+    let set = contain_panics("pipeline.generate", || {
+        metrics
+            .time("generate", || {
+                generate_random_packed(
+                    soc,
+                    &RandomPatternConfig::new(config.pattern_count).with_seed(config.seed),
+                    pool,
+                )
+            })
+            .map_err(SoctamError::from)
     })?;
 
     // Compaction is width-independent: do it once per partition count.
-    let compacted: Result<Vec<_>, _> = metrics.time("compact", || {
-        pool.par_map(&config.partitions, |&parts| {
-            compact_two_dimensional_with(
-                soc,
-                &raw,
-                &CompactionConfig::new(parts).with_seed(config.seed),
-                pool,
-            )
-            .map(|c| (parts, c.total_patterns(), SiGroupSpec::from_compacted(&c)))
+    let compacted = contain_panics("pipeline.compact", || {
+        metrics.time("compact", || {
+            pool.par_map(&config.partitions, |&parts| {
+                compact_packed_with(
+                    soc,
+                    &set,
+                    &CompactionConfig::new(parts).with_seed(config.seed),
+                    pool,
+                )
+                .map(|c| (parts, c.total_patterns(), SiGroupSpec::from_compacted(&c)))
+                .map_err(SoctamError::from)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
         })
-        .into_iter()
-        .collect()
-    });
-    let compacted = compacted?;
+    })?;
+    drop(set);
     let compacted_counts: Vec<(u32, u64)> =
         compacted.iter().map(|&(i, count, _)| (i, count)).collect();
     let compacted_groups: Vec<(u32, Vec<SiGroupSpec>)> = compacted
@@ -253,27 +266,28 @@ pub fn run_table_in(
         .iter()
         .flat_map(|&w| (0..columns).map(move |col| (w, col)))
         .collect();
-    let times: Result<Vec<u64>, SoctamError> = metrics.time("optimize", || {
-        pool.par_map(&grid, |&(w_max, col)| {
-            let (groups, objective) = if col == 0 {
-                (&baseline_groups, Objective::InTestOnly)
-            } else {
-                (&compacted_groups[col - 1].1, Objective::Total)
-            };
-            let ctx = BackendCtx {
-                soc,
-                max_width: w_max,
-                groups,
-                objective,
-                restarts: 1,
-                run: run.clone(),
-            };
-            Ok(backend_for(backend).optimize(&ctx)?.evaluation().t_total())
+    let times = contain_panics("pipeline.optimize", || {
+        metrics.time("optimize", || {
+            pool.par_map(&grid, |&(w_max, col)| {
+                let (groups, objective) = if col == 0 {
+                    (&baseline_groups, Objective::InTestOnly)
+                } else {
+                    (&compacted_groups[col - 1].1, Objective::Total)
+                };
+                let ctx = BackendCtx {
+                    soc,
+                    max_width: w_max,
+                    groups,
+                    objective,
+                    restarts: 1,
+                    run: run.clone(),
+                };
+                Ok(backend_for(backend).optimize(&ctx)?.evaluation().t_total())
+            })
+            .into_iter()
+            .collect::<Result<Vec<u64>, SoctamError>>()
         })
-        .into_iter()
-        .collect()
-    });
-    let times = times?;
+    })?;
 
     let rows = config
         .widths

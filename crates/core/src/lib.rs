@@ -66,12 +66,14 @@ pub use soctam_wrapper as wrapper;
 
 // The workhorse types, flattened for convenience.
 pub use soctam_compaction::{
-    compact_two_dimensional, compact_two_dimensional_with, CompactedSiTests, CompactionConfig,
-    SiTestGroup,
+    compact_packed_with, compact_two_dimensional, compact_two_dimensional_with, CompactedSiTests,
+    CompactionConfig, SiTestGroup,
 };
 pub use soctam_exec::{FaultAction, FaultError, Metrics, MetricsSnapshot, Pool};
 pub use soctam_model::{Benchmark, CoreId, CoreSpec, Diagnostic, Diagnostics, Soc, TerminalId};
-pub use soctam_patterns::{RandomPatternConfig, SiPattern, SiPatternSet, Symbol};
+pub use soctam_patterns::{
+    generate_random_packed, PackedSet, RandomPatternConfig, SiPattern, SiPatternSet, Symbol,
+};
 pub use soctam_tam::{
     backend_for, BackendCaps, BackendCtx, BackendKind, DeltaCost, EvalCache, Evaluation, Evaluator,
     Objective, OptimizedArchitecture, OptimizerBudget, RailEval, RunCtx, SiGroupSpec, TamBackend,

@@ -4,13 +4,16 @@ use std::panic;
 use std::sync::Arc;
 
 use soctam_compaction::{
-    compact_two_dimensional_with, CompactedSiTests, CompactionConfig, CompactionError,
+    compact_packed_with, compact_two_dimensional_with, CompactedSiTests, CompactionConfig,
+    CompactionError,
 };
 use soctam_exec::{fault, fx_fingerprint128, Metrics, Pool};
 use soctam_hypergraph::PartitionConfig;
 use soctam_model::parser::write_soc;
 use soctam_model::Soc;
-use soctam_patterns::{PatternError, RandomPatternConfig, SiPatternSet};
+use soctam_patterns::{
+    generate_random_packed, PackedSet, PatternError, RandomPatternConfig, SiPatternSet,
+};
 use soctam_tam::{
     backend_for, BackendCtx, BackendKind, Evaluation, Objective, OptimizedArchitecture, RunCtx,
     SiGroupSpec, TestRailArchitecture,
@@ -24,7 +27,7 @@ use crate::SoctamError;
 /// unwinding into the caller. Sound because every stage either returns
 /// a value or is discarded wholesale — no partially-mutated state
 /// escapes the closure.
-fn contain_panics<T>(
+pub(crate) fn contain_panics<T>(
     stage: &'static str,
     f: impl FnOnce() -> Result<T, SoctamError>,
 ) -> Result<T, SoctamError> {
@@ -170,6 +173,24 @@ impl<'a> SiOptimizer<'a> {
         self.optimize_compacted(self.compact(patterns)?)
     }
 
+    /// [`SiOptimizer::optimize`] on the random SI patterns `patterns`
+    /// describes, generated straight into a packed arena (see
+    /// [`generate_random_packed`]) under the `generate` phase: no sparse
+    /// pattern set is built, and the result equals
+    /// `optimize(&SiPatternSet::random(soc, patterns)?)`. Generation runs
+    /// with panic containment like every later stage.
+    ///
+    /// # Errors
+    ///
+    /// Generation errors ([`SoctamError::Pattern`]), then as
+    /// [`SiOptimizer::optimize`].
+    pub fn optimize_random(
+        &self,
+        patterns: &RandomPatternConfig,
+    ) -> Result<SiOptimizationResult, SoctamError> {
+        self.optimize_compacted(self.generate_and_compact(patterns)?)
+    }
+
     /// Runs only the TAM-optimization half on already-compacted groups.
     ///
     /// # Errors
@@ -234,14 +255,17 @@ impl<'a> SiOptimizer<'a> {
     /// # Errors
     ///
     /// Generation, validation and compaction errors, as
-    /// [`SiPatternSet::random_with`] followed by
-    /// [`SiOptimizer::optimize`] report them.
+    /// [`SiOptimizer::optimize_random`] reports them.
     pub fn group_specs(
         &self,
         patterns: &RandomPatternConfig,
     ) -> Result<Arc<Vec<SiGroupSpec>>, SoctamError> {
+        let compute = || {
+            let compacted = self.generate_and_compact(patterns)?;
+            Ok(Arc::new(SiGroupSpec::from_compacted(&compacted)))
+        };
         let Some(cache) = &self.run.eval_cache else {
-            return self.generate_and_compact(patterns);
+            return compute();
         };
         let key = group_specs_key(self.soc, patterns, &self.compaction_config());
         if let Some(groups) = cache.groups(key) {
@@ -255,21 +279,25 @@ impl<'a> SiOptimizer<'a> {
             return Ok(groups);
         }
         self.metrics().count_memo_miss();
-        let groups = self.generate_and_compact(patterns)?;
+        let groups = compute()?;
         contain_panics("pipeline.compact", || Ok(cache.insert_groups(key, groups)))
     }
 
-    /// [`SiOptimizer::group_specs`] without the memo: generation under
-    /// the `generate` phase, then [`SiOptimizer::compact`].
+    /// The front half of [`SiOptimizer::optimize_random`]: generation
+    /// into a packed arena under the `generate` phase, then
+    /// [`SiOptimizer::compact_arena`].
     fn generate_and_compact(
         &self,
         patterns: &RandomPatternConfig,
-    ) -> Result<Arc<Vec<SiGroupSpec>>, SoctamError> {
-        let raw = self.metrics().time("generate", || {
-            SiPatternSet::random_with(self.soc, patterns, &self.run.pool)
+    ) -> Result<CompactedSiTests, SoctamError> {
+        let set = contain_panics("pipeline.generate", || {
+            self.metrics()
+                .time("generate", || {
+                    generate_random_packed(self.soc, patterns, &self.run.pool)
+                })
+                .map_err(SoctamError::from)
         })?;
-        let compacted = self.compact(&raw)?;
-        Ok(Arc::new(SiGroupSpec::from_compacted(&compacted)))
+        self.compact_arena(&set)
     }
 
     /// Validates the SOC and `patterns`, then compacts them under the
@@ -277,15 +305,29 @@ impl<'a> SiOptimizer<'a> {
     fn compact(&self, patterns: &SiPatternSet) -> Result<CompactedSiTests, SoctamError> {
         self.soc.validate().into_result()?;
         patterns.validate(self.soc).into_result()?;
+        self.compact_phase(|config, pool| {
+            compact_two_dimensional_with(self.soc, patterns, config, pool)
+        })
+    }
+
+    /// [`SiOptimizer::compact`] on a packed arena, which validates from
+    /// its summary.
+    fn compact_arena(&self, set: &PackedSet) -> Result<CompactedSiTests, SoctamError> {
+        self.soc.validate().into_result()?;
+        set.validate(self.soc).into_result()?;
+        self.compact_phase(|config, pool| compact_packed_with(self.soc, set, config, pool))
+    }
+
+    /// Runs `compact` on this pipeline's configuration and pool under the
+    /// `compact` phase, with panic containment.
+    fn compact_phase(
+        &self,
+        compact: impl FnOnce(&CompactionConfig, &Pool) -> Result<CompactedSiTests, CompactionError>,
+    ) -> Result<CompactedSiTests, SoctamError> {
         contain_panics("pipeline.compact", || {
             self.metrics()
                 .time("compact", || {
-                    compact_two_dimensional_with(
-                        self.soc,
-                        patterns,
-                        &self.compaction_config(),
-                        &self.run.pool,
-                    )
+                    compact(&self.compaction_config(), &self.run.pool)
                 })
                 .map_err(SoctamError::from)
         })

@@ -11,8 +11,12 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use soctam::exec::fault;
+use soctam::experiment::{run_table_in, ExperimentConfig};
 use soctam::model::parser;
-use soctam::{Benchmark, FaultAction, RandomPatternConfig, SiOptimizer, SiPatternSet, SoctamError};
+use soctam::{
+    BackendKind, Benchmark, EvalCache, FaultAction, Pool, RandomPatternConfig, RunCtx, SiOptimizer,
+    SiPatternSet, SoctamError,
+};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -67,6 +71,73 @@ fn every_pipeline_failpoint_yields_a_structured_error() {
         "expected Compaction, got {err:?}"
     );
     assert!(err.to_string().contains("compaction.partition"), "{err}");
+}
+
+/// Arms each front-half site (generation, the pool's per-item site,
+/// partitioning, the per-bucket covers) against `run` and checks the
+/// structured error: a panicking site surfaces as
+/// [`SoctamError::Internal`] naming it, an erroring one as the error of
+/// its stage naming it. Then checks that the disarmed `run` succeeds.
+fn assert_front_half_faults_are_structured(what: &str, run: impl Fn() -> Result<(), SoctamError>) {
+    for (site, action) in [
+        ("patterns.generate.random", FaultAction::Error),
+        ("exec.pool.task", FaultAction::Panic),
+        ("compaction.partition", FaultAction::Error),
+        ("compaction.bucket", FaultAction::Panic),
+    ] {
+        fault::set(site, action);
+        let err = run().expect_err(site);
+        fault::reset();
+        match (&err, action) {
+            (SoctamError::Internal { site: got, .. }, FaultAction::Panic) => {
+                assert_eq!(got, site, "{what}");
+            }
+            (SoctamError::Pattern(_) | SoctamError::Compaction(_), FaultAction::Error) => {
+                assert!(err.to_string().contains(site), "{what}: {err}");
+            }
+            _ => panic!("{what}, site {site}: unexpected {err:?}"),
+        }
+    }
+    run().unwrap_or_else(|err| panic!("{what} without faults: {err}"));
+}
+
+#[test]
+fn group_specs_front_half_faults_are_structured() {
+    let _guard = guard();
+    let soc = Benchmark::D695.soc();
+    let config = RandomPatternConfig::new(300).with_seed(3);
+    for jobs in [1, 2] {
+        // A fresh cache per run: every call is a miss that generates and
+        // compacts.
+        assert_front_half_faults_are_structured(&format!("group_specs jobs={jobs}"), || {
+            SiOptimizer::new(&soc)
+                .partitions(2)
+                .run(RunCtx {
+                    eval_cache: Some(EvalCache::new()),
+                    ..RunCtx::new(Pool::new(jobs))
+                })
+                .group_specs(&config)
+                .map(|_| ())
+        });
+    }
+}
+
+#[test]
+fn run_table_in_front_half_faults_are_structured() {
+    let _guard = guard();
+    let soc = Benchmark::D695.soc();
+    let config = ExperimentConfig {
+        pattern_count: 300,
+        widths: vec![8],
+        partitions: vec![1, 2],
+        seed: 3,
+    };
+    for jobs in [1, 2] {
+        let run = RunCtx::new(Pool::new(jobs));
+        assert_front_half_faults_are_structured(&format!("run_table_in jobs={jobs}"), || {
+            run_table_in(&soc, &config, &run, BackendKind::TrArchitect).map(|_| ())
+        });
+    }
 }
 
 #[test]

@@ -35,6 +35,14 @@ pub enum PatternError {
         /// Number of cores in the SOC.
         cores: usize,
     },
+    /// The SOC has more cores than the packed pattern kernel can name
+    /// as bus drivers (see `packed::MAX_PACKED_DRIVERS`).
+    TooManyCores {
+        /// Number of cores in the SOC.
+        cores: usize,
+        /// The largest supported core count.
+        limit: u32,
+    },
     /// Pattern generation needs at least this many terminals.
     NotEnoughTerminals {
         /// Terminals required by the generator configuration.
@@ -75,6 +83,10 @@ impl fmt::Display for PatternError {
             } => write!(
                 f,
                 "bus line {line} driven from {driver}, outside the {cores}-core soc"
+            ),
+            PatternError::TooManyCores { cores, limit } => write!(
+                f,
+                "the soc has {cores} cores, beyond the {limit}-core limit of packed patterns"
             ),
             PatternError::NotEnoughTerminals {
                 required,

@@ -2,12 +2,14 @@
 
 use soctam_exec::{Pool, Rng};
 
-use soctam_model::{BusLineId, Soc, TerminalId};
+use soctam_model::{BusLineId, CoreId, Soc, TerminalId};
 
-use crate::{PatternError, SiPattern, Symbol};
+use crate::packed::check_packable;
+use crate::{PackedSet, PatternError, SiPattern, Symbol};
 
 /// Configuration for [`generate_random`] /
-/// [`SiPatternSet::random`](crate::SiPatternSet::random).
+/// [`SiPatternSet::random`](crate::SiPatternSet::random) and the arena
+/// generator [`generate_random_packed`].
 ///
 /// Defaults reproduce the paper's setup: `N_a ∈ [2, 6]` aggressors per
 /// pattern, at most two aggressors outside the victim core boundary, a
@@ -142,12 +144,69 @@ pub fn generate_random_with(
     Ok(pool.par_map_index(config.count, |i| generate_one(soc, config, i as u64)))
 }
 
-/// Generates pattern `index` of the set: one victim plus aggressors and
-/// an optional bus postfix, all drawn from the stream derived from
-/// `(config.seed, index)`.
-// Invariant: draws are range-clipped and deduplicated before construction, so lookups and `SiPattern::new` cannot fail.
+/// Patterns per pool item of [`generate_random_packed`]: enough that
+/// claiming an item costs nothing next to drawing it, few enough that
+/// two workers still balance on a few thousand patterns.
+const BLOCK: usize = 1024;
+
+/// As [`generate_random_with`], writing the patterns straight into a
+/// packed arena: no sparse [`SiPattern`] is built.
+///
+/// The pool fans out over blocks of consecutive patterns, one item per
+/// block; each block draws its patterns into two reused buffers and
+/// appends them to its own arena, and the arenas are concatenated in
+/// block order. The result therefore equals
+/// `PackedSet::build(&generate_random(soc, config)?)` for any pool
+/// size, summary included.
+///
+/// # Errors
+///
+/// Same as [`generate_random`], plus [`PatternError::TooManyCores`] when
+/// `soc` has more cores than packed patterns can name as bus drivers.
+pub fn generate_random_packed(
+    soc: &Soc,
+    config: &RandomPatternConfig,
+    pool: &Pool,
+) -> Result<PackedSet, PatternError> {
+    soctam_exec::fault::check("patterns.generate.random")?;
+    config.validate(soc)?;
+    check_packable(soc)?;
+    let blocks = pool.par_map_index(config.count.div_ceil(BLOCK), |block| {
+        let (mut care, mut bus) = (Vec::new(), Vec::new());
+        let mut arena = PackedSet::default();
+        for index in block * BLOCK..((block + 1) * BLOCK).min(config.count) {
+            draw_one(soc, config, index as u64, &mut care, &mut bus);
+            care.sort_unstable_by_key(|&(terminal, _)| terminal);
+            bus.sort_unstable_by_key(|&(line, _)| line);
+            arena.push_sorted(&care, &bus);
+        }
+        arena
+    });
+    Ok(PackedSet::concat(blocks))
+}
+
+/// Generates pattern `index` of the set as a sparse pattern.
+// Invariant: `draw_one` deduplicates its draws, so construction cannot conflict.
 #[allow(clippy::expect_used)]
 fn generate_one(soc: &Soc, config: &RandomPatternConfig, index: u64) -> SiPattern {
+    let (mut care, mut bus) = (Vec::new(), Vec::new());
+    draw_one(soc, config, index, &mut care, &mut bus);
+    SiPattern::new(care, bus).expect("draws are distinct")
+}
+
+/// Draws pattern `index` of the set into `care` and `bus`, which are
+/// cleared first: one victim plus aggressors and an optional bus
+/// postfix, all drawn from the stream derived from `(config.seed,
+/// index)`. Entries are distinct and in draw order, not sorted.
+// Invariant: the victim is drawn from the terminal space, so it has an owner.
+#[allow(clippy::expect_used)]
+fn draw_one(
+    soc: &Soc,
+    config: &RandomPatternConfig,
+    index: u64,
+    care: &mut Vec<(TerminalId, Symbol)>,
+    bus: &mut Vec<(BusLineId, CoreId)>,
+) {
     let mut rng = Rng::derive(config.seed, index);
     let total = soc.total_wocs();
 
@@ -175,51 +234,60 @@ fn generate_one(soc: &Soc, config: &RandomPatternConfig, index: u64) -> SiPatter
     let n_ext = drawn_ext.max(needed_ext);
     let n_int = (na - n_ext).min(internal_pool);
 
-    let mut care = Vec::with_capacity(1 + n_int + n_ext);
+    care.clear();
+    care.reserve(1 + n_int + n_ext);
     care.push((victim, Symbol::ALL[rng.index(4)]));
 
-    sample_distinct(&mut rng, n_int, |r| {
+    // Each aggressor share draws all its terminals, then their
+    // transitions; the symbol placeholder is overwritten by the latter.
+    let internal = care.len();
+    sample_distinct(&mut rng, care, n_int, |r| {
         let t = r.range_u32(window.start, window.end);
-        (t != victim.raw()).then_some(t)
-    })
-    .into_iter()
-    .for_each(|t| care.push((TerminalId::new(t), Symbol::TRANSITIONS[rng.index(2)])));
+        (t != victim.raw()).then_some((TerminalId::new(t), Symbol::Rise))
+    });
+    draw_transitions(&mut rng, &mut care[internal..]);
 
-    sample_distinct(&mut rng, n_ext, |r| {
+    let external = care.len();
+    sample_distinct(&mut rng, care, n_ext, |r| {
         let t = r.range_u32(0, total);
-        (!(victim_range.start..victim_range.end).contains(&t)).then_some(t)
-    })
-    .into_iter()
-    .for_each(|t| care.push((TerminalId::new(t), Symbol::TRANSITIONS[rng.index(2)])));
+        (!(victim_range.start..victim_range.end).contains(&t))
+            .then_some((TerminalId::new(t), Symbol::Rise))
+    });
+    draw_transitions(&mut rng, &mut care[external..]);
 
-    let bus = if config.bus_lines > 0 && rng.chance(config.bus_probability) {
+    bus.clear();
+    if config.bus_lines > 0 && rng.chance(config.bus_probability) {
         let occupied = rng
             .range_usize_inclusive(1, na.max(1))
             .min(config.bus_lines as usize);
-        sample_distinct(&mut rng, occupied, |r| {
-            Some(r.range_u32(0, u32::from(config.bus_lines)))
-        })
-        .into_iter()
-        .map(|line| (BusLineId::new(line as u8), victim_core))
-        .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Duplicate draws were filtered, so construction cannot conflict.
-    SiPattern::new(care, bus).expect("draws are distinct")
+        bus.reserve(occupied);
+        sample_distinct(&mut rng, bus, occupied, |r| {
+            let line = r.range_u32(0, u32::from(config.bus_lines));
+            Some((BusLineId::new(line as u8), victim_core))
+        });
+    }
 }
 
-/// Draws `count` distinct values via rejection sampling. `draw` may return
-/// `None` to veto a candidate (used to exclude the victim / core range).
-fn sample_distinct(
+/// Draws the transition of each aggressor in `aggressors`, in order.
+fn draw_transitions(rng: &mut Rng, aggressors: &mut [(TerminalId, Symbol)]) {
+    for (_, symbol) in aggressors {
+        *symbol = Symbol::TRANSITIONS[rng.index(2)];
+    }
+}
+
+/// Appends `count` distinct draws to `out` via rejection sampling: a
+/// draw equal to one this call already appended is drawn again, and
+/// `draw` may return `None` to veto a candidate (used to exclude the
+/// victim / core range).
+fn sample_distinct<T: PartialEq>(
     rng: &mut Rng,
+    out: &mut Vec<T>,
     count: usize,
-    mut draw: impl FnMut(&mut Rng) -> Option<u32>,
-) -> Vec<u32> {
-    let mut out: Vec<u32> = Vec::with_capacity(count);
+    mut draw: impl FnMut(&mut Rng) -> Option<T>,
+) {
+    let start = out.len();
     let mut attempts = 0usize;
-    while out.len() < count {
+    while out.len() - start < count {
         attempts += 1;
         // The pools are always large relative to the <=6 samples needed, so
         // rejection converges fast; the cap guards against misuse.
@@ -228,12 +296,11 @@ fn sample_distinct(
             "rejection sampling failed to find {count} distinct values"
         );
         if let Some(v) = draw(rng) {
-            if !out.contains(&v) {
+            if !out[start..].contains(&v) {
                 out.push(v);
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -403,6 +470,93 @@ mod tests {
             let pool = Pool::new(jobs);
             let parallel = generate_random_with(&soc, &cfg, &pool).expect("valid");
             assert_eq!(parallel, serial, "jobs={jobs}");
+        }
+    }
+
+    /// Checks `packed` against `reference` span by span, then their
+    /// summaries and layouts.
+    fn assert_same_arena(packed: &PackedSet, reference: &PackedSet, what: &str) {
+        assert_eq!(packed.len(), reference.len(), "{what}: pattern count");
+        for i in 0..reference.len() {
+            let (got, want) = (packed.get(i), reference.get(i));
+            assert_eq!(got.words, want.words, "{what}: words of pattern {i}");
+            assert_eq!(got.bus, want.bus, "{what}: bus lines of pattern {i}");
+        }
+        assert_eq!(packed.max_terminal(), reference.max_terminal(), "{what}");
+        assert_eq!(packed.max_driver(), reference.max_driver(), "{what}");
+        assert_eq!(
+            packed.empty_patterns(),
+            reference.empty_patterns(),
+            "{what}"
+        );
+        assert_eq!(packed, reference, "{what}: arena layout");
+    }
+
+    #[test]
+    fn arena_generator_reproduces_the_sparse_stream() {
+        use soctam_model::synth::{synth_soc, SynthConfig};
+        let pools: Vec<Pool> = [1, 2, 4, 8].into_iter().map(Pool::new).collect();
+        let mut socs: Vec<Soc> = Benchmark::ALL.iter().map(|b| b.soc()).collect();
+        for cores in [100, 300] {
+            socs.push(synth_soc(&SynthConfig::new(cores).with_seed(5)).expect("valid soc"));
+        }
+        let check = |soc: &Soc, config: &RandomPatternConfig, what: &str| {
+            let reference = PackedSet::build(&generate_random(soc, config).expect("valid"));
+            for pool in &pools {
+                let packed = generate_random_packed(soc, config, pool).expect("valid");
+                assert_same_arena(
+                    &packed,
+                    &reference,
+                    &format!("{what}, jobs={}", pool.jobs()),
+                );
+            }
+        };
+        let counts = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7];
+        let edits: [fn(&mut RandomPatternConfig); 5] = [
+            |c| c.locality = None,
+            |c| c.bus_lines = 0,
+            |c| c.bus_probability = 0.0,
+            |c| c.bus_probability = 1.0,
+            // Far more care bits than any small buffer holds.
+            |c| c.max_aggressors = 40,
+        ];
+        for soc in &socs {
+            for seed in [1, 2, 2007] {
+                for count in counts {
+                    let config = RandomPatternConfig::new(count).with_seed(seed);
+                    check(
+                        soc,
+                        &config,
+                        &format!("{} seed={seed} n={count}", soc.name()),
+                    );
+                }
+            }
+            for (edit_index, edit) in edits.iter().enumerate() {
+                let mut config = RandomPatternConfig::new(3 * BLOCK + 7).with_seed(3);
+                edit(&mut config);
+                check(soc, &config, &format!("{} edit {edit_index}", soc.name()));
+            }
+        }
+    }
+
+    #[test]
+    fn arena_generator_checks_like_the_sparse_one() {
+        let pool = Pool::new(2);
+        let tiny = Soc::new(
+            "tiny",
+            vec![CoreSpec::new("a", 1, 1, 0, vec![], 1).expect("valid")],
+        )
+        .expect("valid soc");
+        let bad_range = RandomPatternConfig {
+            min_aggressors: 5,
+            max_aggressors: 2,
+            ..RandomPatternConfig::new(1)
+        };
+        for (soc, config) in [(&tiny, RandomPatternConfig::new(1)), (&soc(), bad_range)] {
+            assert_eq!(
+                generate_random_packed(soc, &config, &pool).expect_err("rejected"),
+                generate_random(soc, &config).expect_err("rejected")
+            );
         }
     }
 

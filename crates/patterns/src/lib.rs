@@ -18,7 +18,9 @@
 //!   victim);
 //! * [`SiPatternSet::random`] — the randomized recipe the paper's
 //!   experiments use (1 victim, 2–6 aggressors, ≤2 aggressors outside the
-//!   victim core, 50 % bus usage).
+//!   victim core, 50 % bus usage). [`generate_random_packed`] draws the
+//!   same patterns straight into the bit-packed [`PackedSet`] arena that
+//!   compaction reads, without building the sparse set.
 //!
 //! # Example
 //!
@@ -50,7 +52,7 @@ mod stats;
 mod symbol;
 
 pub use error::PatternError;
-pub use generator::RandomPatternConfig;
+pub use generator::{generate_random_packed, RandomPatternConfig};
 pub use packed::{
     first_fit_cover, KernelStats, PackedAccumulator, PackedLayout, PackedPattern, PackedRef,
     PackedSet,

@@ -22,26 +22,44 @@
 //! index doubles as the first-conflict skip index — patterns that do not
 //! overlap a clique are rejected after `O(own words)` comparisons.
 //!
-//! The bus postfix packs into two bytes per occupied line
-//! ([`PackedBusLine`]); the clique accumulator keys a dense occupancy
-//! plane by driver core (one `driver + 1` entry per line, `0` = free),
-//! so "no shared line is driven from two different core boundaries" is
-//! one table probe per occupied line. On random SI sets most
-//! incompatibilities are bus-driver conflicts, so the accumulator checks
-//! the bus *first* and the common reject path never touches the symbol
-//! planes — this prefilter is what [`KernelStats::fast_rejects`] counts.
+//! The bus postfix packs into a line byte and a 16-bit driver core id
+//! per occupied line ([`PackedBusLine`]); the clique accumulator keys a
+//! dense occupancy plane by driver core (one `driver + 1` entry per
+//! line, `0` = free), so "no shared line is driven from two different
+//! core boundaries" is one table probe per occupied line. On random SI
+//! sets most incompatibilities are bus-driver conflicts, so the
+//! accumulator checks the bus *first* and the common reject path never
+//! touches the symbol planes — this prefilter is what
+//! [`KernelStats::fast_rejects`] counts.
 //!
 //! The conversion to and from [`SiPattern`] is lossless;
 //! [`PackedPattern::to_sparse`] ∘ [`PackedPattern::from_sparse`] is the
 //! identity (pinned by the `proptest` differential suite).
 
-use soctam_model::{BusLineId, CoreId, Soc, TerminalId};
+use soctam_model::{BusLineId, CoreId, Diagnostics, Soc, TerminalId};
 
-use crate::{PatternError, SiPattern, Symbol};
+use crate::{PatternError, SiPattern, SiPatternSet, Symbol};
 
 /// Exclusive upper bound on driver core ids representable in the packed
-/// bus postfix (driver ids are stored as one byte per line).
-pub const MAX_PACKED_DRIVERS: u32 = 256;
+/// bus postfix (driver ids are stored as two bytes per line).
+pub const MAX_PACKED_DRIVERS: u32 = 1 << 16;
+
+/// Checks that every core of `soc` fits the packed driver-id space, so
+/// that any pattern valid for `soc` packs.
+///
+/// # Errors
+///
+/// [`PatternError::TooManyCores`] when `soc` has more than
+/// [`MAX_PACKED_DRIVERS`] cores.
+pub fn check_packable(soc: &Soc) -> Result<(), PatternError> {
+    if soc.num_cores() > MAX_PACKED_DRIVERS as usize {
+        return Err(PatternError::TooManyCores {
+            cores: soc.num_cores(),
+            limit: MAX_PACKED_DRIVERS,
+        });
+    }
+    Ok(())
+}
 
 /// Number of `u64` words spanning the 256-line bus space.
 const BUS_WORDS: usize = 4;
@@ -73,13 +91,13 @@ pub struct PackedWord {
 }
 
 /// One occupied bus line of a packed pattern: the line index and the
-/// core from whose boundary it is driven, in two bytes.
+/// core from whose boundary it is driven.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PackedBusLine {
     /// The occupied bus line.
     pub line: u8,
     /// The driver core id (must be < [`MAX_PACKED_DRIVERS`]).
-    pub driver: u8,
+    pub driver: u16,
 }
 
 /// Conflict mask of two aligned care/symbol word triples: a bit is set
@@ -139,6 +157,18 @@ pub struct PackedRef<'a> {
 }
 
 impl PackedRef<'_> {
+    /// Unpacks back to the sparse representation.
+    #[must_use]
+    // Invariant: a packed pattern stores each terminal in exactly one plane, so the sparse rebuild cannot conflict.
+    #[allow(clippy::expect_used)]
+    pub(crate) fn to_sparse(self) -> SiPattern {
+        let mut care = Vec::with_capacity(self.care_count());
+        let mut bus = Vec::with_capacity(self.bus.len());
+        unpack_care(self.words, &mut care);
+        unpack_bus(self.bus, &mut bus);
+        SiPattern::new(care, bus).expect("packed planes cannot self-conflict")
+    }
+
     /// Total care bits (the sparse pattern's `care_bits().len()`).
     #[must_use]
     #[inline]
@@ -192,7 +222,7 @@ fn pack_bus(bus: &[(BusLineId, CoreId)], out: &mut Vec<PackedBusLine>) {
         );
         out.push(PackedBusLine {
             line: l.raw(),
-            driver: d.raw() as u8,
+            driver: d.raw() as u16,
         });
     }
 }
@@ -264,7 +294,7 @@ impl PackedPattern {
     /// # Panics
     ///
     /// Panics when a bus driver core id is ≥ [`MAX_PACKED_DRIVERS`]
-    /// (driver ids are stored as one byte per line).
+    /// (driver ids are stored as two bytes per line).
     #[must_use]
     pub fn from_sparse(pattern: &SiPattern) -> Self {
         let mut words = Vec::new();
@@ -276,14 +306,8 @@ impl PackedPattern {
 
     /// Unpacks back to the sparse representation.
     #[must_use]
-    // Invariant: a packed pattern stores each terminal in exactly one plane, so the sparse rebuild cannot conflict.
-    #[allow(clippy::expect_used)]
     pub fn to_sparse(&self) -> SiPattern {
-        let mut care = Vec::with_capacity(self.as_packed_ref().care_count());
-        let mut bus = Vec::with_capacity(self.bus.len());
-        unpack_care(&self.words, &mut care);
-        unpack_bus(&self.bus, &mut bus);
-        SiPattern::new(care, bus).expect("packed planes cannot self-conflict")
+        self.as_packed_ref().to_sparse()
     }
 
     /// The care/symbol words, ascending by word index.
@@ -403,16 +427,21 @@ impl From<&SiPattern> for PackedPattern {
 /// per input set avoids one small allocation pair per pattern in the
 /// compaction hot path, and the clique-cover scan streams the arena
 /// sequentially.
-#[derive(Clone, Debug, Default)]
+///
+/// The arena keeps a summary of what it holds (the largest care
+/// terminal, the largest bus driver and the number of empty patterns),
+/// so a set that fits a SOC validates in O(1).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PackedSet {
     words: Vec<PackedWord>,
     bus: Vec<PackedBusLine>,
     spans: Vec<PackedSpan>,
     max_terminal: Option<u32>,
-    max_driver: Option<u8>,
+    max_driver: Option<u16>,
+    empty: usize,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PackedSpan {
     word_off: u32,
     word_len: u32,
@@ -436,26 +465,70 @@ impl PackedSet {
             words: Vec::with_capacity(total_care),
             bus: Vec::with_capacity(total_bus),
             spans: Vec::with_capacity(patterns.len()),
-            max_terminal: None,
-            max_driver: None,
+            ..PackedSet::default()
         };
         for pattern in patterns {
-            let word_off = set.words.len() as u32;
-            let bus_off = set.bus.len() as u32;
-            pack_care(pattern.care_bits(), &mut set.words);
-            pack_bus(pattern.bus_lines(), &mut set.bus);
-            set.spans.push(PackedSpan {
-                word_off,
-                word_len: set.words.len() as u32 - word_off,
-                bus_off,
-                bus_len: set.bus.len() as u32 - bus_off,
-            });
-            if let Some(&(t, _)) = pattern.care_bits().last() {
-                set.max_terminal = Some(set.max_terminal.map_or(t.raw(), |m| m.max(t.raw())));
-            }
-            for line in &set.bus[bus_off as usize..] {
-                set.max_driver = Some(set.max_driver.map_or(line.driver, |m| m.max(line.driver)));
-            }
+            set.push_sorted(pattern.care_bits(), pattern.bus_lines());
+        }
+        set
+    }
+
+    /// Appends one pattern, given as care bits sorted by terminal and bus
+    /// lines sorted by line, each listed once (the form [`SiPattern`]
+    /// stores), and updates the summary.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a bus driver core id is ≥ [`MAX_PACKED_DRIVERS`].
+    pub(crate) fn push_sorted(
+        &mut self,
+        care: &[(TerminalId, Symbol)],
+        bus: &[(BusLineId, CoreId)],
+    ) {
+        let word_off = self.words.len() as u32;
+        let bus_off = self.bus.len() as u32;
+        pack_care(care, &mut self.words);
+        pack_bus(bus, &mut self.bus);
+        self.spans.push(PackedSpan {
+            word_off,
+            word_len: self.words.len() as u32 - word_off,
+            bus_off,
+            bus_len: self.bus.len() as u32 - bus_off,
+        });
+        if let Some(&(t, _)) = care.last() {
+            self.max_terminal = self.max_terminal.max(Some(t.raw()));
+        }
+        for line in &self.bus[bus_off as usize..] {
+            self.max_driver = self.max_driver.max(Some(line.driver));
+        }
+        if care.is_empty() && bus.is_empty() {
+            self.empty += 1;
+        }
+    }
+
+    /// Concatenates arenas in order: the result holds the patterns of
+    /// `parts[0]`, then those of `parts[1]`, and so on, exactly as if
+    /// they had been appended to one arena.
+    pub(crate) fn concat(parts: Vec<PackedSet>) -> PackedSet {
+        let mut set = PackedSet {
+            words: Vec::with_capacity(parts.iter().map(|p| p.words.len()).sum()),
+            bus: Vec::with_capacity(parts.iter().map(|p| p.bus.len()).sum()),
+            spans: Vec::with_capacity(parts.iter().map(PackedSet::len).sum()),
+            ..PackedSet::default()
+        };
+        for part in parts {
+            let word_base = set.words.len() as u32;
+            let bus_base = set.bus.len() as u32;
+            set.words.extend_from_slice(&part.words);
+            set.bus.extend_from_slice(&part.bus);
+            set.spans.extend(part.spans.iter().map(|span| PackedSpan {
+                word_off: span.word_off + word_base,
+                bus_off: span.bus_off + bus_base,
+                ..*span
+            }));
+            set.max_terminal = set.max_terminal.max(part.max_terminal);
+            set.max_driver = set.max_driver.max(part.max_driver);
+            set.empty += part.empty;
         }
         set
     }
@@ -498,8 +571,54 @@ impl PackedSet {
     /// The largest bus driver core id in the set, `None` when no pattern
     /// occupies a bus line. Used to validate against a SOC's core count.
     #[must_use]
-    pub fn max_driver(&self) -> Option<u8> {
+    pub fn max_driver(&self) -> Option<u16> {
         self.max_driver
+    }
+
+    /// Number of empty patterns (no care bits, no bus lines) in the set.
+    #[must_use]
+    pub fn empty_patterns(&self) -> usize {
+        self.empty
+    }
+
+    /// Unpacks every pattern, in order.
+    #[must_use]
+    pub(crate) fn to_sparse(&self) -> SiPatternSet {
+        (0..self.len()).map(|i| self.get(i).to_sparse()).collect()
+    }
+
+    /// [`SiPatternSet::validate_for`] of the unpacked set. A set whose
+    /// largest terminal and largest driver fit `soc` passes in O(1);
+    /// only a failing set is unpacked, so the error is the sparse one.
+    ///
+    /// # Errors
+    ///
+    /// As [`SiPatternSet::validate_for`].
+    pub fn validate_for(&self, soc: &Soc) -> Result<(), PatternError> {
+        if self.fits(soc) {
+            return Ok(());
+        }
+        self.to_sparse().validate_for(soc)
+    }
+
+    /// [`SiPatternSet::validate`] of the unpacked set: `PAT-V01`, `PAT-V02`
+    /// and `PAT-V03`, in the same order. A set that fits `soc` and holds
+    /// no empty pattern passes in O(1); only a failing set is unpacked.
+    #[must_use]
+    pub fn validate(&self, soc: &Soc) -> Diagnostics {
+        if self.fits(soc) && self.empty == 0 {
+            return Diagnostics::new();
+        }
+        self.to_sparse().validate(soc)
+    }
+
+    /// `true` when every care terminal and every bus driver of the set
+    /// exists in `soc`.
+    fn fits(&self, soc: &Soc) -> bool {
+        self.max_terminal.map_or(true, |t| t < soc.total_wocs())
+            && self
+                .max_driver
+                .map_or(true, |d| usize::from(d) < soc.num_cores())
     }
 
     /// Number of `u64` words needed to cover every care terminal in the
@@ -569,7 +688,7 @@ pub struct PackedAccumulator {
     planes: Vec<Plane>,
     touched: Vec<u32>,
     bus_occupied: [u64; BUS_WORDS],
-    line_driver: [u16; BUS_LINES],
+    line_driver: [u32; BUS_LINES],
     stats: KernelStats,
 }
 
@@ -614,7 +733,7 @@ impl PackedAccumulator {
     pub fn is_compatible(&mut self, p: PackedRef<'_>) -> bool {
         for pl in p.bus {
             let stored = self.line_driver[pl.line as usize];
-            if stored != 0 && stored != u16::from(pl.driver) + 1 {
+            if stored != 0 && stored != u32::from(pl.driver) + 1 {
                 self.stats.fast_rejects += 1;
                 return false;
             }
@@ -652,7 +771,7 @@ impl PackedAccumulator {
         }
         for pl in p.bus {
             self.bus_occupied[pl.line as usize / 64] |= 1 << (pl.line % 64);
-            self.line_driver[pl.line as usize] = u16::from(pl.driver) + 1;
+            self.line_driver[pl.line as usize] = u32::from(pl.driver) + 1;
         }
     }
 
@@ -679,7 +798,7 @@ impl PackedAccumulator {
                 let line = word as u32 * 64 + mask.trailing_zeros();
                 bus.push(PackedBusLine {
                     line: line as u8,
-                    driver: (self.line_driver[line as usize] - 1) as u8,
+                    driver: (self.line_driver[line as usize] - 1) as u16,
                 });
                 mask &= mask - 1;
             }
@@ -700,8 +819,8 @@ impl PackedAccumulator {
 }
 
 /// Number of driver-code bit-planes carried per pattern during bus
-/// recoding. Driver ids fit one byte, so a line can see at most 256
-/// distinct drivers and eight planes always suffice.
+/// recoding. Bus recoding gives up on a line with more than 256 distinct
+/// drivers, so codes fit one byte and eight planes always suffice.
 const MAX_CODE_PLANES: usize = 8;
 
 /// The per-line driver recoding of a visited subset: every pattern's
@@ -714,7 +833,7 @@ struct RecodedBus {
     /// `pairs[offsets[k]..offsets[k + 1]]`.
     offsets: Vec<u32>,
     line_of_slot: Vec<u8>,
-    driver_of_code: Vec<Vec<u8>>,
+    driver_of_code: Vec<Vec<u16>>,
     /// Bit width of the largest driver code (≥ 1).
     plane_bits: usize,
 }
@@ -728,8 +847,9 @@ struct RecodedBus {
 /// against a whole clique population can be tested with XORs over
 /// per-slot code bit-planes.
 ///
-/// Returns `None` when the subset occupies more than 64 distinct lines
-/// (the caller falls back to the accumulator cover).
+/// Returns `None` when the subset occupies more than 64 distinct lines,
+/// or when one line carries more than 256 distinct drivers (the caller
+/// falls back to the accumulator cover).
 fn recode_bus(set: &PackedSet, visit: &[u32]) -> Option<RecodedBus> {
     let mut line_slot = [u8::MAX; BUS_LINES];
     let mut rec = RecodedBus {
@@ -757,6 +877,9 @@ fn recode_bus(set: &PackedSet, visit: &[u32]) -> Option<RecodedBus> {
             let code = match codes.iter().position(|&d| d == pl.driver) {
                 Some(code) => code,
                 None => {
+                    if codes.len() == 1 << MAX_CODE_PLANES {
+                        return None;
+                    }
                     codes.push(pl.driver);
                     max_codes = max_codes.max(codes.len());
                     codes.len() - 1
@@ -788,9 +911,10 @@ fn recode_bus(set: &PackedSet, visit: &[u32]) -> Option<RecodedBus> {
 /// that stays cache-resident, which is worth ~5× on 10^4-pattern sets.
 ///
 /// The bus prefilter runs on per-line driver-code planes built by the
-/// internal bus recoding; subsets spanning more than 64 distinct bus lines
-/// take the [`PackedAccumulator`] path instead (identical output, per
-/// the same equivalence argument).
+/// internal bus recoding; subsets spanning more than 64 distinct bus
+/// lines, or with more than 256 distinct drivers on one line, take the
+/// [`PackedAccumulator`] path instead (identical output, per the same
+/// equivalence argument).
 ///
 /// # Panics
 ///
@@ -1002,7 +1126,8 @@ fn absorb_words(planes: &mut [Plane], words: &[PackedWord]) {
 }
 
 /// The general-case path of [`first_fit_cover`] (more than 64 distinct
-/// bus lines in the subset): the epoch-based sweep over a
+/// bus lines in the subset, or more than 256 drivers on one line): the
+/// epoch-based sweep over a
 /// [`PackedAccumulator`], whose dense per-line driver table handles the
 /// full 256-line space.
 // Invariant: the loop only runs while `alive` is non-empty, so the seed draw always succeeds.
@@ -1250,7 +1375,16 @@ mod tests {
         assert_eq!(set.max_terminal(), Some(65));
         assert_eq!(set.terminal_words(), 2);
         assert_eq!(set.max_driver(), Some(1));
+        assert_eq!(set.empty_patterns(), 1);
         assert_eq!(PackedSet::build(&patterns[1..]).max_driver(), None);
+        assert_eq!(set.to_sparse().as_slice(), &patterns[..]);
+        // Concatenated arenas equal the arena of the concatenated list.
+        let parts = vec![
+            PackedSet::build(&patterns[..1]),
+            PackedSet::default(),
+            PackedSet::build(&patterns[1..]),
+        ];
+        assert_eq!(PackedSet::concat(parts), set);
         for (i, p) in patterns.iter().enumerate() {
             let packed = PackedPattern::from_sparse(p);
             assert_eq!(set.get(i).words, packed.words());
@@ -1297,11 +1431,37 @@ mod tests {
     }
 
     #[test]
+    fn driver_ids_below_the_limit_roundtrip() {
+        let largest = MAX_PACKED_DRIVERS - 1;
+        let p = sparse(&[], &[(0, 256), (1, largest)]);
+        assert_eq!(PackedPattern::from_sparse(&p).to_sparse(), p);
+        let set = PackedSet::build(&[p]);
+        assert_eq!(set.max_driver(), Some(largest as u16));
+    }
+
+    #[test]
     #[should_panic(expected = "packed driver-id limit")]
-    fn oversized_driver_id_panics() {
-        let p = SiPattern::new(vec![], vec![(BusLineId::new(0), CoreId::new(256))])
-            .expect("valid pattern");
+    fn driver_id_at_the_limit_panics() {
+        let p = sparse(&[], &[(0, MAX_PACKED_DRIVERS)]);
         let _ = PackedPattern::from_sparse(&p);
+    }
+
+    #[test]
+    fn socs_beyond_the_driver_limit_are_rejected() {
+        use soctam_model::CoreSpec;
+        let core = CoreSpec::new("c", 1, 1, 0, vec![], 1).expect("valid");
+        let at_limit =
+            Soc::new("at", vec![core.clone(); MAX_PACKED_DRIVERS as usize]).expect("valid soc");
+        assert_eq!(check_packable(&at_limit), Ok(()));
+        let beyond =
+            Soc::new("beyond", vec![core; MAX_PACKED_DRIVERS as usize + 1]).expect("valid soc");
+        assert_eq!(
+            check_packable(&beyond),
+            Err(PatternError::TooManyCores {
+                cores: MAX_PACKED_DRIVERS as usize + 1,
+                limit: MAX_PACKED_DRIVERS,
+            })
+        );
     }
 
     /// The cores a care-core bitset holds, ascending.
@@ -1436,6 +1596,42 @@ mod tests {
         let (cover, _) = first_fit_cover(&set, &visit, 1);
         assert_eq!(cover, reference_cover(&set, &visit));
         assert!(cover.len() > 1);
+    }
+
+    /// 700 patterns on two bus lines whose drivers all differ, so each
+    /// line carries `drivers_per_line` distinct drivers (cycled).
+    fn many_driver_set(drivers_per_line: u32) -> PackedSet {
+        let patterns: Vec<SiPattern> = (0..700u32)
+            .map(|i| {
+                let symbol = if i % 3 == 0 {
+                    Symbol::Rise
+                } else {
+                    Symbol::Fall
+                };
+                sparse(
+                    &[(i % 40, symbol)],
+                    &[((i % 2) as u8, (i / 2) % drivers_per_line + 300)],
+                )
+            })
+            .collect();
+        PackedSet::build(&patterns)
+    }
+
+    #[test]
+    fn first_fit_cover_matches_the_reference_with_many_drivers_per_line() {
+        // 256 drivers per line still fit eight code planes; 350 force the
+        // accumulator path. Both must match the pairwise reference.
+        for drivers_per_line in [256, 350] {
+            let set = many_driver_set(drivers_per_line);
+            let visit: Vec<u32> = (0..set.len() as u32).collect();
+            let (cover, _) = first_fit_cover(&set, &visit, 1);
+            assert_eq!(
+                cover,
+                reference_cover(&set, &visit),
+                "{drivers_per_line} drivers per line"
+            );
+            assert!(cover.len() > 1);
+        }
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! its report is byte-identical to a cold run's. `simulate` needs the
 //! full compacted groups and `bounds`, `compact` and `table` keep their
 //! own paths, so only `optimize` consults the memo.
+//!
+//! Every tool that draws random patterns generates them straight into a
+//! packed arena ([`generate_random_packed`]) and compacts that arena
+//! ([`compact_packed_with`]); none builds a sparse pattern set.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -27,8 +31,8 @@ use soctam::model::parser::{parse_soc, write_soc};
 use soctam::tam::bounds::{intest_lower_bound, si_lower_bound};
 use soctam::tam::{render_schedule, render_schedule_svg};
 use soctam::{
-    compact_two_dimensional_with, BackendKind, Benchmark, CompactionConfig, Objective,
-    OptimizerBudget, RandomPatternConfig, RunCtx, SiGroupSpec, SiOptimizer, SiPatternSet, Soc,
+    compact_packed_with, generate_random_packed, BackendKind, Benchmark, CompactionConfig,
+    Objective, OptimizerBudget, RandomPatternConfig, RunCtx, SiGroupSpec, SiOptimizer, Soc,
     SoctamError,
 };
 
@@ -329,9 +333,7 @@ fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOu
             ..ctx.clone()
         });
     let groups = optimizer
-        .group_specs(
-            &RandomPatternConfig::new(params.usize("patterns")).with_seed(params.u64("seed")),
-        )
+        .group_specs(&pattern_config(params))
         .map_err(pipeline_err)?;
     let result = optimizer.optimize_specs(&groups).map_err(pipeline_err)?;
 
@@ -380,27 +382,28 @@ fn table_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutpu
     Ok(ToolOutput::text(table.to_string()))
 }
 
+/// The random SI patterns the `patterns` and `seed` parameters describe.
+fn pattern_config(params: &ParamValues) -> RandomPatternConfig {
+    RandomPatternConfig::new(params.usize("patterns")).with_seed(params.u64("seed"))
+}
+
+/// The compaction the `partitions` and `seed` parameters describe.
+fn compaction_config(params: &ParamValues) -> CompactionConfig {
+    CompactionConfig::new(params.u32("partitions")).with_seed(params.u64("seed"))
+}
+
 fn compact_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     let pool = &ctx.pool;
     let patterns = pool
         .metrics()
         .time("generate", || {
-            SiPatternSet::random_with(
-                soc,
-                &RandomPatternConfig::new(params.usize("patterns")).with_seed(params.u64("seed")),
-                pool,
-            )
+            generate_random_packed(soc, &pattern_config(params), pool)
         })
         .map_err(pipeline_err)?;
     let compacted = pool
         .metrics()
         .time("compact", || {
-            compact_two_dimensional_with(
-                soc,
-                &patterns,
-                &CompactionConfig::new(params.u32("partitions")).with_seed(params.u64("seed")),
-                pool,
-            )
+            compact_packed_with(soc, &patterns, &compaction_config(params), pool)
         })
         .map_err(pipeline_err)?;
     let stats = compacted.stats();
@@ -436,19 +439,10 @@ fn compact_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOut
 
 fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     let pool = &ctx.pool;
-    let patterns = SiPatternSet::random_with(
-        soc,
-        &RandomPatternConfig::new(params.usize("patterns")).with_seed(params.u64("seed")),
-        pool,
-    )
-    .map_err(pipeline_err)?;
-    let compacted = compact_two_dimensional_with(
-        soc,
-        &patterns,
-        &CompactionConfig::new(params.u32("partitions")).with_seed(params.u64("seed")),
-        pool,
-    )
-    .map_err(pipeline_err)?;
+    let patterns =
+        generate_random_packed(soc, &pattern_config(params), pool).map_err(pipeline_err)?;
+    let compacted = compact_packed_with(soc, &patterns, &compaction_config(params), pool)
+        .map_err(pipeline_err)?;
     let groups = SiGroupSpec::from_compacted(&compacted);
 
     let mut out = String::new();
@@ -480,19 +474,12 @@ fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutp
 }
 
 fn simulate_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
-    let pool = &ctx.pool;
-    let patterns = SiPatternSet::random_with(
-        soc,
-        &RandomPatternConfig::new(params.usize("patterns")).with_seed(params.u64("seed")),
-        pool,
-    )
-    .map_err(pipeline_err)?;
     let result = SiOptimizer::new(soc)
         .max_tam_width(params.u32("width"))
         .partitions(params.u32("partitions"))
         .seed(params.u64("seed"))
         .run(ctx.clone())
-        .optimize(&patterns)
+        .optimize_random(&pattern_config(params))
         .map_err(pipeline_err)?;
     let sim = soctam::tester::simulate(
         soc,
@@ -539,7 +526,7 @@ mod tests {
     use super::*;
     use crate::param::parse_cli;
     use soctam::exec::CancelToken;
-    use soctam::EvalCache;
+    use soctam::{EvalCache, Pool};
 
     fn ctx() -> RunCtx {
         RunCtx::default()
@@ -661,6 +648,38 @@ mod tests {
         assert_eq!(spec.default, Some("tr-architect"));
         let schema = spec.schema().render();
         assert!(schema.contains(r#""values":["tr-architect","rect-pack"]"#));
+    }
+
+    #[test]
+    fn random_pattern_tools_run_on_socs_beyond_256_cores() {
+        use soctam::model::synth::{synth_soc, SynthConfig};
+        for cores in [257, 300] {
+            let soc = synth_soc(&SynthConfig::new(cores).with_seed(1)).expect("valid soc");
+            let drawn = generate_random_packed(
+                &soc,
+                &RandomPatternConfig::new(1000).with_seed(2007),
+                &Pool::serial(),
+            )
+            .expect("generates");
+            assert!(
+                drawn.max_driver() >= Some(256),
+                "{cores} cores: no bus driver beyond one byte"
+            );
+            let patterns = ["--patterns", "1000"];
+            let run = |tool: &str, flags: &[&str]| {
+                invoke(tool, &soc, &[&patterns[..], flags].concat(), &ctx())
+            };
+            assert!(run("compact", &["--partitions", "4"])
+                .text
+                .contains("ratio"));
+            assert!(run("bounds", &["--widths", "16"])
+                .text
+                .contains("LB(T_soc)"));
+            assert!(run("table", &["--widths", "8", "--parts", "1,2"])
+                .text
+                .contains("T_g2"));
+            assert!(run("optimize", &["--width", "8"]).text.contains("T_soc"));
+        }
     }
 
     #[test]

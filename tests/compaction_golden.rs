@@ -13,7 +13,8 @@
 //! duplicate count, the compacted counts, the cut and both kernel
 //! counters); they were recorded with the per-bucket `HashSet<&SiPattern>`
 //! duplicate filter, and the fingerprinted pass over the packed arena must
-//! reproduce them exactly. A failure here means the greedy cover's, the
+//! reproduce them exactly, through the sparse entry and through the
+//! packed entry `compact_packed_with` alike. A failure here means the greedy cover's, the
 //! partitioner's or the duplicate filter's semantics drifted — update the
 //! constants only for a deliberate model change.
 
@@ -22,12 +23,12 @@
 use std::hash::Hasher;
 
 use soctam::compaction::{
-    compact_greedy_ordered, compact_two_dimensional, group_patterns_packed, CompactionConfig,
-    CompactionStats, MergeOrder, PatternGrouping,
+    compact_greedy_ordered, compact_packed_with, compact_two_dimensional, group_patterns_packed,
+    CompactionConfig, CompactionStats, MergeOrder, PatternGrouping,
 };
 use soctam::hypergraph::PartitionConfig;
 use soctam::patterns::{PackedLayout, PackedSet};
-use soctam::{Benchmark, RandomPatternConfig, SiPattern, SiPatternSet};
+use soctam::{Benchmark, Pool, RandomPatternConfig, SiPattern, SiPatternSet};
 use soctam_exec::FxHasher;
 
 /// Order-sensitive fingerprint of a compacted cover: every care bit and
@@ -244,19 +245,26 @@ fn pipeline_case(parts: u32, stats: &CompactionStats) -> PipelineCase {
 }
 
 /// Runs the two-dimensional pipeline on [`set_with_duplicates`] at
-/// i ∈ {1, 4} and checks each [`PipelineCase`].
+/// i ∈ {1, 4}, through the sparse entry and through the packed entry
+/// on the packed set, and checks each [`PipelineCase`] for both.
 fn pipeline_golden(benchmark: Benchmark, cases: &[PipelineCase]) {
     let soc = benchmark.soc();
     let raw = set_with_duplicates(benchmark);
-    let seen: Vec<PipelineCase> = [1u32, 4]
-        .into_iter()
-        .map(|parts| {
-            let config = CompactionConfig::new(parts).with_seed(2007);
-            let result = compact_two_dimensional(&soc, &raw, &config).expect("compacts");
-            pipeline_case(parts, result.stats())
-        })
-        .collect();
-    assert_eq!(seen, cases, "{benchmark:?} pipeline counters");
+    let packed = PackedSet::build(raw.as_slice());
+    for entry in ["compact_two_dimensional", "compact_packed_with"] {
+        let seen: Vec<PipelineCase> = [1u32, 4]
+            .into_iter()
+            .map(|parts| {
+                let config = CompactionConfig::new(parts).with_seed(2007);
+                let result = match entry {
+                    "compact_two_dimensional" => compact_two_dimensional(&soc, &raw, &config),
+                    _ => compact_packed_with(&soc, &packed, &config, &Pool::serial()),
+                };
+                pipeline_case(parts, result.expect("compacts").stats())
+            })
+            .collect();
+        assert_eq!(seen, cases, "{benchmark:?} pipeline counters via {entry}");
+    }
 }
 
 #[test]
