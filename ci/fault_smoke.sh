@@ -91,7 +91,6 @@ run "tam.rail_eval=panic"            d695
 run "tam.schedule=panic"             d695
 run "exec.cache.lookup=panic"        d695
 run "exec.pool.task=panic"           d695
-run "tam.rectpack=panic"             d695 --backend rect-pack
 
 # The other tools that draw random patterns fan generation out on the
 # pool and compaction over the buckets, so both panicking sites must
@@ -102,18 +101,6 @@ for spec in "compaction.bucket=panic" "exec.pool.task=panic"; do
     run_tool "$spec" bounds   d695 --patterns 500 --widths 8
     run_tool "$spec" simulate d695 --patterns 500 --width 8 --partitions 2
 done
-
-# The rect-pack site lives only on the rect-pack path: armed against the
-# default backend it is never reached, so the run must succeed.
-SOCTAM_FAILPOINTS="tam.rectpack=panic" "$BIN" optimize d695 \
-    --patterns 500 --width 8 --partitions 2 >/dev/null 2>&1
-code=$?
-if [ "$code" -ne 0 ]; then
-    echo "FAIL [tam.rectpack default]: site fired on the default backend (exit $code)"
-    failures=$((failures + 1))
-else
-    echo "ok   [tam.rectpack default] -> unreachable on tr-architect, exit 0"
-fi
 
 # A malformed spec must be rejected up front as a usage error (exit 2),
 # not silently ignored.

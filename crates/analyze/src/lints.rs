@@ -297,7 +297,7 @@ pub(crate) fn local_findings(file: &SourceFile, toks: &[Tok], ast: &Ast) -> Vec<
 /// This is the sequential, cache-free entry point (corpus tests, small
 /// trees); the parallel incremental engine (`engine::run`) builds the
 /// same per-file facts on the `soctam-exec` pool and calls
-/// [`analyze_facts`] — one code path for both.
+/// `analyze_facts` — one code path for both.
 #[must_use]
 pub fn analyze(files: &[SourceFile]) -> Analysis {
     let facts: Vec<crate::facts::FileFacts> = files.iter().map(crate::facts::build).collect();

@@ -38,7 +38,7 @@ use soctam_compaction::{compact_packed_with, CompactionConfig};
 use soctam_exec::Pool;
 use soctam_model::Soc;
 use soctam_patterns::{generate_random_packed, RandomPatternConfig};
-use soctam_tam::{backend_for, BackendCtx, BackendKind, Objective, RunCtx, SiGroupSpec};
+use soctam_tam::{Objective, RunCtx, SiGroupSpec, TamOptimizer};
 
 use crate::pipeline::contain_panics;
 use crate::SoctamError;
@@ -183,19 +183,13 @@ pub fn run_table_with(
     config: &ExperimentConfig,
     pool: &Pool,
 ) -> Result<ExperimentTable, SoctamError> {
-    run_table_in(
-        soc,
-        config,
-        &RunCtx::new(pool.clone()),
-        BackendKind::TrArchitect,
-    )
+    run_table_in(soc, config, &RunCtx::new(pool.clone()))
 }
 
-/// [`run_table_with`] on the run context `run`, with `backend`
-/// optimizing every grid cell (baseline column included). Every cell
-/// gets `run`, so its budget bounds each cell on its own; a tripped
-/// budget or cancel token degrades the remaining cells to their
-/// best-so-far architectures, and the table stays complete and valid.
+/// [`run_table_with`] on the run context `run`. Every cell gets `run`,
+/// so its budget bounds each cell on its own; a tripped budget or
+/// cancel token degrades the remaining cells to their best-so-far
+/// architectures, and the table stays complete and valid.
 ///
 /// The patterns are generated once, straight into a packed arena, and
 /// every partition count compacts that one arena, so generation,
@@ -209,7 +203,6 @@ pub fn run_table_in(
     soc: &Soc,
     config: &ExperimentConfig,
     run: &RunCtx,
-    backend: BackendKind,
 ) -> Result<ExperimentTable, SoctamError> {
     let pool = &run.pool;
     let metrics = pool.metrics();
@@ -274,15 +267,11 @@ pub fn run_table_in(
                 } else {
                     (&compacted_groups[col - 1].1, Objective::Total)
                 };
-                let ctx = BackendCtx {
-                    soc,
-                    max_width: w_max,
-                    groups,
-                    objective,
-                    restarts: 1,
-                    run: run.clone(),
-                };
-                Ok(backend_for(backend).optimize(&ctx)?.evaluation().t_total())
+                let optimized = TamOptimizer::new(soc, w_max, groups.clone())?
+                    .objective(objective)
+                    .run(run.clone())
+                    .optimize()?;
+                Ok(optimized.evaluation().t_total())
             })
             .into_iter()
             .collect::<Result<Vec<u64>, SoctamError>>()

@@ -75,8 +75,7 @@ pub use soctam_patterns::{
     generate_random_packed, PackedSet, RandomPatternConfig, SiPattern, SiPatternSet, Symbol,
 };
 pub use soctam_tam::{
-    backend_for, BackendCaps, BackendCtx, BackendKind, DeltaCost, EvalCache, Evaluation, Evaluator,
-    Objective, OptimizedArchitecture, OptimizerBudget, RailEval, RunCtx, SiGroupSpec, TamBackend,
-    TamOptimizer, TestBusEvaluator, TestRail, TestRailArchitecture,
+    DeltaCost, EvalCache, Evaluation, Evaluator, Objective, OptimizedArchitecture, OptimizerBudget,
+    RailEval, RunCtx, SiGroupSpec, TamOptimizer, TestBusEvaluator, TestRail, TestRailArchitecture,
 };
 pub use soctam_wrapper::{intest_time, si_time, TimeTable, WrapperDesign};

@@ -15,8 +15,8 @@ use soctam_patterns::{
     generate_random_packed, PackedSet, PatternError, RandomPatternConfig, SiPatternSet,
 };
 use soctam_tam::{
-    backend_for, BackendCtx, BackendKind, Evaluation, Objective, OptimizedArchitecture, RunCtx,
-    SiGroupSpec, TestRailArchitecture,
+    Evaluation, Objective, OptimizedArchitecture, RunCtx, SiGroupSpec, TamOptimizer,
+    TestRailArchitecture,
 };
 
 use crate::SoctamError;
@@ -72,7 +72,6 @@ pub struct SiOptimizer<'a> {
     partitions: u32,
     seed: u64,
     objective: Objective,
-    backend: BackendKind,
     restarts: u32,
     run: RunCtx,
 }
@@ -87,7 +86,6 @@ impl<'a> SiOptimizer<'a> {
             partitions: 4,
             seed: 0,
             objective: Objective::Total,
-            backend: BackendKind::TrArchitect,
             restarts: 1,
             run: RunCtx::default(),
         }
@@ -147,15 +145,6 @@ impl<'a> SiOptimizer<'a> {
     /// (1 = the paper's single deterministic run).
     pub fn restarts(mut self, restarts: u32) -> Self {
         self.restarts = restarts.max(1);
-        self
-    }
-
-    /// Selects the TAM-optimization backend. The default,
-    /// [`BackendKind::TrArchitect`], is the paper's bandwidth-matching
-    /// `TAM_Optimization`; every backend reports the shared
-    /// `Evaluator`'s verdict on its architecture.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -219,18 +208,14 @@ impl<'a> SiOptimizer<'a> {
         groups: &[SiGroupSpec],
     ) -> Result<OptimizedArchitecture, SoctamError> {
         let optimized = contain_panics("pipeline.optimize", || {
-            let ctx = BackendCtx {
-                soc: self.soc,
-                max_width: self.max_tam_width,
-                groups,
-                objective: self.objective,
-                restarts: self.restarts,
-                run: self.run.clone(),
-            };
-            let optimized = self
-                .metrics()
-                .time("optimize", || backend_for(self.backend).optimize(&ctx))?;
-            Ok(optimized)
+            self.metrics()
+                .time("optimize", || {
+                    TamOptimizer::new(self.soc, self.max_tam_width, groups.to_vec())?
+                        .objective(self.objective)
+                        .run(self.run.clone())
+                        .optimize_multi(self.restarts)
+                })
+                .map_err(SoctamError::from)
         })?;
         optimized.evaluation().schedule.validate().into_result()?;
         Ok(optimized)
@@ -244,7 +229,7 @@ impl<'a> SiOptimizer<'a> {
     /// the specs are memoized there under a fingerprint of every input
     /// generation and compaction read: the SOC's contents, `patterns`
     /// and the partition count and seed. Nothing else enters, so the
-    /// same request at another width, objective, backend or budget is a
+    /// same request at another width, objective or budget is a
     /// hit. A hit skips generation, pattern validation and compaction
     /// and records no `generate` or `compact` phase, but still
     /// validates the SOC and passes the `patterns.generate.random` and

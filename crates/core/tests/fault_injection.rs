@@ -14,7 +14,7 @@ use soctam::exec::fault;
 use soctam::experiment::{run_table_in, ExperimentConfig};
 use soctam::model::parser;
 use soctam::{
-    BackendKind, Benchmark, EvalCache, FaultAction, Pool, RandomPatternConfig, RunCtx, SiOptimizer,
+    Benchmark, EvalCache, FaultAction, Pool, RandomPatternConfig, RunCtx, SiOptimizer,
     SiPatternSet, SoctamError,
 };
 
@@ -135,7 +135,7 @@ fn run_table_in_front_half_faults_are_structured() {
     for jobs in [1, 2] {
         let run = RunCtx::new(Pool::new(jobs));
         assert_front_half_faults_are_structured(&format!("run_table_in jobs={jobs}"), || {
-            run_table_in(&soc, &config, &run, BackendKind::TrArchitect).map(|_| ())
+            run_table_in(&soc, &config, &run).map(|_| ())
         });
     }
 }

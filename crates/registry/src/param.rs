@@ -28,10 +28,6 @@ pub enum ParamKind {
     /// A comma-separated list of `u32` on the CLI; a JSON array of
     /// integers on the server.
     U32List,
-    /// A string restricted to a fixed set of values. The allowed values
-    /// are part of the spec (and the published schema), so the CLI flag
-    /// and the JSON API enum cannot drift apart.
-    Enum(&'static [&'static str]),
 }
 
 impl ParamKind {
@@ -44,7 +40,6 @@ impl ParamKind {
             ParamKind::Bool => "bool",
             ParamKind::Str => "string",
             ParamKind::U32List => "u32-list",
-            ParamKind::Enum(_) => "enum",
         }
     }
 }
@@ -86,12 +81,6 @@ impl ParamSpec {
             ("name", Json::str(self.name)),
             ("type", Json::str(self.kind.type_name())),
         ];
-        if let ParamKind::Enum(allowed) = self.kind {
-            fields.push((
-                "values",
-                Json::Arr(allowed.iter().map(|v| Json::str(*v)).collect()),
-            ));
-        }
         match self.default {
             Some(d) => fields.push(("default", Json::str(d))),
             None => fields.push(("default", Json::Null)),
@@ -118,17 +107,6 @@ impl ParamSpec {
                 .map(|part| part.trim().parse::<u32>().map_err(|_| bad()))
                 .collect::<Result<Vec<u32>, ParamError>>()
                 .map(ParamValue::U32List),
-            ParamKind::Enum(allowed) => {
-                if allowed.contains(&text) {
-                    Ok(ParamValue::Str(text.to_owned()))
-                } else {
-                    Err(ParamError::new(format!(
-                        "invalid --{} value `{text}` (expected one of: {})",
-                        self.name,
-                        allowed.join(", ")
-                    )))
-                }
-            }
         }
     }
 
@@ -169,18 +147,6 @@ impl ParamSpec {
                     })
                     .collect::<Result<Vec<u32>, ParamError>>()
                     .map(ParamValue::U32List)
-            }
-            ParamKind::Enum(allowed) => {
-                let text = value.as_str().ok_or_else(bad)?;
-                if allowed.contains(&text) {
-                    Ok(ParamValue::Str(text.to_owned()))
-                } else {
-                    Err(ParamError::new(format!(
-                        "parameter `{}` must be one of: {}",
-                        self.name,
-                        allowed.join(", ")
-                    )))
-                }
             }
         }
     }
@@ -421,12 +387,6 @@ mod tests {
         ParamSpec::new("widths", ParamKind::U32List, Some("8,16"), "width sweep"),
         ParamSpec::new("deadline-ms", ParamKind::U64, None, "wall-clock budget"),
         ParamSpec::new("svg", ParamKind::Str, None, "SVG output path"),
-        ParamSpec::new(
-            "mode",
-            ParamKind::Enum(&["fast", "exact"]),
-            Some("fast"),
-            "strategy",
-        ),
     ];
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -487,27 +447,5 @@ mod tests {
         assert!(schema.contains(r#""name":"patterns""#));
         assert!(schema.contains(r#""type":"usize""#));
         assert!(schema.contains(r#""default":"10000""#));
-    }
-
-    #[test]
-    fn enum_values_are_validated_on_both_surfaces() {
-        let values = parse_cli(SPECS, &args(&["--mode", "exact"])).unwrap();
-        assert_eq!(values.opt_str("mode"), Some("exact"));
-        let defaulted = parse_cli(SPECS, &args(&[])).unwrap();
-        assert_eq!(defaulted.opt_str("mode"), Some("fast"));
-        let err = parse_cli(SPECS, &args(&["--mode", "slow"])).unwrap_err();
-        assert!(err.message.contains("fast, exact"), "{}", err.message);
-        let from_json = parse_json(SPECS, &Json::parse(r#"{"mode":"exact"}"#).unwrap()).unwrap();
-        assert_eq!(from_json.opt_str("mode"), Some("exact"));
-        assert!(parse_json(SPECS, &Json::parse(r#"{"mode":"slow"}"#).unwrap()).is_err());
-        assert!(parse_json(SPECS, &Json::parse(r#"{"mode":3}"#).unwrap()).is_err());
-    }
-
-    #[test]
-    fn enum_schema_publishes_the_allowed_values() {
-        let schema = SPECS[6].schema().render();
-        assert!(schema.contains(r#""type":"enum""#));
-        assert!(schema.contains(r#""values":["fast","exact"]"#));
-        assert!(schema.contains(r#""default":"fast""#));
     }
 }

@@ -13,8 +13,8 @@
 //! [`SiOptimizer::group_specs`], so when the context carries a shared
 //! cache (always in the daemon, with `--cache-cap` in the CLI) a request
 //! whose SOC contents, pattern count, seed and partition count were
-//! seen before skips generation and compaction at any width, objective,
-//! backend or budget. The memo stores group specs, never patterns, and
+//! seen before skips generation and compaction at any width, objective
+//! or budget. The memo stores group specs, never patterns, and
 //! its report is byte-identical to a cold run's. `simulate` needs the
 //! full compacted groups and `bounds`, `compact` and `table` keep their
 //! own paths, so only `optimize` consults the memo.
@@ -29,15 +29,14 @@ use std::sync::OnceLock;
 use soctam::experiment::{run_table_in, ExperimentConfig};
 use soctam::model::parser::{parse_soc, write_soc};
 use soctam::tam::bounds::{intest_lower_bound, si_lower_bound};
-use soctam::tam::{render_schedule, render_schedule_svg};
+use soctam::tam::{render_schedule, render_schedule_svg, TamError};
 use soctam::{
-    compact_packed_with, generate_random_packed, BackendKind, Benchmark, CompactionConfig,
-    Objective, OptimizerBudget, RandomPatternConfig, RunCtx, SiGroupSpec, SiOptimizer, Soc,
-    SoctamError,
+    compact_packed_with, generate_random_packed, Benchmark, CompactionConfig, Objective,
+    OptimizerBudget, RandomPatternConfig, RunCtx, SiGroupSpec, SiOptimizer, Soc, SoctamError,
 };
 
 use crate::param::{ParamKind, ParamSpec, ParamValues};
-use crate::tool::{Tool, ToolError, ToolOutput, ToolRegistry};
+use crate::tool::{Tool, ToolError, ToolErrorKind, ToolOutput, ToolRegistry};
 
 const PATTERNS: ParamSpec = ParamSpec::new(
     "patterns",
@@ -127,13 +126,6 @@ const MAX_ITERS: ParamSpec = ParamSpec::new(
     None,
     "deterministic iteration budget for the TAM optimization",
 );
-const BACKEND: ParamSpec = ParamSpec::new(
-    "backend",
-    ParamKind::Enum(BackendKind::NAMES),
-    Some("tr-architect"),
-    "TAM-optimization backend: tr-architect (bandwidth matching, \
-     Algorithm 2) or rect-pack (Pareto rectangle packing)",
-);
 const CACHE_CAP: ParamSpec = ParamSpec::new(
     "cache-cap",
     ParamKind::Usize,
@@ -155,14 +147,13 @@ static OPTIMIZE_PARAMS: &[ParamSpec] = &[
     PROGRESS,
     PROFILE,
     BASELINE,
-    BACKEND,
     SVG,
     DEADLINE_MS,
     MAX_ITERS,
     CACHE_CAP,
 ];
 static TABLE_PARAMS: &[ParamSpec] = &[
-    PATTERNS, WIDTHS, PARTS, SEED, JOBS, PROBE_JOBS, STATS, PROGRESS, PROFILE, BACKEND, CACHE_CAP,
+    PATTERNS, WIDTHS, PARTS, SEED, JOBS, PROBE_JOBS, STATS, PROGRESS, PROFILE, CACHE_CAP,
 ];
 static COMPACT_PARAMS: &[ParamSpec] = &[PATTERNS, PARTITIONS, SEED, JOBS, STATS];
 static EXPORT_PARAMS: &[ParamSpec] = &[];
@@ -258,17 +249,17 @@ fn budget_from(params: &ParamValues) -> OptimizerBudget {
     budget
 }
 
-/// The TAM-optimization backend the parameters select. The enum spec
-/// already validated membership, so a parse failure here would be a
-/// drift bug between [`BackendKind::NAMES`] and the spec — surfaced as
-/// a usage error rather than a panic.
-pub fn backend_from(params: &ParamValues) -> Result<BackendKind, ToolError> {
-    match params.opt_str("backend") {
-        None => Ok(BackendKind::default()),
-        Some(name) => name
-            .parse::<BackendKind>()
-            .map_err(|e| ToolError::usage(e.to_string())),
+/// Rejects a zero TAM width as an invalid request before any pattern is
+/// generated: no rail fits in zero wires.
+fn check_widths(widths: &[u32]) -> Result<(), ToolError> {
+    if widths.contains(&0) {
+        return Err(ToolError {
+            kind: ToolErrorKind::Invalid,
+            message: SoctamError::from(TamError::ZeroWidthBudget).to_string(),
+            codes: Vec::new(),
+        });
     }
+    Ok(())
 }
 
 fn pipeline_err(err: impl Into<SoctamError>) -> ToolError {
@@ -317,6 +308,7 @@ fn export_tool(soc: &Soc, _params: &ParamValues, _ctx: &RunCtx) -> Result<ToolOu
 }
 
 fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
+    check_widths(&[params.u32("width")])?;
     let objective = if params.bool("baseline") {
         Objective::InTestOnly
     } else {
@@ -327,7 +319,6 @@ fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOu
         .partitions(params.u32("partitions"))
         .seed(params.u64("seed"))
         .objective(objective)
-        .backend(backend_from(params)?)
         .run(RunCtx {
             budget: budget_from(params),
             ..ctx.clone()
@@ -378,7 +369,8 @@ fn table_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutpu
         partitions: params.u32_list("parts"),
         seed: params.u64("seed"),
     };
-    let table = run_table_in(soc, &config, ctx, backend_from(params)?).map_err(pipeline_err)?;
+    check_widths(&config.widths)?;
+    let table = run_table_in(soc, &config, ctx).map_err(pipeline_err)?;
     Ok(ToolOutput::text(table.to_string()))
 }
 
@@ -438,6 +430,8 @@ fn compact_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOut
 }
 
 fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
+    let widths = params.u32_list("widths");
+    check_widths(&widths)?;
     let pool = &ctx.pool;
     let patterns =
         generate_random_packed(soc, &pattern_config(params), pool).map_err(pipeline_err)?;
@@ -458,7 +452,7 @@ fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutp
         "{:>6} {:>12} {:>12} {:>12}",
         "Wmax", "LB(T_in)", "LB(T_si)", "LB(T_soc)"
     );
-    for &w in &params.u32_list("widths") {
+    for &w in &widths {
         let lb_in = intest_lower_bound(soc, w).map_err(runtime_err)?;
         let lb_si = si_lower_bound(soc, &groups, w).map_err(runtime_err)?;
         let _ = writeln!(
@@ -474,6 +468,7 @@ fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutp
 }
 
 fn simulate_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
+    check_widths(&[params.u32("width")])?;
     let result = SiOptimizer::new(soc)
         .max_tam_width(params.u32("width"))
         .partitions(params.u32("partitions"))
@@ -602,52 +597,6 @@ mod tests {
         let second = invoke("optimize", &soc, flags, &ctx);
         assert_eq!(first, second, "warm cache must not change the result");
         assert_eq!(cache.len(), warm, "identical request adds no entries");
-    }
-
-    #[test]
-    fn backend_flag_selects_rect_pack_on_optimize_and_table() {
-        let soc = Benchmark::D695.soc();
-        let base = &["--patterns", "150", "--width", "8", "--partitions", "2"][..];
-        let default_run = invoke("optimize", &soc, base, &ctx());
-        let explicit = [base, &["--backend", "tr-architect"]].concat();
-        assert_eq!(
-            invoke("optimize", &soc, &explicit, &ctx()),
-            default_run,
-            "explicit tr-architect must equal the default"
-        );
-        let rect = [base, &["--backend", "rect-pack"]].concat();
-        let rect_run = invoke("optimize", &soc, &rect, &ctx());
-        assert!(rect_run.text.contains("T_soc"));
-        let table = invoke(
-            "table",
-            &soc,
-            &[
-                "--patterns",
-                "150",
-                "--widths",
-                "8",
-                "--parts",
-                "1",
-                "--backend",
-                "rect-pack",
-            ],
-            &ctx(),
-        );
-        assert!(table.text.contains("8"));
-    }
-
-    #[test]
-    fn backend_schema_is_the_canonical_enum() {
-        let tool = standard_registry().get("optimize").expect("registered");
-        let spec = tool
-            .params
-            .iter()
-            .find(|p| p.name == "backend")
-            .expect("backend param declared");
-        assert_eq!(spec.kind, ParamKind::Enum(BackendKind::NAMES));
-        assert_eq!(spec.default, Some("tr-architect"));
-        let schema = spec.schema().render();
-        assert!(schema.contains(r#""values":["tr-architect","rect-pack"]"#));
     }
 
     #[test]

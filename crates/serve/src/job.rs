@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use soctam_exec::{CancelToken, Progress};
-use soctam_registry::{standard_registry, Json};
+use soctam_registry::Json;
 
 use crate::journal::{Journal, Replay};
 
@@ -99,14 +99,10 @@ struct Job {
     recovered: bool,
     /// Iteration count at the last journaled checkpoint.
     checkpointed: u64,
-    /// The TAM backend this job runs with (`None` for tools without a
-    /// backend parameter); echoed in the job's progress object.
-    backend: Option<String>,
 }
 
 impl Job {
     fn new(tool: String, body: String) -> Job {
-        let backend = backend_of(&tool, &body);
         Job {
             tool,
             body,
@@ -117,31 +113,8 @@ impl Job {
             cancel_requested: false,
             recovered: false,
             checkpointed: 0,
-            backend,
         }
     }
-}
-
-/// The backend a job will run with: the body's explicit
-/// `params.backend` when present, else the tool's declared default;
-/// `None` for tools that take no backend parameter. Derived the same
-/// way on fresh submission and on journal replay, so recovered jobs
-/// echo the same backend.
-fn backend_of(tool: &str, body: &str) -> Option<String> {
-    let spec = standard_registry()
-        .get(tool)?
-        .params
-        .iter()
-        .find(|p| p.name == "backend")?;
-    Json::parse(body)
-        .ok()
-        .and_then(|v| {
-            v.get("params")
-                .and_then(|p| p.get("backend"))
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-        })
-        .or_else(|| spec.default.map(str::to_owned))
 }
 
 #[derive(Debug, Default)]
@@ -744,22 +717,20 @@ fn job_json(id: u64, job: &Job) -> Json {
         ("recovered", Json::Bool(job.recovered)),
     ];
     if job.state == JobState::Running {
-        let mut progress = Vec::new();
-        if let Some(backend) = &job.backend {
-            progress.push(("backend", Json::str(backend.clone())));
-        }
-        progress.extend([
-            ("phase", Json::str(job.progress.phase())),
-            ("iterations", Json::Int(job.progress.iterations() as i128)),
-            ("probed", Json::Int(job.progress.probed() as i128)),
-            (
-                "best",
-                job.progress
-                    .best()
-                    .map_or(Json::Null, |b| Json::Int(b as i128)),
-            ),
-        ]);
-        fields.push(("progress", Json::obj(progress)));
+        fields.push((
+            "progress",
+            Json::obj(vec![
+                ("phase", Json::str(job.progress.phase())),
+                ("iterations", Json::Int(job.progress.iterations() as i128)),
+                ("probed", Json::Int(job.progress.probed() as i128)),
+                (
+                    "best",
+                    job.progress
+                        .best()
+                        .map_or(Json::Null, |b| Json::Int(b as i128)),
+                ),
+            ]),
+        ));
     }
     if let Some(result) = &job.result {
         fields.push(("status", Json::Int(i128::from(result.status))));
@@ -793,37 +764,6 @@ mod tests {
         let status = manager.status_json(1).unwrap();
         assert_eq!(status.get("state").unwrap().as_str(), Some("done"));
         assert!(manager.all_terminal());
-    }
-
-    #[test]
-    fn running_jobs_echo_their_backend_in_progress() {
-        let manager = JobManager::new(4);
-        // Explicit backend in the body wins.
-        let id = manager
-            .submit(
-                "optimize",
-                r#"{"soc":"d695","params":{"patterns":100,"backend":"rect-pack"}}"#,
-            )
-            .unwrap();
-        // No backend field: the spec default is echoed.
-        let defaulted = manager.submit("optimize", r#"{"soc":"d695"}"#).unwrap();
-        // Tools without a backend parameter echo nothing.
-        let plain = manager.submit("info", r#"{"soc":"d695"}"#).unwrap();
-        for _ in 0..3 {
-            manager.take_next().unwrap();
-        }
-        let backend_of = |id: u64| {
-            manager
-                .status_json(id)
-                .unwrap()
-                .get("progress")
-                .and_then(|p| p.get("backend"))
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-        };
-        assert_eq!(backend_of(id), Some("rect-pack".to_owned()));
-        assert_eq!(backend_of(defaulted), Some("tr-architect".to_owned()));
-        assert_eq!(backend_of(plain), None);
     }
 
     #[test]

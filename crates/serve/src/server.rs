@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use soctam::{BackendKind, EvalCache, MetricsSnapshot, Pool, RunCtx, Soc};
+use soctam::{EvalCache, MetricsSnapshot, Pool, RunCtx, Soc};
 use soctam_exec::fault::panic_message;
 use soctam_exec::{fault, signal, CancelToken, Progress};
 use soctam_registry::{
@@ -117,18 +117,6 @@ struct ServerState {
     next_id: AtomicU64,
     shutdown: AtomicBool,
     jobs: JobManager,
-    /// Per-backend invocation counters, aligned with
-    /// [`BackendKind::NAMES`]; counts every successfully-parsed request
-    /// that carries a backend parameter (sync and job paths alike).
-    backend_runs: [AtomicU64; 2],
-}
-
-impl ServerState {
-    fn count_backend(&self, name: &str) {
-        if let Some(i) = BackendKind::NAMES.iter().position(|n| *n == name) {
-            self.backend_runs[i].fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A bound, not-yet-running daemon.
@@ -195,7 +183,6 @@ impl Server {
                 next_id: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 jobs,
-                backend_runs: [AtomicU64::new(0), AtomicU64::new(0)],
             }),
             job_workers: config.job_workers.max(1),
             stats: config.stats,
@@ -492,10 +479,6 @@ fn execute(
         Ok(pair) => pair,
         Err(response) => return response,
     };
-    if let Some(backend) = params.opt_str("backend") {
-        state.count_backend(backend);
-    }
-
     // Failpoint: dispatch-path fault → structured 500.
     if let Err(e) = fault::check("serve.dispatch") {
         return Response::error(500, None, "failed", &ToolError::failed(e.to_string()));
@@ -847,16 +830,6 @@ fn metrics_json(state: &ServerState) -> Json {
                     Json::Int(state.rejected.load(Ordering::Relaxed) as i128),
                 ),
             ]),
-        ),
-        (
-            "backends",
-            Json::obj(
-                BackendKind::NAMES
-                    .iter()
-                    .zip(&state.backend_runs)
-                    .map(|(name, runs)| (*name, Json::Int(runs.load(Ordering::Relaxed) as i128)))
-                    .collect(),
-            ),
         ),
         ("jobs", state.jobs.metrics_json()),
         (

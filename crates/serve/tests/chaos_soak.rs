@@ -18,7 +18,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use soctam_exec::fault::{self, FaultAction};
@@ -27,8 +29,8 @@ use soctam_registry::Json;
 use soctam_serve::journal::Journal;
 use soctam_serve::{client, Server, ServerConfig};
 
-/// Every failpoint site in the workspace; the soak must cover at least
-/// ten (the ISSUE floor) and this list is the exhaustive fifteen.
+/// Every failpoint site in the workspace: the exhaustive fourteen, as
+/// `sites_are_every_failpoint_in_the_sources` checks.
 const SITES: &[&str] = &[
     "compaction.bucket",
     "compaction.partition",
@@ -43,7 +45,6 @@ const SITES: &[&str] = &[
     "tam.merge",
     "tam.probe",
     "tam.rail_eval",
-    "tam.rectpack",
     "tam.schedule",
 ];
 
@@ -53,10 +54,6 @@ const SHAPES: &[(&str, &str)] = &[
     (
         "optimize",
         r#"{"soc":"d695","params":{"patterns":100,"width":8,"partitions":2}}"#,
-    ),
-    (
-        "optimize",
-        r#"{"soc":"d695","params":{"patterns":100,"width":8,"partitions":2,"backend":"rect-pack"}}"#,
     ),
     ("info", r#"{"soc":"d695"}"#),
     ("bounds", r#"{"soc":"d695","params":{"patterns":100}}"#),
@@ -151,6 +148,43 @@ fn random_action(rng: &mut Rng) -> FaultAction {
         1 => FaultAction::Panic,
         _ => FaultAction::Delay(Duration::from_millis(5 + rng.below(16))),
     }
+}
+
+/// The site literal of every `fault::hit("…")` and `fault::check("…")`
+/// call in the `src` tree of every workspace crate.
+fn failpoints_in_sources() -> BTreeSet<String> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut dirs: Vec<PathBuf> = fs::read_dir(crates)
+        .unwrap()
+        .map(|entry| entry.unwrap().path().join("src"))
+        .filter(|src| src.is_dir())
+        .collect();
+    let mut sites = BTreeSet::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                if !path.ends_with("target") {
+                    dirs.push(path);
+                }
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let text = fs::read_to_string(&path).unwrap();
+                for call in ["fault::hit(\"", "fault::check(\""] {
+                    for (at, _) in text.match_indices(call) {
+                        let rest = &text[at + call.len()..];
+                        sites.insert(rest[..rest.find('"').unwrap()].to_owned());
+                    }
+                }
+            }
+        }
+    }
+    sites
+}
+
+#[test]
+fn sites_are_every_failpoint_in_the_sources() {
+    let listed: BTreeSet<String> = SITES.iter().map(|site| site.to_string()).collect();
+    assert_eq!(failpoints_in_sources(), listed);
 }
 
 #[test]

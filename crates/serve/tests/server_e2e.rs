@@ -52,26 +52,9 @@ fn tools_endpoint_publishes_the_registry_schema() {
 }
 
 #[test]
-fn tools_schema_declares_the_backend_enum() {
-    let (addr, handle) = start(1, 0);
-    let response = client::get(&addr, "/v1/tools").unwrap();
-    assert_eq!(response.status, 200);
-    // The optimize/table tools publish `backend` as a closed enum, so
-    // API clients see the same value set the CLI accepts.
-    assert!(response.body.contains(r#""name":"backend""#));
-    assert!(response.body.contains(r#""type":"enum""#));
-    assert!(response
-        .body
-        .contains(r#""values":["tr-architect","rect-pack"]"#));
-    assert!(response.body.contains(r#""default":"tr-architect""#));
-    stop(&addr, handle);
-}
-
-#[test]
 fn cli_and_server_reports_are_byte_identical() {
     let (addr, handle) = start(1, 0);
-    // One golden per benchmark: d695 (optimize, both backends) and
-    // p34392 (optimize).
+    // One golden per benchmark: d695 and p34392 (optimize).
     for (soc, body, cli_args) in [
         (
             "d695",
@@ -85,22 +68,6 @@ fn cli_and_server_reports_are_byte_identical() {
                 "16",
                 "--partitions",
                 "2",
-            ],
-        ),
-        (
-            "d695",
-            r#"{"soc":"d695","params":{"patterns":300,"width":16,"partitions":2,"backend":"rect-pack"}}"#,
-            vec![
-                "optimize",
-                "d695",
-                "--patterns",
-                "300",
-                "--width",
-                "16",
-                "--partitions",
-                "2",
-                "--backend",
-                "rect-pack",
             ],
         ),
         (
@@ -124,12 +91,6 @@ fn cli_and_server_reports_are_byte_identical() {
             .starts_with('r'));
         assert_eq!(parsed.get("degraded").unwrap(), &Json::Bool(false));
     }
-    // /metrics counts each request under the backend it ran with.
-    let metrics = Json::parse(&client::get(&addr, "/metrics").unwrap().body).unwrap();
-    let backends = metrics.get("backends").unwrap();
-    let runs = |name: &str| backends.get(name).unwrap().as_u64().unwrap();
-    assert_eq!(runs("tr-architect"), 2);
-    assert_eq!(runs("rect-pack"), 1);
     stop(&addr, handle);
 }
 
@@ -216,6 +177,16 @@ fn malformed_requests_get_structured_errors_with_stable_codes() {
     assert_eq!(r.status, 400);
     assert!(r.body.contains("patern"));
 
+    // No tool takes a `backend` parameter: it is unknown like any other.
+    let r = client::post(
+        &addr,
+        "/v1/tools/optimize",
+        r#"{"soc":"d695","params":{"backend":"tr-architect"}}"#,
+    )
+    .unwrap();
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.body.contains("unknown parameter `backend`"));
+
     // Missing SOC → 400.
     let r = client::post(&addr, "/v1/tools/optimize", "{}").unwrap();
     assert_eq!(r.status, 400);
@@ -233,6 +204,46 @@ fn malformed_requests_get_structured_errors_with_stable_codes() {
     let r = client::get(&addr, "/v2/everything").unwrap();
     assert_eq!(r.status, 404);
 
+    stop(&addr, handle);
+}
+
+#[test]
+fn zero_widths_are_invalid_and_rejected_before_any_work() {
+    let (addr, handle) = start(1, 0);
+    let entries = |addr: &str| {
+        let metrics = Json::parse(&client::get(addr, "/metrics").unwrap().body).unwrap();
+        metrics.get("cache").and_then(|c| c.get("entries")).cloned()
+    };
+    let before = entries(&addr);
+    for (tool, param, value) in [
+        ("optimize", "width", "0"),
+        ("simulate", "width", "0"),
+        ("table", "widths", "8,0"),
+        ("bounds", "widths", "0"),
+    ] {
+        let json = match param {
+            "widths" => format!("[{value}]"),
+            _ => value.to_owned(),
+        };
+        let body = format!(r#"{{"soc":"d695","params":{{"patterns":100,"{param}":{json}}}}}"#);
+        let r = client::post(&addr, &format!("/v1/tools/{tool}"), &body).unwrap();
+        assert_eq!(r.status, 422, "{tool}: {}", r.body);
+        let error = Json::parse(&r.body).unwrap().get("error").unwrap().clone();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("invalid"));
+        let message = error.get("message").unwrap().as_str().unwrap().to_owned();
+        assert!(
+            message.contains("tam width budget must be at least 1"),
+            "{message}"
+        );
+
+        // The CLI reports the same message with exit 1.
+        let flag = format!("--{param}");
+        let args = [tool, "d695", "--patterns", "100", &flag, value].map(String::from);
+        let err = soctam_cli::run(&args).unwrap_err();
+        assert_eq!(err.code, 1, "{tool}: {}", err.message);
+        assert!(err.message.contains(&message), "{tool}: {}", err.message);
+    }
+    assert_eq!(entries(&addr), before, "a rejected request stores nothing");
     stop(&addr, handle);
 }
 

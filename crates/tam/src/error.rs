@@ -40,11 +40,6 @@ pub enum TamError {
     },
     /// The TAM width budget cannot host the SOC (fewer wires than one).
     ZeroWidthBudget,
-    /// A backend was requested under a name no backend carries.
-    UnknownBackend {
-        /// The unrecognized backend name.
-        name: String,
-    },
     /// Forwarded wrapper-design failure.
     Wrapper(WrapperError),
 }
@@ -67,13 +62,6 @@ impl fmt::Display for TamError {
                 write!(f, "architecture uses {used} tam wires, budget is {max}")
             }
             TamError::ZeroWidthBudget => write!(f, "tam width budget must be at least 1"),
-            TamError::UnknownBackend { name } => {
-                write!(
-                    f,
-                    "unknown backend {name:?}; expected one of: {}",
-                    crate::BackendKind::NAMES.join(", ")
-                )
-            }
             TamError::Wrapper(e) => write!(f, "wrapper design failed: {e}"),
         }
     }

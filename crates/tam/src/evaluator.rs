@@ -828,7 +828,7 @@ impl<'a> Evaluator<'a> {
     /// The cost of `st` with `edits` applied, read-only so concurrent
     /// probes can share one state. A single width edit costs
     /// O(groups the rail touches) and allocates nothing when the
-    /// schedule is reused; see [`for_each_touched`].
+    /// schedule is reused; see the private `for_each_touched`.
     ///
     /// # Panics
     ///

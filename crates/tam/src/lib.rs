@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod backend;
 pub mod bounds;
 mod budget;
 mod bus;
@@ -59,10 +58,6 @@ pub mod report;
 mod run;
 mod schedule;
 
-pub use backend::{
-    backend_for, BackendCaps, BackendCtx, BackendKind, RectPackBackend, TamBackend,
-    TrArchitectBackend,
-};
 pub use budget::OptimizerBudget;
 pub use bus::TestBusEvaluator;
 

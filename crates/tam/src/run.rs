@@ -14,8 +14,7 @@ use crate::{EvalCache, OptimizerBudget};
 /// A front end builds one per request (the CLI from its flags, the
 /// daemon from its startup state and the job's token and sink) and it
 /// is handed down unchanged: registry tool → `SiOptimizer` or the table
-/// harness → [`BackendCtx`](crate::BackendCtx) → [`TamOptimizer`] and
-/// its budget tracker. Pools and the cache never change a result; the
+/// harness → [`TamOptimizer`] and its budget tracker. Pools and the cache never change a result; the
 /// budget and the cancel token only degrade it to the best architecture
 /// found so far, flagged
 /// [`degraded`](crate::OptimizedArchitecture::degraded).

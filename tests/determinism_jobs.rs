@@ -13,8 +13,8 @@
 
 use soctam::experiment::{run_table_in, run_table_with, ExperimentConfig};
 use soctam::{
-    BackendKind, Benchmark, OptimizerBudget, Pool, RandomPatternConfig, RunCtx,
-    SiOptimizationResult, SiOptimizer, SiPatternSet,
+    Benchmark, OptimizerBudget, Pool, RandomPatternConfig, RunCtx, SiOptimizationResult,
+    SiOptimizer, SiPatternSet,
 };
 
 const JOBS: [usize; 3] = [1, 4, 8];
@@ -35,12 +35,11 @@ fn run_ctx(jobs: usize, probe_jobs: usize) -> RunCtx {
     }
 }
 
-fn optimize_backend(
+fn optimize(
     bench: Benchmark,
     patterns: usize,
     jobs: usize,
     probe_jobs: usize,
-    backend: BackendKind,
 ) -> SiOptimizationResult {
     let soc = bench.soc();
     let set = SiPatternSet::random_with(
@@ -53,36 +52,31 @@ fn optimize_backend(
         .max_tam_width(16)
         .partitions(2)
         .seed(3)
-        .backend(backend)
         .run(run_ctx(jobs, probe_jobs))
         .optimize(&set)
         .expect("optimizes")
 }
 
-fn assert_identical_backend_runs(bench: Benchmark, patterns: usize, backend: BackendKind) {
-    let baseline = optimize_backend(bench, patterns, 1, 1, backend);
+fn assert_identical_runs(bench: Benchmark, patterns: usize) {
+    let baseline = optimize(bench, patterns, 1, 1);
     for (jobs, probe_jobs) in job_grid().skip(1) {
-        let run = optimize_backend(bench, patterns, jobs, probe_jobs, backend);
+        let run = optimize(bench, patterns, jobs, probe_jobs);
         assert_eq!(
             run.compacted().groups(),
             baseline.compacted().groups(),
-            "{bench}/{backend}: compacted groups diverge at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: compacted groups diverge at jobs={jobs} probe-jobs={probe_jobs}"
         );
         assert_eq!(
             run.architecture(),
             baseline.architecture(),
-            "{bench}/{backend}: architecture diverges at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: architecture diverges at jobs={jobs} probe-jobs={probe_jobs}"
         );
         assert_eq!(
             run.evaluation(),
             baseline.evaluation(),
-            "{bench}/{backend}: schedule diverges at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: schedule diverges at jobs={jobs} probe-jobs={probe_jobs}"
         );
     }
-}
-
-fn assert_identical_runs(bench: Benchmark, patterns: usize) {
-    assert_identical_backend_runs(bench, patterns, BackendKind::TrArchitect);
 }
 
 #[test]
@@ -93,19 +87,6 @@ fn d695_is_bit_identical_across_jobs() {
 #[test]
 fn p34392_is_bit_identical_across_jobs() {
     assert_identical_runs(Benchmark::P34392, 400);
-}
-
-/// The rect-pack backend places rectangles serially, so the worker and
-/// probe pools must have no influence at all: the full jobs grid is
-/// bit-identical on both benchmarks.
-#[test]
-fn d695_rect_pack_is_bit_identical_across_jobs() {
-    assert_identical_backend_runs(Benchmark::D695, 600, BackendKind::RectPack);
-}
-
-#[test]
-fn p34392_rect_pack_is_bit_identical_across_jobs() {
-    assert_identical_backend_runs(Benchmark::P34392, 400, BackendKind::RectPack);
 }
 
 /// Like [`optimize`], but with an active iteration-bounded
@@ -195,7 +176,7 @@ fn experiment_table_is_bit_identical_across_jobs() {
     let baseline = run_table_with(&soc, &config, &Pool::serial()).expect("runs");
     for (jobs, probe_jobs) in job_grid().skip(1) {
         let run = run_ctx(jobs, probe_jobs);
-        let table = run_table_in(&soc, &config, &run, BackendKind::TrArchitect).expect("runs");
+        let table = run_table_in(&soc, &config, &run).expect("runs");
         assert_eq!(
             table, baseline,
             "table diverges at jobs={jobs} probe-jobs={probe_jobs}"
