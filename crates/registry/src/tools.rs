@@ -29,7 +29,7 @@ use std::sync::OnceLock;
 use soctam::experiment::{run_table_in, ExperimentConfig};
 use soctam::model::parser::{parse_soc, write_soc};
 use soctam::tam::bounds::{intest_lower_bound, si_lower_bound};
-use soctam::tam::{render_schedule, render_schedule_svg, TamError};
+use soctam::tam::{check_width_budget, render_schedule, render_schedule_svg};
 use soctam::{
     compact_packed_with, generate_random_packed, Benchmark, CompactionConfig, Objective,
     OptimizerBudget, RandomPatternConfig, RunCtx, SiGroupSpec, SiOptimizer, Soc, SoctamError,
@@ -249,17 +249,18 @@ fn budget_from(params: &ParamValues) -> OptimizerBudget {
     budget
 }
 
-/// Rejects a zero TAM width as an invalid request before any pattern is
-/// generated: no rail fits in zero wires.
+/// Rejects a zero TAM width (no rail fits in zero wires) or one above
+/// [`MAX_TAM_WIDTH`](soctam::tam::MAX_TAM_WIDTH) as an invalid request,
+/// before any pattern is generated.
 fn check_widths(widths: &[u32]) -> Result<(), ToolError> {
-    if widths.contains(&0) {
-        return Err(ToolError {
+    widths
+        .iter()
+        .try_for_each(|&width| check_width_budget(width))
+        .map_err(|err| ToolError {
             kind: ToolErrorKind::Invalid,
-            message: SoctamError::from(TamError::ZeroWidthBudget).to_string(),
+            message: SoctamError::from(err).to_string(),
             codes: Vec::new(),
-        });
-    }
-    Ok(())
+        })
 }
 
 fn pipeline_err(err: impl Into<SoctamError>) -> ToolError {

@@ -215,11 +215,24 @@ fn zero_widths_are_invalid_and_rejected_before_any_work() {
         metrics.get("cache").and_then(|c| c.get("entries")).cloned()
     };
     let before = entries(&addr);
-    for (tool, param, value) in [
-        ("optimize", "width", "0"),
-        ("simulate", "width", "0"),
-        ("table", "widths", "8,0"),
-        ("bounds", "widths", "0"),
+    let too_wide = "tam width budget";
+    let above_limit = (soctam::tam::MAX_TAM_WIDTH + 1).to_string();
+    let huge = u32::MAX.to_string();
+    let zero = "tam width budget must be at least 1";
+    for (tool, param, value, expected) in [
+        ("optimize", "width", "0", zero),
+        ("simulate", "width", "0", zero),
+        ("table", "widths", "8,0", zero),
+        ("bounds", "widths", "0", zero),
+        // Above the limit: a table or wrapper design this wide would
+        // not fit in memory, and an allocation failure aborts the
+        // process instead of unwinding.
+        ("optimize", "width", &huge, too_wide),
+        ("optimize", "width", &above_limit, too_wide),
+        ("simulate", "width", &huge, too_wide),
+        ("table", "widths", &format!("8,{huge}"), too_wide),
+        ("bounds", "widths", &huge, too_wide),
+        ("bounds", "widths", &above_limit, too_wide),
     ] {
         let json = match param {
             "widths" => format!("[{value}]"),
@@ -231,10 +244,10 @@ fn zero_widths_are_invalid_and_rejected_before_any_work() {
         let error = Json::parse(&r.body).unwrap().get("error").unwrap().clone();
         assert_eq!(error.get("kind").unwrap().as_str(), Some("invalid"));
         let message = error.get("message").unwrap().as_str().unwrap().to_owned();
-        assert!(
-            message.contains("tam width budget must be at least 1"),
-            "{message}"
-        );
+        assert!(message.contains(expected), "{message}");
+        if expected == too_wide {
+            assert!(message.contains("exceeds the limit of 4096"), "{message}");
+        }
 
         // The CLI reports the same message with exit 1.
         let flag = format!("--{param}");
@@ -244,6 +257,15 @@ fn zero_widths_are_invalid_and_rejected_before_any_work() {
         assert!(err.message.contains(&message), "{tool}: {}", err.message);
     }
     assert_eq!(entries(&addr), before, "a rejected request stores nothing");
+    // The daemon survived every rejection and still serves, also at
+    // the limit itself.
+    let body = format!(
+        r#"{{"soc":"d695","params":{{"patterns":100,"width":{}}}}}"#,
+        soctam::tam::MAX_TAM_WIDTH
+    );
+    let r = client::post(&addr, "/v1/tools/optimize", &body).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert!(output_field(&r.body).contains("T_soc"));
     stop(&addr, handle);
 }
 

@@ -22,7 +22,7 @@ use soctam_exec::fx_fingerprint128;
 use soctam_model::Soc;
 use soctam_wrapper::TimeTable;
 
-use crate::evaluator::{RailEval, SiGroupTime};
+use crate::evaluator::{check_context, RailEval, SiGroupTime};
 use crate::schedule::{ScheduledSiTest, SiSchedule};
 use crate::{Evaluation, SiGroupSpec, TamError, TestRailArchitecture};
 
@@ -65,19 +65,7 @@ impl<'a> TestBusEvaluator<'a> {
     ///
     /// Same contract as [`Evaluator::new`](crate::Evaluator::new).
     pub fn new(soc: &'a Soc, max_width: u32, groups: Vec<SiGroupSpec>) -> Result<Self, TamError> {
-        if max_width == 0 {
-            return Err(TamError::ZeroWidthBudget);
-        }
-        for group in &groups {
-            for &core in group.cores() {
-                if core.index() >= soc.num_cores() {
-                    return Err(TamError::CoreOutOfRange {
-                        core,
-                        cores: soc.num_cores(),
-                    });
-                }
-            }
-        }
+        check_context(soc, max_width, &groups)?;
         Ok(TestBusEvaluator {
             soc,
             table: TimeTable::new(soc, max_width),

@@ -40,6 +40,13 @@ pub enum TamError {
     },
     /// The TAM width budget cannot host the SOC (fewer wires than one).
     ZeroWidthBudget,
+    /// The TAM width budget exceeds [`MAX_TAM_WIDTH`](crate::MAX_TAM_WIDTH).
+    WidthBudgetTooLarge {
+        /// The requested budget.
+        width: u32,
+        /// The largest budget accepted.
+        max: u32,
+    },
     /// Forwarded wrapper-design failure.
     Wrapper(WrapperError),
 }
@@ -62,6 +69,12 @@ impl fmt::Display for TamError {
                 write!(f, "architecture uses {used} tam wires, budget is {max}")
             }
             TamError::ZeroWidthBudget => write!(f, "tam width budget must be at least 1"),
+            TamError::WidthBudgetTooLarge { width, max } => {
+                write!(
+                    f,
+                    "tam width budget {width} exceeds the limit of {max} wires"
+                )
+            }
             TamError::Wrapper(e) => write!(f, "wrapper design failed: {e}"),
         }
     }

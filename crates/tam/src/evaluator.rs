@@ -24,6 +24,53 @@ use crate::{TamError, TestRail, TestRailArchitecture};
 /// Cache shard count; evaluation keys hash cheaply, contention is low.
 const CACHE_SHARDS: usize = 16;
 
+/// The largest TAM width budget an evaluator (and every registry tool
+/// taking a width) accepts: 64× the paper's widest sweep point
+/// (`W_max = 64`). Time tables and wrapper designs grow with the width,
+/// so an unbounded budget could ask for more memory than the machine
+/// has, an allocation failure no panic handler can contain.
+pub const MAX_TAM_WIDTH: u32 = 4096;
+
+/// Checks a TAM width budget against `1..=`[`MAX_TAM_WIDTH`].
+///
+/// # Errors
+///
+/// [`TamError::ZeroWidthBudget`] when `max_width == 0`;
+/// [`TamError::WidthBudgetTooLarge`] when `max_width > MAX_TAM_WIDTH`.
+pub fn check_width_budget(max_width: u32) -> Result<(), TamError> {
+    if max_width == 0 {
+        return Err(TamError::ZeroWidthBudget);
+    }
+    if max_width > MAX_TAM_WIDTH {
+        return Err(TamError::WidthBudgetTooLarge {
+            width: max_width,
+            max: MAX_TAM_WIDTH,
+        });
+    }
+    Ok(())
+}
+
+/// The checks every evaluator runs on its context: the width budget,
+/// and that every SI group names cores of `soc` only.
+pub(crate) fn check_context(
+    soc: &Soc,
+    max_width: u32,
+    groups: &[SiGroupSpec],
+) -> Result<(), TamError> {
+    check_width_budget(max_width)?;
+    for group in groups {
+        for &core in group.cores() {
+            if core.index() >= soc.num_cores() {
+                return Err(TamError::CoreOutOfRange {
+                    core,
+                    cores: soc.num_cores(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Cache namespace: per-rail components keyed by rail fingerprint.
 const SPACE_RAIL: u8 = 0;
 /// Cache namespace: assembled evaluations keyed by architecture
@@ -620,7 +667,7 @@ impl Evaluation {
 }
 
 /// Evaluates TestRail architectures for one SOC and one fixed set of SI
-/// test groups, with all wrapper designs memoized up front.
+/// test groups, with every core's wrapper times tabulated up front.
 ///
 /// # Example
 ///
@@ -641,7 +688,9 @@ impl Evaluation {
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     soc: &'a Soc,
-    table: TimeTable,
+    /// Shared with every [`fork`](Evaluator::fork): read-only after
+    /// construction.
+    table: Arc<TimeTable>,
     max_width: u32,
     groups: Vec<SiGroupSpec>,
     /// Per core: `Σ_{s ∋ c} patterns(s)` — the total SI pattern load the
@@ -678,22 +727,11 @@ impl<'a> Evaluator<'a> {
     /// # Errors
     ///
     /// [`TamError::ZeroWidthBudget`] when `max_width == 0`;
-    /// [`TamError::CoreOutOfRange`] when a group references a core the SOC
-    /// does not have.
+    /// [`TamError::WidthBudgetTooLarge`] when `max_width` exceeds
+    /// [`MAX_TAM_WIDTH`]; [`TamError::CoreOutOfRange`] when a group
+    /// references a core the SOC does not have.
     pub fn new(soc: &'a Soc, max_width: u32, groups: Vec<SiGroupSpec>) -> Result<Self, TamError> {
-        if max_width == 0 {
-            return Err(TamError::ZeroWidthBudget);
-        }
-        for group in &groups {
-            for &core in group.cores() {
-                if core.index() >= soc.num_cores() {
-                    return Err(TamError::CoreOutOfRange {
-                        core,
-                        cores: soc.num_cores(),
-                    });
-                }
-            }
-        }
+        check_context(soc, max_width, &groups)?;
         let mut core_si_weight = vec![0u64; soc.num_cores()];
         let mut core_groups = vec![Vec::new(); soc.num_cores()];
         for (g, group) in groups.iter().enumerate() {
@@ -712,7 +750,7 @@ impl<'a> Evaluator<'a> {
         let ctx_fp = fx_fingerprint128(&(soctam_model::parser::write_soc(soc), max_width, &groups));
         Ok(Evaluator {
             soc,
-            table: TimeTable::new(soc, max_width),
+            table: Arc::new(TimeTable::new(soc, max_width)),
             max_width,
             groups,
             core_si_weight,
@@ -748,8 +786,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// A second evaluator over the same context sharing this one's memo
-    /// store. The fork skips the full construction pass (SOC
-    /// fingerprinting, wrapper time table) by cloning the ingested
+    /// store and time table. The fork skips the full construction pass
+    /// (SOC fingerprinting, wrapper time table) by cloning the ingested
     /// state, and — because the context fingerprint is identical —
     /// every rail component, schedule and staircase either evaluator
     /// computes is immediately visible to the other. Objective-dependent
@@ -758,7 +796,7 @@ impl<'a> Evaluator<'a> {
     pub(crate) fn fork(&self) -> Evaluator<'a> {
         Evaluator {
             soc: self.soc,
-            table: self.table.clone(),
+            table: Arc::clone(&self.table),
             max_width: self.max_width,
             groups: self.groups.clone(),
             core_si_weight: self.core_si_weight.clone(),
@@ -1159,7 +1197,7 @@ impl<'a> Evaluator<'a> {
         self.max_width
     }
 
-    /// The memoized per-core time table.
+    /// The per-core time table every evaluation reads.
     pub fn time_table(&self) -> &TimeTable {
         &self.table
     }
@@ -1513,6 +1551,24 @@ mod tests {
             Evaluator::new(&soc, 0, vec![]),
             Err(TamError::ZeroWidthBudget)
         ));
+    }
+
+    #[test]
+    fn budget_beyond_the_limit_rejected_before_any_table() {
+        let soc = Benchmark::D695.soc();
+        for width in [MAX_TAM_WIDTH + 1, u32::MAX] {
+            let expected = Err(TamError::WidthBudgetTooLarge {
+                width,
+                max: MAX_TAM_WIDTH,
+            });
+            assert_eq!(Evaluator::new(&soc, width, vec![]).map(|_| ()), expected);
+            assert_eq!(
+                crate::TestBusEvaluator::new(&soc, width, vec![]).map(|_| ()),
+                expected
+            );
+        }
+        let at_limit = Evaluator::new(&soc, MAX_TAM_WIDTH, vec![]).expect("limit accepted");
+        assert_eq!(at_limit.time_table().max_width(), MAX_TAM_WIDTH);
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub use bus::TestBusEvaluator;
 
 pub use error::TamError;
 pub use evaluator::{
-    DeltaCost, EvalCache, Evaluation, Evaluator, RailEdit, RailEval, SiGroupSpec, SiGroupTime,
-    SwapState,
+    check_width_budget, DeltaCost, EvalCache, Evaluation, Evaluator, RailEdit, RailEval,
+    SiGroupSpec, SiGroupTime, SwapState, MAX_TAM_WIDTH,
 };
 pub use optimizer::{Objective, OptimizedArchitecture, TamOptimizer};
 pub use rail::{TestRail, TestRailArchitecture};

@@ -86,6 +86,7 @@ impl<'a> TamOptimizer<'a> {
     /// # Errors
     ///
     /// [`TamError::ZeroWidthBudget`] when `max_width == 0`;
+    /// [`TamError::WidthBudgetTooLarge`] above [`MAX_TAM_WIDTH`](crate::MAX_TAM_WIDTH);
     /// [`TamError::CoreOutOfRange`] for groups referencing unknown cores.
     pub fn new(soc: &'a Soc, max_width: u32, groups: Vec<SiGroupSpec>) -> Result<Self, TamError> {
         let run = RunCtx::default();

@@ -123,10 +123,15 @@ impl WrapperDesign {
     /// The formula pipelines scan-out of pattern `k` with scan-in of
     /// pattern `k + 1`; the trailing `min(si, so)` drains the last response.
     pub fn intest_time(&self, patterns: u64) -> u64 {
-        let si = self.max_scan_in();
-        let so = self.max_scan_out();
-        (1 + si.max(so)) * patterns + si.min(so)
+        pipelined_scan_time(self.max_scan_in(), self.max_scan_out(), patterns)
     }
+}
+
+/// `(1 + max(si, so)) · p + min(si, so)`: the InTest cycles of `patterns`
+/// patterns through wrapper chains whose longest scan-in and scan-out
+/// paths are `si` and `so` cells long.
+pub(crate) fn pipelined_scan_time(si: u64, so: u64, patterns: u64) -> u64 {
+    (1 + si.max(so)) * patterns + si.min(so)
 }
 
 fn shortest(lengths: &[u64]) -> usize {

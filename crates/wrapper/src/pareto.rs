@@ -7,7 +7,8 @@
 
 use soctam_model::CoreSpec;
 
-use crate::{intest_time, WrapperError};
+use crate::time::{intest_row, pareto_front};
+use crate::WrapperError;
 
 /// The Pareto-optimal `(width, intest_time)` points of `core` for widths
 /// `1..=max_width`.
@@ -38,16 +39,9 @@ pub fn pareto_widths(core: &CoreSpec, max_width: u32) -> Result<Vec<(u32, u64)>,
     if max_width == 0 {
         return Err(WrapperError::ZeroWidth);
     }
-    let mut points = Vec::new();
-    let mut best = u64::MAX;
-    for width in 1..=max_width {
-        let time = intest_time(core, width)?;
-        if time < best {
-            points.push((width, time));
-            best = time;
-        }
-    }
-    Ok(points)
+    let mut row = vec![0; max_width as usize];
+    intest_row(core, &mut row);
+    Ok(pareto_front(&row))
 }
 
 /// The smallest width at which `core`'s InTest time reaches its minimum
@@ -81,6 +75,7 @@ pub fn saturation_width(core: &CoreSpec, max_width: u32) -> Result<u32, WrapperE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intest_time;
 
     #[test]
     fn pareto_times_strictly_decrease() {

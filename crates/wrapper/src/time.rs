@@ -1,7 +1,11 @@
-//! Test-time functions and the memoized per-SOC time table.
+//! Test-time functions and the per-SOC time table.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use soctam_model::{CoreId, CoreSpec, Soc};
 
+use crate::design::pipelined_scan_time;
 use crate::{WrapperDesign, WrapperError};
 
 /// InTest application time of `core` on a `width`-bit TAM, in clock cycles.
@@ -60,8 +64,12 @@ pub fn si_shift_cycles(core: &CoreSpec, width: u32) -> Result<u64, WrapperError>
     if width == 0 {
         return Err(WrapperError::ZeroWidth);
     }
-    let w = u64::from(width);
-    Ok(2 * u64::from(core.woc_count()).div_ceil(w) + u64::from(core.wic_count()).div_ceil(w))
+    Ok(shift_cycles(core, u64::from(width)))
+}
+
+/// [`si_shift_cycles`] for a width already known to be nonzero.
+fn shift_cycles(core: &CoreSpec, width: u64) -> u64 {
+    2 * u64::from(core.woc_count()).div_ceil(width) + u64::from(core.wic_count()).div_ceil(width)
 }
 
 /// SI ExTest time contributed by `core` for an SI test group with
@@ -78,69 +86,121 @@ pub fn si_time(core: &CoreSpec, width: u32, patterns: u64) -> Result<u64, Wrappe
     Ok(patterns.saturating_mul(si_shift_cycles(core, width)?))
 }
 
-/// Memoized `T_in(core, width)` and `ceil(woc/width)` tables for one SOC.
+/// `T_in(core, w)` for `w = 1, 2, …, row.len()`, written into `row`;
+/// each entry equals
+/// `WrapperDesign::design(core, w)?.intest_time(core.patterns())`.
 ///
-/// The TAM optimizer evaluates thousands of candidate architectures; this
-/// table computes each `(core, width)` wrapper design exactly once.
+/// The design's longest scan-in and scan-out chains depend on two
+/// numbers per width only: the LPT makespan `m` of the internal chains
+/// and their total length `s`, which every assignment shares.
+/// Water-filling `k` unit cells over `w` chains whose longest is `m`
+/// tops out at `max(m, ⌈(s + k) / w⌉)`, so `si` and `so` are that with
+/// `k = wic` and `k = woc`. Once `w ≥ #chains` every internal chain gets
+/// a wrapper chain of its own and `m` is the longest chain; below that,
+/// [`lpt_makespan`] deals the chains, sorted once, through a min-heap.
+pub(crate) fn intest_row(core: &CoreSpec, row: &mut [u64]) {
+    let mut chains: Vec<u64> = core.scan_chains().iter().map(|&l| u64::from(l)).collect();
+    chains.sort_unstable_by(|a, b| b.cmp(a));
+    let total: u64 = chains.iter().sum();
+    let longest = chains.first().copied().unwrap_or(0);
+    let (wic, woc) = (u64::from(core.wic_count()), u64::from(core.woc_count()));
+    let mut heap = BinaryHeap::with_capacity(chains.len());
+    for (w, slot) in (1usize..).zip(row.iter_mut()) {
+        let makespan = if w >= chains.len() {
+            longest
+        } else {
+            lpt_makespan(&chains, w, &mut heap)
+        };
+        let fill = |cells: u64| makespan.max((total + cells).div_ceil(w as u64));
+        *slot = pipelined_scan_time(fill(wic), fill(woc), core.patterns());
+    }
+}
+
+/// The longest wrapper chain after LPT deals `desc` (sorted longest
+/// first) onto `w < desc.len()` wrapper chains. Ties for the shortest
+/// chain may break differently from [`WrapperDesign::design`]'s
+/// first-minimum scan, but either choice adds the same length to an
+/// equal load, so the multiset of loads, and with it the makespan, is
+/// the same.
+fn lpt_makespan(desc: &[u64], w: usize, heap: &mut BinaryHeap<Reverse<u64>>) -> u64 {
+    heap.clear();
+    // The `w` longest chains each land on a wrapper chain of their own.
+    heap.extend(desc[..w].iter().map(|&len| Reverse(len)));
+    let mut makespan = desc[0];
+    for &len in &desc[w..] {
+        if let Some(mut shortest) = heap.peek_mut() {
+            shortest.0 += len;
+            makespan = makespan.max(shortest.0);
+        }
+    }
+    makespan
+}
+
+/// The Pareto-optimal `(width, time)` points of an InTest row indexed
+/// from width 1: the widths where the time strictly drops.
+pub(crate) fn pareto_front(row: &[u64]) -> Vec<(u32, u64)> {
+    let mut front = Vec::new();
+    let mut best = u64::MAX;
+    for (width, &time) in (1u32..).zip(row) {
+        if time < best {
+            front.push((width, time));
+            best = time;
+        }
+    }
+    front
+}
+
+/// Per-SOC table of `T_in(core, width)`, the per-pattern SI shift cycles
+/// `2·⌈woc/width⌉ + ⌈wic/width⌉` and the InTest Pareto fronts, for
+/// widths `1..=max_width`.
+///
+/// The TAM optimizer evaluates thousands of candidate architectures and
+/// reads every time from here. Each core's InTest row is built by one
+/// sort of its scan chains (see `DESIGN.md` §5), not by a
+/// [`WrapperDesign`] per width, and equals the designs' times entry for
+/// entry.
 ///
 /// # Example
 ///
 /// ```
 /// use soctam_model::{Benchmark, CoreId};
-/// use soctam_wrapper::TimeTable;
+/// use soctam_wrapper::{intest_time, TimeTable};
 ///
 /// let soc = Benchmark::D695.soc();
 /// let table = TimeTable::new(&soc, 16);
 /// let c0 = CoreId::new(0);
-/// assert_eq!(table.intest(c0, 1), table.intest(c0, 1)); // cached
+/// assert_eq!(table.intest(c0, 16), intest_time(soc.core(c0), 16).unwrap());
 /// assert!(table.intest(c0, 16) <= table.intest(c0, 1));
 /// ```
 #[derive(Clone, Debug)]
 pub struct TimeTable {
     max_width: u32,
-    /// `intest[core][width - 1]`.
-    intest: Vec<Vec<u64>>,
-    /// `si_shift[core][width - 1]`.
-    si_shift: Vec<Vec<u64>>,
-    /// Pareto-optimal `(width, intest_time)` points per core, derived from
-    /// the `intest` rows — same contents as [`crate::pareto_widths`] but
-    /// computed once per SOC instead of once per call.
+    /// `intest[core · max_width + width - 1]`.
+    intest: Vec<u64>,
+    /// `si_shift[core · max_width + width - 1]`.
+    si_shift: Vec<u64>,
+    /// Pareto-optimal `(width, intest_time)` points per core, read off
+    /// the `intest` rows (as [`crate::pareto_widths`] computes them).
     pareto: Vec<Vec<(u32, u64)>>,
 }
 
 impl TimeTable {
-    /// Precomputes times for every core of `soc` at every width
+    /// Computes the times of every core of `soc` at every width
     /// `1..=max_width`.
     ///
     /// # Panics
     ///
     /// Panics if `max_width == 0`.
-    // Invariant: widths iterate from 1 and `max_width >= 1` is asserted above, so the time models cannot reject the width.
-    #[allow(clippy::expect_used)]
     pub fn new(soc: &Soc, max_width: u32) -> Self {
         assert!(max_width > 0, "max_width must be at least 1");
-        let mut intest = Vec::with_capacity(soc.num_cores());
-        let mut si_shift = Vec::with_capacity(soc.num_cores());
+        let row_len = max_width as usize;
+        let mut intest = vec![0; soc.num_cores().saturating_mul(row_len)];
+        let mut si_shift = Vec::with_capacity(intest.len());
         let mut pareto = Vec::with_capacity(soc.num_cores());
-        for (_, core) in soc.iter() {
-            let mut row_in = Vec::with_capacity(max_width as usize);
-            let mut row_si = Vec::with_capacity(max_width as usize);
-            for width in 1..=max_width {
-                row_in.push(intest_time(core, width).expect("width >= 1 by construction"));
-                row_si.push(si_shift_cycles(core, width).expect("width >= 1 by construction"));
-            }
-            let mut front = Vec::new();
-            let mut best = u64::MAX;
-            for (i, &time) in row_in.iter().enumerate() {
-                if time < best {
-                    // soctam-analyze: allow(ARITH-01) -- i indexes the width row, which has at most max_width (u32) entries
-                    front.push((i as u32 + 1, time));
-                    best = time;
-                }
-            }
-            intest.push(row_in);
-            si_shift.push(row_si);
-            pareto.push(front);
+        for ((_, core), row) in soc.iter().zip(intest.chunks_exact_mut(row_len)) {
+            intest_row(core, row);
+            pareto.push(pareto_front(row));
+            si_shift.extend((1..=max_width).map(|width| shift_cycles(core, u64::from(width))));
         }
         TimeTable {
             max_width,
@@ -155,37 +215,37 @@ impl TimeTable {
         self.max_width
     }
 
-    /// Cached InTest time of `core` at `width`.
+    /// Index of `(core, width)` in the flat rows.
+    fn slot(&self, core: CoreId, width: u32) -> usize {
+        assert!(
+            width >= 1 && width <= self.max_width,
+            "width {width} outside 1..={}",
+            self.max_width
+        );
+        core.index() * self.max_width as usize + (width - 1) as usize
+    }
+
+    /// InTest time of `core` at `width`.
     ///
     /// # Panics
     ///
     /// Panics if `width` is zero or exceeds [`TimeTable::max_width`], or if
     /// `core` is out of range.
     pub fn intest(&self, core: CoreId, width: u32) -> u64 {
-        assert!(
-            width >= 1 && width <= self.max_width,
-            "width {width} outside 1..={}",
-            self.max_width
-        );
-        self.intest[core.index()][(width - 1) as usize]
+        self.intest[self.slot(core, width)]
     }
 
-    /// Cached per-pattern SI shift cycles of `core` at `width`.
+    /// Per-pattern SI shift cycles of `core` at `width`.
     ///
     /// # Panics
     ///
     /// Panics if `width` is zero or exceeds [`TimeTable::max_width`], or if
     /// `core` is out of range.
     pub fn si_shift(&self, core: CoreId, width: u32) -> u64 {
-        assert!(
-            width >= 1 && width <= self.max_width,
-            "width {width} outside 1..={}",
-            self.max_width
-        );
-        self.si_shift[core.index()][(width - 1) as usize]
+        self.si_shift[self.slot(core, width)]
     }
 
-    /// Cached Pareto-optimal `(width, intest_time)` points of `core` over
+    /// Pareto-optimal `(width, intest_time)` points of `core` over
     /// widths `1..=max_width`, equal to
     /// [`pareto_widths(core, max_width)`](crate::pareto_widths).
     ///
@@ -196,7 +256,7 @@ impl TimeTable {
         &self.pareto[core.index()]
     }
 
-    /// Cached saturation width of `core`: the smallest width achieving its
+    /// Saturation width of `core`: the smallest width achieving its
     /// minimum InTest time over `1..=max_width`, equal to
     /// [`saturation_width(core, max_width)`](crate::saturation_width).
     ///
@@ -241,19 +301,83 @@ mod tests {
         assert!(si_time(&core, 0, 5).is_err());
     }
 
-    #[test]
-    fn table_matches_direct_computation() {
-        let soc = Benchmark::D695.soc();
-        let table = TimeTable::new(&soc, 8);
-        for (id, core) in soc.iter() {
-            for width in 1..=8 {
-                assert_eq!(table.intest(id, width), intest_time(core, width).unwrap());
-                assert_eq!(
-                    table.si_shift(id, width),
-                    si_shift_cycles(core, width).unwrap()
-                );
+    /// The per-width design loop the table replaces: every entry from a
+    /// full [`WrapperDesign`].
+    fn design_row(core: &CoreSpec, max_width: u32) -> Vec<u64> {
+        (1..=max_width)
+            .map(|w| {
+                WrapperDesign::design(core, w)
+                    .unwrap()
+                    .intest_time(core.patterns())
+            })
+            .collect()
+    }
+
+    /// The widths of a design row where the time strictly drops.
+    fn design_front(row: &[u64]) -> Vec<(u32, u64)> {
+        let mut front: Vec<(u32, u64)> = Vec::new();
+        for (i, &time) in row.iter().enumerate() {
+            if front.last().map_or(true, |&(_, best)| time < best) {
+                front.push((i as u32 + 1, time));
             }
         }
+        front
+    }
+
+    #[test]
+    fn table_matches_direct_computation() {
+        for benchmark in Benchmark::ALL {
+            let soc = benchmark.soc();
+            let table = TimeTable::new(&soc, 128);
+            for (id, core) in soc.iter() {
+                let designed = design_row(core, 128);
+                for width in 1..=128 {
+                    assert_eq!(
+                        table.intest(id, width),
+                        designed[width as usize - 1],
+                        "{} {id} at width {width}",
+                        benchmark.name()
+                    );
+                    assert_eq!(
+                        table.si_shift(id, width),
+                        si_shift_cycles(core, width).unwrap()
+                    );
+                }
+                assert_eq!(table.pareto(id), design_front(&designed).as_slice());
+            }
+        }
+    }
+
+    /// Random cores, including chainless ones, cores with more chains
+    /// than wires and cores whose I/O cells outweigh their scan cells:
+    /// the row kernel, `pareto_widths` and `saturation_width` equal the
+    /// per-width designs at every width.
+    #[test]
+    fn row_kernel_matches_designs_on_random_cores() {
+        use soctam_exec::check::{cases, forall};
+        forall(
+            "row_kernel_matches_designs_on_random_cores",
+            cases(48),
+            |g| {
+                let chains = g.vec_of(0, 80, |g| g.u32_in(1, 10_001));
+                let inputs = g.u32_in(0, 2_001);
+                let outputs = g.u32_in(0, 2_001);
+                let bidirs = g.u32_in(0, 2_001);
+                let patterns = g.u64_in(1, 1_000);
+                let core = CoreSpec::new("r", inputs, outputs, bidirs, chains, patterns).unwrap();
+                let max_width = g.u32_in(1, 161);
+                let mut row = vec![0; max_width as usize];
+                intest_row(&core, &mut row);
+                let designed = design_row(&core, max_width);
+                assert_eq!(row, designed);
+                let front = design_front(&designed);
+                assert_eq!(crate::pareto_widths(&core, max_width).unwrap(), front);
+                assert_eq!(
+                    crate::saturation_width(&core, max_width).unwrap(),
+                    front.last().unwrap().0
+                );
+            },
+        );
     }
 
     #[test]
@@ -261,13 +385,13 @@ mod tests {
         let soc = Benchmark::P34392.soc();
         let table = TimeTable::new(&soc, 32);
         for (id, core) in soc.iter() {
+            let front = design_front(&design_row(core, 32));
+            assert_eq!(table.pareto(id), front.as_slice());
+            assert_eq!(crate::pareto_widths(core, 32).unwrap(), front);
+            assert_eq!(table.saturation(id), front.last().unwrap().0);
             assert_eq!(
-                table.pareto(id),
-                crate::pareto_widths(core, 32).unwrap().as_slice()
-            );
-            assert_eq!(
-                table.saturation(id),
-                crate::saturation_width(core, 32).unwrap()
+                crate::saturation_width(core, 32).unwrap(),
+                table.saturation(id)
             );
         }
     }
