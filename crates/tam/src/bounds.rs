@@ -6,7 +6,7 @@
 //! bound measures heuristic quality.
 
 use soctam_model::Soc;
-use soctam_wrapper::{intest_time, si_shift_cycles, WrapperError};
+use soctam_wrapper::{check_width, intest_time, si_shift_cycles, WrapperError};
 
 use crate::SiGroupSpec;
 
@@ -26,7 +26,9 @@ use crate::SiGroupSpec;
 ///
 /// # Errors
 ///
-/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0`.
+/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0` and
+/// [`WrapperError::WidthTooLarge`] above
+/// [`MAX_TAM_WIDTH`](crate::MAX_TAM_WIDTH).
 ///
 /// # Example
 ///
@@ -42,9 +44,7 @@ use crate::SiGroupSpec;
 /// # }
 /// ```
 pub fn intest_lower_bound(soc: &Soc, max_width: u32) -> Result<u64, WrapperError> {
-    if max_width == 0 {
-        return Err(WrapperError::ZeroWidth);
-    }
+    check_width(max_width)?;
     let mut bottleneck = 0u64;
     let mut total_serial = 0u64;
     for (_, core) in soc.iter() {
@@ -70,15 +70,15 @@ pub fn intest_lower_bound(soc: &Soc, max_width: u32) -> Result<u64, WrapperError
 ///
 /// # Errors
 ///
-/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0`.
+/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0` and
+/// [`WrapperError::WidthTooLarge`] above
+/// [`MAX_TAM_WIDTH`](crate::MAX_TAM_WIDTH).
 pub fn si_lower_bound(
     soc: &Soc,
     groups: &[SiGroupSpec],
     max_width: u32,
 ) -> Result<u64, WrapperError> {
-    if max_width == 0 {
-        return Err(WrapperError::ZeroWidth);
-    }
+    check_width(max_width)?;
     let mut total_work = 0u64;
     let mut per_core = vec![0u64; soc.num_cores()];
     for group in groups {
@@ -103,7 +103,9 @@ pub fn si_lower_bound(
 ///
 /// # Errors
 ///
-/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0`.
+/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0` and
+/// [`WrapperError::WidthTooLarge`] above
+/// [`MAX_TAM_WIDTH`](crate::MAX_TAM_WIDTH).
 pub fn total_lower_bound(
     soc: &Soc,
     groups: &[SiGroupSpec],
@@ -193,5 +195,24 @@ mod tests {
         assert!(intest_lower_bound(&soc, 0).is_err());
         assert!(si_lower_bound(&soc, &[], 0).is_err());
         assert!(total_lower_bound(&soc, &[], 0).is_err());
+    }
+
+    #[test]
+    fn widths_beyond_the_limit_rejected_and_the_limit_works() {
+        let soc = Benchmark::D695.soc();
+        let groups = vec![SiGroupSpec::new(soc.core_ids().collect(), 50)];
+        for width in [crate::MAX_TAM_WIDTH + 1, u32::MAX] {
+            let expected = Err(WrapperError::WidthTooLarge {
+                width,
+                max: crate::MAX_TAM_WIDTH,
+            });
+            assert_eq!(intest_lower_bound(&soc, width), expected);
+            assert_eq!(si_lower_bound(&soc, &groups, width), expected);
+            assert_eq!(total_lower_bound(&soc, &groups, width), expected);
+        }
+        let width = crate::MAX_TAM_WIDTH;
+        let lb_in = intest_lower_bound(&soc, width).expect("limit accepted");
+        let lb_si = si_lower_bound(&soc, &groups, width).expect("limit accepted");
+        assert_eq!(total_lower_bound(&soc, &groups, width), Ok(lb_in + lb_si));
     }
 }

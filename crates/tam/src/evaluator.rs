@@ -8,28 +8,22 @@
 //! rails at a time, components are memoized by rail fingerprint and
 //! moves are priced on one incremental [`SwapState`]: a probe or an
 //! accepted move is a short list of [`RailEdit`]s that patches only the
-//! group rows the edited rails touch. Everything read off the state is
-//! bit-identical to [`Evaluator::evaluate`], the from-scratch referee
-//! (see DESIGN.md §12).
+//! group rows the edited rails touch, and none at all in a state seeded
+//! for [`Objective::InTestOnly`], whose cost never reads `T_soc^si`.
+//! Everything read off the state is bit-identical to
+//! [`Evaluator::evaluate`], the from-scratch referee (see DESIGN.md §12).
 
 use std::sync::Arc;
 
 use soctam_exec::{fault, fx_fingerprint128, Fingerprinter, FpKey, MemoCache, Metrics};
 use soctam_model::{CoreId, Soc};
-use soctam_wrapper::TimeTable;
+use soctam_wrapper::{TimeTable, MAX_TAM_WIDTH};
 
 use crate::schedule::{schedule_si_tests, SiSchedule};
-use crate::{TamError, TestRail, TestRailArchitecture};
+use crate::{Objective, TamError, TestRail, TestRailArchitecture};
 
 /// Cache shard count; evaluation keys hash cheaply, contention is low.
 const CACHE_SHARDS: usize = 16;
-
-/// The largest TAM width budget an evaluator (and every registry tool
-/// taking a width) accepts: 64× the paper's widest sweep point
-/// (`W_max = 64`). Time tables and wrapper designs grow with the width,
-/// so an unbounded budget could ask for more memory than the machine
-/// has, an allocation failure no panic handler can contain.
-pub const MAX_TAM_WIDTH: u32 = 4096;
 
 /// Checks a TAM width budget against `1..=`[`MAX_TAM_WIDTH`].
 ///
@@ -370,8 +364,9 @@ pub struct Evaluation {
 pub struct DeltaCost {
     /// `T_soc^in` of the candidate.
     pub t_in: u64,
-    /// `T_soc^si` of the candidate.
-    pub t_si: u64,
+    /// `T_soc^si` of the candidate, or `None` from a state seeded for
+    /// [`Objective::InTestOnly`], which never schedules the SI tests.
+    pub t_si: Option<u64>,
     /// `Σ_r time_used(r)`, saturating at `u64::MAX` — the secondary key
     /// wire rebalancing breaks ties with (equals
     /// [`Evaluation::rail_used_sum`]).
@@ -388,10 +383,13 @@ pub type RailEdit<'c> = (usize, Option<&'c Arc<RailEval>>);
 /// The incremental evaluation state: an architecture's per-rail
 /// components plus the reductions that price an edit without
 /// re-assembling the architecture — the top-two per-rail InTest times
-/// (so the max excluding any one rail is O(1)), the exact utilized-time
-/// sum, the per-group transpose of the rails' sparse shift columns
-/// (each row ascending by rail index, as the group walk visits them)
-/// with its top-two, and the group-times vector and makespan.
+/// (so the max excluding any one rail is O(1)) and the exact
+/// utilized-time sum, and, in a state seeded for [`Objective::Total`],
+/// the SI half: the per-group transpose of the rails' sparse shift
+/// columns (each row ascending by rail index, as the group walk visits
+/// them) with its top-two, and the group-times vector and makespan. A
+/// state seeded for [`Objective::InTestOnly`] has no SI half, so its
+/// probes never patch a group row or look up a makespan.
 /// [`Evaluator::state_cost`] prices a list of [`RailEdit`]s read-only,
 /// so concurrent probes share one state; [`Evaluator::state_apply`]
 /// accepts them in place.
@@ -412,6 +410,13 @@ pub struct SwapState {
     /// `Σ_r time_used(r)` over the live rails, kept exact so edits can
     /// subtract what they replace.
     used_sum: u128,
+    /// The SI half, present only when the objective reads `T_soc^si`.
+    si: Option<SiRows>,
+}
+
+/// The SI half of a [`SwapState`]: what pricing `T_soc^si` needs.
+#[derive(Clone, Debug)]
+struct SiRows {
     rows: Vec<Vec<(usize, u64)>>,
     /// Per-group `(max, argmax, second-max, second-argmax)` over the
     /// transpose row, from [`row_reduction`].
@@ -426,9 +431,10 @@ impl SwapState {
         self.t_in_max
     }
 
-    /// `T_soc^si` of the state's architecture.
-    pub fn t_si(&self) -> u64 {
-        self.t_si
+    /// `T_soc^si` of the state's architecture, or `None` when the state
+    /// was seeded for [`Objective::InTestOnly`].
+    pub fn t_si(&self) -> Option<u64> {
+        self.si.as_ref().map(|si| si.t_si)
     }
 
     /// The current component of rail `i`, or `None` for a removed rail.
@@ -437,9 +443,10 @@ impl SwapState {
     }
 
     /// The per-group SI timing of the state's architecture, naming
-    /// rails by their state labels.
-    pub fn group_times(&self) -> &[SiGroupTime] {
-        &self.group_times
+    /// rails by their state labels, or `None` when the state was seeded
+    /// for [`Objective::InTestOnly`].
+    pub fn group_times(&self) -> Option<&[SiGroupTime]> {
+        self.si.as_ref().map(|si| si.group_times.as_slice())
     }
 
     /// `T_soc^in` with `edits` applied: O(1) through the top-two for a
@@ -469,35 +476,6 @@ impl SwapState {
         })
     }
 
-    /// The rows a probe of `edits` changes, ascending by group, without
-    /// touching the state: a row is rebuilt only where
-    /// [`keeps_timing`] cannot rule a change out.
-    fn probe_rows(&self, edits: &[RailEdit<'_>]) -> Vec<(usize, SiGroupTime)> {
-        let mut changed = Vec::new();
-        for_each_touched(&self.comps, edits, |g, kept| {
-            let base = &self.group_times[g];
-            if !kept.is_some_and(|(i, cycles)| keeps_timing(self.tops[g], base, i, cycles)) {
-                self.probe_row(edits, g, &mut changed);
-            }
-        });
-        changed
-    }
-
-    /// Rebuilds group `g`'s row with `edits` applied and records it in
-    /// `changed` when its timing differs. Kept out of line so that the
-    /// walk's per-group visitor in [`SwapState::probe_rows`] stays small
-    /// enough to inline, which the merge probes' hot loop measurably
-    /// depends on.
-    #[inline(never)]
-    fn probe_row(&self, edits: &[RailEdit<'_>], g: usize, changed: &mut Vec<(usize, SiGroupTime)>) {
-        let mut row = self.rows[g].clone();
-        patch_row(&mut row, edits, g);
-        let (_, row_time) = row_reduction(&row);
-        if row_time != self.group_times[g] {
-            changed.push((g, row_time));
-        }
-    }
-
     /// Rebuilds the top-two InTest reduction after a component change,
     /// with the first-strict-maximum argmax tie-break.
     fn recompute_t_in(&mut self) {
@@ -515,6 +493,41 @@ impl SwapState {
         self.t_in_max = max;
         self.t_in_argmax = argmax;
         self.t_in_second = second;
+    }
+}
+
+impl SiRows {
+    /// The rows a probe of `edits` on the rails `comps` changes,
+    /// ascending by group, without touching the state: a row is rebuilt
+    /// only where [`keeps_timing`] cannot rule a change out.
+    fn probe_rows(
+        &self,
+        comps: &[Option<Arc<RailEval>>],
+        edits: &[RailEdit<'_>],
+    ) -> Vec<(usize, SiGroupTime)> {
+        let mut changed = Vec::new();
+        for_each_touched(comps, edits, |g, kept| {
+            let base = &self.group_times[g];
+            if !kept.is_some_and(|(i, cycles)| keeps_timing(self.tops[g], base, i, cycles)) {
+                self.probe_row(edits, g, &mut changed);
+            }
+        });
+        changed
+    }
+
+    /// Rebuilds group `g`'s row with `edits` applied and records it in
+    /// `changed` when its timing differs. Kept out of line so that the
+    /// walk's per-group visitor in [`SiRows::probe_rows`] stays small
+    /// enough to inline, which the merge probes' hot loop measurably
+    /// depends on.
+    #[inline(never)]
+    fn probe_row(&self, edits: &[RailEdit<'_>], g: usize, changed: &mut Vec<(usize, SiGroupTime)>) {
+        let mut row = self.rows[g].clone();
+        patch_row(&mut row, edits, g);
+        let (_, row_time) = row_reduction(&row);
+        if row_time != self.group_times[g] {
+            changed.push((g, row_time));
+        }
     }
 }
 
@@ -700,9 +713,10 @@ pub struct Evaluator<'a> {
     /// rail→groups index (built once on ingestion) that lets a rail
     /// component visit only the groups its cores participate in.
     core_groups: Vec<Vec<u32>>,
-    /// Shared store for all four evaluation caches (rail components,
-    /// assembled architectures, schedules, staircases), keyed by
-    /// namespaced fingerprint. The optimizer revisits the same rails
+    /// Shared store for the six evaluation namespaces (rail
+    /// components, assembled architectures, schedules, staircases,
+    /// makespans, redistribution costs), keyed by namespaced
+    /// fingerprint. The optimizer revisits the same rails
     /// and candidate architectures constantly (merge sweeps, wire
     /// redistribution, sort passes); evaluation is pure, so results are
     /// shared. May be a private per-run store or a shared [`EvalCache`]
@@ -836,28 +850,36 @@ impl<'a> Evaluator<'a> {
         self.insert_arch(key, eval)
     }
 
-    /// Seeds a [`SwapState`] from `base`; its labels are `base`'s rail
-    /// indices.
-    pub fn swap_state(&self, base: &Evaluation) -> SwapState {
-        let mut rows: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.groups.len()];
-        for (r, comp) in base.rail_evals.iter().enumerate() {
-            for &(g, cycles) in &comp.group_shift {
-                rows[g as usize].push((r, cycles));
+    /// Seeds a [`SwapState`] from `base` for pricing moves under
+    /// `objective`; its labels are `base`'s rail indices. Only an
+    /// [`Objective::Total`] state carries the SI half: an
+    /// [`Objective::InTestOnly`] cost never reads `T_soc^si`, so its
+    /// probes skip the group rows and Algorithm 1 altogether.
+    pub fn swap_state(&self, base: &Evaluation, objective: Objective) -> SwapState {
+        let si = (objective == Objective::Total).then(|| {
+            let mut rows: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.groups.len()];
+            for (r, comp) in base.rail_evals.iter().enumerate() {
+                for &(g, cycles) in &comp.group_shift {
+                    rows[g as usize].push((r, cycles));
+                }
             }
-        }
-        let (tops, group_times): (Vec<_>, Vec<_>) =
-            rows.iter().map(|row| row_reduction(row)).unzip();
-        debug_assert_eq!(group_times, base.group_times);
+            let (tops, group_times): (Vec<_>, Vec<_>) =
+                rows.iter().map(|row| row_reduction(row)).unzip();
+            debug_assert_eq!(group_times, base.group_times);
+            SiRows {
+                rows,
+                tops,
+                group_times,
+                t_si: base.t_si,
+            }
+        });
         let mut st = SwapState {
             comps: base.rail_evals.iter().cloned().map(Some).collect(),
             t_in_max: 0,
             t_in_argmax: usize::MAX,
             t_in_second: 0,
             used_sum: base.rail_evals.iter().map(|comp| used_of(comp)).sum(),
-            rows,
-            tops,
-            group_times,
-            t_si: base.t_si,
+            si,
         };
         st.recompute_t_in();
         st
@@ -866,16 +888,20 @@ impl<'a> Evaluator<'a> {
     /// The cost of `st` with `edits` applied, read-only so concurrent
     /// probes can share one state. A single width edit costs
     /// O(groups the rail touches) and allocates nothing when the
-    /// schedule is reused; see the private `for_each_touched`.
+    /// schedule is reused; see the private `for_each_touched`. A state
+    /// without the SI half costs O(1) per single edit and O(rails)
+    /// otherwise.
     ///
     /// # Panics
     ///
     /// Panics if an edited rail is not a label of `st`.
     pub fn state_cost(&self, st: &SwapState, edits: &[RailEdit<'_>]) -> DeltaCost {
-        let changed = st.probe_rows(edits);
         DeltaCost {
             t_in: st.t_in_with(edits),
-            t_si: self.t_si_patched(&st.group_times, st.t_si, &changed),
+            t_si: st.si.as_ref().map(|si| {
+                let changed = si.probe_rows(&st.comps, edits);
+                self.t_si_patched(&si.group_times, si.t_si, &changed)
+            }),
             rail_used_sum: u64::try_from(st.used_sum_with(edits)).unwrap_or(u64::MAX),
         }
     }
@@ -889,18 +915,20 @@ impl<'a> Evaluator<'a> {
     /// Panics if an edited rail is not a label of `st`.
     pub fn state_apply(&self, st: &mut SwapState, edits: &[RailEdit<'_>]) {
         st.used_sum = st.used_sum_with(edits);
-        let mut changed = Vec::new();
-        for_each_touched(&st.comps, edits, |g, _| {
-            patch_row(&mut st.rows[g], edits, g);
-            let (tops, row_time) = row_reduction(&st.rows[g]);
-            st.tops[g] = tops;
-            if row_time != st.group_times[g] {
-                changed.push((g, row_time));
+        if let Some(si) = st.si.as_mut() {
+            let mut changed = Vec::new();
+            for_each_touched(&st.comps, edits, |g, _| {
+                patch_row(&mut si.rows[g], edits, g);
+                let (tops, row_time) = row_reduction(&si.rows[g]);
+                si.tops[g] = tops;
+                if row_time != si.group_times[g] {
+                    changed.push((g, row_time));
+                }
+            });
+            si.t_si = self.t_si_patched(&si.group_times, si.t_si, &changed);
+            for (g, row) in changed {
+                si.group_times[g] = row;
             }
-        });
-        st.t_si = self.t_si_patched(&st.group_times, st.t_si, &changed);
-        for (g, row) in changed {
-            st.group_times[g] = row;
         }
         for &(r, new) in edits {
             st.comps[r] = new.cloned();
@@ -1308,8 +1336,8 @@ mod tests {
         let evaluator = Evaluator::new(&soc, 32, groups).expect("valid");
         let arch = TestRailArchitecture::new(&soc, rails.clone()).expect("valid");
         let base = evaluator.evaluate(&arch);
-        let parent = evaluator.swap_state(&base);
-        assert_eq!((parent.t_in(), parent.t_si()), (base.t_in, base.t_si));
+        let parent = evaluator.swap_state(&base, Objective::Total);
+        assert_eq!((parent.t_in(), parent.t_si()), (base.t_in, Some(base.t_si)));
 
         // Merge rail 1 into rail 0 (labels: merged keeps 0, 1 dies) and
         // compare against evaluating the compacted candidate rail list
@@ -1321,7 +1349,7 @@ mod tests {
         let cand_arch =
             TestRailArchitecture::new(&soc, vec![rails[2].clone(), merged.clone()]).expect("valid");
         let cand = evaluator.evaluate(&cand_arch);
-        assert_eq!((st.t_in(), st.t_si()), (cand.t_in, cand.t_si));
+        assert_eq!((st.t_in(), st.t_si()), (cand.t_in, Some(cand.t_si)));
 
         // Probing a survivor width swap must agree with evaluating the
         // swapped candidate, and accepting it must land on the probe.
@@ -1333,9 +1361,12 @@ mod tests {
         )
         .expect("valid");
         let swapped = evaluator.evaluate(&swapped_arch);
-        assert_eq!((probed.t_in, probed.t_si), (swapped.t_in, swapped.t_si));
+        assert_eq!(
+            (probed.t_in, probed.t_si),
+            (swapped.t_in, Some(swapped.t_si))
+        );
         evaluator.state_apply(&mut st, &[(2, Some(&wider))]);
-        assert_eq!((st.t_in(), st.t_si()), (swapped.t_in, swapped.t_si));
+        assert_eq!((st.t_in(), st.t_si()), (swapped.t_in, Some(swapped.t_si)));
 
         // And the merged rail itself can widen (label 0, appended last
         // in the materialized list).
@@ -1354,12 +1385,12 @@ mod tests {
             probed,
             DeltaCost {
                 t_in: fin.t_in,
-                t_si: fin.t_si,
+                t_si: Some(fin.t_si),
                 rail_used_sum: fin.rail_used_sum(),
             }
         );
         evaluator.state_apply(&mut st, &[(0, Some(&merged_wide))]);
-        assert_eq!((st.t_in(), st.t_si()), (fin.t_in, fin.t_si));
+        assert_eq!((st.t_in(), st.t_si()), (fin.t_in, Some(fin.t_si)));
         assert_eq!(st.component(1), None);
         assert_eq!(st.component(0).map(|comp| comp.width), Some(8));
     }
@@ -1591,7 +1622,7 @@ mod tests {
         assert!(exact > u128::from(u64::MAX), "the fixture must overflow");
         assert_eq!(eval.rail_used_sum(), u64::MAX);
 
-        let mut st = evaluator.swap_state(&eval);
+        let mut st = evaluator.swap_state(&eval, Objective::Total);
         assert_eq!(evaluator.state_cost(&st, &[]).rail_used_sum, u64::MAX);
         // Removing two rails brings the exact sum back under the cap;
         // the state subtracts them without having lost precision.

@@ -64,7 +64,7 @@ pub use bus::TestBusEvaluator;
 pub use error::TamError;
 pub use evaluator::{
     check_width_budget, DeltaCost, EvalCache, Evaluation, Evaluator, RailEdit, RailEval,
-    SiGroupSpec, SiGroupTime, SwapState, MAX_TAM_WIDTH,
+    SiGroupSpec, SiGroupTime, SwapState,
 };
 pub use optimizer::{Objective, OptimizedArchitecture, TamOptimizer};
 pub use rail::{TestRail, TestRailArchitecture};
@@ -73,3 +73,6 @@ pub use run::RunCtx;
 pub use schedule::{
     schedule_si_tests, schedule_si_tests_with, ScheduleOrder, ScheduledSiTest, SiSchedule,
 };
+/// The largest TAM width budget an evaluator, a bound and every
+/// registry tool taking a width accept: the wrapper crate's limit.
+pub use soctam_wrapper::MAX_TAM_WIDTH;

@@ -30,9 +30,14 @@ pub enum Objective {
 impl Objective {
     /// The objective value of an architecture with makespans `t_in`
     /// and `t_si`: the one fold every optimizer cost goes through.
-    fn cost(self, t_in: u64, t_si: u64) -> u64 {
+    /// `t_si` is `None` only from a [`SwapState`] seeded for
+    /// `InTestOnly`, the objective that never reads it.
+    // Invariant: `Evaluator::swap_state` gives every state seeded for
+    // `Total` its SI half, so a `Total` cost always sees `Some`.
+    #[allow(clippy::expect_used)]
+    fn cost(self, t_in: u64, t_si: Option<u64>) -> u64 {
         match self {
-            Objective::Total => t_in.saturating_add(t_si),
+            Objective::Total => t_in.saturating_add(t_si.expect("a Total state prices T_soc^si")),
             Objective::InTestOnly => t_in,
         }
     }
@@ -149,7 +154,7 @@ impl<'a> TamOptimizer<'a> {
     }
 
     fn cost_of(&self, eval: &Evaluation) -> u64 {
-        self.objective.cost(eval.t_in, eval.t_si)
+        self.objective.cost(eval.t_in, Some(eval.t_si))
     }
 
     fn cost(&self, rails: &[TestRail]) -> u64 {
@@ -300,7 +305,9 @@ impl<'a> TamOptimizer<'a> {
         speculative: bool,
         staircases: Option<&[Arc<Vec<u64>>]>,
     ) -> Vec<TestRail> {
-        let mut st = self.evaluator.swap_state(&self.eval(&rails));
+        let mut st = self
+            .evaluator
+            .swap_state(&self.eval(&rails), self.objective);
         let mut remaining = wires;
         // Core sets never change below — only widths do — so every
         // iteration reads the same memoized staircases; probe them once
@@ -529,7 +536,7 @@ impl<'a> TamOptimizer<'a> {
         // candidate can free. Probes apply the merge to a clone of the
         // state instead of materializing candidate evaluations, and the
         // nested redistribution runs cost-only.
-        let parent_state = self.evaluator.swap_state(&current_eval);
+        let parent_state = self.evaluator.swap_state(&current_eval, self.objective);
         let l_max = candidates
             .iter()
             .map(|&(i, w)| rails[r1].width().saturating_add(rails[i].width()) - w)
@@ -779,7 +786,7 @@ impl<'a> TamOptimizer<'a> {
             let eval = self.eval(&rails);
             let key = (self.cost_of(&eval), eval.rail_used_sum());
             self.publish_best(key.0);
-            let st = self.evaluator.swap_state(&eval);
+            let st = self.evaluator.swap_state(&eval, self.objective);
             // All donor selections read the same memoized staircases.
             let staircases: Vec<Arc<Vec<u64>>> = rails
                 .iter()
@@ -879,7 +886,7 @@ impl<'a> TamOptimizer<'a> {
             let current = self.cost_of(&eval);
             self.publish_best(current);
             let bottlenecks = self.bottleneck_rails(&eval);
-            let st = self.evaluator.swap_state(&eval);
+            let st = self.evaluator.swap_state(&eval, self.objective);
             // Enumerate the (source, core, target) moves serially, probe
             // them as one speculative batch, and reduce in enumeration
             // order (first lowest cost wins).
@@ -1378,6 +1385,56 @@ mod tests {
             "baseline t_in {} vs si-aware {}",
             baseline.evaluation().t_in,
             si_aware.evaluation().t_in
+        );
+    }
+
+    #[test]
+    fn intest_only_probes_price_no_si_makespan() {
+        // An incumbent evaluation schedules the SI tests through the
+        // schedule cache at most once per architecture-cache miss, so
+        // an InTest-only run whose probes never look up or run
+        // Algorithm 1 reuses no more schedules than it misses
+        // architectures. A Total run's probes price `T_soc^si` and
+        // reuse far more.
+        let soc = Benchmark::P34392.soc();
+        let c = |range: std::ops::Range<u32>| -> Vec<CoreId> { range.map(CoreId::new).collect() };
+        let groups = vec![
+            SiGroupSpec::new(c(0..19), 400),
+            SiGroupSpec::new(c(0..8), 900),
+            SiGroupSpec::new(c(6..14), 700),
+            SiGroupSpec::new(c(12..19), 500),
+        ];
+        let run = |objective: Objective| {
+            let pool = Pool::serial();
+            let metrics = pool.metrics();
+            let result = TamOptimizer::new(&soc, 32, groups.clone())
+                .expect("valid")
+                .objective(objective)
+                .run(RunCtx::new(pool))
+                .optimize()
+                .expect("optimizes");
+            // The reported evaluation still carries the full schedule.
+            assert_eq!(
+                result.evaluation().t_si,
+                result.evaluation().schedule.makespan()
+            );
+            assert!(result.evaluation().t_si > 0);
+            metrics.snapshot()
+        };
+        let baseline = run(Objective::InTestOnly);
+        assert!(baseline.speculative_probes > 0);
+        assert!(
+            baseline.schedule_reuses <= baseline.cache_misses,
+            "InTest-only probes priced T_si: {} schedule reuses, {} incumbent misses",
+            baseline.schedule_reuses,
+            baseline.cache_misses
+        );
+        let total = run(Objective::Total);
+        assert!(
+            total.schedule_reuses > total.cache_misses,
+            "{} schedule reuses, {} incumbent misses",
+            total.schedule_reuses,
+            total.cache_misses
         );
     }
 

@@ -8,6 +8,11 @@
 //! and any sequence of [`Evaluator::state_apply`] calls must leave the
 //! state reading exactly what evaluating the final rails reads.
 //!
+//! Every check runs on a state seeded for each [`Objective`]: a `Total`
+//! state must match `T_soc^si` and the group times too, an
+//! `InTestOnly` state must report no `T_soc^si` at all while its
+//! `T_soc^in` and `Σ time_used` still match.
+//!
 //! The state names rails by label and leaves a hole where a merge
 //! removed one; the rail list it is compared against holds the live
 //! rails in label order, so group times compare after renaming each
@@ -21,8 +26,8 @@ use soctam_exec::check::{cases, forall, Gen};
 use soctam_model::synth::{synth_soc, SynthConfig};
 use soctam_model::{Benchmark, CoreId, Soc};
 use soctam_tam::{
-    DeltaCost, Evaluation, Evaluator, RailEdit, RailEval, SiGroupSpec, SiGroupTime, SwapState,
-    TestRail, TestRailArchitecture,
+    DeltaCost, Evaluation, Evaluator, Objective, RailEdit, RailEval, SiGroupSpec, SiGroupTime,
+    SwapState, TestRail, TestRailArchitecture,
 };
 
 /// A random SOC of `3..=8` cores with modest wrapper geometry.
@@ -93,6 +98,9 @@ const SHAPES: [Shape; 4] = [
     Shape::Merge,
     Shape::Rebalance,
 ];
+
+/// Both state shapes: with and without the SI half.
+const OBJECTIVES: [Objective; 2] = [Objective::Total, Objective::InTestOnly];
 
 /// The rails behind a state, by label; `None` marks a removed rail.
 type Labels = Vec<Option<TestRail>>;
@@ -206,20 +214,23 @@ fn full(evaluator: &Evaluator<'_>, soc: &Soc, labels: &Labels) -> Evaluation {
     evaluator.evaluate(&TestRailArchitecture::new(soc, rails).expect("valid"))
 }
 
-fn cost_of(eval: &Evaluation) -> DeltaCost {
+/// What a state seeded for `objective` must price `eval` at: an
+/// `InTestOnly` state reports no `T_soc^si`.
+fn cost_of(eval: &Evaluation, objective: Objective) -> DeltaCost {
     DeltaCost {
         t_in: eval.t_in,
-        t_si: eval.t_si,
+        t_si: (objective == Objective::Total).then_some(eval.t_si),
         rail_used_sum: eval.rail_used_sum(),
     }
 }
 
 /// The state's group times with every label renamed to its rank among
-/// the live labels.
-fn ranked_group_times(st: &SwapState, labels: &Labels) -> Vec<SiGroupTime> {
+/// the live labels, or `None` for a state without the SI half.
+fn ranked_group_times(st: &SwapState, labels: &Labels) -> Option<Vec<SiGroupTime>> {
     let live = live(labels);
     let rank = |r: usize| live.binary_search(&r).expect("group rail is live");
-    st.group_times()
+    let ranked = st
+        .group_times()?
         .iter()
         .map(|row| SiGroupTime {
             time: row.time,
@@ -230,22 +241,38 @@ fn ranked_group_times(st: &SwapState, labels: &Labels) -> Vec<SiGroupTime> {
                 rank(row.bottleneck_rail)
             },
         })
-        .collect()
+        .collect();
+    Some(ranked)
 }
 
-/// Asserts that `st` reads exactly what evaluating `labels` reads.
-fn assert_state_matches(evaluator: &Evaluator<'_>, soc: &Soc, st: &SwapState, labels: &Labels) {
+/// Asserts that `st`, seeded for `objective`, reads exactly what
+/// evaluating `labels` reads.
+fn assert_state_matches(
+    evaluator: &Evaluator<'_>,
+    soc: &Soc,
+    st: &SwapState,
+    labels: &Labels,
+    objective: Objective,
+) {
     let eval = full(evaluator, soc, labels);
-    assert_eq!((st.t_in(), st.t_si()), (eval.t_in, eval.t_si));
-    assert_eq!(evaluator.state_cost(st, &[]), cost_of(&eval));
-    assert_eq!(ranked_group_times(st, labels), eval.group_times);
+    let expected = cost_of(&eval, objective);
+    assert_eq!((st.t_in(), st.t_si()), (expected.t_in, expected.t_si));
+    assert_eq!(evaluator.state_cost(st, &[]), expected);
+    let group_times = (objective == Objective::Total).then(|| eval.group_times.clone());
+    assert_eq!(ranked_group_times(st, labels), group_times);
 }
 
 /// Asserts that a width swap of every live rail of `st` to every width
 /// costs what evaluating the swapped rails costs: the single-edit fast
 /// path reads the state's top-two reductions, which every accepted
 /// edit must have kept current.
-fn assert_width_swaps_match(evaluator: &Evaluator<'_>, soc: &Soc, st: &SwapState, labels: &Labels) {
+fn assert_width_swaps_match(
+    evaluator: &Evaluator<'_>,
+    soc: &Soc,
+    st: &SwapState,
+    labels: &Labels,
+    objective: Objective,
+) {
     for i in live(labels) {
         for w in 1..=evaluator.max_width() {
             let edit = vec![(i, Some(rail(labels, i).with_width(w).expect("valid")))];
@@ -253,8 +280,8 @@ fn assert_width_swaps_match(evaluator: &Evaluator<'_>, soc: &Soc, st: &SwapState
             let probed = evaluator.state_cost(st, &as_edits(&comps));
             let mut edited = labels.clone();
             apply_labels(&mut edited, edit);
-            let expected = cost_of(&full(evaluator, soc, &edited));
-            assert_eq!(probed, expected, "rail {i} at width {w}");
+            let expected = cost_of(&full(evaluator, soc, &edited), objective);
+            assert_eq!(probed, expected, "{objective:?}: rail {i} at width {w}");
         }
     }
 }
@@ -269,16 +296,26 @@ fn state_cost_matches_full_evaluate_for_every_edit_shape() {
             .into_iter()
             .map(Some)
             .collect();
-        let st = evaluator.swap_state(&full(&evaluator, &soc, &labels));
-        assert_state_matches(&evaluator, &soc, &st, &labels);
+        let base = full(&evaluator, &soc, &labels);
+        let states =
+            OBJECTIVES.map(|objective| (objective, evaluator.swap_state(&base, objective)));
+        for (objective, st) in &states {
+            assert_state_matches(&evaluator, &soc, st, &labels, *objective);
+        }
         for shape in SHAPES {
             let edit = random_edit(g, &labels, max_width, shape);
             let comps = components(&evaluator, &edit);
-            let probed = evaluator.state_cost(&st, &as_edits(&comps));
             let mut edited = labels.clone();
             apply_labels(&mut edited, edit);
-            let expected = cost_of(&full(&evaluator, &soc, &edited));
-            assert_eq!(probed, expected, "{shape:?} probe diverged from full");
+            let eval = full(&evaluator, &soc, &edited);
+            for (objective, st) in &states {
+                let probed = evaluator.state_cost(st, &as_edits(&comps));
+                let expected = cost_of(&eval, *objective);
+                assert_eq!(
+                    probed, expected,
+                    "{objective:?} {shape:?} probe diverged from full"
+                );
+            }
         }
     });
 }
@@ -293,21 +330,31 @@ fn state_apply_sequences_match_full_evaluate() {
             .into_iter()
             .map(Some)
             .collect();
-        let mut st = evaluator.swap_state(&full(&evaluator, &soc, &labels));
+        let base = full(&evaluator, &soc, &labels);
+        let mut states =
+            OBJECTIVES.map(|objective| (objective, evaluator.swap_state(&base, objective)));
         for _ in 0..g.usize_in(1, 7) {
             let shape = SHAPES[g.usize_in(0, SHAPES.len())];
             let edit = random_edit(g, &labels, max_width, shape);
             let comps = components(&evaluator, &edit);
             let edits = as_edits(&comps);
-            // Probing first must not disturb the state, and must land
-            // where accepting the same edits lands.
-            let probed = evaluator.state_cost(&st, &edits);
-            evaluator.state_apply(&mut st, &edits);
             apply_labels(&mut labels, edit);
-            assert_eq!(probed, evaluator.state_cost(&st, &[]), "{shape:?}");
-            assert_state_matches(&evaluator, &soc, &st, &labels);
+            for (objective, st) in &mut states {
+                // Probing first must not disturb the state, and must
+                // land where accepting the same edits lands.
+                let probed = evaluator.state_cost(st, &edits);
+                evaluator.state_apply(st, &edits);
+                assert_eq!(
+                    probed,
+                    evaluator.state_cost(st, &[]),
+                    "{objective:?} {shape:?}"
+                );
+                assert_state_matches(&evaluator, &soc, st, &labels, *objective);
+            }
         }
-        assert_width_swaps_match(&evaluator, &soc, &st, &labels);
+        for (objective, st) in &states {
+            assert_width_swaps_match(&evaluator, &soc, st, &labels, *objective);
+        }
     });
 }
 
@@ -343,7 +390,10 @@ fn width_swaps_at_every_width_match_full_evaluate() {
             .into_iter()
             .map(|(cores, w)| Some(TestRail::new(cores, w).expect("valid")))
             .collect();
-        let st = evaluator.swap_state(&full(&evaluator, &soc, &labels));
-        assert_width_swaps_match(&evaluator, &soc, &st, &labels);
+        let base = full(&evaluator, &soc, &labels);
+        for objective in OBJECTIVES {
+            let st = evaluator.swap_state(&base, objective);
+            assert_width_swaps_match(&evaluator, &soc, &st, &labels, objective);
+        }
     }
 }

@@ -4,6 +4,45 @@ use soctam_model::CoreSpec;
 
 use crate::WrapperError;
 
+/// The largest TAM width a wrapper is designed for, and the largest
+/// width budget every soctam layer accepts: 64× the paper's widest
+/// sweep point (`W_max = 64`). Wrapper designs, InTest rows and time
+/// tables allocate in proportion to the width, so an unbounded width
+/// could ask for more memory than the machine has, an allocation
+/// failure no panic handler can contain.
+pub const MAX_TAM_WIDTH: u32 = 4096;
+
+/// Checks a TAM width against `1..=`[`MAX_TAM_WIDTH`].
+///
+/// # Errors
+///
+/// [`WrapperError::ZeroWidth`] when `width == 0`;
+/// [`WrapperError::WidthTooLarge`] when `width > MAX_TAM_WIDTH`.
+///
+/// # Example
+///
+/// ```
+/// use soctam_wrapper::{check_width, WrapperError, MAX_TAM_WIDTH};
+///
+/// assert_eq!(check_width(MAX_TAM_WIDTH), Ok(()));
+/// assert_eq!(
+///     check_width(u32::MAX),
+///     Err(WrapperError::WidthTooLarge { width: u32::MAX, max: MAX_TAM_WIDTH })
+/// );
+/// ```
+pub fn check_width(width: u32) -> Result<(), WrapperError> {
+    if width == 0 {
+        return Err(WrapperError::ZeroWidth);
+    }
+    if width > MAX_TAM_WIDTH {
+        return Err(WrapperError::WidthTooLarge {
+            width,
+            max: MAX_TAM_WIDTH,
+        });
+    }
+    Ok(())
+}
+
 /// A wrapper design for one core at one TAM width: the partition of the
 /// core's internal scan chains and functional I/O cells into `width`
 /// wrapper scan chains.
@@ -53,11 +92,10 @@ impl WrapperDesign {
     ///
     /// # Errors
     ///
-    /// Returns [`WrapperError::ZeroWidth`] when `width == 0`.
+    /// Returns [`WrapperError::ZeroWidth`] when `width == 0` and
+    /// [`WrapperError::WidthTooLarge`] above [`MAX_TAM_WIDTH`].
     pub fn design(core: &CoreSpec, width: u32) -> Result<Self, WrapperError> {
-        if width == 0 {
-            return Err(WrapperError::ZeroWidth);
-        }
+        check_width(width)?;
         let width_usize = width as usize;
 
         // LPT: longest internal chain first, each onto the currently

@@ -25,12 +25,22 @@ use std::fmt;
 pub enum WrapperError {
     /// A wrapper cannot be designed for a zero-width TAM.
     ZeroWidth,
+    /// The TAM width exceeds [`MAX_TAM_WIDTH`](crate::MAX_TAM_WIDTH).
+    WidthTooLarge {
+        /// The requested width.
+        width: u32,
+        /// The largest width accepted.
+        max: u32,
+    },
 }
 
 impl fmt::Display for WrapperError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WrapperError::ZeroWidth => write!(f, "tam width must be at least 1"),
+            WrapperError::WidthTooLarge { width, max } => {
+                write!(f, "tam width {width} exceeds the limit of {max} wires")
+            }
         }
     }
 }
@@ -44,5 +54,13 @@ mod tests {
     #[test]
     fn display_is_meaningful() {
         assert!(WrapperError::ZeroWidth.to_string().contains("width"));
+        let too_large = WrapperError::WidthTooLarge {
+            width: 5000,
+            max: 4096,
+        };
+        assert_eq!(
+            too_large.to_string(),
+            "tam width 5000 exceeds the limit of 4096 wires"
+        );
     }
 }

@@ -42,7 +42,7 @@ mod error;
 mod pareto;
 mod time;
 
-pub use design::WrapperDesign;
+pub use design::{check_width, WrapperDesign, MAX_TAM_WIDTH};
 pub use error::WrapperError;
 pub use pareto::{pareto_widths, saturation_width};
 pub use time::{intest_time, si_shift_cycles, si_time, TimeTable};

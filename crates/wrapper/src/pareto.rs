@@ -7,8 +7,8 @@
 
 use soctam_model::CoreSpec;
 
-use crate::time::{intest_row, pareto_front};
-use crate::WrapperError;
+use crate::time::intest_row;
+use crate::{check_width, WrapperError};
 
 /// The Pareto-optimal `(width, intest_time)` points of `core` for widths
 /// `1..=max_width`.
@@ -19,7 +19,9 @@ use crate::WrapperError;
 ///
 /// # Errors
 ///
-/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0`.
+/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0` and
+/// [`WrapperError::WidthTooLarge`] above
+/// [`MAX_TAM_WIDTH`](crate::MAX_TAM_WIDTH).
 ///
 /// # Example
 ///
@@ -36,12 +38,18 @@ use crate::WrapperError;
 /// # }
 /// ```
 pub fn pareto_widths(core: &CoreSpec, max_width: u32) -> Result<Vec<(u32, u64)>, WrapperError> {
-    if max_width == 0 {
-        return Err(WrapperError::ZeroWidth);
-    }
+    check_width(max_width)?;
     let mut row = vec![0; max_width as usize];
     intest_row(core, &mut row);
-    Ok(pareto_front(&row))
+    let mut front = Vec::new();
+    let mut best = u64::MAX;
+    for (width, &time) in (1u32..).zip(&row) {
+        if time < best {
+            front.push((width, time));
+            best = time;
+        }
+    }
+    Ok(front)
 }
 
 /// The smallest width at which `core`'s InTest time reaches its minimum
@@ -49,7 +57,9 @@ pub fn pareto_widths(core: &CoreSpec, max_width: u32) -> Result<Vec<(u32, u64)>,
 ///
 /// # Errors
 ///
-/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0`.
+/// Returns [`WrapperError::ZeroWidth`] when `max_width == 0` and
+/// [`WrapperError::WidthTooLarge`] above
+/// [`MAX_TAM_WIDTH`](crate::MAX_TAM_WIDTH).
 ///
 /// # Example
 ///

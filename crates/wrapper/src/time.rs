@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 use soctam_model::{CoreId, CoreSpec, Soc};
 
 use crate::design::pipelined_scan_time;
-use crate::{WrapperDesign, WrapperError};
+use crate::{WrapperDesign, WrapperError, MAX_TAM_WIDTH};
 
 /// InTest application time of `core` on a `width`-bit TAM, in clock cycles.
 ///
@@ -15,7 +15,8 @@ use crate::{WrapperDesign, WrapperError};
 ///
 /// # Errors
 ///
-/// Returns [`WrapperError::ZeroWidth`] when `width == 0`.
+/// Returns [`WrapperError::ZeroWidth`] when `width == 0` and
+/// [`WrapperError::WidthTooLarge`] above [`MAX_TAM_WIDTH`].
 ///
 /// # Example
 ///
@@ -136,23 +137,8 @@ fn lpt_makespan(desc: &[u64], w: usize, heap: &mut BinaryHeap<Reverse<u64>>) -> 
     makespan
 }
 
-/// The Pareto-optimal `(width, time)` points of an InTest row indexed
-/// from width 1: the widths where the time strictly drops.
-pub(crate) fn pareto_front(row: &[u64]) -> Vec<(u32, u64)> {
-    let mut front = Vec::new();
-    let mut best = u64::MAX;
-    for (width, &time) in (1u32..).zip(row) {
-        if time < best {
-            front.push((width, time));
-            best = time;
-        }
-    }
-    front
-}
-
-/// Per-SOC table of `T_in(core, width)`, the per-pattern SI shift cycles
-/// `2·⌈woc/width⌉ + ⌈wic/width⌉` and the InTest Pareto fronts, for
-/// widths `1..=max_width`.
+/// Per-SOC table of `T_in(core, width)` and the per-pattern SI shift
+/// cycles `2·⌈woc/width⌉ + ⌈wic/width⌉`, for widths `1..=max_width`.
 ///
 /// The TAM optimizer evaluates thousands of candidate architectures and
 /// reads every time from here. Each core's InTest row is built by one
@@ -179,9 +165,6 @@ pub struct TimeTable {
     intest: Vec<u64>,
     /// `si_shift[core · max_width + width - 1]`.
     si_shift: Vec<u64>,
-    /// Pareto-optimal `(width, intest_time)` points per core, read off
-    /// the `intest` rows (as [`crate::pareto_widths`] computes them).
-    pareto: Vec<Vec<(u32, u64)>>,
 }
 
 impl TimeTable {
@@ -190,23 +173,24 @@ impl TimeTable {
     ///
     /// # Panics
     ///
-    /// Panics if `max_width == 0`.
+    /// Panics if `max_width` is zero or exceeds [`MAX_TAM_WIDTH`].
     pub fn new(soc: &Soc, max_width: u32) -> Self {
         assert!(max_width > 0, "max_width must be at least 1");
+        assert!(
+            max_width <= MAX_TAM_WIDTH,
+            "max_width {max_width} exceeds the limit of {MAX_TAM_WIDTH}"
+        );
         let row_len = max_width as usize;
         let mut intest = vec![0; soc.num_cores().saturating_mul(row_len)];
         let mut si_shift = Vec::with_capacity(intest.len());
-        let mut pareto = Vec::with_capacity(soc.num_cores());
         for ((_, core), row) in soc.iter().zip(intest.chunks_exact_mut(row_len)) {
             intest_row(core, row);
-            pareto.push(pareto_front(row));
             si_shift.extend((1..=max_width).map(|width| shift_cycles(core, u64::from(width))));
         }
         TimeTable {
             max_width,
             intest,
             si_shift,
-            pareto,
         }
     }
 
@@ -243,33 +227,6 @@ impl TimeTable {
     /// `core` is out of range.
     pub fn si_shift(&self, core: CoreId, width: u32) -> u64 {
         self.si_shift[self.slot(core, width)]
-    }
-
-    /// Pareto-optimal `(width, intest_time)` points of `core` over
-    /// widths `1..=max_width`, equal to
-    /// [`pareto_widths(core, max_width)`](crate::pareto_widths).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn pareto(&self, core: CoreId) -> &[(u32, u64)] {
-        &self.pareto[core.index()]
-    }
-
-    /// Saturation width of `core`: the smallest width achieving its
-    /// minimum InTest time over `1..=max_width`, equal to
-    /// [`saturation_width(core, max_width)`](crate::saturation_width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    // Invariant: every Pareto front contains width 1.
-    #[allow(clippy::expect_used)]
-    pub fn saturation(&self, core: CoreId) -> u32 {
-        self.pareto[core.index()]
-            .last()
-            .expect("pareto front contains width 1")
-            .0
     }
 }
 
@@ -343,7 +300,10 @@ mod tests {
                         si_shift_cycles(core, width).unwrap()
                     );
                 }
-                assert_eq!(table.pareto(id), design_front(&designed).as_slice());
+                assert_eq!(
+                    crate::pareto_widths(core, 128).unwrap(),
+                    design_front(&designed)
+                );
             }
         }
     }
@@ -381,19 +341,61 @@ mod tests {
     }
 
     #[test]
-    fn table_pareto_matches_free_functions() {
+    fn pareto_functions_match_table_rows_and_designs() {
         let soc = Benchmark::P34392.soc();
         let table = TimeTable::new(&soc, 32);
         for (id, core) in soc.iter() {
             let front = design_front(&design_row(core, 32));
-            assert_eq!(table.pareto(id), front.as_slice());
+            let table_row: Vec<u64> = (1..=32).map(|w| table.intest(id, w)).collect();
+            assert_eq!(design_front(&table_row), front);
             assert_eq!(crate::pareto_widths(core, 32).unwrap(), front);
-            assert_eq!(table.saturation(id), front.last().unwrap().0);
             assert_eq!(
                 crate::saturation_width(core, 32).unwrap(),
-                table.saturation(id)
+                front.last().unwrap().0
             );
         }
+    }
+
+    #[test]
+    fn widths_beyond_the_limit_error_and_the_limit_works() {
+        let core = CoreSpec::new("c", 3, 2, 1, vec![40, 7], 5).unwrap();
+        for width in [MAX_TAM_WIDTH + 1, u32::MAX] {
+            let expected = WrapperError::WidthTooLarge {
+                width,
+                max: MAX_TAM_WIDTH,
+            };
+            assert_eq!(WrapperDesign::design(&core, width), Err(expected));
+            assert_eq!(intest_time(&core, width), Err(expected));
+            assert_eq!(crate::pareto_widths(&core, width), Err(expected));
+            assert_eq!(crate::saturation_width(&core, width), Err(expected));
+        }
+        let design = WrapperDesign::design(&core, MAX_TAM_WIDTH).unwrap();
+        assert_eq!(design.width(), MAX_TAM_WIDTH);
+        let front = crate::pareto_widths(&core, MAX_TAM_WIDTH).unwrap();
+        assert_eq!(
+            crate::saturation_width(&core, MAX_TAM_WIDTH),
+            Ok(front.last().unwrap().0)
+        );
+        let soc = Benchmark::D695.soc();
+        let table = TimeTable::new(&soc, MAX_TAM_WIDTH);
+        for (id, core) in soc.iter() {
+            assert_eq!(
+                table.intest(id, MAX_TAM_WIDTH),
+                intest_time(core, MAX_TAM_WIDTH).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the limit")]
+    fn table_rejects_max_width_beyond_the_limit() {
+        let _ = TimeTable::new(&Benchmark::D695.soc(), MAX_TAM_WIDTH + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the limit")]
+    fn table_rejects_max_width_u32_max() {
+        let _ = TimeTable::new(&Benchmark::D695.soc(), u32::MAX);
     }
 
     #[test]
