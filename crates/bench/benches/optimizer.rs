@@ -6,9 +6,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use soctam::{Benchmark, Objective, TamOptimizer};
-use soctam_bench::bench_groups;
+use soctam::{Benchmark, Objective, RandomPatternConfig, SiOptimizer, TamOptimizer};
 use soctam_bench::harness::{samples, Session};
+use soctam_bench::{bench_groups, TABLE_SEED};
 
 fn main() {
     let mut session = Session::from_args();
@@ -43,6 +43,31 @@ fn main() {
                 TamOptimizer::new(&soc, width, groups.clone())
                     .expect("valid")
                     .objective(Objective::InTestOnly)
+                    .optimize()
+                    .expect("optimizes")
+            },
+        );
+    }
+    // The `serve-optimizer` request shape: the groups a p93791 request
+    // at N_r = 2 000 and i = 1 compacts to (the hypergraph is bypassed),
+    // optimized at W = 64 for each objective.
+    let request_groups = SiOptimizer::new(&soc)
+        .partitions(1)
+        .seed(TABLE_SEED)
+        .group_specs(&RandomPatternConfig::new(2_000).with_seed(TABLE_SEED))
+        .expect("generates and compacts")
+        .to_vec();
+    for (label, objective) in [
+        ("si_aware", Objective::Total),
+        ("baseline", Objective::InTestOnly),
+    ] {
+        session.bench(
+            &format!("tam_optimization_p93791_nr2000_i1/{label}/64"),
+            samples,
+            || {
+                TamOptimizer::new(&soc, 64, request_groups.clone())
+                    .expect("valid")
+                    .objective(objective)
                     .optimize()
                     .expect("optimizes")
             },

@@ -29,6 +29,7 @@ pub struct Metrics {
     speculative_probes: AtomicU64,
     probe_batches: AtomicU64,
     probe_wasted: AtomicU64,
+    probes_pruned: AtomicU64,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     phases: Mutex<Vec<(String, Duration)>>,
@@ -120,6 +121,12 @@ impl Metrics {
         self.probe_wasted.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one speculative probe settled by an admissible bound: the
+    /// candidate could not beat the incumbent, so it was never priced.
+    pub fn count_probe_pruned(&self) {
+        self.probes_pruned.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one request whose compacted SI groups were recalled from
     /// the shared memo instead of generated and compacted.
     pub fn count_memo_hit(&self) {
@@ -170,6 +177,7 @@ impl Metrics {
             speculative_probes: self.speculative_probes.load(Ordering::Relaxed),
             probe_batches: self.probe_batches.load(Ordering::Relaxed),
             probe_wasted: self.probe_wasted.load(Ordering::Relaxed),
+            probes_pruned: self.probes_pruned.load(Ordering::Relaxed),
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
             memo_misses: self.memo_misses.load(Ordering::Relaxed),
             phases: self
@@ -213,6 +221,8 @@ pub struct MetricsSnapshot {
     pub probe_batches: u64,
     /// Speculative probes discarded (budget exhausted or faulted).
     pub probe_wasted: u64,
+    /// Speculative probes settled by a bound without being priced.
+    pub probes_pruned: u64,
     /// Requests whose compacted SI groups came from the compaction memo.
     pub memo_hits: u64,
     /// Compaction-memo lookups that missed (the groups were computed).
@@ -278,8 +288,8 @@ impl fmt::Display for MetricsSnapshot {
         if self.speculative_probes != 0 || self.probe_batches != 0 {
             writeln!(
                 f,
-                "  probes         : {} speculative in {} batches ({} wasted)",
-                self.speculative_probes, self.probe_batches, self.probe_wasted
+                "  probes         : {} speculative in {} batches ({} wasted, {} pruned)",
+                self.speculative_probes, self.probe_batches, self.probe_wasted, self.probes_pruned
             )?;
         }
         if self.memo_hits != 0 || self.memo_misses != 0 {
@@ -400,12 +410,15 @@ mod tests {
         m.count_probe_batch();
         m.count_probe_batch();
         m.count_probe_wasted();
+        m.count_probe_pruned();
+        m.count_probe_pruned();
         let snap = m.snapshot();
         assert_eq!(snap.speculative_probes, 10);
         assert_eq!(snap.probe_batches, 2);
         assert_eq!(snap.probe_wasted, 1);
+        assert_eq!(snap.probes_pruned, 2);
         let text = snap.to_string();
-        assert!(text.contains("probes         : 10 speculative in 2 batches (1 wasted)"));
+        assert!(text.contains("probes         : 10 speculative in 2 batches (1 wasted, 2 pruned)"));
     }
 
     #[test]

@@ -878,6 +878,7 @@ fn metrics_json(state: &ServerState) -> Json {
                 ),
                 ("probe_batches", Json::Int(snapshot.probe_batches as i128)),
                 ("probe_wasted", Json::Int(snapshot.probe_wasted as i128)),
+                ("probes_pruned", Json::Int(snapshot.probes_pruned as i128)),
                 ("memo_hits", Json::Int(snapshot.memo_hits as i128)),
                 ("memo_misses", Json::Int(snapshot.memo_misses as i128)),
                 (

@@ -334,6 +334,7 @@ fn cross_request_cache_hits_show_up_in_metrics() {
         "an optimize run must record probe batches"
     );
     let _ = counter("probe_wasted"); // present (zero on a fault-free run)
+    let _ = counter("probes_pruned"); // present (candidates settled by a bound)
 
     let second = client::post(&addr, "/v1/tools/optimize", body).unwrap();
     assert_eq!(second.status, 200);

@@ -73,8 +73,7 @@ const SPACE_ARCH: u8 = 1;
 /// Cache namespace: Algorithm 1 schedules keyed by group-times
 /// fingerprint.
 const SPACE_SCHED: u8 = 2;
-/// Cache namespace: `time_used` staircases keyed by core-set
-/// fingerprint.
+/// Cache namespace: [`RailStaircases`] keyed by core-set fingerprint.
 const SPACE_USED: u8 = 3;
 /// Cache namespace: Algorithm 1 makespans keyed by group-times
 /// fingerprint (the cost-only sibling of [`SPACE_SCHED`]).
@@ -98,7 +97,7 @@ enum Cached {
     Rail(Arc<RailEval>),
     Arch(Arc<Evaluation>),
     Sched(Arc<SiSchedule>),
-    Used(Arc<Vec<u64>>),
+    Used(Arc<RailStaircases>),
     Makespan(u64),
     Cost(u64),
     /// A thin `Arc<Vec<_>>`, not a fat `Arc<[_]>`: the wider pointer
@@ -331,6 +330,23 @@ pub struct RailEval {
     /// precomputed so the probe hot path charges the rail's utilized SI
     /// time without re-folding the column.
     pub si_sum: u64,
+}
+
+/// The width→time staircases of one core set: entry `w - 1` of each is
+/// the value a rail hosting the set takes at width `w`, for every width
+/// `1..=max_width`. Both are sums over the cores, so the staircase of a
+/// union of disjoint core sets is the pointwise saturating sum of
+/// theirs, and both are non-increasing in width (the premise the
+/// optimizer's bounds rest on, see DESIGN.md §12.2).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RailStaircases {
+    /// `time_used = time_in + time_si`, the SI shift work counted with
+    /// every group's pattern count. Wire distribution and rebalancing
+    /// read their drop points and donors from it.
+    pub used: Vec<u64>,
+    /// `time_in`: at every width exactly the `t_in` of the rail's
+    /// [`RailEval`].
+    pub intest: Vec<u64>,
 }
 
 /// Complete timing evaluation of one architecture.
@@ -1171,43 +1187,42 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The `time_used(r)` staircase of a core set: the utilized time the
-    /// rail would accumulate at every width `1..=max_width`, memoized by
-    /// core-set fingerprint. The optimizer's wire distribution and
-    /// rebalancing scan these arrays instead of recomputing point
+    /// The `time_used` and `time_in` staircases of a core set, one
+    /// entry per width `1..=max_width`, memoized together by core-set
+    /// fingerprint. The optimizer's wire distribution, rebalancing and
+    /// move bounds scan these arrays instead of recomputing point
     /// values.
-    pub fn rail_used_staircase(&self, cores: &[CoreId]) -> Arc<Vec<u64>> {
+    pub fn rail_staircases(&self, cores: &[CoreId]) -> Arc<RailStaircases> {
         let key = self.cache_key(SPACE_USED, fx_fingerprint128(&cores));
-        if let Some(Cached::Used(staircase)) = self.cache.get(&key) {
-            return staircase;
+        if let Some(Cached::Used(stairs)) = self.cache.get(&key) {
+            return stairs;
         }
-        let staircase = Arc::new(
-            (1..=self.max_width)
-                .map(|w| self.rail_time_used_at(cores, w))
-                .collect::<Vec<u64>>(),
-        );
+        let (used, intest) = (1..=self.max_width)
+            .map(|w| self.rail_times_at(cores, w))
+            .unzip();
+        let stairs = Arc::new(RailStaircases { used, intest });
         match self
             .cache
-            .get_or_insert_with(key, || Cached::Used(Arc::clone(&staircase)))
+            .get_or_insert_with(key, || Cached::Used(Arc::clone(&stairs)))
         {
             Cached::Used(stored) => stored,
             // Namespaces are disjoint: SPACE_USED only stores Used.
-            _ => staircase,
+            _ => stairs,
         }
     }
 
-    /// The utilized time `time_in + time_si` a rail hosting `cores` would
-    /// accumulate at `width` — one step of
-    /// [`Evaluator::rail_used_staircase`].
-    fn rail_time_used_at(&self, cores: &[CoreId], width: u32) -> u64 {
-        cores
-            .iter()
-            .map(|&c| {
-                self.table.intest(c, width).saturating_add(
-                    self.core_si_weight[c.index()].saturating_mul(self.table.si_shift(c, width)),
-                )
-            })
-            .fold(0u64, u64::saturating_add)
+    /// `(time_used, time_in)` of a rail hosting `cores` at `width` — one
+    /// step of [`Evaluator::rail_staircases`]. `time_in` folds exactly
+    /// as a component's `t_in` does.
+    fn rail_times_at(&self, cores: &[CoreId], width: u32) -> (u64, u64) {
+        cores.iter().fold((0u64, 0u64), |(used, t_in), &c| {
+            let intest = self.table.intest(c, width);
+            let si = self.core_si_weight[c.index()].saturating_mul(self.table.si_shift(c, width));
+            (
+                used.saturating_add(intest.saturating_add(si)),
+                t_in.saturating_add(intest),
+            )
+        })
     }
 
     /// The SOC under evaluation.

@@ -64,7 +64,7 @@ pub use bus::TestBusEvaluator;
 pub use error::TamError;
 pub use evaluator::{
     check_width_budget, DeltaCost, EvalCache, Evaluation, Evaluator, RailEdit, RailEval,
-    SiGroupSpec, SiGroupTime, SwapState,
+    RailStaircases, SiGroupSpec, SiGroupTime, SwapState,
 };
 pub use optimizer::{Objective, OptimizedArchitecture, TamOptimizer};
 pub use rail::{TestRail, TestRailArchitecture};

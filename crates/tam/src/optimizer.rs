@@ -10,8 +10,8 @@ use soctam_model::{CoreId, Soc};
 
 use crate::budget::BudgetTracker;
 use crate::{
-    Evaluation, Evaluator, RailEdit, RailEval, RunCtx, SiGroupSpec, SwapState, TamError, TestRail,
-    TestRailArchitecture,
+    Evaluation, Evaluator, RailEdit, RailEval, RailStaircases, RunCtx, SiGroupSpec, SwapState,
+    TamError, TestRail, TestRailArchitecture,
 };
 
 /// What the optimizer minimizes.
@@ -39,6 +39,18 @@ impl Objective {
         match self {
             Objective::Total => t_in.saturating_add(t_si.expect("a Total state prices T_soc^si")),
             Objective::InTestOnly => t_in,
+        }
+    }
+
+    /// The per-rail staircase that bounds this objective's cost from
+    /// below: an architecture holding a rail at width `w` costs at least
+    /// its entry `w - 1`. `T_soc^in ≥ time_in(r)` by definition, and
+    /// `T_soc ≥ time_used(r)` because the SI groups sharing a rail are
+    /// serialized (SCH-V02), so `T_soc^si ≥ time_si(r)`.
+    fn staircase(self, stairs: &RailStaircases) -> &[u64] {
+        match self {
+            Objective::Total => &stairs.used,
+            Objective::InTestOnly => &stairs.intest,
         }
     }
 }
@@ -303,19 +315,18 @@ impl<'a> TamOptimizer<'a> {
         wires: u32,
         tracker: &BudgetTracker,
         speculative: bool,
-        staircases: Option<&[Arc<Vec<u64>>]>,
+        staircases: Option<&[Arc<RailStaircases>]>,
     ) -> Vec<TestRail> {
         let mut st = self
             .evaluator
             .swap_state(&self.eval(&rails), self.objective);
         let mut remaining = wires;
         // Core sets never change below — only widths do — so every
-        // iteration reads the same memoized staircases; probe them once
-        // — or reuse the caller's, aligned with `rails`: merge probing
-        // passes its precomputed per-partner set so the thousands of
-        // nested speculative calls skip the per-rail cache fetches.
-        let built: Vec<Arc<Vec<u64>>>;
-        let staircases: &[Arc<Vec<u64>>] = match staircases {
+        // iteration reads the same memoized staircases; fetch them once,
+        // or reuse the caller's, aligned with `rails`: a committed merge
+        // passes the ones it already fetched.
+        let built: Vec<Arc<RailStaircases>>;
+        let staircases: &[Arc<RailStaircases>] = match staircases {
             Some(shared) => {
                 debug_assert_eq!(shared.len(), rails.len());
                 shared
@@ -323,7 +334,7 @@ impl<'a> TamOptimizer<'a> {
             None => {
                 built = rails
                     .iter()
-                    .map(|r| self.evaluator.rail_used_staircase(r.cores()))
+                    .map(|r| self.evaluator.rail_staircases(r.cores()))
                     .collect();
                 &built
             }
@@ -348,7 +359,7 @@ impl<'a> TamOptimizer<'a> {
         let mut per_rail: Vec<Vec<(u32, u128)>> = rails
             .iter()
             .zip(staircases)
-            .map(|(rail, staircase)| staircase_drops(staircase, rail.width(), wires).collect())
+            .map(|(rail, stairs)| staircase_drops(&stairs.used, rail.width(), wires).collect())
             .collect();
         let mut candidates: Vec<(usize, u32, u128)> = Vec::new();
         while remaining > 0
@@ -411,7 +422,11 @@ impl<'a> TamOptimizer<'a> {
                 .expect("width > 0");
             remaining -= d;
             per_rail[i].clear();
-            per_rail[i].extend(staircase_drops(&staircases[i], rails[i].width(), remaining));
+            per_rail[i].extend(staircase_drops(
+                &staircases[i].used,
+                rails[i].width(),
+                remaining,
+            ));
         }
         // Leftover wires that cannot improve anything on their own: park
         // them on bottleneck rails (they may enable future merges). Purely
@@ -436,7 +451,8 @@ impl<'a> TamOptimizer<'a> {
     /// the architecture when no merge improves it. Returns the new rails
     /// and whether an improvement was found.
     // Invariant: merged widths are `max(w1, wi)..=w1+wi` of two rails whose
-    // widths are >= 1, so `merged` cannot see a zero width.
+    // widths are >= 1, so `merged` cannot see a zero width; a candidate
+    // that wins was not pruned, so its partner was prefetched.
     #[allow(clippy::expect_used)]
     fn merge_tams(
         &self,
@@ -450,34 +466,50 @@ impl<'a> TamOptimizer<'a> {
         }
         let current_eval = self.eval(&rails);
         let current = self.cost_of(&current_eval);
+        // Every rail's staircases, fetched once: the bounds, the drop
+        // lists and the committed redistribution all read them.
+        let stairs: Vec<Arc<RailStaircases>> = rails
+            .iter()
+            .map(|r| self.evaluator.rail_staircases(r.cores()))
+            .collect();
         // Every (partner, merged-width) candidate is independent:
         // probe them speculatively, then reduce sequentially in the
         // original visit order so the winning tie-break — first
         // strictly-better candidate — is identical for any pool size.
-        let mut candidates: Vec<(usize, u32)> = Vec::new();
-        for i in 0..rails.len() {
-            if i == r1 {
+        let candidates = self.merge_candidates(&rails, r1, &stairs);
+        let w1 = rails[r1].width();
+        let leftover_of = |i: usize, w: u32| w1.saturating_add(rails[i].width()) - w;
+        // Bounds before builds (DESIGN.md §12.2): only a partner with a
+        // candidate bounded below `current` can win, so only such a
+        // *live* partner gets the merged rail's staircases and its
+        // components at every width `max(w1, wi)..=w1 + wi` (the
+        // redistribution grows the merged rail within that range),
+        // indexed by `width - max(w1, wi)`.
+        let mut merged_stairs: Vec<Option<Arc<RailStaircases>>> = vec![None; rails.len()];
+        let mut merged_comps: Vec<Option<Vec<Arc<RailEval>>>> = vec![None; rails.len()];
+        let (mut live, mut l_max) = (false, 0);
+        for &(i, w, bound) in &candidates {
+            if bound >= current {
                 continue;
             }
-            let w1 = rails[r1].width();
-            let wi = rails[i].width();
-            for w in w1.max(wi)..=(w1 + wi) {
-                candidates.push((i, w));
+            live = true;
+            l_max = l_max.max(leftover_of(i, w));
+            if merged_comps[i].is_some() {
+                continue;
             }
+            let w_lo = w1.max(rails[i].width());
+            let merged = rails[r1]
+                .merged(&rails[i], w_lo)
+                .expect("merged width >= 1");
+            merged_stairs[i] = Some(self.evaluator.rail_staircases(merged.cores()));
+            // Widths never exceed the budget: the architecture always
+            // holds `Σ widths <= max_width`, so `w1 + wi` is in range.
+            merged_comps[i] = Some(
+                (w_lo..=w1.saturating_add(rails[i].width()))
+                    .map(|w| self.evaluator.component(w, merged.cores()))
+                    .collect(),
+            );
         }
-        // Builds one merge candidate: survivors keep their original
-        // order; the merged rail joins at the tail.
-        let build = |i: usize, w: u32| -> Vec<TestRail> {
-            let merged = rails[r1].merged(&rails[i], w).expect("merged width >= 1");
-            let mut cand: Vec<TestRail> = Vec::with_capacity(rails.len() - 1);
-            for (j, rail) in rails.iter().enumerate() {
-                if j != r1 && j != i {
-                    cand.push(rail.clone());
-                }
-            }
-            cand.push(merged);
-            cand
-        };
         // Redistribution costs are memoized under a canonical
         // (rails, unordered pair, merged width, objective) key:
         // `merged` sorts its cores, so probing the pair from either
@@ -491,61 +523,16 @@ impl<'a> TamOptimizer<'a> {
             Objective::Total => 0u8,
             Objective::InTestOnly => 1u8,
         };
-        // Every candidate for a given partner shares one core layout
-        // (survivors unchanged, merged core set independent of `w`), so
-        // fetch each rail staircase once here and hand the nested
-        // redistributions a ready-made set instead of letting every
-        // probe re-fetch all of them from the evaluator cache.
-        let parent_stairs: Vec<Arc<Vec<u64>>> = rails
-            .iter()
-            .map(|r| self.evaluator.rail_used_staircase(r.cores()))
-            .collect();
-        let mut partner_stairs: Vec<Option<Vec<Arc<Vec<u64>>>>> = vec![None; rails.len()];
-        // Per partner, the merged rail's memoized components at every
-        // candidate width `max(w1, wi)..=w1 + wi` (redistribution can
-        // only grow the merged rail within that same range), indexed by
-        // `width - max(w1, wi)`.
-        let mut partner_merged: Vec<Option<Vec<Arc<RailEval>>>> = vec![None; rails.len()];
-        for &(i, _) in &candidates {
-            if partner_stairs[i].is_some() {
-                continue;
-            }
-            let w_lo = rails[r1].width().max(rails[i].width());
-            let w_hi = rails[r1].width().saturating_add(rails[i].width());
-            let merged = rails[r1]
-                .merged(&rails[i], w_lo)
-                .expect("merged width >= 1");
-            let mut stairs: Vec<Arc<Vec<u64>>> = Vec::with_capacity(rails.len() - 1);
-            for (j, s) in parent_stairs.iter().enumerate() {
-                if j != r1 && j != i {
-                    stairs.push(Arc::clone(s));
-                }
-            }
-            stairs.push(self.evaluator.rail_used_staircase(merged.cores()));
-            partner_stairs[i] = Some(stairs);
-            // Widths never exceed the budget: the architecture always
-            // holds `Σ widths <= max_width`, so `w1 + wi` is in range.
-            partner_merged[i] = Some(
-                (w_lo..=w_hi)
-                    .map(|w| self.evaluator.component(w, merged.cores()))
-                    .collect(),
-            );
-        }
         // Fused probing shares one parent state plus each survivor's
-        // drop list and components, bounded by the largest leftover any
-        // candidate can free. Probes apply the merge to a clone of the
-        // state instead of materializing candidate evaluations, and the
-        // nested redistribution runs cost-only.
-        let parent_state = self.evaluator.swap_state(&current_eval, self.objective);
-        let l_max = candidates
-            .iter()
-            .map(|&(i, w)| rails[r1].width().saturating_add(rails[i].width()) - w)
-            .max()
-            .unwrap_or(0);
+        // drop list and components, bounded by the largest leftover a
+        // live candidate can free. Probes apply the merge to a clone of
+        // the state instead of materializing candidate evaluations, and
+        // the nested redistribution runs cost-only.
+        let parent_state = live.then(|| self.evaluator.swap_state(&current_eval, self.objective));
         let mut rail_drops: Vec<Vec<(u32, u128)>> = Vec::with_capacity(rails.len());
         let mut rail_comps: Vec<Vec<Arc<RailEval>>> = Vec::with_capacity(rails.len());
-        for (j, rail) in rails.iter().enumerate() {
-            let drops = target_drops(&parent_stairs[j], rail.width(), l_max);
+        for (rail, stairs) in rails.iter().zip(&stairs) {
+            let drops = target_drops(&stairs.used, rail.width(), l_max);
             let comps = drops
                 .iter()
                 .map(|&(wt, _)| self.evaluator.component(wt, rail.cores()))
@@ -553,41 +540,17 @@ impl<'a> TamOptimizer<'a> {
             rail_drops.push(drops);
             rail_comps.push(comps);
         }
-        let costed = self.probe(tracker, false, &candidates, |&(i, w)| {
-            let leftover = rails[r1].width().saturating_add(rails[i].width()) - w;
-            // Admissible prune (Total objective only): groups sharing a
-            // rail are serialized (SCH-V02), so `T_soc >= time_used(j)`
-            // for every rail j of the final architecture, and the used
-            // staircase is non-increasing in width — rail j ends at
-            // width at most `w_j + leftover`, so its staircase value
-            // there lower-bounds the candidate's cost no matter how the
-            // freed wires are spread. A candidate whose bound already
-            // meets the incumbent cost loses the `cost < current` gate
-            // whatever its exact cost is, so `u64::MAX` stands in and
-            // the reduction outcome is bit-identical — without paying
-            // for the nested redistribution. The bound only involves
-            // the candidate and `current`, so the prune is
-            // deterministic at every pool size.
-            if self.objective == Objective::Total {
-                let stairs = partner_stairs[i]
-                    .as_ref()
-                    .expect("precomputed for every partner");
-                let mut lb = 0u64;
-                let mut k = 0usize;
-                for (j, rail) in rails.iter().enumerate() {
-                    if j == r1 || j == i {
-                        continue;
-                    }
-                    let wj = rail.width().saturating_add(leftover).min(self.max_width);
-                    lb = lb.max(stairs[k][(wj - 1) as usize]);
-                    k += 1;
-                }
-                let wm = (w + leftover).min(self.max_width);
-                lb = lb.max(stairs[k][(wm - 1) as usize]);
-                if lb >= current {
-                    return u64::MAX;
-                }
+        let metrics = self.run.pool.metrics();
+        let costed = self.probe(tracker, false, &candidates, |&(i, w, bound)| {
+            // The bound already meets the incumbent cost, so the
+            // candidate loses the `cost < current` gate whatever its
+            // exact cost is: `u64::MAX` stands in and the reduction
+            // outcome is bit-identical, without the redistribution.
+            if bound >= current {
+                metrics.count_probe_pruned();
+                return u64::MAX;
             }
+            let leftover = leftover_of(i, w);
             let dist_fp = (leftover > 0)
                 .then(|| fx_fingerprint128(&(rails_fp, r1.min(i), r1.max(i), w, tag)));
             if let Some(fp) = dist_fp {
@@ -600,29 +563,24 @@ impl<'a> TamOptimizer<'a> {
             // dies) and spend the freed wires with the same greedy the
             // committed path runs — every lookup below hits the
             // precomputed lists.
-            let merged_comps = partner_merged[i].as_ref().expect("prefetched per partner");
-            let w_lo = rails[r1].width().max(rails[i].width());
-            let mut st = parent_state.clone();
+            let merged_comps = merged_comps[i].as_deref().expect("prefetched: i is live");
+            let w_lo = w1.max(rails[i].width());
+            let mut st = parent_state.as_ref().expect("seeded: i is live").clone();
             let merged = &merged_comps[(w - w_lo) as usize];
             self.evaluator
                 .state_apply(&mut st, &[(r1, Some(merged)), (i, None)]);
             if leftover > 0 {
-                let merged_stairs = partner_stairs[i]
-                    .as_ref()
-                    .expect("precomputed for every partner")
-                    .last()
-                    .expect("stairs hold at least the merged rail");
                 self.fused_redistribute(
                     &mut st,
                     tracker,
                     r1,
                     i,
                     leftover,
-                    &parent_stairs,
+                    &stairs,
                     &rail_drops,
                     &rail_comps,
                     merged_comps,
-                    merged_stairs,
+                    merged_stairs[i].as_deref().expect("prefetched: i is live"),
                     w_lo,
                 );
             }
@@ -647,17 +605,58 @@ impl<'a> TamOptimizer<'a> {
         }
         match best {
             Some((idx, cost)) if cost < current => {
-                let (i, w) = candidates[idx];
-                let mut cand = build(i, w);
-                let leftover = rails[r1].width().saturating_add(rails[i].width()) - w;
+                let (i, w, _) = candidates[idx];
+                let mut cand = merged_rails(&rails, r1, i, w);
+                let leftover = leftover_of(i, w);
                 if leftover > 0 {
-                    let stairs = partner_stairs[i].as_deref();
-                    cand = self.distribute_free_wires(cand, leftover, tracker, true, stairs);
+                    // Aligned with `cand`: survivors, then the merged rail.
+                    let merged = merged_stairs[i].as_ref().expect("the winner is live");
+                    let aligned: Vec<Arc<RailStaircases>> = survivors(rails.len(), r1, i)
+                        .map(|j| Arc::clone(&stairs[j]))
+                        .chain([Arc::clone(merged)])
+                        .collect();
+                    cand =
+                        self.distribute_free_wires(cand, leftover, tracker, true, Some(&aligned));
                 }
                 (cand, true)
             }
             _ => (rails, false),
         }
+    }
+
+    /// The `mergeTAMs` candidates of rail `r1` in visit order, each
+    /// `(partner i, merged width w, bound)`. The bound is admissible
+    /// (DESIGN.md §12.2): no redistribution of the `L = w1 + wi - w`
+    /// freed wires ends below it. The merged rail ends at width at most
+    /// `w1 + wi` and a survivor `j` at most `w_j + L`, staircases never
+    /// rise with width, and the merged rail's staircase is the sum of
+    /// its two halves'.
+    fn merge_candidates(
+        &self,
+        rails: &[TestRail],
+        r1: usize,
+        stairs: &[Arc<RailStaircases>],
+    ) -> Vec<(usize, u32, u64)> {
+        let at = |j: usize, w: u32| {
+            self.objective.staircase(&stairs[j])[(w.min(self.max_width) - 1) as usize]
+        };
+        let w1 = rails[r1].width();
+        let mut candidates = Vec::new();
+        for (i, rail) in rails.iter().enumerate() {
+            if i == r1 {
+                continue;
+            }
+            let w_m = w1.saturating_add(rail.width());
+            let merged = at(r1, w_m).saturating_add(at(i, w_m));
+            for w in w1.max(rail.width())..=w_m {
+                let leftover = w_m - w;
+                let bound = survivors(rails.len(), r1, i)
+                    .map(|j| at(j, rails[j].width().saturating_add(leftover)))
+                    .fold(merged, u64::max);
+                candidates.push((i, w, bound));
+            }
+        }
+        candidates
     }
 
     /// The cost-only twin of the nested
@@ -693,11 +692,11 @@ impl<'a> TamOptimizer<'a> {
         r1: usize,
         dead: usize,
         leftover: u32,
-        parent_stairs: &[Arc<Vec<u64>>],
+        parent_stairs: &[Arc<RailStaircases>],
         rail_drops: &[Vec<(u32, u128)>],
         rail_comps: &[Vec<Arc<RailEval>>],
         merged_comps: &[Arc<RailEval>],
-        merged_stairs: &Arc<Vec<u64>>,
+        merged_stairs: &RailStaircases,
         w_lo: u32,
     ) {
         let mut remaining = leftover;
@@ -707,7 +706,7 @@ impl<'a> TamOptimizer<'a> {
         // shared parent list, truncated to the live budget below.
         let mut local_drops: Vec<Option<Vec<(u32, u128)>>> = vec![None; rail_drops.len()];
         local_drops[r1] = Some(target_drops(
-            merged_stairs,
+            &merged_stairs.used,
             st.component(r1).expect("merged rail is live").width,
             leftover,
         ));
@@ -762,7 +761,7 @@ impl<'a> TamOptimizer<'a> {
                     } else {
                         &parent_stairs[j]
                     };
-                    local_drops[j] = Some(target_drops(stairs, wt, remaining));
+                    local_drops[j] = Some(target_drops(&stairs.used, wt, remaining));
                 }
                 None => break,
             }
@@ -788,9 +787,9 @@ impl<'a> TamOptimizer<'a> {
             self.publish_best(key.0);
             let st = self.evaluator.swap_state(&eval, self.objective);
             // All donor selections read the same memoized staircases.
-            let staircases: Vec<Arc<Vec<u64>>> = rails
+            let staircases: Vec<Arc<RailStaircases>> = rails
                 .iter()
-                .map(|r| self.evaluator.rail_used_staircase(r.cores()))
+                .map(|r| self.evaluator.rail_staircases(r.cores()))
                 .collect();
             // Enumerate the (funded rail, jump) candidates serially,
             // probe them as one speculative batch, and reduce in
@@ -799,33 +798,23 @@ impl<'a> TamOptimizer<'a> {
             for b in 0..rails.len() {
                 let donor_budget: u32 =
                     rails.iter().map(|r| r.width() - 1).sum::<u32>() - (rails[b].width() - 1);
-                for (delta, _) in staircase_drops(&staircases[b], rails[b].width(), donor_budget) {
+                for (delta, _) in
+                    staircase_drops(&staircases[b].used, rails[b].width(), donor_budget)
+                {
                     candidates.push((b, delta));
                 }
             }
+            let metrics = self.run.pool.metrics();
             let costed = self.probe(tracker, false, &candidates, |&(b, delta)| {
-                // Collect `delta` wires, one at a time, from the donors
-                // whose marginal slowdown for giving up a wire is
-                // smallest (zero on a width plateau). The greedy donor
-                // walk is a pure function of the current rails, so the
-                // probe is deterministic wherever it runs.
-                let mut widths: Vec<u32> = rails.iter().map(TestRail::width).collect();
-                let mut funded = 0;
-                while funded < delta {
-                    let donor = (0..widths.len())
-                        .filter(|&o| o != b && widths[o] > 1)
-                        .min_by_key(|&o| {
-                            let at = |w: u32| staircases[o][(w - 1) as usize];
-                            at(widths[o] - 1) - at(widths[o])
-                        });
-                    let Some(o) = donor else { break };
-                    widths[o] -= 1;
-                    funded += 1;
+                let widths = rebalance_widths(&rails, &staircases, b, delta)?;
+                // Bounds before builds (DESIGN.md §12.2): a candidate
+                // bounded above the incumbent cost cannot win, so it
+                // skips its component lookups and pricing. Strict: an
+                // equal cost can still win on `Σ time_used`.
+                if self.widths_bound(&staircases, &widths) > key.0 {
+                    metrics.count_probe_pruned();
+                    return None;
                 }
-                if funded < delta {
-                    return None; // not enough donor wires
-                }
-                widths[b] = widths[b].saturating_add(delta);
                 // One width edit per rail the step touched.
                 let comps: Vec<(usize, Arc<RailEval>)> = (0..rails.len())
                     .filter(|&o| widths[o] != rails[o].width())
@@ -856,6 +845,18 @@ impl<'a> TamOptimizer<'a> {
             }
         }
         rails
+    }
+
+    /// A lower bound on the objective cost of `rails` at `widths`
+    /// (DESIGN.md §12.2): the largest per-rail staircase entry. For
+    /// [`Objective::InTestOnly`] it is exactly `T_soc^in`.
+    fn widths_bound(&self, staircases: &[Arc<RailStaircases>], widths: &[u32]) -> u64 {
+        staircases
+            .iter()
+            .zip(widths)
+            .map(|(stairs, &w)| self.objective.staircase(stairs)[(w - 1) as usize])
+            .max()
+            .unwrap_or(0)
     }
 
     /// Sorts rails by `time_used` in non-increasing order (the ordering
@@ -1249,6 +1250,49 @@ impl<'a> TamOptimizer<'a> {
     }
 }
 
+/// The labels of the rails other than `r1` and `i`, ascending.
+fn survivors(n: usize, r1: usize, i: usize) -> impl Iterator<Item = usize> {
+    (0..n).filter(move |&j| j != r1 && j != i)
+}
+
+/// One `mergeTAMs` candidate's rails: `rails[r1]` and `rails[i]` merged
+/// at width `w` and appended after the survivors, which keep their
+/// order.
+// Invariant: callers pass `w >= max(w1, wi) >= 1`.
+#[allow(clippy::expect_used)]
+fn merged_rails(rails: &[TestRail], r1: usize, i: usize, w: u32) -> Vec<TestRail> {
+    survivors(rails.len(), r1, i)
+        .map(|j| rails[j].clone())
+        .chain([rails[r1].merged(&rails[i], w).expect("merged width >= 1")])
+        .collect()
+}
+
+/// The widths a rebalance step funding a `delta`-wire jump of rail `b`
+/// reaches: the wires are collected one at a time from the donors whose
+/// marginal `time_used` slowdown for giving up a wire is smallest (zero
+/// on a width plateau), or `None` when the donors cannot fund it. A pure
+/// function of the rails, so the probe is deterministic wherever it
+/// runs.
+fn rebalance_widths(
+    rails: &[TestRail],
+    staircases: &[Arc<RailStaircases>],
+    b: usize,
+    delta: u32,
+) -> Option<Vec<u32>> {
+    let mut widths: Vec<u32> = rails.iter().map(TestRail::width).collect();
+    for _ in 0..delta {
+        let donor = (0..widths.len())
+            .filter(|&o| o != b && widths[o] > 1)
+            .min_by_key(|&o| {
+                let at = |w: u32| staircases[o].used[(w - 1) as usize];
+                at(widths[o] - 1) - at(widths[o])
+            })?;
+        widths[donor] -= 1;
+    }
+    widths[b] = widths[b].saturating_add(delta);
+    Some(widths)
+}
+
 /// Stable identity of a rail for the skip set: the fingerprint of its
 /// (sorted) core list — no per-candidate `Vec<CoreId>` clone.
 fn rails_key(rails: &[TestRail], i: usize) -> u128 {
@@ -1257,7 +1301,7 @@ fn rails_key(rails: &[TestRail], i: usize) -> u128 {
 
 /// The strict drop points of a rail's `time_used` staircase
 /// (`staircase[w - 1]` is the rail's `time_used` at width `w`, see
-/// [`Evaluator::rail_used_staircase`]): every jump `d ≤ budget` (with
+/// [`Evaluator::rail_staircases`]): every jump `d ≤ budget` (with
 /// `width + d ≤ max_width`) at which the time falls below every smaller
 /// width, ascending, paired with its rate key `neg_rate` — the time
 /// gain per wire as a scaled fixed-point value, negated so that smaller
@@ -1436,6 +1480,31 @@ mod tests {
             total.schedule_reuses,
             total.cache_misses
         );
+    }
+
+    #[test]
+    fn bounds_prune_probes_for_both_objectives() {
+        // Each objective's own search, without the portfolio's second
+        // leg, settles some merge or rebalance candidates by its bound.
+        let soc = Benchmark::P93791.soc();
+        let cores: Vec<CoreId> = soc.core_ids().collect();
+        let mut groups = vec![SiGroupSpec::new(cores.clone(), 300)];
+        groups.extend(cores.chunks(8).map(|c| SiGroupSpec::new(c.to_vec(), 150)));
+        for objective in [Objective::Total, Objective::InTestOnly] {
+            let pool = Pool::serial();
+            let metrics = pool.metrics();
+            let run = RunCtx::new(pool);
+            let optimizer = TamOptimizer::new(&soc, 64, groups.clone())
+                .expect("valid")
+                .objective(objective)
+                .run(run.clone());
+            optimizer
+                .optimize_perturbed(0, &BudgetTracker::start_in(&run))
+                .expect("optimizes");
+            let snap = metrics.snapshot();
+            assert!(snap.probes_pruned > 0, "{objective:?} pruned nothing");
+            assert!(snap.probes_pruned < snap.speculative_probes);
+        }
     }
 
     #[test]
@@ -1625,6 +1694,147 @@ mod rebalance_tests {
         assert!(
             after < before * 7 / 10,
             "rebalance only improved {before} -> {after}"
+        );
+    }
+}
+
+#[cfg(test)]
+mod bound_tests {
+    use super::*;
+    use crate::OptimizerBudget;
+    use soctam_exec::check::{cases, forall, Gen};
+    use soctam_model::synth::{synth_soc, SynthConfig};
+
+    /// A random SOC of `3..=8` cores, so one rail per core fits every
+    /// width budget drawn below.
+    fn random_soc(g: &mut Gen) -> Soc {
+        let cores = g.usize_in(3, 9);
+        synth_soc(
+            &SynthConfig {
+                inputs: (1, 24),
+                outputs: (1, 24),
+                scan_chain_count: (1, 6),
+                scan_chain_len: (2, 60),
+                patterns: (3, 60),
+                ..SynthConfig::new(cores)
+            }
+            .with_seed(g.u64_in(0, u64::MAX)),
+        )
+        .expect("valid soc")
+    }
+
+    /// `1..=4` SI groups over random core subsets.
+    fn random_groups(g: &mut Gen, soc: &Soc) -> Vec<SiGroupSpec> {
+        let n = g.usize_in(1, 5);
+        (0..n)
+            .map(|_| {
+                let cores: Vec<CoreId> = soc.core_ids().filter(|_| g.bool_with(0.5)).collect();
+                let cores = if cores.is_empty() {
+                    soc.core_ids().collect()
+                } else {
+                    cores
+                };
+                SiGroupSpec::new(cores, g.u64_in(1, 200))
+            })
+            .collect()
+    }
+
+    /// Hands `wires` spare wires to random rails, one at a time.
+    fn spread(g: &mut Gen, rails: &mut [TestRail], wires: u32) {
+        for _ in 0..wires {
+            let r = g.usize_in(0, rails.len());
+            rails[r] = rails[r].with_width(rails[r].width() + 1).expect("valid");
+        }
+    }
+
+    /// Checks every merge candidate of `r1` and every rebalance
+    /// candidate of `rails` against what the optimizer commits for it.
+    fn check_bounds(optimizer: &TamOptimizer<'_>, rails: &[TestRail], r1: usize) {
+        let objective = optimizer.objective;
+        let tracker = BudgetTracker::start(OptimizerBudget::unlimited());
+        let stairs: Vec<Arc<RailStaircases>> = rails
+            .iter()
+            .map(|r| optimizer.evaluator.rail_staircases(r.cores()))
+            .collect();
+        for (i, w, bound) in optimizer.merge_candidates(rails, r1, &stairs) {
+            let leftover = rails[r1].width() + rails[i].width() - w;
+            let mut cand = merged_rails(rails, r1, i, w);
+            if leftover > 0 {
+                cand = optimizer.distribute_free_wires(cand, leftover, &tracker, true, None);
+            }
+            let cost = optimizer.cost(&cand);
+            assert!(
+                bound <= cost,
+                "{objective:?} merge ({r1}, {i}, {w}): bound {bound} > cost {cost}"
+            );
+        }
+        let donors: u32 = rails.iter().map(|r| r.width() - 1).sum();
+        for b in 0..rails.len() {
+            let budget = donors - (rails[b].width() - 1);
+            for (delta, _) in staircase_drops(&stairs[b].used, rails[b].width(), budget) {
+                let Some(widths) = rebalance_widths(rails, &stairs, b, delta) else {
+                    continue;
+                };
+                let bound = optimizer.widths_bound(&stairs, &widths);
+                let moved: Vec<TestRail> = rails
+                    .iter()
+                    .zip(&widths)
+                    .map(|(r, &w)| r.with_width(w).expect("valid"))
+                    .collect();
+                let cost = optimizer.cost(&moved);
+                assert!(
+                    bound <= cost,
+                    "{objective:?} rebalance ({b}, +{delta}): bound {bound} > cost {cost}"
+                );
+                if objective == Objective::InTestOnly {
+                    assert_eq!(bound, cost, "the InTest bound is T_soc^in itself");
+                }
+            }
+        }
+    }
+
+    /// From architectures reached by random legal merges, for both
+    /// objectives: every merge candidate's bound is at most the cost of
+    /// the path the optimizer commits for it (merge, redistribute the
+    /// freed wires, evaluate), and every rebalance candidate's bound at
+    /// most the exact cost of its widths — exactly that cost for
+    /// `InTestOnly`.
+    #[test]
+    fn merge_and_rebalance_bounds_are_admissible() {
+        forall(
+            "merge_and_rebalance_bounds_are_admissible",
+            cases(32),
+            |g| {
+                let soc = random_soc(g);
+                let max_width = g.u32_in(8, 65);
+                let groups = random_groups(g, &soc);
+                let optimizers = [Objective::Total, Objective::InTestOnly].map(|objective| {
+                    TamOptimizer::new(&soc, max_width, groups.clone())
+                        .expect("valid")
+                        .objective(objective)
+                });
+                let mut rails = TestRailArchitecture::one_rail_per_core(&soc)
+                    .rails()
+                    .to_vec();
+                spread(g, &mut rails, max_width - soc.num_cores() as u32);
+                loop {
+                    let r1 = g.usize_in(0, rails.len());
+                    for optimizer in &optimizers {
+                        check_bounds(optimizer, &rails, r1);
+                    }
+                    if rails.len() < 2 || g.bool_with(0.25) {
+                        break;
+                    }
+                    // One random legal merge; its freed wires go to random
+                    // rails, so the budget stays fully spent.
+                    let i = g.usize_in(0, rails.len() - 1);
+                    let r1 = g.usize_in(i + 1, rails.len());
+                    let (wi, w1) = (rails[i].width(), rails[r1].width());
+                    let w = g.u32_in(wi.max(w1), wi + w1 + 1);
+                    rails = merged_rails(&rails, r1, i, w);
+                    spread(g, &mut rails, wi + w1 - w);
+                }
+            },
         );
     }
 }

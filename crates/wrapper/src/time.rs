@@ -340,6 +340,53 @@ mod tests {
         );
     }
 
+    /// The premise of the optimizer's move bounds: a core's InTest time
+    /// and SI shift cycles never rise with width. On every benchmark
+    /// core through the table, and on random cores (as above) through
+    /// the row kernel and the shift formula the table is built from.
+    #[test]
+    fn times_never_rise_with_width() {
+        use soctam_exec::check::{cases, forall};
+        fn assert_non_increasing(intest: &[u64], si_shift: &[u64], label: &str) {
+            for (w, pair) in (1..).zip(intest.windows(2)) {
+                assert!(
+                    pair[1] <= pair[0],
+                    "{label}: InTest rises at {w} -> {}",
+                    w + 1
+                );
+            }
+            for (w, pair) in (1..).zip(si_shift.windows(2)) {
+                assert!(
+                    pair[1] <= pair[0],
+                    "{label}: SI shift rises at {w} -> {}",
+                    w + 1
+                );
+            }
+        }
+        for benchmark in Benchmark::ALL {
+            let soc = benchmark.soc();
+            let table = TimeTable::new(&soc, 128);
+            for id in soc.core_ids() {
+                let intest: Vec<u64> = (1..=128).map(|w| table.intest(id, w)).collect();
+                let si_shift: Vec<u64> = (1..=128).map(|w| table.si_shift(id, w)).collect();
+                let label = format!("{} {id}", benchmark.name());
+                assert_non_increasing(&intest, &si_shift, &label);
+            }
+        }
+        forall("times_never_rise_with_width", cases(256), |g| {
+            let chains = g.vec_of(0, 80, |g| g.u32_in(1, 10_001));
+            let inputs = g.u32_in(0, 2_001);
+            let outputs = g.u32_in(0, 2_001);
+            let bidirs = g.u32_in(0, 2_001);
+            let patterns = g.u64_in(1, 1_000);
+            let core = CoreSpec::new("r", inputs, outputs, bidirs, chains, patterns).unwrap();
+            let mut intest = vec![0; 128];
+            intest_row(&core, &mut intest);
+            let si_shift: Vec<u64> = (1..=128).map(|w| shift_cycles(&core, w)).collect();
+            assert_non_increasing(&intest, &si_shift, "random core");
+        });
+    }
+
     #[test]
     fn pareto_functions_match_table_rows_and_designs() {
         let soc = Benchmark::P34392.soc();
