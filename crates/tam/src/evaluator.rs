@@ -1148,7 +1148,7 @@ impl<'a> Evaluator<'a> {
     /// unordered rail pair is probed from both ends — and the nested
     /// water-filling pass is a pure function of the candidate and the
     /// wire count, so its final cost can be reused verbatim.
-    pub fn dist_cost_cached(&self, fp: u128) -> Option<u64> {
+    pub(crate) fn dist_cost_cached(&self, fp: u128) -> Option<u64> {
         match self.cache.get(&self.cache_key(SPACE_DIST, fp)) {
             Some(Cached::Cost(cost)) => Some(cost),
             _ => None,
@@ -1160,7 +1160,7 @@ impl<'a> Evaluator<'a> {
     /// Callers must only store costs of *completed* redistributions
     /// (the budget did not trip mid-pass), so a later lookup observes
     /// the same value a fresh computation would produce.
-    pub fn store_dist_cost(&self, fp: u128, cost: u64) {
+    pub(crate) fn store_dist_cost(&self, fp: u128, cost: u64) {
         self.cache
             .get_or_insert_with(self.cache_key(SPACE_DIST, fp), || Cached::Cost(cost));
     }

@@ -192,37 +192,35 @@ impl<'a> TamOptimizer<'a> {
         }
     }
 
-    /// Speculatively evaluates one batch of move candidates, returning
-    /// per-candidate results in candidate order so callers can reduce
-    /// deterministically (first minimum wins) regardless of how the
-    /// probes were scheduled.
+    /// Speculatively prices one batch of move candidates and returns the
+    /// index and key of the first minimum ([`first_min`]), so the winner
+    /// is the same however the probes were scheduled. `f` yields `None`
+    /// for a candidate that cannot win.
     ///
     /// Probes run on the probe pool, except `nested` batches (probes
     /// issued from inside another speculative candidate, like the
     /// mergeTAMs wire redistribution), which stay on the calling worker.
     ///
-    /// A probe yields `None` — and counts as wasted — instead of a
-    /// result when the budget tripped before it ran, or when the
-    /// `tam.probe` failpoint fired (`Err` *or* panic: a panicking probe
-    /// is caught and poisoned, proving one lost speculation cannot
-    /// change what the step selects — dropping a non-winning candidate
-    /// never changes the first minimum, and a lost winner degrades to
-    /// the serial no-move outcome). Panics from any other site unwind
-    /// normally.
-    fn probe<T, R, F>(
+    /// A probe also yields `None` — and counts as wasted — when the
+    /// budget tripped before it ran, or when the `tam.probe` failpoint
+    /// fired (`Err` *or* panic: a panicking probe is caught and
+    /// poisoned — dropping a non-winning candidate never changes the
+    /// first minimum, and a lost winner degrades to the serial no-move
+    /// outcome). Panics from any other site unwind normally.
+    fn probe<T, K, F>(
         &self,
         tracker: &BudgetTracker,
         nested: bool,
         candidates: &[T],
         f: F,
-    ) -> Vec<Option<R>>
+    ) -> Option<(usize, K)>
     where
         T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
+        K: Ord + Send,
+        F: Fn(&T) -> Option<K> + Sync,
     {
         if candidates.is_empty() {
-            return Vec::new();
+            return None;
         }
         let metrics = self.run.pool.metrics();
         metrics.count_probe_batch();
@@ -230,7 +228,7 @@ impl<'a> TamOptimizer<'a> {
         if let Some(p) = &self.run.progress {
             p.add_probed(candidates.len() as u64);
         }
-        let task = |cand: &T| -> Option<R> {
+        let task = |cand: &T| -> Option<K> {
             if !tracker.within() {
                 metrics.count_probe_wasted();
                 return None;
@@ -240,12 +238,12 @@ impl<'a> TamOptimizer<'a> {
                 // fire, and a panic from `f` itself would be resumed
                 // verbatim below — so skip the unwind guard and its
                 // inlining barrier on the hot path.
-                return Some(f(cand));
+                return f(cand);
             }
             match panic::catch_unwind(AssertUnwindSafe(|| {
                 fault::check("tam.probe").map(|()| f(cand))
             })) {
-                Ok(Ok(result)) => Some(result),
+                Ok(Ok(result)) => result,
                 Ok(Err(_)) => {
                     metrics.count_probe_wasted();
                     None
@@ -261,9 +259,9 @@ impl<'a> TamOptimizer<'a> {
             }
         };
         if nested {
-            candidates.iter().map(task).collect()
+            first_min(candidates.iter().map(task))
         } else {
-            self.probe_pool.par_map(candidates, task)
+            first_min(self.probe_pool.par_map(candidates, task))
         }
     }
 
@@ -287,26 +285,9 @@ impl<'a> TamOptimizer<'a> {
         set.into_iter().collect()
     }
 
-    /// `distributeFreeWires`: assigns `wires` extra TAM wires, favouring
-    /// bottleneck rails (Section 4.2).
-    ///
-    /// A rail's time is a non-increasing *staircase* in width: adding one
-    /// wire frequently changes nothing (the longest wrapper chain is fixed
-    /// by a scan-chain plateau), so a one-wire-at-a-time greedy stalls and
-    /// dumps the whole budget on one rail. Instead each step jumps a rail
-    /// directly to its next Pareto width — the smallest width at which its
-    /// utilized time actually drops — and picks the jump that minimizes
-    /// `(T_soc, Σ_r time_used(r), wires spent)`. Wires that cannot improve
-    /// any rail are spread one per widest-gap rail at the end.
-    ///
-    /// `speculative` marks calls made while costing a *candidate* move
-    /// (the mergeTAMs sweep): those never tick the iteration budget —
-    /// candidate probes racing the shared counter from pool workers
-    /// would make iteration-budgeted runs thread-count-dependent. Only
-    /// committed, serial wire-distribution steps count as iterations.
-    ///
-    /// Every jump is probed and accepted as one width edit on a
-    /// [`SwapState`] seeded from the cached evaluation of `rails`.
+    /// `distributeFreeWires` (Section 4.2) as the start solution runs
+    /// it: spends `wires` extra TAM wires with every rail a lane, in rail
+    /// order, and parks what no drop absorbs.
     // Invariant: widths only ever grow here, so `with_width` cannot see 0.
     #[allow(clippy::expect_used)]
     fn distribute_free_wires(
@@ -314,124 +295,140 @@ impl<'a> TamOptimizer<'a> {
         mut rails: Vec<TestRail>,
         wires: u32,
         tracker: &BudgetTracker,
-        speculative: bool,
-        staircases: Option<&[Arc<RailStaircases>]>,
     ) -> Vec<TestRail> {
-        let mut st = self
-            .evaluator
-            .swap_state(&self.eval(&rails), self.objective);
-        let mut remaining = wires;
-        // Core sets never change below — only widths do — so every
-        // iteration reads the same memoized staircases; fetch them once,
-        // or reuse the caller's, aligned with `rails`: a committed merge
-        // passes the ones it already fetched.
-        let built: Vec<Arc<RailStaircases>>;
-        let staircases: &[Arc<RailStaircases>] = match staircases {
-            Some(shared) => {
-                debug_assert_eq!(shared.len(), rails.len());
-                shared
-            }
-            None => {
-                built = rails
-                    .iter()
-                    .map(|r| self.evaluator.rail_staircases(r.cores()))
-                    .collect();
-                &built
-            }
-        };
-        // Dense `(rail, width) -> component` memo for the whole call:
-        // candidate widths repeat heavily across iterations, and
-        // prefetching during the serial enumeration keeps every cache
-        // lookup (hash + shard lock + `Arc` clone) out of the probe
-        // batch, where it would otherwise dominate the probe cost.
-        // Flat and sized by the wire budget — every probed width
-        // satisfies `w - initial_width(i) <= wires` — so the nested
-        // speculative calls (small `wires`, many invocations) allocate
-        // a few hundred bytes, not a rails x max_width matrix.
-        let init_widths: Vec<u32> = rails.iter().map(TestRail::width).collect();
-        let stride = wires as usize + 1;
-        let mut components: Vec<Option<Arc<RailEval>>> = vec![None; rails.len() * stride];
-        let slot_of = |i: usize, w: u32| i * stride + (w - init_widths[i]) as usize;
-        // Per-rail strict drop points `(d, neg_rate)` at the rail's
-        // current width, ascending in `d`. The walk is prefix-stable, so
-        // lists are built once per rail and rebuilt only when that
-        // rail's width changes, not on every accepted step.
-        let mut per_rail: Vec<Vec<(u32, u128)>> = rails
+        let eval = self.eval(&rails);
+        let mut st = self.evaluator.swap_state(&eval, self.objective);
+        let lanes = self.rail_drops(&rails, self.staircases(&rails), None, wires);
+        let all = lanes.iter().enumerate().map(|(j, rail)| rail.lane(j));
+        let left = self.spend_wires(&mut st, all, wires, tracker, false);
+        for (j, rail) in rails.iter_mut().enumerate() {
+            *rail = rail.with_width(width_in(&st, j)).expect("width > 0");
+        }
+        self.park_wires(rails, left, tracker)
+    }
+
+    /// Every rail's staircases, in rail order.
+    fn staircases(&self, rails: &[TestRail]) -> Vec<Arc<RailStaircases>> {
+        rails
             .iter()
-            .zip(staircases)
-            .map(|(rail, stairs)| staircase_drops(&stairs.used, rail.width(), wires).collect())
-            .collect();
-        let mut candidates: Vec<(usize, u32, u128)> = Vec::new();
-        while remaining > 0
-            && if speculative {
+            .map(|r| self.evaluator.rail_staircases(r.cores()))
+            .collect()
+    }
+
+    /// Every rail's [`RailDrops`] for `wires` wires, from its staircases
+    /// `stairs`; rail `skip` lists no drop.
+    fn rail_drops(
+        &self,
+        rails: &[TestRail],
+        stairs: Vec<Arc<RailStaircases>>,
+        skip: Option<usize>,
+        wires: u32,
+    ) -> Vec<RailDrops> {
+        (rails.iter().zip(stairs).enumerate())
+            .map(|(j, (rail, stairs))| {
+                let budget = if Some(j) == skip { 0 } else { wires };
+                let drops = target_drops(&stairs.used, rail.width(), budget);
+                let first = rail.width().saturating_add(1);
+                let last = drops.last().map_or(rail.width(), |&(w, _)| w);
+                let is_target = |w| drops.binary_search_by_key(&w, |&(t, _)| t).is_ok();
+                let comps = (first..=last)
+                    .map(|w| is_target(w).then(|| self.evaluator.component(w, rail.cores())))
+                    .collect();
+                RailDrops {
+                    stairs,
+                    drops,
+                    first,
+                    comps,
+                }
+            })
+            .collect()
+    }
+
+    /// The water-filling greedy of `distributeFreeWires` (Section 4.2),
+    /// the one routine that spends wires (start solution, merge probes
+    /// and merge commits): spends up to `wires` wires on the `lanes` of
+    /// `st`, in place, and returns the wires no affordable drop absorbed.
+    ///
+    /// A rail's time is a non-increasing *staircase* in width: one more
+    /// wire often changes nothing (a scan-chain plateau), so each step
+    /// jumps a rail to one of its strict drop points instead, picking the
+    /// jump that minimizes `(T_soc, -time gain per wire, wires spent)`.
+    ///
+    /// `speculative` marks the calls made for a merge candidate: they
+    /// probe on the calling worker and never tick the iteration budget,
+    /// which probes racing from pool workers would make
+    /// thread-count-dependent.
+    // Invariant: `k` indexes a lane of the enumeration it came from.
+    #[allow(clippy::expect_used)]
+    fn spend_wires<'l>(
+        &self,
+        st: &mut SwapState,
+        lanes: impl Iterator<Item = Lane<'l>> + Clone,
+        wires: u32,
+        tracker: &BudgetTracker,
+        speculative: bool,
+    ) -> u32 {
+        let mut remaining = wires;
+        let step = || {
+            if speculative {
                 tracker.within()
             } else {
                 tracker.tick()
             }
-        {
-            // Water-filling over the staircases: among every strict drop
-            // point of every rail (not just the nearest one — a tiny SI
-            // gain at +1 must not mask a large InTest cliff at +6), pick
-            // the steepest descent: lowest resulting cost first, then the
-            // highest time reduction *per wire spent*, then fewest wires.
-            // The `(rail, jump)` candidates are enumerated serially,
-            // probed as one speculative batch, and reduced in
-            // enumeration order, so the first-best tie-break is
-            // identical at every probe-pool size.
+        };
+        // A lane that accepted wires reads its drops rebuilt at its new
+        // width (they target a subset of its list's widths); the others
+        // read their list, truncated to the wires left.
+        let mut rebuilt: Vec<Option<Vec<(u32, u128)>>> = vec![None; lanes.clone().count()];
+        let mut candidates: Vec<(usize, RailEdit<'l>, u32, u128)> = Vec::new();
+        while remaining > 0 && step() {
+            // Every strict drop point of every rail is a candidate, not
+            // just the nearest one: a tiny SI gain at +1 must not mask a
+            // large InTest cliff at +6. Each is one width edit, enumerated
+            // serially and probed as one batch.
             candidates.clear();
-            for (i, drops) in per_rail.iter().enumerate() {
-                let width = rails[i].width();
-                for &(d, neg_rate) in drops {
+            for (k, lane) in lanes.clone().enumerate() {
+                let width = width_in(st, lane.label);
+                for &(target, neg_rate) in rebuilt[k].as_deref().unwrap_or(lane.drops) {
+                    let d = target - width;
                     if d > remaining {
                         break;
                     }
-                    let slot = slot_of(i, width + d);
-                    if components[slot].is_none() {
-                        components[slot] =
-                            Some(self.evaluator.component(width + d, rails[i].cores()));
-                    }
-                    candidates.push((i, d, neg_rate));
+                    candidates.push((k, (lane.label, Some(lane.rail.at(target))), d, neg_rate));
                 }
             }
-            // Each candidate differs from the state only at rail `i`'s
-            // width: one edit, priced through the top-two fast path.
-            let edit = |i: usize, d: u32| -> RailEdit<'_> {
-                let slot = slot_of(i, rails[i].width().saturating_add(d));
-                let comp = components[slot].as_ref();
-                (i, Some(comp.expect("prefetched during enumeration")))
-            };
-            let costed = self.probe(tracker, speculative, &candidates, |&(i, d, _)| {
-                let cost = self.evaluator.state_cost(&st, &[edit(i, d)]);
-                self.objective.cost(cost.t_in, cost.t_si)
+            let best = self.probe(tracker, speculative, &candidates, |&(_, edit, d, rate)| {
+                let cost = self.evaluator.state_cost(st, &[edit]);
+                Some((self.objective.cost(cost.t_in, cost.t_si), rate, d))
             });
-            let mut best: Option<(usize, u32)> = None;
-            let mut best_key: Option<(u64, u128, u32)> = None;
-            for (&(i, d, neg_rate), cost) in candidates.iter().zip(costed) {
-                let Some(cost) = cost else { continue };
-                let key = (cost, neg_rate, d);
-                if best_key.map_or(true, |b| key < b) {
-                    best_key = Some(key);
-                    best = Some((i, d));
-                }
-            }
             // No affordable jump improves any rail.
-            let Some((i, d)) = best else { break };
-            self.evaluator.state_apply(&mut st, &[edit(i, d)]);
-            rails[i] = rails[i]
-                .with_width(rails[i].width().saturating_add(d))
-                .expect("width > 0");
+            let Some((idx, _)) = best else { break };
+            let (k, edit, d, _) = candidates[idx];
+            self.evaluator.state_apply(st, &[edit]);
             remaining -= d;
-            per_rail[i].clear();
-            per_rail[i].extend(staircase_drops(
-                &staircases[i].used,
-                rails[i].width(),
-                remaining,
-            ));
+            let lane = lanes.clone().nth(k).expect("a lane");
+            let width = width_in(st, lane.label);
+            rebuilt[k] = Some(target_drops(&lane.rail.stairs.used, width, remaining));
         }
-        // Leftover wires that cannot improve anything on their own: park
-        // them on bottleneck rails (they may enable future merges). Purely
-        // cosmetic for feasibility, so it is skipped once the budget trips.
-        while remaining > 0 && tracker.within() {
+        remaining
+    }
+
+    /// Parks the `wires` [`TamOptimizer::spend_wires`] left, one at a
+    /// time, on the first bottleneck rail below `W_max` (else the first
+    /// rail below it): they may enable later merges. When no rail had a
+    /// strict drop within the wires left, each parked wire leaves its
+    /// rail's `time_used` flat, and since the InTest and SI staircases
+    /// are each non-increasing, every cost too. Skipped once the budget
+    /// trips.
+    // Invariant: widths only ever grow here, so `with_width` cannot see 0.
+    #[allow(clippy::expect_used)]
+    fn park_wires(
+        &self,
+        mut rails: Vec<TestRail>,
+        mut wires: u32,
+        tracker: &BudgetTracker,
+    ) -> Vec<TestRail> {
+        while wires > 0 && tracker.within() {
             let target = self
                 .bottleneck_rails(&self.eval(&rails))
                 .into_iter()
@@ -441,7 +438,7 @@ impl<'a> TamOptimizer<'a> {
             rails[i] = rails[i]
                 .with_width(rails[i].width().saturating_add(1))
                 .expect("width > 0");
-            remaining -= 1;
+            wires -= 1;
         }
         rails
     }
@@ -449,10 +446,10 @@ impl<'a> TamOptimizer<'a> {
     /// `mergeTAMs`: merges `rails[r1]` with the partner and merged width
     /// that minimize the objective (redistributing freed wires), or keeps
     /// the architecture when no merge improves it. Returns the new rails
-    /// and whether an improvement was found.
-    // Invariant: merged widths are `max(w1, wi)..=w1+wi` of two rails whose
-    // widths are >= 1, so `merged` cannot see a zero width; a candidate
-    // that wins was not pruned, so its partner was prefetched.
+    /// and whether an improvement was found. DESIGN.md §12.1 and §12.2
+    /// describe the probes, their bounds and what they share.
+    // Invariant: a candidate that wins was not pruned, so its partner
+    // was prefetched.
     #[allow(clippy::expect_used)]
     fn merge_tams(
         &self,
@@ -466,159 +463,40 @@ impl<'a> TamOptimizer<'a> {
         }
         let current_eval = self.eval(&rails);
         let current = self.cost_of(&current_eval);
-        // Every rail's staircases, fetched once: the bounds, the drop
-        // lists and the committed redistribution all read them.
-        let stairs: Vec<Arc<RailStaircases>> = rails
-            .iter()
-            .map(|r| self.evaluator.rail_staircases(r.cores()))
-            .collect();
-        // Every (partner, merged-width) candidate is independent:
-        // probe them speculatively, then reduce sequentially in the
-        // original visit order so the winning tie-break — first
-        // strictly-better candidate — is identical for any pool size.
+        // Fetched once: the bounds, drop lists and redistributions read them.
+        let stairs = self.staircases(&rails);
         let candidates = self.merge_candidates(&rails, r1, &stairs);
-        let w1 = rails[r1].width();
-        let leftover_of = |i: usize, w: u32| w1.saturating_add(rails[i].width()) - w;
-        // Bounds before builds (DESIGN.md §12.2): only a partner with a
-        // candidate bounded below `current` can win, so only such a
-        // *live* partner gets the merged rail's staircases and its
-        // components at every width `max(w1, wi)..=w1 + wi` (the
-        // redistribution grows the merged rail within that range),
-        // indexed by `width - max(w1, wi)`.
-        let mut merged_stairs: Vec<Option<Arc<RailStaircases>>> = vec![None; rails.len()];
-        let mut merged_comps: Vec<Option<Vec<Arc<RailEval>>>> = vec![None; rails.len()];
-        let (mut live, mut l_max) = (false, 0);
-        for &(i, w, bound) in &candidates {
-            if bound >= current {
-                continue;
-            }
-            live = true;
-            l_max = l_max.max(leftover_of(i, w));
-            if merged_comps[i].is_some() {
-                continue;
-            }
-            let w_lo = w1.max(rails[i].width());
-            let merged = rails[r1]
-                .merged(&rails[i], w_lo)
-                .expect("merged width >= 1");
-            merged_stairs[i] = Some(self.evaluator.rail_staircases(merged.cores()));
-            // Widths never exceed the budget: the architecture always
-            // holds `Σ widths <= max_width`, so `w1 + wi` is in range.
-            merged_comps[i] = Some(
-                (w_lo..=w1.saturating_add(rails[i].width()))
-                    .map(|w| self.evaluator.component(w, merged.cores()))
-                    .collect(),
-            );
-        }
-        // Redistribution costs are memoized under a canonical
-        // (rails, unordered pair, merged width, objective) key:
-        // `merged` sorts its cores, so probing the pair from either
-        // end builds the identical candidate. Probes return only the
-        // cost; the winner's rail list is rebuilt once after the
-        // reduction (deterministic: the redistribution is a pure
-        // function of the candidate while the budget holds, and
-        // budget ticks never advance inside a probe batch).
+        let prefetch = self.merge_prefetch(&current_eval, &rails, r1, stairs, &candidates, current);
+        // Redistribution costs are memoized per (rails, unordered pair,
+        // merged width, objective) (DESIGN.md §12.1).
         let rails_fp = fx_fingerprint128(&rails);
-        let tag = match self.objective {
-            Objective::Total => 0u8,
-            Objective::InTestOnly => 1u8,
-        };
-        // Fused probing shares one parent state plus each survivor's
-        // drop list and components, bounded by the largest leftover a
-        // live candidate can free. Probes apply the merge to a clone of
-        // the state instead of materializing candidate evaluations, and
-        // the nested redistribution runs cost-only.
-        let parent_state = live.then(|| self.evaluator.swap_state(&current_eval, self.objective));
-        let mut rail_drops: Vec<Vec<(u32, u128)>> = Vec::with_capacity(rails.len());
-        let mut rail_comps: Vec<Vec<Arc<RailEval>>> = Vec::with_capacity(rails.len());
-        for (rail, stairs) in rails.iter().zip(&stairs) {
-            let drops = target_drops(&stairs.used, rail.width(), l_max);
-            let comps = drops
-                .iter()
-                .map(|&(wt, _)| self.evaluator.component(wt, rail.cores()))
-                .collect();
-            rail_drops.push(drops);
-            rail_comps.push(comps);
-        }
+        let intest_only = self.objective == Objective::InTestOnly;
         let metrics = self.run.pool.metrics();
-        let costed = self.probe(tracker, false, &candidates, |&(i, w, bound)| {
-            // The bound already meets the incumbent cost, so the
-            // candidate loses the `cost < current` gate whatever its
-            // exact cost is: `u64::MAX` stands in and the reduction
-            // outcome is bit-identical, without the redistribution.
+        let best = self.probe(tracker, false, &candidates, |&(i, w, bound)| {
+            // Whatever its exact cost, the candidate loses the `cost <
+            // current` gate: it is settled without being built.
             if bound >= current {
                 metrics.count_probe_pruned();
-                return u64::MAX;
+                return None;
             }
-            let leftover = leftover_of(i, w);
-            let dist_fp = (leftover > 0)
-                .then(|| fx_fingerprint128(&(rails_fp, r1.min(i), r1.max(i), w, tag)));
-            if let Some(fp) = dist_fp {
-                if let Some(cost) = self.evaluator.dist_cost_cached(fp) {
-                    return cost;
-                }
+            let dist_fp = (rails[r1].width().saturating_add(rails[i].width()) > w)
+                .then(|| fx_fingerprint128(&(rails_fp, r1.min(i), r1.max(i), w, intest_only)));
+            if let Some(cost) = dist_fp.and_then(|fp| self.evaluator.dist_cost_cached(fp)) {
+                return Some(cost);
             }
-            // Fused cost-only evaluation: edit a clone of the shared
-            // parent state (the merged rail takes label r1, rail i
-            // dies) and spend the freed wires with the same greedy the
-            // committed path runs — every lookup below hits the
-            // precomputed lists.
-            let merged_comps = merged_comps[i].as_deref().expect("prefetched: i is live");
-            let w_lo = w1.max(rails[i].width());
-            let mut st = parent_state.as_ref().expect("seeded: i is live").clone();
-            let merged = &merged_comps[(w - w_lo) as usize];
-            self.evaluator
-                .state_apply(&mut st, &[(r1, Some(merged)), (i, None)]);
-            if leftover > 0 {
-                self.fused_redistribute(
-                    &mut st,
-                    tracker,
-                    r1,
-                    i,
-                    leftover,
-                    &stairs,
-                    &rail_drops,
-                    &rail_comps,
-                    merged_comps,
-                    merged_stairs[i].as_deref().expect("prefetched: i is live"),
-                    w_lo,
-                );
-            }
+            let (st, _) = self.merge_state(prefetch.as_ref().expect("i is live"), i, w, tracker);
             let cost = self.objective.cost(st.t_in(), st.t_si());
-            if let Some(fp) = dist_fp {
-                if tracker.within() {
-                    self.evaluator.store_dist_cost(fp, cost);
-                }
+            if let Some(fp) = dist_fp.filter(|_| tracker.within()) {
+                self.evaluator.store_dist_cost(fp, cost);
             }
-            cost
+            Some(cost)
         });
-        let mut best: Option<(usize, u64)> = None;
-        for (idx, probed) in costed.into_iter().enumerate() {
-            // Budget-tripped or faulted probes are poisoned to `None`;
-            // skipping them is equivalent to the old explicit
-            // `u64::MAX` poison because the `cost < current` gate below
-            // rejected those candidates anyway.
-            let Some(cost) = probed else { continue };
-            if best.map_or(true, |(_, b)| cost < b) {
-                best = Some((idx, cost));
-            }
-        }
         match best {
             Some((idx, cost)) if cost < current => {
                 let (i, w, _) = candidates[idx];
-                let mut cand = merged_rails(&rails, r1, i, w);
-                let leftover = leftover_of(i, w);
-                if leftover > 0 {
-                    // Aligned with `cand`: survivors, then the merged rail.
-                    let merged = merged_stairs[i].as_ref().expect("the winner is live");
-                    let aligned: Vec<Arc<RailStaircases>> = survivors(rails.len(), r1, i)
-                        .map(|j| Arc::clone(&stairs[j]))
-                        .chain([Arc::clone(merged)])
-                        .collect();
-                    cand =
-                        self.distribute_free_wires(cand, leftover, tracker, true, Some(&aligned));
-                }
-                (cand, true)
+                let prefetch = prefetch.as_ref().expect("the winner is live");
+                let (st, left) = self.merge_state(prefetch, i, w, tracker);
+                (self.merge_commit(&rails, r1, i, &st, left, tracker), true)
             }
             _ => (rails, false),
         }
@@ -659,113 +537,118 @@ impl<'a> TamOptimizer<'a> {
         candidates
     }
 
-    /// The cost-only twin of the nested
-    /// [`TamOptimizer::distribute_free_wires`] call a merge probe used
-    /// to make: spends `leftover` freed wires on the fused state `st`
-    /// (merged rail labelled `r1`, rail `dead` removed), reproducing
-    /// the committed redistribution's candidate enumeration order,
-    /// selection key, and budget semantics exactly — so the final
-    /// `(T_soc^in, T_soc^si)` is bit-identical to the cost of the
-    /// materialized redistribution.
-    ///
-    /// Candidate order: the committed path lists survivors in their
-    /// original order followed by the merged rail (appended last); here
-    /// survivors keep their parent labels (ascending, skipping `r1` and
-    /// `dead`) and the merged rail — labelled `r1` — closes the sweep:
-    /// the same order under the relabeling, so the first-best reduction
-    /// picks the same move.
-    ///
-    /// The committed path's trailing parking pass (leftover wires no
-    /// strict drop can absorb) is skipped: parking only runs when no
-    /// rail has a strict drop within the remaining budget, so each +1
-    /// parking step leaves that rail's `time_used` flat — and since the
-    /// InTest and SI staircases are individually non-increasing, a flat
-    /// sum pins both addends and every group column, and therefore
-    /// every makespan. The committed rails still park (feasibility: all
-    /// wires must be placed); only the probe's cost skips the
-    /// cost-invariant tail.
-    #[allow(clippy::expect_used, clippy::too_many_arguments)]
-    fn fused_redistribute(
+    /// What the probes of one `mergeTAMs(r1)` call share, or `None` when
+    /// no candidate is bounded below `current` (DESIGN.md §12.2): only
+    /// such a *live* partner gets its merged rail, and the other rails'
+    /// drop lists are sized by the largest leftover a live candidate
+    /// frees. `eval` is the evaluation of `rails`, `stairs` their
+    /// staircases.
+    // Invariant: merged widths are `max(w1, wi)..=w1+wi` of two rails whose
+    // widths are >= 1, so `merged` cannot see a zero width.
+    #[allow(clippy::expect_used)]
+    fn merge_prefetch(
         &self,
-        st: &mut SwapState,
-        tracker: &BudgetTracker,
+        eval: &Evaluation,
+        rails: &[TestRail],
         r1: usize,
-        dead: usize,
-        leftover: u32,
-        parent_stairs: &[Arc<RailStaircases>],
-        rail_drops: &[Vec<(u32, u128)>],
-        rail_comps: &[Vec<Arc<RailEval>>],
-        merged_comps: &[Arc<RailEval>],
-        merged_stairs: &RailStaircases,
-        w_lo: u32,
-    ) {
-        let mut remaining = leftover;
-        // Rails that accepted wires get a rebuilt drop list relative to
-        // their new width (the committed path rebuilds exactly the
-        // accepted rail's list per step); everyone else reads the
-        // shared parent list, truncated to the live budget below.
-        let mut local_drops: Vec<Option<Vec<(u32, u128)>>> = vec![None; rail_drops.len()];
-        local_drops[r1] = Some(target_drops(
-            &merged_stairs.used,
-            st.component(r1).expect("merged rail is live").width,
-            leftover,
-        ));
-        let comp_at = |j: usize, wt: u32| -> &Arc<RailEval> {
-            if j == r1 {
-                &merged_comps[(wt - w_lo) as usize]
-            } else {
-                let k = rail_drops[j]
-                    .iter()
-                    .position(|&(a, _)| a == wt)
-                    .expect("rebuilt lists target prefetched widths");
-                &rail_comps[j][k]
+        stairs: Vec<Arc<RailStaircases>>,
+        candidates: &[(usize, u32, u64)],
+        current: u64,
+    ) -> Option<MergePrefetch> {
+        let w1 = rails[r1].width();
+        let mut merged = vec![None; rails.len()];
+        let mut l_max = None;
+        for &(i, w, bound) in candidates {
+            if bound >= current {
+                continue;
             }
-        };
-        let mut cands: Vec<(usize, u32, u32, u128)> = Vec::new();
-        while remaining > 0 && tracker.within() {
-            cands.clear();
-            for j in (0..rail_drops.len())
-                .filter(|&j| j != r1 && j != dead)
-                .chain([r1])
-            {
-                let cur = st.component(j).expect("live rail").width;
-                let list = local_drops[j].as_deref().unwrap_or(&rail_drops[j]);
-                for &(wt, neg_rate) in list {
-                    let d = wt - cur;
-                    if d > remaining {
-                        break;
-                    }
-                    cands.push((j, wt, d, neg_rate));
-                }
+            let w_hi = w1.saturating_add(rails[i].width());
+            l_max = l_max.max(Some(w_hi - w));
+            if merged[i].is_some() {
+                continue;
             }
-            let costed = self.probe(tracker, true, &cands, |&(j, wt, _, _)| {
-                let cost = self.evaluator.state_cost(st, &[(j, Some(comp_at(j, wt)))]);
-                self.objective.cost(cost.t_in, cost.t_si)
+            let w_lo = w1.max(rails[i].width());
+            let rail = rails[r1]
+                .merged(&rails[i], w_lo)
+                .expect("merged width >= 1");
+            // Widths never exceed the budget: the architecture always
+            // holds `Σ widths <= max_width`, so `w1 + wi` is in range.
+            let stairs = self.evaluator.rail_staircases(rail.cores());
+            let comps = (w_lo..=w_hi).map(|w| Some(self.evaluator.component(w, rail.cores())));
+            merged[i] = Some(RailDrops {
+                stairs,
+                drops: Vec::new(),
+                first: w_lo,
+                comps: comps.collect(),
             });
-            let mut best: Option<(usize, u32, u32)> = None;
-            let mut best_key: Option<(u64, u128, u32)> = None;
-            for (&(j, wt, d, neg_rate), cost) in cands.iter().zip(costed) {
-                let Some(cost) = cost else { continue };
-                let key = (cost, neg_rate, d);
-                if best_key.map_or(true, |b| key < b) {
-                    best_key = Some(key);
-                    best = Some((j, wt, d));
-                }
-            }
-            match best {
-                Some((j, wt, d)) => {
-                    self.evaluator.state_apply(st, &[(j, Some(comp_at(j, wt)))]);
-                    remaining -= d;
-                    let stairs = if j == r1 {
-                        merged_stairs
-                    } else {
-                        &parent_stairs[j]
-                    };
-                    local_drops[j] = Some(target_drops(&stairs.used, wt, remaining));
-                }
-                None => break,
-            }
         }
+        // `r1` is merged in every candidate, so it needs no list.
+        let rails = self.rail_drops(rails, stairs, Some(r1), l_max?);
+        Some(MergePrefetch {
+            r1,
+            state: self.evaluator.swap_state(eval, self.objective),
+            rails,
+            merged,
+        })
+    }
+
+    /// Builds `mergeTAMs` candidate `(i, w)` on a clone of the shared
+    /// state — rail `r1` takes the merged rail at width `w`, rail `i`
+    /// dies — and spends the freed wires on the survivors, then the
+    /// merged rail: the order [`TamOptimizer::merge_commit`] lays them
+    /// out in. Returns the state and the wires left. Probes and the
+    /// winner's commit all build here: a merge commits what it priced.
+    // Invariant: candidates are built only for live partners.
+    #[allow(clippy::expect_used)]
+    fn merge_state(
+        &self,
+        prefetch: &MergePrefetch,
+        i: usize,
+        w: u32,
+        tracker: &BudgetTracker,
+    ) -> (SwapState, u32) {
+        let (r1, state) = (prefetch.r1, &prefetch.state);
+        let merged = prefetch.merged[i].as_ref().expect("prefetched: i is live");
+        let leftover = width_in(state, r1).saturating_add(width_in(state, i)) - w;
+        let mut st = state.clone();
+        self.evaluator
+            .state_apply(&mut st, &[(r1, Some(merged.at(w))), (i, None)]);
+        if leftover == 0 {
+            return (st, 0);
+        }
+        let drops = target_drops(&merged.stairs.used, w, leftover);
+        let lanes = survivors(prefetch.rails.len(), r1, i)
+            .map(|j| prefetch.rails[j].lane(j))
+            .chain([Lane {
+                label: r1,
+                rail: merged,
+                drops: &drops,
+            }]);
+        let left = self.spend_wires(&mut st, lanes, leftover, tracker, true);
+        (st, left)
+    }
+
+    /// The rails a merge of `rails[r1]` and `rails[i]` commits from its
+    /// candidate's state `st` ([`TamOptimizer::merge_state`]): the
+    /// survivors in their order, then the merged rail, at the widths
+    /// `st` holds, with the `left` unspent wires parked.
+    // Invariant: every width a state holds is >= 1.
+    #[allow(clippy::expect_used)]
+    fn merge_commit(
+        &self,
+        rails: &[TestRail],
+        r1: usize,
+        i: usize,
+        st: &SwapState,
+        left: u32,
+        tracker: &BudgetTracker,
+    ) -> Vec<TestRail> {
+        let merged = rails[r1].merged(&rails[i], width_in(st, r1));
+        let committed = survivors(rails.len(), r1, i)
+            .map(|j| rails[j].with_width(width_in(st, j)).expect("width >= 1"))
+            .chain([merged.expect("width >= 1")])
+            .collect();
+        self.park_wires(committed, left, tracker)
     }
 
     /// Wire rebalancing (a polish pass beyond the paper): funds a Pareto
@@ -787,25 +670,20 @@ impl<'a> TamOptimizer<'a> {
             self.publish_best(key.0);
             let st = self.evaluator.swap_state(&eval, self.objective);
             // All donor selections read the same memoized staircases.
-            let staircases: Vec<Arc<RailStaircases>> = rails
-                .iter()
-                .map(|r| self.evaluator.rail_staircases(r.cores()))
-                .collect();
+            let staircases = self.staircases(&rails);
             // Enumerate the (funded rail, jump) candidates serially,
             // probe them as one speculative batch, and reduce in
             // enumeration order (first strict improvement wins).
             let mut candidates: Vec<(usize, u32)> = Vec::new();
-            for b in 0..rails.len() {
+            for (b, rail) in rails.iter().enumerate() {
                 let donor_budget: u32 =
-                    rails.iter().map(|r| r.width() - 1).sum::<u32>() - (rails[b].width() - 1);
-                for (delta, _) in
-                    staircase_drops(&staircases[b].used, rails[b].width(), donor_budget)
-                {
-                    candidates.push((b, delta));
+                    rails.iter().map(|r| r.width() - 1).sum::<u32>() - (rail.width() - 1);
+                for (target, _) in target_drops(&staircases[b].used, rail.width(), donor_budget) {
+                    candidates.push((b, target - rail.width()));
                 }
             }
             let metrics = self.run.pool.metrics();
-            let costed = self.probe(tracker, false, &candidates, |&(b, delta)| {
+            let best = self.probe(tracker, false, &candidates, |&(b, delta)| {
                 let widths = rebalance_widths(&rails, &staircases, b, delta)?;
                 // Bounds before builds (DESIGN.md §12.2): a candidate
                 // bounded above the incumbent cost cannot win, so it
@@ -822,22 +700,17 @@ impl<'a> TamOptimizer<'a> {
                     .collect();
                 let edits: Vec<RailEdit<'_>> = comps.iter().map(|(o, c)| (*o, Some(c))).collect();
                 let cost = self.evaluator.state_cost(&st, &edits);
-                let cand_key = (
+                Some((
                     self.objective.cost(cost.t_in, cost.t_si),
                     cost.rail_used_sum,
-                );
-                Some((widths, cand_key))
+                ))
             });
-            let mut best: Option<(Vec<u32>, (u64, u64))> = None;
-            for probed in costed {
-                let Some(Some((widths, cand_key))) = probed else {
-                    continue;
-                };
-                if cand_key < key && best.as_ref().map_or(true, |&(_, k)| cand_key < k) {
-                    best = Some((widths, cand_key));
-                }
-            }
-            let Some((widths, _)) = best else { break };
+            let Some((idx, _)) = best.filter(|&(_, cand_key)| cand_key < key) else {
+                break;
+            };
+            let (b, delta) = candidates[idx];
+            let widths =
+                rebalance_widths(&rails, &staircases, b, delta).expect("the winner is funded");
             for (rail, w) in rails.iter_mut().zip(widths) {
                 if rail.width() != w {
                     *rail = rail.with_width(w).expect("width >= 1");
@@ -916,22 +789,15 @@ impl<'a> TamOptimizer<'a> {
                     TestRail::new(target, rails[t].width()).expect("target keeps its width"),
                 )
             };
-            let costed = self.probe(tracker, false, &candidates, |&(b, core, t)| {
+            let best = self.probe(tracker, false, &candidates, |&(b, core, t)| {
                 let (source, target) = moved(b, core, t);
                 let source = self.evaluator.component(source.width(), source.cores());
                 let target = self.evaluator.component(target.width(), target.cores());
                 let cost = self
                     .evaluator
                     .state_cost(&st, &[(b, Some(&source)), (t, Some(&target))]);
-                self.objective.cost(cost.t_in, cost.t_si)
+                Some(self.objective.cost(cost.t_in, cost.t_si))
             });
-            let mut best: Option<(usize, u64)> = None;
-            for (idx, probed) in costed.into_iter().enumerate() {
-                let Some(cost) = probed else { continue };
-                if best.map_or(true, |(_, c)| cost < c) {
-                    best = Some((idx, cost));
-                }
-            }
             match best {
                 Some((idx, cost)) if cost < current => {
                     let (b, core, t) = candidates[idx];
@@ -1103,17 +969,13 @@ impl<'a> TamOptimizer<'a> {
                     // the objective.
                     let victim = rails.remove(w_max);
                     let i = if within {
-                        let mut best: Option<(usize, u64)> = None;
-                        for i in 0..w_max.min(rails.len()) {
+                        let costs = (0..w_max.min(rails.len())).map(|i| {
                             let mut cand = rails.clone();
                             let w = cand[i].width().max(victim.width());
                             cand[i] = cand[i].merged(&victim, w).expect("width >= 1");
-                            let cost = self.cost(&cand);
-                            if best.map_or(true, |(_, b)| cost < b) {
-                                best = Some((i, cost));
-                            }
-                        }
-                        best.map_or(0, |(i, _)| i)
+                            Some(self.cost(&cand))
+                        });
+                        first_min(costs).map_or(0, |(i, _)| i)
                     } else {
                         0
                     };
@@ -1123,7 +985,7 @@ impl<'a> TamOptimizer<'a> {
             } else if n < w_max {
                 rails =
                     // soctam-analyze: allow(ARITH-01) -- w_max - n counts TAM wires, bounded by the u32 max_width
-                    self.distribute_free_wires(rails, (w_max - n) as u32, tracker, false, None);
+                    self.distribute_free_wires(rails, (w_max - n) as u32, tracker);
             }
         } else {
             rails = self.packed_start(perturbation);
@@ -1251,20 +1113,86 @@ impl<'a> TamOptimizer<'a> {
 }
 
 /// The labels of the rails other than `r1` and `i`, ascending.
-fn survivors(n: usize, r1: usize, i: usize) -> impl Iterator<Item = usize> {
+fn survivors(n: usize, r1: usize, i: usize) -> impl Iterator<Item = usize> + Clone {
     (0..n).filter(move |&j| j != r1 && j != i)
 }
 
-/// One `mergeTAMs` candidate's rails: `rails[r1]` and `rails[i]` merged
-/// at width `w` and appended after the survivors, which keep their
-/// order.
-// Invariant: callers pass `w >= max(w1, wi) >= 1`.
+/// What [`TamOptimizer::spend_wires`] reads of one rail: its
+/// staircases, its strict drops from its width ([`target_drops`]) and
+/// its components at every width they target, `comps[k]` at width
+/// `first + k` (`None` where none was fetched).
+#[derive(Clone)]
+struct RailDrops {
+    stairs: Arc<RailStaircases>,
+    drops: Vec<(u32, u128)>,
+    first: u32,
+    comps: Vec<Option<Arc<RailEval>>>,
+}
+
+impl RailDrops {
+    /// The component at `width`.
+    // Invariant: callers look up prefetched widths only.
+    #[allow(clippy::expect_used)]
+    fn at(&self, width: u32) -> &Arc<RailEval> {
+        let slot = self.comps[(width - self.first) as usize].as_ref();
+        slot.expect("a prefetched width")
+    }
+
+    /// The rail as a lane labelled `label`, from its own drops.
+    fn lane(&self, label: usize) -> Lane<'_> {
+        Lane {
+            label,
+            rail: self,
+            drops: &self.drops,
+        }
+    }
+}
+
+/// A rail [`TamOptimizer::spend_wires`] may widen: its label in the
+/// state, its data, and its strict drops at its current width for a
+/// budget of at least the wires spent.
+#[derive(Clone, Copy)]
+struct Lane<'a> {
+    label: usize,
+    rail: &'a RailDrops,
+    drops: &'a [(u32, u128)],
+}
+
+/// What every probe of one `mergeTAMs(r1)` call shares
+/// ([`TamOptimizer::merge_prefetch`]).
+struct MergePrefetch {
+    r1: usize,
+    /// The incumbent's state.
+    state: SwapState,
+    /// Every rail's drops for the largest leftover a live candidate
+    /// frees; none for `r1`.
+    rails: Vec<RailDrops>,
+    /// Per live partner `i`, the merged rail, with its components at
+    /// every width `max(w1, wi)..=w1 + wi` and no drops.
+    merged: Vec<Option<RailDrops>>,
+}
+
+/// The width of rail `j` in `st`.
+// Invariant: callers name live rails of the state.
 #[allow(clippy::expect_used)]
-fn merged_rails(rails: &[TestRail], r1: usize, i: usize, w: u32) -> Vec<TestRail> {
-    survivors(rails.len(), r1, i)
-        .map(|j| rails[j].clone())
-        .chain([rails[r1].merged(&rails[i], w).expect("merged width >= 1")])
-        .collect()
+fn width_in(st: &SwapState, j: usize) -> u32 {
+    st.component(j).expect("a live rail").width
+}
+
+/// The index and key of the first minimum among the `Some` keys: how
+/// every batch of candidates is reduced, so ties go to the earliest
+/// candidate however the keys were computed.
+fn first_min<K: Ord>(keys: impl IntoIterator<Item = Option<K>>) -> Option<(usize, K)> {
+    // A plain loop: `Iterator::min_by` moves the running minimum on
+    // every step, which measured slower on the probe hot path.
+    let mut best: Option<(usize, K)> = None;
+    for (idx, key) in keys.into_iter().enumerate() {
+        let Some(key) = key else { continue };
+        if best.as_ref().map_or(true, |(_, b)| key < *b) {
+            best = Some((idx, key));
+        }
+    }
+    best
 }
 
 /// The widths a rebalance step funding a `delta`-wire jump of rail `b`
@@ -1301,42 +1229,31 @@ fn rails_key(rails: &[TestRail], i: usize) -> u128 {
 
 /// The strict drop points of a rail's `time_used` staircase
 /// (`staircase[w - 1]` is the rail's `time_used` at width `w`, see
-/// [`Evaluator::rail_staircases`]): every jump `d ≤ budget` (with
-/// `width + d ≤ max_width`) at which the time falls below every smaller
-/// width, ascending, paired with its rate key `neg_rate` — the time
-/// gain per wire as a scaled fixed-point value, negated so that smaller
-/// ranks better. The walk is prefix-stable (each verdict depends only
-/// on earlier staircase entries), so the drops of a larger budget,
-/// truncated to `d ≤ remaining`, are the drops of `remaining`.
-fn staircase_drops(
-    staircase: &[u64],
-    width: u32,
-    budget: u32,
-) -> impl Iterator<Item = (u32, u128)> + '_ {
+/// [`Evaluator::rail_staircases`]) from `width`: every target width
+/// `width + d` with `d ≤ budget` (and at most `max_width`) at which the
+/// time falls below every smaller width, ascending, paired with its
+/// rate key `neg_rate` — the time gain per wire as a scaled fixed-point
+/// value, negated so that smaller ranks better. The walk is
+/// prefix-stable (each verdict depends only on earlier staircase
+/// entries), so the drops of a larger budget, truncated to
+/// `d ≤ remaining`, are the drops of `remaining`; and a strict drop
+/// beyond an earlier one is a strict drop from it too, so a list
+/// rebuilt at an accepted drop targets a subset of these widths.
+fn target_drops(staircase: &[u64], width: u32, budget: u32) -> Vec<(u32, u128)> {
     let before = staircase[(width - 1) as usize];
     // soctam-analyze: allow(ARITH-01) -- the staircase has max_width entries, and max_width is u32
     let limit = budget.min((staircase.len() as u32).saturating_sub(width));
     let mut best = before;
-    (1..=limit).filter_map(move |d| {
-        let after = staircase[(width + d - 1) as usize];
-        if after >= best {
-            return None;
-        }
-        best = after;
-        let neg_rate = u128::MAX - (u128::from(before - after) << 32) / u128::from(d);
-        Some((d, neg_rate))
-    })
-}
-
-/// [`staircase_drops`] in the absolute-width form the fused merge
-/// probes share across candidates: `(target width, neg_rate)`. Because
-/// every later strict drop is also a strict drop from any drop point in
-/// between, a list rebuilt at an accepted drop's width targets a subset
-/// of these widths (its `neg_rate`s are relative to the new width, but
-/// its components are already prefetched).
-fn target_drops(staircase: &[u64], width: u32, budget: u32) -> Vec<(u32, u128)> {
-    staircase_drops(staircase, width, budget)
-        .map(|(d, neg_rate)| (width + d, neg_rate))
+    (1..=limit)
+        .filter_map(|d| {
+            let after = staircase[(width + d - 1) as usize];
+            if after >= best {
+                return None;
+            }
+            best = after;
+            let neg_rate = u128::MAX - (u128::from(before - after) << 32) / u128::from(d);
+            Some((width + d, neg_rate))
+        })
         .collect()
 }
 
@@ -1705,10 +1622,9 @@ mod bound_tests {
     use soctam_exec::check::{cases, forall, Gen};
     use soctam_model::synth::{synth_soc, SynthConfig};
 
-    /// A random SOC of `3..=8` cores, so one rail per core fits every
-    /// width budget drawn below.
-    fn random_soc(g: &mut Gen) -> Soc {
-        let cores = g.usize_in(3, 9);
+    /// A random SOC of `3..max_cores` cores.
+    fn random_soc(g: &mut Gen, max_cores: usize) -> Soc {
+        let cores = g.usize_in(3, max_cores);
         synth_soc(
             &SynthConfig {
                 inputs: (1, 24),
@@ -1747,31 +1663,79 @@ mod bound_tests {
         }
     }
 
+    /// `rails[r1]` and `rails[i]` merged at width `w` after the
+    /// survivors, which keep their order.
+    fn merged_rails(rails: &[TestRail], r1: usize, i: usize, w: u32) -> Vec<TestRail> {
+        survivors(rails.len(), r1, i)
+            .map(|j| rails[j].clone())
+            .chain([rails[r1].merged(&rails[i], w).expect("valid")])
+            .collect()
+    }
+
+    /// One random legal merge; its freed wires go to random rails, so
+    /// the budget stays fully spent.
+    fn random_merge(g: &mut Gen, rails: &mut Vec<TestRail>) {
+        let i = g.usize_in(0, rails.len() - 1);
+        let r1 = g.usize_in(i + 1, rails.len());
+        let (wi, w1) = (rails[i].width(), rails[r1].width());
+        let w = g.u32_in(wi.max(w1), wi + w1 + 1);
+        *rails = merged_rails(rails, r1, i, w);
+        spread(g, rails, wi + w1 - w);
+    }
+
+    /// The `mergeTAMs(r1)` candidates of `rails` and their prefetch,
+    /// with every candidate bounded below `current` live.
+    fn prefetched(
+        optimizer: &TamOptimizer<'_>,
+        rails: &[TestRail],
+        r1: usize,
+        current: u64,
+    ) -> (Vec<(usize, u32, u64)>, Option<MergePrefetch>) {
+        let stairs = optimizer.staircases(rails);
+        let candidates = optimizer.merge_candidates(rails, r1, &stairs);
+        let eval = optimizer.eval(rails);
+        let prefetch = optimizer.merge_prefetch(&eval, rails, r1, stairs, &candidates, current);
+        (candidates, prefetch)
+    }
+
+    /// Builds live merge candidate `(i, w)` and commits it, as
+    /// `merge_tams` does for its winner: the cost read off the
+    /// candidate's state, the cost of the rails the merge commits, and
+    /// whether the commit parked wires.
+    fn build_and_commit(
+        optimizer: &TamOptimizer<'_>,
+        rails: &[TestRail],
+        r1: usize,
+        prefetch: Option<&MergePrefetch>,
+        (i, w): (usize, u32),
+    ) -> (u64, u64, bool) {
+        let tracker = BudgetTracker::start(OptimizerBudget::unlimited());
+        let prefetch = prefetch.expect("a live candidate was prefetched");
+        let (st, left) = optimizer.merge_state(prefetch, i, w, &tracker);
+        let committed = optimizer.merge_commit(rails, r1, i, &st, left, &tracker);
+        let priced = optimizer.objective.cost(st.t_in(), st.t_si());
+        (priced, optimizer.cost(&committed), left > 0)
+    }
+
     /// Checks every merge candidate of `r1` and every rebalance
     /// candidate of `rails` against what the optimizer commits for it.
     fn check_bounds(optimizer: &TamOptimizer<'_>, rails: &[TestRail], r1: usize) {
         let objective = optimizer.objective;
-        let tracker = BudgetTracker::start(OptimizerBudget::unlimited());
-        let stairs: Vec<Arc<RailStaircases>> = rails
-            .iter()
-            .map(|r| optimizer.evaluator.rail_staircases(r.cores()))
-            .collect();
-        for (i, w, bound) in optimizer.merge_candidates(rails, r1, &stairs) {
-            let leftover = rails[r1].width() + rails[i].width() - w;
-            let mut cand = merged_rails(rails, r1, i, w);
-            if leftover > 0 {
-                cand = optimizer.distribute_free_wires(cand, leftover, &tracker, true, None);
-            }
-            let cost = optimizer.cost(&cand);
+        // Every candidate live, so each one is built and committed.
+        let (candidates, prefetch) = prefetched(optimizer, rails, r1, u64::MAX);
+        for &(i, w, bound) in &candidates {
+            let (_, cost, _) = build_and_commit(optimizer, rails, r1, prefetch.as_ref(), (i, w));
             assert!(
                 bound <= cost,
                 "{objective:?} merge ({r1}, {i}, {w}): bound {bound} > cost {cost}"
             );
         }
+        let stairs = optimizer.staircases(rails);
         let donors: u32 = rails.iter().map(|r| r.width() - 1).sum();
         for b in 0..rails.len() {
-            let budget = donors - (rails[b].width() - 1);
-            for (delta, _) in staircase_drops(&stairs[b].used, rails[b].width(), budget) {
+            let (width, budget) = (rails[b].width(), donors - (rails[b].width() - 1));
+            for (target, _) in target_drops(&stairs[b].used, width, budget) {
+                let delta = target - width;
                 let Some(widths) = rebalance_widths(rails, &stairs, b, delta) else {
                     continue;
                 };
@@ -1795,17 +1759,17 @@ mod bound_tests {
 
     /// From architectures reached by random legal merges, for both
     /// objectives: every merge candidate's bound is at most the cost of
-    /// the path the optimizer commits for it (merge, redistribute the
-    /// freed wires, evaluate), and every rebalance candidate's bound at
-    /// most the exact cost of its widths — exactly that cost for
-    /// `InTestOnly`.
+    /// the rails the optimizer commits for it (build the candidate's
+    /// state, spend the freed wires, park what is left, evaluate), and
+    /// every rebalance candidate's bound at most the exact cost of its
+    /// widths — exactly that cost for `InTestOnly`.
     #[test]
     fn merge_and_rebalance_bounds_are_admissible() {
         forall(
             "merge_and_rebalance_bounds_are_admissible",
             cases(32),
             |g| {
-                let soc = random_soc(g);
+                let soc = random_soc(g, 9);
                 let max_width = g.u32_in(8, 65);
                 let groups = random_groups(g, &soc);
                 let optimizers = [Objective::Total, Objective::InTestOnly].map(|objective| {
@@ -1825,16 +1789,68 @@ mod bound_tests {
                     if rails.len() < 2 || g.bool_with(0.25) {
                         break;
                     }
-                    // One random legal merge; its freed wires go to random
-                    // rails, so the budget stays fully spent.
-                    let i = g.usize_in(0, rails.len() - 1);
-                    let r1 = g.usize_in(i + 1, rails.len());
-                    let (wi, w1) = (rails[i].width(), rails[r1].width());
-                    let w = g.u32_in(wi.max(w1), wi + w1 + 1);
-                    rails = merged_rails(&rails, r1, i, w);
-                    spread(g, &mut rails, wi + w1 - w);
+                    random_merge(g, &mut rails);
                 }
             },
+        );
+    }
+
+    /// Random SOCs of 3–10 cores at `W_max` 8–128, for both objectives:
+    /// every merge candidate the optimizer builds (its bound is below
+    /// the current cost) reads the same cost off its state as the rails
+    /// the merge commits for it cost once `park_wires` has run. The wide
+    /// budgets leave freed wires no strict drop absorbs, so commits
+    /// park, and parking must not change a cost.
+    #[test]
+    fn merges_commit_what_their_probes_priced() {
+        let mut parked = 0;
+        forall("merges_commit_what_their_probes_priced", cases(32), |g| {
+            let soc = random_soc(g, 11);
+            let max_width = g.u32_in(8, 129);
+            let groups = random_groups(g, &soc);
+            let optimizers = [Objective::Total, Objective::InTestOnly].map(|objective| {
+                TamOptimizer::new(&soc, max_width, groups.clone())
+                    .expect("valid")
+                    .objective(objective)
+            });
+            // One rail per core, merged at width 1 until the budget fits.
+            let mut rails = TestRailArchitecture::one_rail_per_core(&soc)
+                .rails()
+                .to_vec();
+            while rails.len() > max_width as usize {
+                let i = g.usize_in(0, rails.len() - 1);
+                rails = merged_rails(&rails, rails.len() - 1, i, 1);
+            }
+            let spare = max_width - rails.len() as u32;
+            spread(g, &mut rails, spare);
+            loop {
+                let r1 = g.usize_in(0, rails.len());
+                for optimizer in &optimizers {
+                    let current = optimizer.cost(&rails);
+                    let (candidates, prefetch) = prefetched(optimizer, &rails, r1, current);
+                    for &(i, w, bound) in &candidates {
+                        if bound >= current {
+                            continue;
+                        }
+                        let (priced, committed, parks) =
+                            build_and_commit(optimizer, &rails, r1, prefetch.as_ref(), (i, w));
+                        assert_eq!(
+                            priced, committed,
+                            "{:?} merge ({r1}, {i}, {w}) parked: {parks}",
+                            optimizer.objective
+                        );
+                        parked += usize::from(parks);
+                    }
+                }
+                if rails.len() < 2 || g.bool_with(0.25) {
+                    break;
+                }
+                random_merge(g, &mut rails);
+            }
+        });
+        assert!(
+            parked > 0,
+            "no commit parked wires: the parking tail went untested"
         );
     }
 }
