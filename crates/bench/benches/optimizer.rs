@@ -73,5 +73,25 @@ fn main() {
             },
         );
     }
+    // The Algorithm 1-heaviest shape Table 3 sweeps: N_r = 10 000 at
+    // i = 8 compacts to nine groups (eight partitions plus the
+    // remainder), so every SI-aware probe that moves a group's
+    // bottleneck re-runs the list scheduler over nine tests.
+    let table3_groups = SiOptimizer::new(&soc)
+        .partitions(8)
+        .seed(TABLE_SEED)
+        .group_specs(&RandomPatternConfig::new(10_000).with_seed(TABLE_SEED))
+        .expect("generates and compacts")
+        .to_vec();
+    session.bench(
+        "tam_optimization_p93791_nr10000_i8/si_aware/48",
+        samples,
+        || {
+            TamOptimizer::new(&soc, 48, table3_groups.clone())
+                .expect("valid")
+                .optimize()
+                .expect("optimizes")
+        },
+    );
     session.finish();
 }

@@ -209,8 +209,7 @@ mod tests {
     fn fingerprinter_matches_slice_fingerprint_with_length_prefix() {
         // Struct elements hash element-wise in a slice, so writing the
         // length followed by each element reproduces the one-shot
-        // digest — the property the evaluator's patched-rows cache key
-        // relies on.
+        // digest.
         #[derive(Hash)]
         struct Row {
             time: u64,

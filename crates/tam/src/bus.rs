@@ -144,7 +144,7 @@ impl<'a> TestBusEvaluator<'a> {
             });
             clock += group.time;
         }
-        let schedule = Arc::new(SiSchedule::from_serial(tests, clock));
+        let schedule = SiSchedule::from_serial(tests, clock);
 
         let rail_evals = arch
             .rails()
@@ -254,7 +254,7 @@ mod tests {
         );
         let serial: u64 = bus.group_times.iter().map(|g| g.time).sum();
         assert_eq!(bus.t_si, serial);
-        assert!(bus.schedule.is_conflict_free());
+        assert!(bus.schedule.validate().is_ok());
     }
 
     #[test]

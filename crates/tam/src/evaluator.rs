@@ -70,33 +70,28 @@ const SPACE_RAIL: u8 = 0;
 /// Cache namespace: assembled evaluations keyed by architecture
 /// fingerprint.
 const SPACE_ARCH: u8 = 1;
-/// Cache namespace: Algorithm 1 schedules keyed by group-times
-/// fingerprint.
-const SPACE_SCHED: u8 = 2;
 /// Cache namespace: [`RailStaircases`] keyed by core-set fingerprint.
-const SPACE_USED: u8 = 3;
-/// Cache namespace: Algorithm 1 makespans keyed by group-times
-/// fingerprint (the cost-only sibling of [`SPACE_SCHED`]).
-const SPACE_MAKESPAN: u8 = 4;
+const SPACE_USED: u8 = 2;
+/// Cache namespace: the makespans of patched probe rows, keyed by
+/// [`group_times_fp`].
+const SPACE_MAKESPAN: u8 = 3;
 /// Cache namespace: objective costs of speculative wire
 /// redistributions, keyed by (candidate rails, freed wires, objective).
-const SPACE_DIST: u8 = 5;
+const SPACE_DIST: u8 = 4;
 /// Cache namespace: compacted SI group lists, keyed by the caller's
 /// fingerprint of everything generation and compaction read (see
 /// [`EvalCache::groups`]). The only namespace an [`Evaluator`] never
 /// touches: its values are the input evaluators are built from.
-const SPACE_GROUPS: u8 = 6;
+const SPACE_GROUPS: u8 = 5;
 
-/// One value of the shared evaluation store. All seven logical caches
-/// (rail components, assembled architectures, schedules, staircases,
-/// makespans, redistribution costs, compacted group lists) live in a
-/// single sharded [`MemoCache`], disambiguated by the [`FpKey`]
-/// namespace tag.
+/// One value of the shared evaluation store. All six logical caches
+/// (rail components, assembled architectures, staircases, makespans,
+/// redistribution costs, compacted group lists) live in a single
+/// sharded [`MemoCache`], disambiguated by the [`FpKey`] namespace tag.
 #[derive(Clone, Debug)]
 enum Cached {
     Rail(Arc<RailEval>),
     Arch(Arc<Evaluation>),
-    Sched(Arc<SiSchedule>),
     Used(Arc<RailStaircases>),
     Makespan(u64),
     Cost(u64),
@@ -222,25 +217,28 @@ fn arch_fingerprint(rails: &[TestRail]) -> u128 {
     fx_fingerprint128(&rails)
 }
 
-/// Fingerprint of `base` with the sorted `(index, row)` substitutions
-/// in `changed` applied — without building the patched vector. The
-/// digest is slice-compatible: with `changed` empty it equals
-/// `fx_fingerprint128(&base)` (length prefix, then rows element-wise),
-/// so patched and owned group-times key the same schedule/makespan
-/// cache entries.
-fn group_times_fp(base: &[SiGroupTime], changed: &[(usize, SiGroupTime)]) -> u128 {
+/// The rows of `base` with the sorted `(index, row)` substitutions in
+/// `changed` applied, without building the patched vector.
+pub(crate) fn patched_rows<'g>(
+    base: &'g [SiGroupTime],
+    changed: &'g [(usize, SiGroupTime)],
+) -> impl Iterator<Item = &'g SiGroupTime> {
     debug_assert!(changed.windows(2).all(|w| w[0].0 < w[1].0));
-    let mut fp = Fingerprinter::new();
-    fp.write(&base.len());
     let mut pending = changed.iter().peekable();
-    for (g, row) in base.iter().enumerate() {
-        match pending.peek() {
-            Some((cg, crow)) if *cg == g => {
-                fp.write(crow);
-                pending.next();
-            }
-            _ => fp.write(row),
-        }
+    base.iter()
+        .enumerate()
+        .map(move |(g, row)| match pending.next_if(|(cg, _)| *cg == g) {
+            Some((_, patched)) => patched,
+            None => row,
+        })
+}
+
+/// Fingerprint of what Algorithm 1 reads of the [`patched_rows`]: each
+/// row's time and rails, in group order.
+fn group_times_fp(base: &[SiGroupTime], changed: &[(usize, SiGroupTime)]) -> u128 {
+    let mut fp = Fingerprinter::new();
+    for row in patched_rows(base, changed) {
+        fp.write(&(row.time, &row.rails));
     }
     fp.finish()
 }
@@ -359,10 +357,8 @@ pub struct Evaluation {
     pub rail_time_si: Vec<u64>,
     /// Per-group SI timing.
     pub group_times: Vec<SiGroupTime>,
-    /// The SI schedule produced by Algorithm 1, shared by reference:
-    /// evaluations that reuse a base schedule (or hit the schedule
-    /// cache) alias one allocation instead of deep-cloning it.
-    pub schedule: Arc<SiSchedule>,
+    /// The SI schedule produced by Algorithm 1.
+    pub schedule: SiSchedule,
     /// `T_soc^in`: the maximum per-rail InTest time.
     pub t_in: u64,
     /// `T_soc^si`: the SI schedule makespan.
@@ -729,9 +725,9 @@ pub struct Evaluator<'a> {
     /// rail→groups index (built once on ingestion) that lets a rail
     /// component visit only the groups its cores participate in.
     core_groups: Vec<Vec<u32>>,
-    /// Shared store for the six evaluation namespaces (rail
-    /// components, assembled architectures, schedules, staircases,
-    /// makespans, redistribution costs), keyed by namespaced
+    /// Shared store for the five evaluation namespaces (rail
+    /// components, assembled architectures, staircases, makespans,
+    /// redistribution costs), keyed by namespaced
     /// fingerprint. The optimizer revisits the same rails
     /// and candidate architectures constantly (merge sweeps, wire
     /// redistribution, sort passes); evaluation is pure, so results are
@@ -819,7 +815,7 @@ impl<'a> Evaluator<'a> {
     /// store and time table. The fork skips the full construction pass
     /// (SOC fingerprinting, wrapper time table) by cloning the ingested
     /// state, and — because the context fingerprint is identical —
-    /// every rail component, schedule and staircase either evaluator
+    /// every rail component, makespan and staircase either evaluator
     /// computes is immediately visible to the other. Objective-dependent
     /// entries carry the objective in their caller-side fingerprint, so
     /// forks running different objectives cannot alias.
@@ -1101,36 +1097,17 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The Algorithm 1 makespan of `base` with the sorted `changed` rows
-    /// substituted, served from the makespan cache, the schedule cache
-    /// (a full schedule is already known) or the makespan-only
-    /// scheduler — never materializing a schedule, and never the
-    /// patched vector on the (overwhelmingly common) cache-hit path: the
-    /// key is fingerprinted through the substitution.
+    /// substituted, served from the makespan memo or computed through
+    /// the substitution: never a schedule, never the patched vector.
     fn makespan_patched(&self, base: &[SiGroupTime], changed: &[(usize, SiGroupTime)]) -> u64 {
-        let fp = group_times_fp(base, changed);
-        // Probe the cost-only namespace first: repeated probes of the
-        // same patched rows land there, so the hot path pays a single
-        // shard lookup. The schedule namespace is only consulted on a
-        // makespan miss (e.g. the vector was first seen by a full
-        // `schedule_cached` evaluation).
-        let key = self.cache_key(SPACE_MAKESPAN, fp);
+        let key = self.cache_key(SPACE_MAKESPAN, group_times_fp(base, changed));
         if let Some(Cached::Makespan(makespan)) = self.cache.get(&key) {
             if let Some(m) = &self.metrics {
                 m.count_schedule_reuse();
             }
             return makespan;
         }
-        if let Some(Cached::Sched(schedule)) = self.cache.get(&self.cache_key(SPACE_SCHED, fp)) {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            return schedule.makespan();
-        }
-        let mut group_times = base.to_vec();
-        for (g, row) in changed {
-            group_times[*g] = row.clone();
-        }
-        let makespan = crate::schedule::si_makespan(&group_times);
+        let makespan = crate::schedule::makespan(patched_rows(base, changed));
         self.cache
             .get_or_insert_with(key, || Cached::Makespan(makespan));
         makespan
@@ -1163,28 +1140,6 @@ impl<'a> Evaluator<'a> {
     pub(crate) fn store_dist_cost(&self, fp: u128, cost: u64) {
         self.cache
             .get_or_insert_with(self.cache_key(SPACE_DIST, fp), || Cached::Cost(cost));
-    }
-
-    /// Algorithm 1 through the schedule cache: group-times vectors that
-    /// recur across candidates (very common — most moves shift work
-    /// within a group without changing its bottleneck) schedule once.
-    fn schedule_cached(&self, group_times: &[SiGroupTime]) -> Arc<SiSchedule> {
-        let key = self.cache_key(SPACE_SCHED, group_times_fp(group_times, &[]));
-        if let Some(Cached::Sched(schedule)) = self.cache.get(&key) {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            return schedule;
-        }
-        let schedule = Arc::new(schedule_si_tests(group_times));
-        match self
-            .cache
-            .get_or_insert_with(key, || Cached::Sched(Arc::clone(&schedule)))
-        {
-            Cached::Sched(stored) => stored,
-            // Namespaces are disjoint: SPACE_SCHED only stores Sched.
-            _ => schedule,
-        }
     }
 
     /// The `time_used` and `time_in` staircases of a core set, one
@@ -1261,9 +1216,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// Rails are visited in ascending index order within each group, so
     /// `SiGroupTime.rails` ordering and the first-strict-maximum
-    /// bottleneck tie-break match the monolithic loop exactly. The
-    /// Algorithm 1 schedule is served from the schedule cache or
-    /// recomputed.
+    /// bottleneck tie-break match the monolithic loop exactly.
     fn evaluate_rails(&self, rails: &[TestRail]) -> Evaluation {
         let rail_evals: Vec<Arc<RailEval>> = rails
             .iter()
@@ -1274,7 +1227,7 @@ impl<'a> Evaluator<'a> {
 
         let mut rail_time_si = vec![0u64; rail_evals.len()];
         let group_times = self.group_times_of(&rail_evals, &mut rail_time_si);
-        let schedule = self.schedule_cached(&group_times);
+        let schedule = schedule_si_tests(&group_times);
         let t_si = schedule.makespan();
         Evaluation {
             rail_time_in,

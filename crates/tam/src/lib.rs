@@ -70,9 +70,7 @@ pub use optimizer::{Objective, OptimizedArchitecture, TamOptimizer};
 pub use rail::{TestRail, TestRailArchitecture};
 pub use render::{render_schedule, render_schedule_svg};
 pub use run::RunCtx;
-pub use schedule::{
-    schedule_si_tests, schedule_si_tests_with, ScheduleOrder, ScheduledSiTest, SiSchedule,
-};
+pub use schedule::{schedule_si_tests, ScheduledSiTest, SiSchedule};
 /// The largest TAM width budget an evaluator, a bound and every
 /// registry tool taking a width accept: the wrapper crate's limit.
 pub use soctam_wrapper::MAX_TAM_WIDTH;

@@ -11,7 +11,7 @@
 //! count); only their sums are compared against the budget.
 
 use crate::evaluator::SiGroupTime;
-use crate::schedule::{ScheduledSiTest, SiSchedule};
+use crate::schedule::{list_schedule, SiSchedule};
 
 /// An SI test group annotated with its peak power rating.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,7 +51,9 @@ impl std::error::Error for ExceedsPowerBudget {}
 /// starting a test only when its rails are free and the running power sum
 /// plus its rating stays within `budget`.
 ///
-/// With `budget = u64::MAX` this degenerates to plain Algorithm 1.
+/// With every rating 0, or any ratings whose sum fits in `u64`, under
+/// `budget = u64::MAX` this is plain Algorithm 1: the same loop runs
+/// both.
 ///
 /// # Errors
 ///
@@ -78,8 +80,6 @@ impl std::error::Error for ExceedsPowerBudget {}
 /// assert_eq!(schedule.makespan(), 20);
 /// # Ok::<(), soctam_tam::power::ExceedsPowerBudget>(())
 /// ```
-// Invariant: a test blocked by the power budget implies at least one running test to retire.
-#[allow(clippy::expect_used)]
 pub fn schedule_si_tests_power(
     tests: &[PoweredSiTest],
     budget: u64,
@@ -93,57 +93,15 @@ pub fn schedule_si_tests_power(
             });
         }
     }
-
-    let mut unscheduled: Vec<usize> = (0..tests.len()).collect();
-    let mut running: Vec<(ScheduledSiTest, u64)> = Vec::new();
-    let mut done: Vec<ScheduledSiTest> = Vec::new();
-    let mut curr_time = 0u64;
-    let mut makespan = 0u64;
-
-    while !unscheduled.is_empty() {
-        let (finished, still): (Vec<_>, Vec<_>) =
-            running.into_iter().partition(|(t, _)| t.end <= curr_time);
-        done.extend(finished.into_iter().map(|(t, _)| t));
-        running = still;
-
-        let used_power: u64 = running.iter().map(|&(_, p)| p).sum();
-        let slot = unscheduled.iter().position(|&g| {
-            let rails_free = tests[g]
-                .timing
-                .rails
-                .iter()
-                .all(|r| running.iter().all(|(t, _)| !t.rails.contains(r)));
-            rails_free && used_power + tests[g].power <= budget
-        });
-        match slot {
-            Some(pos) => {
-                let g = unscheduled.remove(pos);
-                let test = ScheduledSiTest {
-                    group: g,
-                    begin: curr_time,
-                    end: curr_time.saturating_add(tests[g].timing.time),
-                    rails: tests[g].timing.rails.clone(),
-                };
-                makespan = makespan.max(test.end);
-                running.push((test, tests[g].power));
-            }
-            None => {
-                curr_time = running
-                    .iter()
-                    .map(|(t, _)| t.end)
-                    .min()
-                    .expect("a blocked test implies a running test");
-            }
-        }
-    }
-    done.extend(running.into_iter().map(|(t, _)| t));
-    done.sort_by_key(|t| (t.begin, t.group));
-    let tests_sorted = done;
-    Ok(SiSchedule::from_serial(tests_sorted, makespan))
+    Ok(list_schedule(
+        tests.iter().map(|test| (&test.timing, test.power)),
+        budget,
+    ))
 }
 
 /// `true` when no instant of the schedule draws more than `budget` power
-/// (verification helper for tests and reports).
+/// (verification helper for tests and reports). A draw too large for a
+/// `u64` exceeds every budget.
 pub fn respects_power_budget(schedule: &SiSchedule, tests: &[PoweredSiTest], budget: u64) -> bool {
     let mut events: Vec<u64> = schedule
         .tests()
@@ -153,19 +111,19 @@ pub fn respects_power_budget(schedule: &SiSchedule, tests: &[PoweredSiTest], bud
     events.sort_unstable();
     events.dedup();
     events.into_iter().all(|instant| {
-        let draw: u64 = schedule
+        schedule
             .tests()
             .iter()
             .filter(|t| t.begin <= instant && instant < t.end)
-            .map(|t| tests[t.group].power)
-            .sum();
-        draw <= budget
+            .try_fold(0u64, |draw, t| draw.checked_add(tests[t.group].power))
+            .is_some_and(|draw| draw <= budget)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ScheduledSiTest;
 
     fn t(time: u64, rails: &[usize], power: u64) -> PoweredSiTest {
         PoweredSiTest {
@@ -176,15 +134,6 @@ mod tests {
             },
             power,
         }
-    }
-
-    #[test]
-    fn unlimited_budget_matches_algorithm1() {
-        let tests = vec![t(10, &[0], 5), t(8, &[1], 5), t(6, &[0, 1], 5)];
-        let powered = schedule_si_tests_power(&tests, u64::MAX).expect("fits");
-        let timings: Vec<SiGroupTime> = tests.iter().map(|p| p.timing.clone()).collect();
-        let plain = crate::schedule_si_tests(&timings);
-        assert_eq!(powered.makespan(), plain.makespan());
     }
 
     #[test]
@@ -228,5 +177,23 @@ mod tests {
         let tests = vec![t(4, &[0], 0), t(4, &[1], 0), t(4, &[2], 0)];
         let s = schedule_si_tests_power(&tests, 0).expect("fits");
         assert_eq!(s.makespan(), 4);
+    }
+
+    #[test]
+    fn ratings_whose_sum_overflows_serialize() {
+        // Each rating fits u64::MAX alone, but their sum does not.
+        let half = u64::MAX / 2 + 1;
+        let tests = vec![t(10, &[0], half), t(10, &[1], half)];
+        let s = schedule_si_tests_power(&tests, u64::MAX).expect("fits");
+        assert_eq!(s.makespan(), 20);
+        assert!(respects_power_budget(&s, &tests, u64::MAX));
+        let window = |group, rails: &[usize]| ScheduledSiTest {
+            group,
+            begin: 0,
+            end: 10,
+            rails: rails.to_vec(),
+        };
+        let parallel = SiSchedule::from_serial(vec![window(0, &[0]), window(1, &[1])], 10);
+        assert!(!respects_power_budget(&parallel, &tests, u64::MAX));
     }
 }

@@ -107,33 +107,6 @@ impl SiSchedule {
         }
         diags
     }
-
-    /// `true` when no two tests occupy the same rail at overlapping times
-    /// (sanity invariant; the scheduler guarantees it).
-    pub fn is_conflict_free(&self) -> bool {
-        for (i, a) in self.tests.iter().enumerate() {
-            for b in &self.tests[i + 1..] {
-                let overlap_time = a.begin < b.end && b.begin < a.end;
-                let share_rail = a.rails.iter().any(|r| b.rails.contains(r));
-                if overlap_time && share_rail && a.end != a.begin && b.end != b.begin {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-/// The priority order Algorithm 1 uses when several unscheduled SI tests
-/// could start (`find s* ∈ unSchedSI` is unspecified in the paper).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ScheduleOrder {
-    /// First-fit in input order (the interpretation the evaluator uses).
-    #[default]
-    InputOrder,
-    /// Longest test first — the classical makespan heuristic; often
-    /// shortens the schedule when group durations are skewed.
-    LongestFirst,
 }
 
 /// Schedules the SI test groups on the TestRail architecture they were
@@ -142,8 +115,7 @@ pub enum ScheduleOrder {
 /// Groups whose rail sets are disjoint run in parallel; conflicting groups
 /// wait until the first running test that frees rails finishes. The input
 /// order is the priority order (first-fit), matching the paper's
-/// `find s* ∈ unSchedSI`. Use [`schedule_si_tests_with`] to pick a
-/// different priority order.
+/// `find s* ∈ unSchedSI`.
 ///
 /// # Example
 ///
@@ -160,124 +132,100 @@ pub enum ScheduleOrder {
 /// assert_eq!(schedule.makespan(), 17);
 /// ```
 pub fn schedule_si_tests(groups: &[SiGroupTime]) -> SiSchedule {
-    schedule_si_tests_with(groups, ScheduleOrder::InputOrder)
+    fault::hit("tam.schedule");
+    list_schedule(groups.iter().map(|row| (row, 0)), u64::MAX)
 }
 
-/// [`schedule_si_tests`] with an explicit priority order.
-///
-/// # Example
-///
-/// ```
-/// use soctam_tam::{schedule_si_tests_with, ScheduleOrder, SiGroupTime};
-///
-/// let groups = vec![
-///     SiGroupTime { time: 2, rails: vec![0], bottleneck_rail: 0 },
-///     SiGroupTime { time: 9, rails: vec![0, 1], bottleneck_rail: 0 },
-///     SiGroupTime { time: 8, rails: vec![1], bottleneck_rail: 1 },
-/// ];
-/// let fifo = schedule_si_tests_with(&groups, ScheduleOrder::InputOrder);
-/// let lpt = schedule_si_tests_with(&groups, ScheduleOrder::LongestFirst);
-/// assert!(lpt.makespan() <= fifo.makespan());
-/// ```
-pub fn schedule_si_tests_with(groups: &[SiGroupTime], order: ScheduleOrder) -> SiSchedule {
+/// The makespan [`schedule_si_tests`] reports for `rows`, without
+/// building the schedule: the hot path of speculative candidate
+/// costing, where only the number is compared and `rows` reads the
+/// patched group times through their substitution.
+pub(crate) fn makespan<'g>(rows: impl IntoIterator<Item = &'g SiGroupTime>) -> u64 {
     fault::hit("tam.schedule");
-    let mut unscheduled: Vec<usize> = (0..groups.len()).collect();
-    if order == ScheduleOrder::LongestFirst {
-        unscheduled.sort_by_key(|&g| std::cmp::Reverse(groups[g].time));
-    }
-    let mut running: Vec<ScheduledSiTest> = Vec::new();
-    let mut done: Vec<ScheduledSiTest> = Vec::new();
-    let mut curr_time = 0u64;
-    let mut makespan = 0u64;
+    let tests = rows.into_iter().map(|row| (row, 0));
+    first_fit(tests, u64::MAX, |_, _, _, _| {})
+}
 
-    while !unscheduled.is_empty() {
-        // Retire tests that have finished by curr_time — their rails are
-        // free again (a test ending exactly at curr_time frees its rails).
-        let (finished, still): (Vec<_>, Vec<_>) =
-            running.into_iter().partition(|t| t.end <= curr_time);
-        done.extend(finished);
-        running = still;
-
-        // Find the first unscheduled test whose rails are all free.
-        let free_slot = unscheduled.iter().position(|&g| {
-            groups[g]
-                .rails
-                .iter()
-                .all(|r| running.iter().all(|t| !t.rails.contains(r)))
+/// The schedule [`first_fit`] lays out, every window kept, in
+/// scheduling order.
+pub(crate) fn list_schedule<'g>(
+    tests: impl IntoIterator<Item = (&'g SiGroupTime, u64)>,
+    budget: u64,
+) -> SiSchedule {
+    let mut placed = Vec::new();
+    let makespan = first_fit(tests, budget, |group, begin, end, rails| {
+        placed.push(ScheduledSiTest {
+            group,
+            begin,
+            end,
+            rails: rails.to_vec(),
         });
-        match free_slot {
-            Some(pos) => {
-                let g = unscheduled.remove(pos);
-                let test = ScheduledSiTest {
-                    group: g,
-                    begin: curr_time,
-                    end: curr_time.saturating_add(groups[g].time),
-                    rails: groups[g].rails.clone(),
-                };
-                makespan = makespan.max(test.end);
-                running.push(test);
-            }
-            None => {
-                // Advance to the earliest end time after curr_time. A
-                // conflict implies some running test, and every running
-                // test ends strictly later (finished ones were retired).
-                #[allow(clippy::expect_used)]
-                let earliest = running
-                    .iter()
-                    .map(|t| t.end)
-                    .min()
-                    .expect("conflicting tests imply a running test");
-                curr_time = earliest;
-            }
-        }
-    }
-    done.extend(running);
-    done.sort_by_key(|t| (t.begin, t.group));
-
+    });
+    placed.sort_by_key(|t| (t.begin, t.group));
     SiSchedule {
-        tests: done,
+        tests: placed,
         makespan,
     }
 }
 
-/// The makespan Algorithm 1 would produce, without materializing the
-/// schedule — the hot path for speculative candidate costing, where
-/// only the number is compared. Runs the exact same greedy first-fit
-/// loop as [`schedule_si_tests`] (input priority order), so the result
-/// is bit-identical to `schedule_si_tests(groups).makespan()`, but
-/// rail sets are borrowed instead of cloned and no test windows are
-/// collected.
-pub(crate) fn si_makespan(groups: &[SiGroupTime]) -> u64 {
-    fault::hit("tam.schedule");
-    let mut unscheduled: Vec<usize> = (0..groups.len()).collect();
-    // (end, rails) of the currently running tests.
-    let mut running: Vec<(u64, &[usize])> = Vec::new();
-    let mut curr_time = 0u64;
-    let mut makespan = 0u64;
-
-    while !unscheduled.is_empty() {
-        running.retain(|&(end, _)| end > curr_time);
-        let free_slot = unscheduled.iter().position(|&g| {
-            groups[g]
-                .rails
-                .iter()
-                .all(|r| running.iter().all(|(_, rails)| !rails.contains(r)))
+/// The one greedy first-fit list-scheduling loop of Algorithm 1, behind
+/// [`schedule_si_tests`], the probe makespan and
+/// [`schedule_si_tests_power`](crate::power::schedule_si_tests_power).
+/// Its resources are the rails and a power budget (power-constrained
+/// test scheduling, as in arXiv 1008.4448). `tests` yields each group's
+/// timing and power rating in priority order. At the current time the
+/// loop starts the first waiting test whose rails are all free and
+/// whose rating fits in what the running tests leave of `budget`, and
+/// reports its window as `place(group, begin, end, rails)`; when none
+/// can start, it advances to the earliest end of a running test. Plain
+/// Algorithm 1 rates every test 0 under `u64::MAX`. Returns the
+/// makespan.
+///
+/// Every rating must fit `budget` on its own, or the test never starts.
+fn first_fit<'g>(
+    tests: impl IntoIterator<Item = (&'g SiGroupTime, u64)>,
+    budget: u64,
+    mut place: impl FnMut(usize, u64, u64, &'g [usize]),
+) -> u64 {
+    // (group, rails, time, power) of every test still waiting.
+    let mut waiting: Vec<(usize, &[usize], u64, u64)> = tests
+        .into_iter()
+        .enumerate()
+        .map(|(g, (row, power))| (g, row.rails.as_slice(), row.time, power))
+        .collect();
+    // (end, rails, power) of every running test.
+    let mut running: Vec<(u64, &[usize], u64)> = Vec::new();
+    let (mut now, mut makespan) = (0u64, 0u64);
+    while !waiting.is_empty() {
+        // A test ending exactly at `now` frees its rails and power.
+        running.retain(|&(end, _, _)| end > now);
+        // Never overflows: each test started only while the sum fit.
+        let used: u64 = running.iter().map(|&(_, _, power)| power).sum();
+        let free = waiting.iter().position(|&(_, rails, _, power)| {
+            used.checked_add(power).is_some_and(|draw| draw <= budget)
+                && rails
+                    .iter()
+                    .all(|r| running.iter().all(|(_, busy, _)| !busy.contains(r)))
         });
-        match free_slot {
+        match free {
             Some(pos) => {
-                let g = unscheduled.remove(pos);
-                let end = curr_time.saturating_add(groups[g].time);
+                let (g, rails, time, power) = waiting.remove(pos);
+                let end = now.saturating_add(time);
                 makespan = makespan.max(end);
-                running.push((end, &groups[g].rails));
+                place(g, now, end, rails);
+                running.push((end, rails, power));
             }
             None => {
+                // A blocked test implies a running one (every rating
+                // fits the budget alone), and every running test ends
+                // after `now` (finished ones were retired).
                 #[allow(clippy::expect_used)]
                 let earliest = running
                     .iter()
-                    .map(|&(end, _)| end)
+                    .map(|&(end, _, _)| end)
                     .min()
-                    .expect("conflicting tests imply a running test");
-                curr_time = earliest;
+                    .expect("a blocked test implies a running test");
+                now = earliest;
             }
         }
     }
@@ -287,6 +235,9 @@ pub(crate) fn si_makespan(groups: &[SiGroupTime]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::patched_rows;
+    use crate::power::{respects_power_budget, schedule_si_tests_power, PoweredSiTest};
+    use soctam_exec::check::{cases, forall, Gen};
 
     fn g(time: u64, rails: &[usize]) -> SiGroupTime {
         SiGroupTime {
@@ -314,7 +265,7 @@ mod tests {
     fn conflicting_tests_serialize() {
         let s = schedule_si_tests(&[g(10, &[0]), g(8, &[0]), g(6, &[0])]);
         assert_eq!(s.makespan(), 24);
-        assert!(s.is_conflict_free());
+        assert!(s.validate().is_ok());
     }
 
     #[test]
@@ -324,7 +275,7 @@ mod tests {
         assert_eq!(s.makespan(), 17);
         let t2 = s.tests().iter().find(|t| t.group == 2).expect("scheduled");
         assert_eq!(t2.begin, 10);
-        assert!(s.is_conflict_free());
+        assert!(s.validate().is_ok());
     }
 
     #[test]
@@ -344,7 +295,7 @@ mod tests {
     fn zero_duration_tests_do_not_block() {
         let s = schedule_si_tests(&[g(0, &[0]), g(5, &[0])]);
         assert_eq!(s.makespan(), 5);
-        assert!(s.is_conflict_free());
+        assert!(s.validate().is_ok());
     }
 
     #[test]
@@ -393,8 +344,59 @@ mod tests {
     }
 
     #[test]
-    fn makespan_only_matches_full_scheduler() {
-        let cases: Vec<Vec<SiGroupTime>> = vec![
+    fn order_is_first_fit() {
+        // Both fit at t=0 on disjoint rails, but 0 is considered first.
+        let s = schedule_si_tests(&[g(2, &[0]), g(2, &[0])]);
+        let begins: Vec<u64> = s.tests().iter().map(|t| t.begin).collect();
+        assert_eq!(begins, vec![0, 2]);
+    }
+
+    /// What the one loop's three callers promise on one instance: the
+    /// power schedule at `u64::MAX` is Algorithm 1's test for test,
+    /// every schedule is valid and keeps the budget it was built for,
+    /// and the probe makespan read through the sorted substitution
+    /// `changed` is Algorithm 1's on the patched vector.
+    fn check_instance(tests: &[PoweredSiTest], budget: u64, changed: &[(usize, SiGroupTime)]) {
+        let groups: Vec<SiGroupTime> = tests.iter().map(|t| t.timing.clone()).collect();
+        let plain = schedule_si_tests(&groups);
+        let unlimited = schedule_si_tests_power(tests, u64::MAX).expect("every rating fits");
+        assert_eq!(unlimited, plain, "{tests:?}");
+        let capped = schedule_si_tests_power(tests, budget).expect("every rating fits");
+        for (s, budget) in [(&plain, u64::MAX), (&capped, budget)] {
+            assert!(s.validate().is_ok(), "{tests:?}: {:?}", s.validate());
+            assert!(
+                respects_power_budget(s, tests, budget),
+                "{tests:?} at {budget}"
+            );
+        }
+        let mut patched = groups.clone();
+        for (i, row) in changed {
+            patched[*i] = row.clone();
+        }
+        assert_eq!(
+            makespan(patched_rows(&groups, changed)),
+            schedule_si_tests(&patched).makespan(),
+            "{groups:?} with {changed:?}"
+        );
+    }
+
+    /// `rails` of `0..5` kept with probability 0.4 (so sometimes none),
+    /// and a time that is 0 one time in five.
+    fn random_row(gen: &mut Gen) -> SiGroupTime {
+        let rails: Vec<usize> = (0..5).filter(|_| gen.bool_with(0.4)).collect();
+        let time = if gen.bool_with(0.2) {
+            0
+        } else {
+            gen.u64_in(1, 50)
+        };
+        g(time, &rails)
+    }
+
+    #[test]
+    fn one_loop_serves_every_caller() {
+        // Seeds: hand-picked shapes (disjoint, serial, backfill, zero
+        // times, rail-less), the last one rated under a tight budget.
+        let seeds: Vec<Vec<SiGroupTime>> = vec![
             vec![],
             vec![g(10, &[0]), g(8, &[1]), g(6, &[2])],
             vec![g(10, &[0]), g(8, &[0]), g(6, &[0])],
@@ -403,69 +405,29 @@ mod tests {
             vec![g(10, &[0, 1]), g(4, &[2]), g(7, &[1, 2])],
             vec![g(4, &[0, 1]), g(6, &[1, 2]), g(2, &[0, 2]), g(5, &[1])],
             vec![g(10, &[0]), g(3, &[])],
+            vec![g(10, &[0]), g(8, &[1]), g(6, &[0, 1])],
         ];
-        for groups in cases {
-            assert_eq!(
-                si_makespan(&groups),
-                schedule_si_tests(&groups).makespan(),
-                "{groups:?}"
-            );
+        for groups in seeds {
+            let tests: Vec<PoweredSiTest> = groups
+                .into_iter()
+                .map(|timing| PoweredSiTest { timing, power: 5 })
+                .collect();
+            check_instance(&tests, 5, &[]);
         }
-    }
-
-    #[test]
-    fn order_is_first_fit() {
-        // Both fit at t=0 on disjoint rails, but 0 is considered first.
-        let s = schedule_si_tests(&[g(2, &[0]), g(2, &[0])]);
-        let begins: Vec<u64> = s.tests().iter().map(|t| t.begin).collect();
-        assert_eq!(begins, vec![0, 2]);
-    }
-}
-
-#[cfg(test)]
-mod order_tests {
-    use super::*;
-
-    fn g(time: u64, rails: &[usize]) -> SiGroupTime {
-        SiGroupTime {
-            time,
-            rails: rails.to_vec(),
-            bottleneck_rail: rails.first().copied().unwrap_or(usize::MAX),
-        }
-    }
-
-    #[test]
-    fn longest_first_reorders_priorities() {
-        let groups = vec![g(2, &[0]), g(9, &[0, 1]), g(8, &[1])];
-        let fifo = schedule_si_tests_with(&groups, ScheduleOrder::InputOrder);
-        let lpt = schedule_si_tests_with(&groups, ScheduleOrder::LongestFirst);
-        // FIFO: g0 at 0..2, g2 at 0..8, g1 at 8..17 => 17.
-        assert_eq!(fifo.makespan(), 17);
-        // LPT: g1 first at 0..9, then g2 at 9..17 and g0 at 9..11 => 17?
-        // No: g1 occupies both rails; g2/g0 start at 9 in parallel => 17.
-        // Either way LPT never loses here.
-        assert!(lpt.makespan() <= fifo.makespan());
-        assert!(lpt.is_conflict_free());
-    }
-
-    #[test]
-    fn orders_agree_on_disjoint_tests() {
-        let groups = vec![g(5, &[0]), g(7, &[1]), g(3, &[2])];
-        let fifo = schedule_si_tests_with(&groups, ScheduleOrder::InputOrder);
-        let lpt = schedule_si_tests_with(&groups, ScheduleOrder::LongestFirst);
-        assert_eq!(fifo.makespan(), 7);
-        assert_eq!(lpt.makespan(), 7);
-    }
-
-    #[test]
-    fn every_group_scheduled_exactly_once_in_both_orders() {
-        let groups = vec![g(4, &[0, 1]), g(6, &[1, 2]), g(2, &[0, 2]), g(5, &[1])];
-        for order in [ScheduleOrder::InputOrder, ScheduleOrder::LongestFirst] {
-            let s = schedule_si_tests_with(&groups, order);
-            let mut seen: Vec<usize> = s.tests().iter().map(|t| t.group).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, vec![0, 1, 2, 3]);
-            assert!(s.is_conflict_free());
-        }
+        forall("one_loop_serves_every_caller", cases(256), |gen| {
+            let tests = gen.vec_of(1, 9, |gen| PoweredSiTest {
+                timing: random_row(gen),
+                power: gen.u64_in(0, 100),
+            });
+            let top = tests.iter().map(|t| t.power).max().unwrap_or(0);
+            let budget = gen.u64_in(top, 3 * top + 1);
+            let mut changed = Vec::new();
+            for i in 0..tests.len() {
+                if gen.bool_with(0.3) {
+                    changed.push((i, random_row(gen)));
+                }
+            }
+            check_instance(&tests, budget, &changed);
+        });
     }
 }

@@ -5,7 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use soctam_tam::{schedule_si_tests_with, ScheduleOrder, SiGroupTime};
+use soctam_tam::{schedule_si_tests, SiGroupTime};
 
 fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
     if items.is_empty() {
@@ -31,10 +31,18 @@ fn best_over_permutations(groups: &[SiGroupTime]) -> u64 {
         .into_iter()
         .map(|perm| {
             let reordered: Vec<SiGroupTime> = perm.iter().map(|&i| groups[i].clone()).collect();
-            schedule_si_tests_with(&reordered, ScheduleOrder::InputOrder).makespan()
+            schedule_si_tests(&reordered).makespan()
         })
         .min()
         .expect("at least one permutation")
+}
+
+/// `groups` in longest-first priority order, the classical makespan
+/// heuristic; the stable sort keeps ties in input order.
+fn longest_first(groups: &[SiGroupTime]) -> Vec<SiGroupTime> {
+    let mut sorted = groups.to_vec();
+    sorted.sort_by_key(|g| std::cmp::Reverse(g.time));
+    sorted
 }
 
 fn g(time: u64, rails: &[usize]) -> SiGroupTime {
@@ -72,8 +80,8 @@ fn first_fit_is_close_to_best_permutation() {
     let mut total_best = 0u64;
     for seed in 0..40u64 {
         let groups = instance(seed);
-        let ff = schedule_si_tests_with(&groups, ScheduleOrder::InputOrder).makespan();
-        let lpt = schedule_si_tests_with(&groups, ScheduleOrder::LongestFirst).makespan();
+        let ff = schedule_si_tests(&groups).makespan();
+        let lpt = schedule_si_tests(&longest_first(&groups)).makespan();
         let best = best_over_permutations(&groups);
         assert!(
             ff >= best,
@@ -99,8 +107,8 @@ fn longest_first_never_loses_in_aggregate() {
     let mut total_lpt = 0u64;
     for seed in 0..60u64 {
         let groups = instance(seed);
-        total_ff += schedule_si_tests_with(&groups, ScheduleOrder::InputOrder).makespan();
-        total_lpt += schedule_si_tests_with(&groups, ScheduleOrder::LongestFirst).makespan();
+        total_ff += schedule_si_tests(&groups).makespan();
+        total_lpt += schedule_si_tests(&longest_first(&groups)).makespan();
     }
     assert!(
         total_lpt <= total_ff,

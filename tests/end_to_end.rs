@@ -39,7 +39,7 @@ fn full_pipeline_on_all_benchmarks() {
             *eval.rail_time_in.iter().max().expect("rails exist"),
             "{bench}"
         );
-        assert!(eval.schedule.is_conflict_free(), "{bench}");
+        assert!(eval.schedule.validate().is_ok(), "{bench}");
         assert_eq!(eval.t_si, eval.schedule.makespan(), "{bench}");
     }
 }

@@ -95,7 +95,7 @@ fn figure3b_times_match_formulas_and_parallelize() {
         .find(|t| t.group == 2)
         .expect("scheduled");
     assert_eq!(t2.begin, t3.begin);
-    assert!(eval.schedule.is_conflict_free());
+    assert!(eval.schedule.validate().is_ok());
     // Makespan < fully serial sum thanks to the parallel tail.
     let serial: u64 = eval.group_times.iter().map(|g| g.time).sum();
     assert!(eval.t_si < serial);

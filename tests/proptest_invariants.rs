@@ -175,7 +175,7 @@ fn evaluation_invariants_hold() {
         let evaluator = Evaluator::new(&soc, 8, groups).expect("valid");
         let eval = evaluator.evaluate(&arch);
         assert_eq!(eval.t_in, *eval.rail_time_in.iter().max().unwrap());
-        assert!(eval.schedule.is_conflict_free());
+        assert!(eval.schedule.validate().is_ok());
         let serial: u64 = eval.group_times.iter().map(|g| g.time).sum();
         assert!(eval.t_si <= serial);
         assert!(eval.t_si >= eval.group_times.iter().map(|g| g.time).max().unwrap_or(0));

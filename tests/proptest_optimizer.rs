@@ -81,7 +81,7 @@ fn optimizer_output_is_valid_and_bounded() {
         let eval = result.evaluation();
         assert!(eval.t_in >= intest_lower_bound(&soc, w_max).expect("valid"));
         assert!(eval.t_si >= si_lower_bound(&soc, &groups, w_max).expect("valid"));
-        assert!(eval.schedule.is_conflict_free());
+        assert!(eval.schedule.validate().is_ok());
     });
 }
 
