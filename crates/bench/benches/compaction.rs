@@ -1,6 +1,7 @@
 //! Timing benches for the Section 3 compaction machinery: the greedy
-//! clique cover, the full two-dimensional pipeline and the front half of
-//! a request (pattern generation plus compaction).
+//! clique cover, the full two-dimensional pipeline, the front half of
+//! a request (pattern generation plus compaction) and a table sweep's
+//! compactions.
 //!
 //! Pass `--json <path>` to additionally write the results as a JSON
 //! report (used by the CI perf-smoke job).
@@ -9,7 +10,7 @@
 
 use soctam::compaction::{
     compact_greedy, compact_packed_with, compact_two_dimensional, compact_two_dimensional_with,
-    CompactionConfig,
+    CompactionConfig, PreparedSet,
 };
 use soctam::patterns::generate_random_packed;
 use soctam::{Benchmark, Pool, RandomPatternConfig, SiPatternSet};
@@ -70,6 +71,20 @@ fn main() {
     session.bench("front_half_sparse/p93791/100000/4", samples, || {
         let raw = SiPatternSet::random_with(&soc, &patterns, &pool).expect("generation succeeds");
         compact_two_dimensional_with(&soc, &raw, &config, &pool).expect("compaction succeeds")
+    });
+    // The compactions of a `table p93791 --patterns 100000 --jobs 2`
+    // sweep, as `run_table_in` runs them: one arena prepared once, then
+    // the step of each partition count, the counts fanned over the pool.
+    let set = generate_random_packed(&soc, &patterns, &pool).expect("generation succeeds");
+    let counts = [1u32, 2, 4, 8];
+    session.bench("table_compaction/p93791/100000", samples, || {
+        let prepared = PreparedSet::new(&soc, &set, &counts, &pool).expect("valid set");
+        pool.par_map(&counts, |&parts| {
+            let config = CompactionConfig::new(parts).with_seed(TABLE_SEED);
+            prepared
+                .compact(&config, &pool)
+                .expect("compaction succeeds")
+        })
     });
     session.finish();
 }

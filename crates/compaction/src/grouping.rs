@@ -4,7 +4,7 @@
 use std::cmp::Ordering;
 use std::hash::Hasher;
 
-use soctam_exec::FxHasher;
+use soctam_exec::{FxHasher, Pool};
 use soctam_hypergraph::{Hypergraph, HypergraphBuilder, Partition, PartitionConfig};
 use soctam_model::{CoreId, Soc};
 use soctam_patterns::{PackedLayout, PackedSet, SiPattern};
@@ -66,6 +66,7 @@ pub fn build_core_hypergraph_packed(
 /// pattern counts, and each pattern's index into them. Grouping builds
 /// the hypergraph from the distinct sets and then buckets every pattern
 /// by classifying its set, without a second extraction pass.
+#[derive(Debug)]
 struct CareCoreSets {
     /// Words per bitset.
     words: usize,
@@ -245,12 +246,7 @@ pub fn group_patterns_packed(
     parts: u32,
     partition_config: &PartitionConfig,
 ) -> Result<PatternGrouping, CompactionError> {
-    if parts as usize > soc.num_cores() {
-        return Err(CompactionError::TooManyPartitions {
-            partitions: parts,
-            cores: soc.num_cores(),
-        });
-    }
+    check_parts(soc, parts)?;
     // Checked up front because `i = 1` never reaches the extraction, whose
     // own checks back the `# Panics` contract otherwise.
     assert_in_terminal_space(soc, set);
@@ -261,65 +257,113 @@ pub fn group_patterns_packed(
         );
     }
     if parts <= 1 {
-        // One part: every pattern lands in bucket 0 whatever its care
-        // cores, so none are extracted.
-        return Ok(PatternGrouping {
-            core_part: vec![0; soc.num_cores()],
-            parts: 1,
-            buckets: vec![(0..set.len()).collect()],
-            remainder: Vec::new(),
-            cut_weight: 0,
+        return Ok(PatternGrouping::single(soc, set.len()));
+    }
+    CoreHypergraph::extract(soc, set, layout).group(parts, partition_config, &Pool::serial())
+}
+
+/// Rejects more parts than `soc` has cores.
+pub(crate) fn check_parts(soc: &Soc, parts: u32) -> Result<(), CompactionError> {
+    if parts as usize > soc.num_cores() {
+        return Err(CompactionError::TooManyPartitions {
+            partitions: parts,
+            cores: soc.num_cores(),
         });
     }
-    let sets = CareCoreSets::extract(set, layout);
-    let hg = sets.hypergraph(soc);
-    let config = PartitionConfig {
-        parts,
-        ..partition_config.clone()
-    };
-    let partition: Partition = hg.partition(&config)?;
-    let cut_weight = partition.cut_weight(&hg);
-    let core_part = partition.assignment().to_vec();
+    Ok(())
+}
 
-    // Classify each distinct set once: `Some(part)` when all its cores lie
-    // in one part (an empty set goes to part 0), `None` when it is cut.
-    let words = sets.words;
-    let mut part_bits = vec![0u64; parts as usize * words];
-    for (core, &part) in core_part.iter().enumerate() {
-        part_bits[part as usize * words + core / 64] |= 1 << (core % 64);
-    }
-    let set_part: Vec<Option<u32>> = (0..sets.weights.len() as u32)
-        .map(|id| {
-            let bits = sets.bits(id);
-            match bitset_cores(bits).next() {
-                None => Some(0),
-                Some(first) => {
-                    let part = core_part[first as usize];
-                    let within = &part_bits[part as usize * words..][..words];
-                    bits.iter()
-                        .zip(within)
-                        .all(|(&set, &part)| set & !part == 0)
-                        .then_some(part)
-                }
-            }
-        })
-        .collect();
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts as usize];
-    let mut remainder = Vec::new();
-    for (index, &id) in sets.of_pattern.iter().enumerate() {
-        match set_part[id as usize] {
-            Some(part) => buckets[part as usize].push(index),
-            None => remainder.push(index),
+impl PatternGrouping {
+    /// One part: every one of `patterns` lands in bucket 0 whatever its
+    /// care cores, so none are extracted.
+    pub(crate) fn single(soc: &Soc, patterns: usize) -> Self {
+        PatternGrouping {
+            core_part: vec![0; soc.num_cores()],
+            parts: 1,
+            buckets: vec![(0..patterns).collect()],
+            remainder: Vec::new(),
+            cut_weight: 0,
         }
     }
+}
 
-    Ok(PatternGrouping {
-        core_part,
-        parts,
-        buckets,
-        remainder,
-        cut_weight,
-    })
+/// What grouping needs of a pattern set for any partition count above
+/// 1: every pattern's care-core set and the core hypergraph built from
+/// the distinct sets. Neither depends on the partition count, so one
+/// extraction serves every count.
+#[derive(Debug)]
+pub(crate) struct CoreHypergraph {
+    sets: CareCoreSets,
+    graph: Hypergraph,
+}
+
+impl CoreHypergraph {
+    /// Extracts the care-core sets of `set` and builds the hypergraph.
+    pub(crate) fn extract(soc: &Soc, set: &PackedSet, layout: &PackedLayout) -> Self {
+        let sets = CareCoreSets::extract(set, layout);
+        let graph = sets.hypergraph(soc);
+        CoreHypergraph { sets, graph }
+    }
+
+    /// Partitions the cores into `parts > 1` groups, refining the
+    /// partitioner's initial tries on `pool`, and buckets every pattern
+    /// by classifying its care-core set.
+    pub(crate) fn group(
+        &self,
+        parts: u32,
+        partition_config: &PartitionConfig,
+        pool: &Pool,
+    ) -> Result<PatternGrouping, CompactionError> {
+        let (sets, hg) = (&self.sets, &self.graph);
+        let config = PartitionConfig {
+            parts,
+            ..partition_config.clone()
+        };
+        let partition: Partition = hg.partition_with(&config, pool)?;
+        let cut_weight = partition.cut_weight(hg);
+        let core_part = partition.assignment().to_vec();
+
+        // Classify each distinct set once: `Some(part)` when all its cores
+        // lie in one part (an empty set goes to part 0), `None` when it is
+        // cut.
+        let words = sets.words;
+        let mut part_bits = vec![0u64; parts as usize * words];
+        for (core, &part) in core_part.iter().enumerate() {
+            part_bits[part as usize * words + core / 64] |= 1 << (core % 64);
+        }
+        let set_part: Vec<Option<u32>> = (0..sets.weights.len() as u32)
+            .map(|id| {
+                let bits = sets.bits(id);
+                match bitset_cores(bits).next() {
+                    None => Some(0),
+                    Some(first) => {
+                        let part = core_part[first as usize];
+                        let within = &part_bits[part as usize * words..][..words];
+                        bits.iter()
+                            .zip(within)
+                            .all(|(&set, &part)| set & !part == 0)
+                            .then_some(part)
+                    }
+                }
+            })
+            .collect();
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts as usize];
+        let mut remainder = Vec::new();
+        for (index, &id) in sets.of_pattern.iter().enumerate() {
+            match set_part[id as usize] {
+                Some(part) => buckets[part as usize].push(index),
+                None => remainder.push(index),
+            }
+        }
+
+        Ok(PatternGrouping {
+            core_part,
+            parts,
+            buckets,
+            remainder,
+            cut_weight,
+        })
+    }
 }
 
 #[cfg(test)]

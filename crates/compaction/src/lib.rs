@@ -16,7 +16,9 @@
 //!
 //! [`compact_two_dimensional`] runs the full pipeline and produces the
 //! [`SiTestGroup`]s the TAM optimizer schedules; [`compact_packed_with`]
-//! runs the same pipeline on an already-packed pattern arena.
+//! runs the same pipeline on an already-packed pattern arena, and
+//! [`PreparedSet`] splits it into the half that reads only the raw
+//! patterns, done once, and a step per partition count.
 //!
 //! # Example
 //!
@@ -53,6 +55,7 @@ pub use grouping::{
 };
 pub use pipeline::{
     compact_packed_with, compact_two_dimensional, compact_two_dimensional_with, CompactionConfig,
+    PreparedSet,
 };
 pub use types::{CompactedSiTests, CompactionStats, SiTestGroup};
 pub use vertical::{

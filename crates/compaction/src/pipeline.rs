@@ -1,6 +1,7 @@
 //! The full two-dimensional compaction pipeline.
 
 use std::hash::Hasher;
+use std::sync::OnceLock;
 
 use soctam_exec::{FxHasher, Pool};
 use soctam_hypergraph::PartitionConfig;
@@ -9,10 +10,10 @@ use soctam_patterns::packed::check_packable;
 use soctam_patterns::{KernelStats, PackedLayout, PackedRef, PackedSet, SiPatternSet};
 
 use crate::first_seen::FirstSeen;
+use crate::grouping::{check_parts, CoreHypergraph};
 use crate::vertical::{assert_in_terminal_space, compact_packed_subset};
 use crate::{
-    group_patterns_packed, CompactedSiTests, CompactionError, CompactionStats, MergeOrder,
-    PatternGrouping, SiTestGroup,
+    CompactedSiTests, CompactionError, CompactionStats, MergeOrder, PatternGrouping, SiTestGroup,
 };
 
 /// Configuration for [`compact_two_dimensional`].
@@ -137,6 +138,9 @@ pub fn compact_two_dimensional_with(
 /// The set is validated from its summary, in O(1) when it fits `soc`;
 /// a failing set reports the error the sparse validation reports.
 ///
+/// Prepares the set for the one partition count ([`PreparedSet::new`])
+/// and runs that count's step ([`PreparedSet::compact`]).
+///
 /// # Errors
 ///
 /// Same contract as [`compact_two_dimensional`].
@@ -146,91 +150,205 @@ pub fn compact_packed_with(
     config: &CompactionConfig,
     pool: &Pool,
 ) -> Result<CompactedSiTests, CompactionError> {
-    set.validate_for(soc)?;
-    soctam_exec::fault::check("compaction.partition")?;
-    let terminal_words = assert_in_terminal_space(soc, set);
-    let layout = PackedLayout::new(soc);
-    let grouping = group_patterns_packed(
-        soc,
-        set,
-        &layout,
-        config.partitions,
-        &config.partition_config,
-    )?;
+    PreparedSet::new(soc, set, &[config.partitions], pool)?.compact(config, pool)
+}
 
-    let mut stats = CompactionStats {
-        raw_patterns: set.len(),
-        partitions: config.partitions.max(1),
-        cut_weight: grouping.cut_weight,
-        raw_remainder_patterns: grouping.remainder.len(),
-        ..CompactionStats::default()
-    };
+/// A packed pattern set prepared for compaction: the half of
+/// [`compact_packed_with`] that reads only the raw patterns, done once
+/// and shared by every partition count that [`PreparedSet::compact`]
+/// then runs. It holds:
+///
+/// * the validation of the set against the SOC;
+/// * the keep-first duplicate flags;
+/// * for partition counts above 1, every pattern's care-core set and the
+///   core hypergraph built from them. At `i = 1` every pattern lands in
+///   one bucket, so nothing is extracted.
+///
+/// # Example
+///
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use soctam_compaction::{compact_packed_with, CompactionConfig, PreparedSet};
+/// use soctam_exec::Pool;
+/// use soctam_model::Benchmark;
+/// use soctam_patterns::{generate_random_packed, RandomPatternConfig};
+///
+/// let soc = Benchmark::D695.soc();
+/// let pool = Pool::serial();
+/// let set = generate_random_packed(&soc, &RandomPatternConfig::new(1000), &pool)?;
+/// let prepared = PreparedSet::new(&soc, &set, &[1, 4], &pool)?;
+/// for parts in [1, 4] {
+///     let config = CompactionConfig::new(parts);
+///     assert_eq!(
+///         prepared.compact(&config, &pool)?,
+///         compact_packed_with(&soc, &set, &config, &pool)?
+///     );
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct PreparedSet<'a> {
+    soc: &'a Soc,
+    set: &'a PackedSet,
+    /// Accumulator words of the greedy covers.
+    terminal_words: usize,
+    /// `repeat[i]`: pattern `i` repeats a lower-indexed pattern exactly.
+    repeat: Vec<bool>,
+    /// Extracted by the preparation when a count above 1 was announced,
+    /// else by the first step that needs it.
+    cores: OnceLock<CoreHypergraph>,
+}
 
-    let work = work_items(set, &grouping, fingerprint);
-    let has_remainder = !grouping.remainder.is_empty();
-    stats.duplicate_patterns = set.len() - work.iter().map(Vec::len).sum::<usize>();
-
-    let compacted_buckets = pool.par_map(&work, |indices| {
-        soctam_exec::fault::hit("compaction.bucket");
-        if indices.is_empty() {
-            (Vec::new(), KernelStats::default())
+impl<'a> PreparedSet<'a> {
+    /// Validates `set` against `soc` and prepares it for the partition
+    /// counts `partitions`. When a count above 1 needs the care-core sets,
+    /// duplicate detection and their extraction run as two concurrent
+    /// tasks on `pool`; otherwise duplicate detection runs alone on the
+    /// calling thread.
+    ///
+    /// # Errors
+    ///
+    /// The pattern validation errors of [`compact_two_dimensional`].
+    pub fn new(
+        soc: &'a Soc,
+        set: &'a PackedSet,
+        partitions: &[u32],
+        pool: &Pool,
+    ) -> Result<Self, CompactionError> {
+        set.validate_for(soc)?;
+        let mut prepared = PreparedSet {
+            soc,
+            set,
+            terminal_words: assert_in_terminal_space(soc, set),
+            repeat: Vec::new(),
+            cores: OnceLock::new(),
+        };
+        if partitions.iter().any(|&parts| parts > 1) {
+            let mut repeat = Vec::new();
+            pool.scope(|scope| {
+                scope.spawn(|| repeat = repeated_patterns(set, fingerprint));
+                scope.spawn(|| {
+                    prepared.cores();
+                });
+            });
+            prepared.repeat = repeat;
         } else {
-            compact_packed_subset(set, indices, terminal_words, config.merge_order)
+            prepared.repeat = repeated_patterns(set, fingerprint);
         }
-    });
+        Ok(prepared)
+    }
 
-    let mut groups = Vec::new();
-    let mut kernel = KernelStats::default();
-    let mut iter = compacted_buckets.into_iter();
-    for part in 0..grouping.buckets.len() {
-        // Invariant: `par_map` returns exactly one result per work item.
-        #[allow(clippy::expect_used)]
-        let (compacted, bucket_kernel) = iter.next().expect("one result per bucket");
-        kernel.merge(bucket_kernel);
-        if compacted.is_empty() {
-            stats.group_patterns.push(0);
-            continue;
+    /// The per-count step of [`compact_packed_with`]: partitions the cores
+    /// into `config.partitions` groups, buckets the patterns, drops the
+    /// duplicates and vertically compacts each bucket on `pool`. Equals
+    /// [`compact_packed_with`] of the prepared set under `config`.
+    ///
+    /// # Errors
+    ///
+    /// [`CompactionError::TooManyPartitions`] and partitioning failures,
+    /// as [`compact_two_dimensional`] reports them.
+    pub fn compact(
+        &self,
+        config: &CompactionConfig,
+        pool: &Pool,
+    ) -> Result<CompactedSiTests, CompactionError> {
+        soctam_exec::fault::check("compaction.partition")?;
+        let (soc, set) = (self.soc, self.set);
+        let grouping = self.group(config, pool)?;
+
+        let mut stats = CompactionStats {
+            raw_patterns: set.len(),
+            partitions: config.partitions.max(1),
+            cut_weight: grouping.cut_weight,
+            raw_remainder_patterns: grouping.remainder.len(),
+            ..CompactionStats::default()
+        };
+
+        let work = work_items(&self.repeat, &grouping);
+        let has_remainder = !grouping.remainder.is_empty();
+        stats.duplicate_patterns = set.len() - work.iter().map(Vec::len).sum::<usize>();
+
+        let compacted_buckets = pool.par_map(&work, |indices| {
+            soctam_exec::fault::hit("compaction.bucket");
+            if indices.is_empty() {
+                (Vec::new(), KernelStats::default())
+            } else {
+                compact_packed_subset(set, indices, self.terminal_words, config.merge_order)
+            }
+        });
+
+        let mut groups = Vec::new();
+        let mut kernel = KernelStats::default();
+        let mut iter = compacted_buckets.into_iter();
+        for part in 0..grouping.buckets.len() {
+            // Invariant: `par_map` returns exactly one result per work item.
+            #[allow(clippy::expect_used)]
+            let (compacted, bucket_kernel) = iter.next().expect("one result per bucket");
+            kernel.merge(bucket_kernel);
+            if compacted.is_empty() {
+                stats.group_patterns.push(0);
+                continue;
+            }
+            stats.group_patterns.push(compacted.len());
+            groups.push(SiTestGroup::new(
+                grouping.part_cores(part as u32),
+                compacted,
+            ));
         }
-        stats.group_patterns.push(compacted.len());
-        groups.push(SiTestGroup::new(
-            grouping.part_cores(part as u32),
-            compacted,
-        ));
-    }
-    if has_remainder {
-        // Invariant: `work_items` puts the remainder last when it is non-empty.
-        #[allow(clippy::expect_used)]
-        let (compacted, remainder_kernel) = iter.next().expect("remainder result present");
-        kernel.merge(remainder_kernel);
-        stats.remainder_patterns = compacted.len();
-        groups.push(SiTestGroup::new(soc.core_ids().collect(), compacted));
-    }
-    stats.kernel_words_compared = kernel.words_compared;
-    stats.kernel_fast_rejects = kernel.fast_rejects;
+        if has_remainder {
+            // Invariant: `work_items` puts the remainder last when it is non-empty.
+            #[allow(clippy::expect_used)]
+            let (compacted, remainder_kernel) = iter.next().expect("remainder result present");
+            kernel.merge(remainder_kernel);
+            stats.remainder_patterns = compacted.len();
+            groups.push(SiTestGroup::new(soc.core_ids().collect(), compacted));
+        }
+        stats.kernel_words_compared = kernel.words_compared;
+        stats.kernel_fast_rejects = kernel.fast_rejects;
 
-    let metrics = pool.metrics();
-    metrics.add_kernel_words_compared(kernel.words_compared);
-    metrics.add_kernel_fast_rejects(kernel.fast_rejects);
-    metrics.add_duplicates_removed(stats.duplicate_patterns as u64);
+        let metrics = pool.metrics();
+        metrics.add_kernel_words_compared(kernel.words_compared);
+        metrics.add_kernel_fast_rejects(kernel.fast_rejects);
+        metrics.add_duplicates_removed(stats.duplicate_patterns as u64);
 
-    Ok(CompactedSiTests::new(groups, stats))
+        Ok(CompactedSiTests::new(groups, stats))
+    }
+
+    /// The grouping of `config.partitions` parts: one bucket at `i <= 1`,
+    /// else a partition of the shared core hypergraph.
+    fn group(
+        &self,
+        config: &CompactionConfig,
+        pool: &Pool,
+    ) -> Result<PatternGrouping, CompactionError> {
+        let parts = config.partitions;
+        check_parts(self.soc, parts)?;
+        if parts <= 1 {
+            return Ok(PatternGrouping::single(self.soc, self.set.len()));
+        }
+        self.cores().group(parts, &config.partition_config, pool)
+    }
+
+    /// The care-core sets and core hypergraph, extracted on first use.
+    fn cores(&self) -> &CoreHypergraph {
+        self.cores.get_or_init(|| {
+            CoreHypergraph::extract(self.soc, self.set, &PackedLayout::new(self.soc))
+        })
+    }
 }
 
 /// The greedy covers' work items: one per part bucket, plus the
 /// cross-partition remainder (when any pattern was cut) as the final
 /// item.
 ///
-/// Exact duplicates are dropped keep-first: a duplicate always lands in
-/// its first copy's clique and absorbing it there is a no-op, so removal
-/// cannot change the compacted output. One pass over the whole set
-/// serves every bucket: copies share a care-core set, hence a bucket,
-/// and each bucket lists its patterns in ascending order.
-fn work_items(
-    set: &PackedSet,
-    grouping: &PatternGrouping,
-    fingerprint: impl Fn(PackedRef<'_>) -> u64,
-) -> Vec<Vec<u32>> {
-    let repeat = repeated_patterns(set, fingerprint);
+/// Exact duplicates, flagged in `repeat`, are dropped keep-first: a
+/// duplicate always lands in its first copy's clique and absorbing it
+/// there is a no-op, so removal cannot change the compacted output. One
+/// pass over the whole set serves every bucket of every partition count:
+/// copies share a care-core set, hence a bucket, and each bucket lists
+/// its patterns in ascending order.
+fn work_items(repeat: &[bool], grouping: &PatternGrouping) -> Vec<Vec<u32>> {
     let keep = |indices: &[usize]| -> Vec<u32> {
         indices
             .iter()
@@ -288,6 +406,8 @@ fn repeated_patterns(set: &PackedSet, fingerprint: impl Fn(PackedRef<'_>) -> u64
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    use crate::group_patterns_packed;
 
     use soctam_model::{Benchmark, BusLineId, CoreId, TerminalId};
     use soctam_patterns::{RandomPatternConfig, SiPattern, Symbol};
@@ -439,12 +559,171 @@ mod tests {
                     parts == 1 || dropped_in > 1,
                     "duplicates in one bucket only"
                 );
-                assert_eq!(work_items(&set, &grouping, fingerprint), reference);
+                let repeat = repeated_patterns(&set, fingerprint);
+                assert_eq!(work_items(&repeat, &grouping), reference);
                 // Every pattern shares one fingerprint: only the exact
                 // comparison of the arena slices tells them apart.
-                assert_eq!(work_items(&set, &grouping, |_| 0), reference);
+                let repeat = repeated_patterns(&set, |_| 0);
+                assert_eq!(work_items(&repeat, &grouping), reference);
             }
         }
+    }
+
+    /// One `compact_packed_with` call as it was composed before the
+    /// prepared set: its own validation, its own grouping through
+    /// `group_patterns_packed` (care-core extraction, hypergraph and a
+    /// serial partition), its own per-bucket duplicate filter and serial
+    /// covers.
+    fn per_call_reference(
+        soc: &Soc,
+        raw: &SiPatternSet,
+        set: &PackedSet,
+        config: &CompactionConfig,
+    ) -> Result<CompactedSiTests, CompactionError> {
+        set.validate_for(soc)?;
+        let terminal_words = assert_in_terminal_space(soc, set);
+        let layout = PackedLayout::new(soc);
+        let grouping = group_patterns_packed(
+            soc,
+            set,
+            &layout,
+            config.partitions,
+            &config.partition_config,
+        )?;
+        let work = reference_work_items(raw, &grouping);
+        let mut stats = CompactionStats {
+            raw_patterns: set.len(),
+            partitions: config.partitions.max(1),
+            cut_weight: grouping.cut_weight,
+            raw_remainder_patterns: grouping.remainder.len(),
+            duplicate_patterns: set.len() - work.iter().map(Vec::len).sum::<usize>(),
+            ..CompactionStats::default()
+        };
+        let mut groups = Vec::new();
+        let mut kernel = KernelStats::default();
+        for (item, indices) in work.iter().enumerate() {
+            let (compacted, item_kernel) =
+                compact_packed_subset(set, indices, terminal_words, config.merge_order);
+            kernel.merge(item_kernel);
+            if item == grouping.buckets.len() {
+                stats.remainder_patterns = compacted.len();
+                groups.push(SiTestGroup::new(soc.core_ids().collect(), compacted));
+            } else {
+                stats.group_patterns.push(compacted.len());
+                if !compacted.is_empty() {
+                    groups.push(SiTestGroup::new(
+                        grouping.part_cores(item as u32),
+                        compacted,
+                    ));
+                }
+            }
+        }
+        stats.kernel_words_compared = kernel.words_compared;
+        stats.kernel_fast_rejects = kernel.fast_rejects;
+        Ok(CompactedSiTests::new(groups, stats))
+    }
+
+    #[test]
+    fn prepared_steps_equal_the_per_call_composition() {
+        use soctam_exec::check::{cases, forall};
+        use soctam_model::synth::{synth_soc, SynthConfig};
+        let orders = [
+            MergeOrder::InputOrder,
+            MergeOrder::MostCareBitsFirst,
+            MergeOrder::FewestCareBitsFirst,
+        ];
+        forall(
+            "prepared_steps_equal_the_per_call_composition",
+            cases(24),
+            |g| {
+                // Past 64 cores a care-core set spans two bitset words.
+                let soc = if g.bool_with(0.3) {
+                    synth_soc(&SynthConfig::new(g.usize_in(65, 90)).with_seed(g.u64_in(0, 1 << 32)))
+                        .expect("valid soc")
+                } else {
+                    Benchmark::D695.soc()
+                };
+                let n = g.usize_in(0, 1_200);
+                let mut patterns = SiPatternSet::random(
+                    &soc,
+                    &RandomPatternConfig::new(n).with_seed(g.u64_in(0, 1 << 32)),
+                )
+                .expect("valid")
+                .into_vec();
+                // Planted duplicates, copies of copies among them, and
+                // empty patterns, anywhere in the set.
+                for _ in 0..g.usize_in(0, n / 4 + 2) {
+                    if patterns.is_empty() || g.bool_with(0.2) {
+                        let at = g.usize_in(0, patterns.len() + 1);
+                        patterns.insert(at, SiPattern::default());
+                    } else {
+                        let copy = patterns[g.usize_in(0, patterns.len())].clone();
+                        let at = g.usize_in(0, patterns.len() + 1);
+                        patterns.insert(at, copy);
+                    }
+                }
+                let raw = SiPatternSet::from_patterns(patterns);
+                let set = PackedSet::build(raw.as_slice());
+                let counts: Vec<u32> = if g.bool_with(0.25) {
+                    vec![1]
+                } else {
+                    let mut counts: Vec<u32> = [1, 2, 4, 8]
+                        .into_iter()
+                        .filter(|_| g.bool_with(0.6))
+                        .collect();
+                    if counts.is_empty() {
+                        counts.push(1 << g.u32_in(1, 4));
+                    }
+                    g.rng().shuffle(&mut counts);
+                    counts
+                };
+                // Counts a preparation did not announce extract on demand.
+                let announced = if g.bool_with(0.2) {
+                    vec![1]
+                } else {
+                    counts.clone()
+                };
+                let configs: Vec<CompactionConfig> = counts
+                    .iter()
+                    .map(|&parts| {
+                        CompactionConfig::new(parts)
+                            .with_seed(g.u64_in(0, 1 << 32))
+                            .with_merge_order(orders[g.usize_in(0, orders.len())])
+                    })
+                    .collect();
+                let reference: Vec<CompactedSiTests> = configs
+                    .iter()
+                    .map(|config| per_call_reference(&soc, &raw, &set, config).expect("valid"))
+                    .collect();
+                let recorded = |field: fn(&CompactionStats) -> usize| -> u64 {
+                    reference.iter().map(|c| field(c.stats()) as u64).sum()
+                };
+                for jobs in [1, 2, 4] {
+                    let pool = Pool::new(jobs);
+                    let prepared = PreparedSet::new(&soc, &set, &announced, &pool).expect("valid");
+                    for (config, expected) in configs.iter().zip(&reference) {
+                        let got = prepared.compact(config, &pool).expect("valid");
+                        assert_eq!(&got, expected, "jobs {jobs}, {config:?}");
+                    }
+                    let metrics = pool.metrics().snapshot();
+                    assert_eq!(
+                        metrics.kernel_words_compared,
+                        recorded(|s| s.kernel_words_compared as usize),
+                        "jobs {jobs}"
+                    );
+                    assert_eq!(
+                        metrics.kernel_fast_rejects,
+                        recorded(|s| s.kernel_fast_rejects as usize),
+                        "jobs {jobs}"
+                    );
+                    assert_eq!(
+                        metrics.duplicates_removed,
+                        recorded(|s| s.duplicate_patterns),
+                        "jobs {jobs}"
+                    );
+                }
+            },
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use std::fmt;
 
-use soctam_compaction::{compact_packed_with, CompactionConfig};
+use soctam_compaction::{CompactionConfig, PreparedSet};
 use soctam_exec::Pool;
 use soctam_model::Soc;
 use soctam_patterns::{generate_random_packed, RandomPatternConfig};
@@ -170,7 +170,8 @@ pub fn run_table(soc: &Soc, config: &ExperimentConfig) -> Result<ExperimentTable
 }
 
 /// [`run_table`] with every stage on `pool`: pattern generation fans out
-/// per block of patterns, compaction per partition count and the
+/// per block of patterns, the compaction prelude into duplicate detection
+/// and care-core extraction, compaction per partition count and the
 /// `widths × (baseline + partitions)` optimization grid per cell. The
 /// grid is reduced in sweep order, so the table is bit-identical to the
 /// serial run for any pool size.
@@ -192,9 +193,11 @@ pub fn run_table_with(
 /// architectures, and the table stays complete and valid.
 ///
 /// The patterns are generated once, straight into a packed arena, and
-/// every partition count compacts that one arena, so generation,
-/// validation and packing happen once per table. Each stage runs with
-/// panic containment, like [`SiOptimizer`](crate::SiOptimizer)'s.
+/// prepared once ([`PreparedSet`]): generation, validation, duplicate
+/// detection and care-core extraction happen once per table, and only
+/// the partition, the buckets and the covers run per partition count.
+/// Each stage runs with panic containment, like
+/// [`SiOptimizer`](crate::SiOptimizer)'s.
 ///
 /// # Errors
 ///
@@ -218,18 +221,16 @@ pub fn run_table_in(
             .map_err(SoctamError::from)
     })?;
 
-    // Compaction is width-independent: do it once per partition count.
+    // Compaction is width-independent: prepare the set once, then run the
+    // step of each partition count.
     let compacted = contain_panics("pipeline.compact", || {
         metrics.time("compact", || {
+            let prepared = PreparedSet::new(soc, &set, &config.partitions, pool)?;
             pool.par_map(&config.partitions, |&parts| {
-                compact_packed_with(
-                    soc,
-                    &set,
-                    &CompactionConfig::new(parts).with_seed(config.seed),
-                    pool,
-                )
-                .map(|c| (parts, c.total_patterns(), SiGroupSpec::from_compacted(&c)))
-                .map_err(SoctamError::from)
+                prepared
+                    .compact(&CompactionConfig::new(parts).with_seed(config.seed), pool)
+                    .map(|c| (parts, c.total_patterns(), SiGroupSpec::from_compacted(&c)))
+                    .map_err(SoctamError::from)
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()

@@ -1,6 +1,8 @@
 //! Multilevel bisection and recursive k-way driver.
 
-use soctam_exec::Rng;
+use std::ops::Range;
+
+use soctam_exec::{Pool, Rng};
 
 use crate::coarsen::{coarsen_once, CoarseLevel};
 use crate::fm::refine;
@@ -10,39 +12,41 @@ use crate::partition::PartitionConfig;
 /// Stop coarsening below this many vertices.
 const COARSEN_THRESHOLD: usize = 24;
 
-/// Partitions `hg` into `config.parts` parts by recursive bisection.
+/// Partitions `hg` into `config.parts` parts by recursive bisection,
+/// refining each bisection's initial tries on `pool`.
 /// Preconditions (checked by the caller): `1 <= parts <= num_vertices`,
 /// `imbalance` finite and non-negative.
-pub(crate) fn recursive_kway(hg: &Hypergraph, config: &PartitionConfig) -> Vec<u32> {
+pub(crate) fn recursive_kway(hg: &Hypergraph, config: &PartitionConfig, pool: &Pool) -> Vec<u32> {
     let mut assignment = vec![0u32; hg.num_vertices()];
     let vertices: Vec<u32> = (0..hg.num_vertices() as u32).collect();
     let mut rng = Rng::seed_from_u64(config.seed);
     split(
         hg,
         &vertices,
-        config.parts,
-        0,
+        0..config.parts,
         config,
+        pool,
         &mut rng,
         &mut assignment,
     );
     assignment
 }
 
-/// Recursively assigns `vertices` to parts `first_part .. first_part + k`.
+/// Recursively assigns `vertices` to the parts `parts`.
 fn split(
     hg: &Hypergraph,
     vertices: &[u32],
-    k: u32,
-    first_part: u32,
+    parts: Range<u32>,
     config: &PartitionConfig,
+    pool: &Pool,
     rng: &mut Rng,
     assignment: &mut [u32],
 ) {
+    let k = parts.end - parts.start;
     debug_assert!(vertices.len() >= k as usize);
     if k == 1 {
         for &v in vertices {
-            assignment[v as usize] = first_part;
+            assignment[v as usize] = parts.start;
         }
         return;
     }
@@ -55,6 +59,7 @@ fn split(
         f64::from(k0) / f64::from(k),
         (k0 as usize, k1 as usize),
         config,
+        pool,
         rng,
     );
 
@@ -67,8 +72,17 @@ fn split(
             left.push(v);
         }
     }
-    split(hg, &left, k0, first_part, config, rng, assignment);
-    split(hg, &right, k1, first_part + k0, config, rng, assignment);
+    let middle = parts.start + k0;
+    split(
+        hg,
+        &left,
+        parts.start..middle,
+        config,
+        pool,
+        rng,
+        assignment,
+    );
+    split(hg, &right, middle..parts.end, config, pool, rng, assignment);
 }
 
 /// Builds the sub-hypergraph induced by `vertices` (edges restricted to the
@@ -121,6 +135,7 @@ fn bisect(
     frac: f64,
     min_counts: (usize, usize),
     config: &PartitionConfig,
+    pool: &Pool,
     rng: &mut Rng,
 ) -> Vec<bool> {
     // Coarsening chain, but never coarsen below what the count constraints
@@ -147,18 +162,22 @@ fn bisect(
     let total = coarsest.total_vertex_weight();
     let caps = caps_for(coarsest, total, frac, config.imbalance);
 
-    // Initial partition: best of several randomized greedy growths.
-    let mut best_side: Option<Vec<bool>> = None;
-    let mut best_cut = u64::MAX;
-    for _ in 0..config.initial_tries.max(1) {
-        let mut side = grow_initial(coarsest, frac, rng);
+    // Initial partition: best of several randomized greedy growths. Every
+    // start is drawn before any is refined (`refine` draws nothing), so
+    // the RNG stream is the same for every pool; the starts are refined
+    // on `pool` and the first strict minimum in try order wins.
+    let starts: Vec<Vec<bool>> = (0..config.initial_tries.max(1))
+        .map(|_| grow_initial(coarsest, frac, rng))
+        .collect();
+    let tries = pool.par_map(&starts, |start| {
+        let mut side = start.clone();
         let cut = refine(coarsest, &mut side, caps, config.max_fm_passes);
-        if cut < best_cut || best_side.is_none() {
-            best_cut = cut;
-            best_side = Some(side);
-        }
-    }
-    let mut side = best_side.expect("at least one try ran");
+        (cut, side)
+    });
+    let (_, mut side) = tries
+        .into_iter()
+        .reduce(|best, next| if next.0 < best.0 { next } else { best })
+        .expect("at least one try ran");
 
     // Project back through the levels, refining at each. `level.graph` is
     // the *coarse* graph; the fine graph is the level below (or `hg`).
@@ -340,6 +359,36 @@ mod tests {
             .partition(&PartitionConfig::new(4).with_seed(9))
             .expect("valid");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn parallel_initial_tries_return_the_serial_partition() {
+        use soctam_exec::check::{cases, forall};
+        let pools = [Pool::new(2), Pool::new(4)];
+        forall(
+            "parallel_initial_tries_return_the_serial_partition",
+            cases(96),
+            |g| {
+                let hg = crate::fm::tests::random_case(g.rng());
+                let n = hg.num_vertices() as u32;
+                let config = PartitionConfig {
+                    parts: g.u32_in(1, n.min(8) + 1),
+                    imbalance: [0.0, 0.03, 0.1, 0.5][g.usize_in(0, 4)],
+                    seed: g.u64_in(0, u64::MAX),
+                    initial_tries: g.u32_in(0, 13),
+                    max_fm_passes: g.u32_in(0, 9),
+                };
+                let serial = hg.partition(&config).expect("valid config");
+                for pool in &pools {
+                    assert_eq!(
+                        hg.partition_with(&config, pool).expect("valid config"),
+                        serial,
+                        "{} jobs, {config:?}",
+                        pool.jobs()
+                    );
+                }
+            },
+        );
     }
 
     #[test]

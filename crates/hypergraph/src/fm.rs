@@ -177,7 +177,7 @@ fn fm_pass(hg: &Hypergraph, side: &mut [bool], caps: [u64; 2], initial_cut: u64)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::HypergraphBuilder;
     use soctam_exec::Rng;
@@ -312,7 +312,7 @@ mod tests {
     /// A random hypergraph with every edge shape the delta update must
     /// handle: single-pin edges, repeated pin sets, edges over every
     /// vertex, and random vertex and edge weights.
-    fn random_case(rng: &mut Rng) -> Hypergraph {
+    pub(crate) fn random_case(rng: &mut Rng) -> Hypergraph {
         let n = rng.range_u32_inclusive(1, 33);
         let mut b = HypergraphBuilder::new();
         for _ in 0..n {

@@ -1,5 +1,7 @@
 //! Partition assignments, quality metrics and the public entry point.
 
+use soctam_exec::Pool;
+
 use crate::{bisect, Hypergraph, HypergraphError};
 
 /// Configuration for [`Hypergraph::partition`].
@@ -173,6 +175,22 @@ impl Hypergraph {
     /// # }
     /// ```
     pub fn partition(&self, config: &PartitionConfig) -> Result<Partition, HypergraphError> {
+        self.partition_with(config, &Pool::serial())
+    }
+
+    /// [`Hypergraph::partition`] with each bisection's initial tries
+    /// refined on `pool`. The tries are drawn in order before any is
+    /// refined, and the first strict minimum in try order wins, so the
+    /// partition is the same for every pool size.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Hypergraph::partition`].
+    pub fn partition_with(
+        &self,
+        config: &PartitionConfig,
+        pool: &Pool,
+    ) -> Result<Partition, HypergraphError> {
         if config.parts == 0 {
             return Err(HypergraphError::ZeroParts);
         }
@@ -187,7 +205,7 @@ impl Hypergraph {
                 imbalance: config.imbalance,
             });
         }
-        let assignment = bisect::recursive_kway(self, config);
+        let assignment = bisect::recursive_kway(self, config, pool);
         Partition::from_assignment(config.parts, assignment)
     }
 }

@@ -182,6 +182,16 @@ impl BudgetTracker {
         true
     }
 
+    /// Whether a [`BudgetTracker::tick`] now would stay within budget,
+    /// without counting an iteration. Used to skip work that only the
+    /// next step would read.
+    pub(crate) fn can_tick(&self) -> bool {
+        self.within()
+            && self
+                .max_iterations
+                .map_or(true, |max| self.iterations.load(Ordering::Relaxed) < max)
+    }
+
     /// True when any limit tripped during the run — the result should
     /// be flagged as degraded.
     pub(crate) fn exhausted(&self) -> bool {

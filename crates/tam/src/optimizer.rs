@@ -287,7 +287,9 @@ impl<'a> TamOptimizer<'a> {
 
     /// `distributeFreeWires` (Section 4.2) as the start solution runs
     /// it: spends `wires` extra TAM wires with every rail a lane, in rail
-    /// order, and parks what no drop absorbs.
+    /// order, and parks what no drop absorbs. The lanes' drops are only
+    /// fetched when the budget allows a first step; otherwise
+    /// [`TamOptimizer::spend_wires`] ticks once and spends nothing.
     // Invariant: widths only ever grow here, so `with_width` cannot see 0.
     #[allow(clippy::expect_used)]
     fn distribute_free_wires(
@@ -298,7 +300,11 @@ impl<'a> TamOptimizer<'a> {
     ) -> Vec<TestRail> {
         let eval = self.eval(&rails);
         let mut st = self.evaluator.swap_state(&eval, self.objective);
-        let lanes = self.rail_drops(&rails, self.staircases(&rails), None, wires);
+        let lanes = if tracker.can_tick() {
+            self.rail_drops(&rails, self.staircases(&rails), None, wires)
+        } else {
+            Vec::new()
+        };
         let all = lanes.iter().enumerate().map(|(j, rail)| rail.lane(j));
         let left = self.spend_wires(&mut st, all, wires, tracker, false);
         for (j, rail) in rails.iter_mut().enumerate() {
@@ -746,6 +752,27 @@ impl<'a> TamOptimizer<'a> {
         *rails = sorted;
     }
 
+    /// The rail among the first `w_max` of `rails` that a mandatory merge
+    /// folds `rails[w_max]` into: the first one minimizing the objective,
+    /// each candidate priced as the merge edit `[(i, merged), (w_max,
+    /// removed)]` on the state of `rails`.
+    // Invariant: both rails of a merge have widths >= 1.
+    #[allow(clippy::expect_used)]
+    fn mandatory_merge_target(&self, rails: &[TestRail], w_max: usize) -> usize {
+        let st = self.evaluator.swap_state(&self.eval(rails), self.objective);
+        let victim = &rails[w_max];
+        let costs = (0..w_max).map(|i| {
+            let w = rails[i].width().max(victim.width());
+            let merged = rails[i].merged(victim, w).expect("width >= 1");
+            let comp = self.evaluator.component(w, merged.cores());
+            let cost = self
+                .evaluator
+                .state_cost(&st, &[(i, Some(&comp)), (w_max, None)]);
+            Some(self.objective.cost(cost.t_in, cost.t_si))
+        });
+        first_min(costs).map_or(0, |(i, _)| i)
+    }
+
     /// `coreReshuffle`: repeatedly moves one core off a bottleneck rail to
     /// whichever other rail minimizes the objective, while it improves.
     // Invariant: the source rail keeps >= 1 core (guarded by the len() < 2
@@ -961,24 +988,15 @@ impl<'a> TamOptimizer<'a> {
                     // budget is short), so they run even after the
                     // optimization budget trips — just without the cost
                     // evaluations: fold into the first rail instead.
-                    let within = tracker.tick();
-                    if within {
-                        self.sort_by_time_used(&mut rails);
-                    }
                     // Merge r_{Wmax+1} with the first-Wmax rail minimizing
                     // the objective.
-                    let victim = rails.remove(w_max);
-                    let i = if within {
-                        let costs = (0..w_max.min(rails.len())).map(|i| {
-                            let mut cand = rails.clone();
-                            let w = cand[i].width().max(victim.width());
-                            cand[i] = cand[i].merged(&victim, w).expect("width >= 1");
-                            Some(self.cost(&cand))
-                        });
-                        first_min(costs).map_or(0, |(i, _)| i)
+                    let i = if tracker.tick() {
+                        self.sort_by_time_used(&mut rails);
+                        self.mandatory_merge_target(&rails, w_max)
                     } else {
                         0
                     };
+                    let victim = rails.remove(w_max);
                     let w = rails[i].width().max(victim.width());
                     rails[i] = rails[i].merged(&victim, w).expect("width >= 1");
                 }
@@ -1501,6 +1519,36 @@ mod tests {
         let full = make().optimize().expect("optimizes");
         assert!(!full.degraded());
         assert!(full.evaluation().t_total() <= strangled.evaluation().t_total());
+    }
+
+    #[test]
+    fn a_budget_that_allows_no_step_fetches_no_drops() {
+        // `soctam optimize d695 --patterns 500 --width 32 --partitions 1
+        // --max-iters 0`: the start solution's free wires cannot be
+        // spent, so no rail's drop components are fetched. What remains
+        // are the ten one-wire start rails and the single-rail safety
+        // net, which the run reports.
+        let soc = Benchmark::D695.soc();
+        let rail_evals = |max_iterations: u64| {
+            let pool = Pool::serial();
+            let metrics = pool.metrics();
+            let result = TamOptimizer::new(&soc, 32, groups_for(&soc, 21))
+                .expect("valid")
+                .run(RunCtx {
+                    budget: OptimizerBudget::default().with_max_iterations(max_iterations),
+                    ..RunCtx::new(pool)
+                })
+                .optimize()
+                .expect("degrades, does not fail");
+            assert!(result.degraded());
+            let snap = metrics.snapshot();
+            (snap.rail_eval_hits, snap.rail_eval_misses)
+        };
+        assert_eq!(rail_evals(0), (0, 11));
+        // A budget that allows the first step fetches every drop it
+        // enumerates.
+        let (_, misses) = rail_evals(1);
+        assert!(misses > 100, "{misses} misses");
     }
 
     #[test]
