@@ -6,7 +6,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use soctam::{Benchmark, Objective, RandomPatternConfig, SiOptimizer, TamOptimizer};
+use soctam::{
+    Benchmark, EvalCache, Objective, RandomPatternConfig, RunCtx, SiOptimizer, TamOptimizer,
+};
 use soctam_bench::harness::{samples, Session};
 use soctam_bench::{bench_groups, TABLE_SEED};
 
@@ -73,6 +75,23 @@ fn main() {
             },
         );
     }
+    // The same SI-aware request repeated through one shared store, as
+    // the daemon serves a repeat: both legs come from the search memo.
+    let shared = RunCtx {
+        eval_cache: Some(EvalCache::new()),
+        ..RunCtx::default()
+    };
+    session.bench(
+        "tam_optimization_p93791_nr2000_i1/si_aware_repeat/64",
+        samples,
+        || {
+            TamOptimizer::new(&soc, 64, request_groups.clone())
+                .expect("valid")
+                .run(shared.clone())
+                .optimize()
+                .expect("optimizes")
+        },
+    );
     // The Algorithm 1-heaviest shape Table 3 sweeps: N_r = 10 000 at
     // i = 8 compacts to nine groups (eight partitions plus the
     // remainder), so every SI-aware probe that moves a group's

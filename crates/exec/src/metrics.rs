@@ -32,6 +32,12 @@ pub struct Metrics {
     probes_pruned: AtomicU64,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
+    used_hits: AtomicU64,
+    used_misses: AtomicU64,
+    dist_hits: AtomicU64,
+    dist_misses: AtomicU64,
+    search_hits: AtomicU64,
+    search_misses: AtomicU64,
     phases: Mutex<Vec<(String, Duration)>>,
 }
 
@@ -97,8 +103,8 @@ impl Metrics {
         self.rail_eval_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one `ScheduleSITest` pass skipped because no changed
-    /// rail intersected any group (prior schedule reused).
+    /// Records one probe that priced `T_soc^si` without running
+    /// Algorithm 1, because no group's time or rails changed.
     pub fn count_schedule_reuse(&self) {
         self.schedule_reuses.fetch_add(1, Ordering::Relaxed);
     }
@@ -137,6 +143,38 @@ impl Metrics {
     /// and generated and compacted its patterns.
     pub fn count_memo_miss(&self) {
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one rail-staircase lookup served from the evaluator's
+    /// memo.
+    pub fn count_used_hit(&self) {
+        self.used_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one rail-staircase lookup that missed and was computed.
+    pub fn count_used_miss(&self) {
+        self.used_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one merge probe whose redistribution cost was served
+    /// from the evaluator's memo.
+    pub fn count_dist_hit(&self) {
+        self.dist_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one redistribution-cost lookup that missed.
+    pub fn count_dist_miss(&self) {
+        self.dist_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one optimizer search leg answered from the search memo.
+    pub fn count_search_hit(&self) {
+        self.search_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one search-memo lookup that missed, so the leg ran.
+    pub fn count_search_miss(&self) {
+        self.search_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Times `f` and records the elapsed wall-clock under `name`.
@@ -180,6 +218,12 @@ impl Metrics {
             probes_pruned: self.probes_pruned.load(Ordering::Relaxed),
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
             memo_misses: self.memo_misses.load(Ordering::Relaxed),
+            used_hits: self.used_hits.load(Ordering::Relaxed),
+            used_misses: self.used_misses.load(Ordering::Relaxed),
+            dist_hits: self.dist_hits.load(Ordering::Relaxed),
+            dist_misses: self.dist_misses.load(Ordering::Relaxed),
+            search_hits: self.search_hits.load(Ordering::Relaxed),
+            search_misses: self.search_misses.load(Ordering::Relaxed),
             phases: self
                 .phases
                 .lock()
@@ -213,7 +257,7 @@ pub struct MetricsSnapshot {
     pub rail_eval_hits: u64,
     /// Per-rail evaluations actually computed.
     pub rail_eval_misses: u64,
-    /// `ScheduleSITest` passes skipped by schedule reuse.
+    /// Probes that priced `T_soc^si` without running Algorithm 1.
     pub schedule_reuses: u64,
     /// Speculative candidate probes evaluated by the optimizer.
     pub speculative_probes: u64,
@@ -227,6 +271,18 @@ pub struct MetricsSnapshot {
     pub memo_hits: u64,
     /// Compaction-memo lookups that missed (the groups were computed).
     pub memo_misses: u64,
+    /// Rail-staircase lookups served from the evaluator's memo.
+    pub used_hits: u64,
+    /// Rail-staircase lookups that missed (the staircases were computed).
+    pub used_misses: u64,
+    /// Redistribution-cost lookups served from the evaluator's memo.
+    pub dist_hits: u64,
+    /// Redistribution-cost lookups that missed.
+    pub dist_misses: u64,
+    /// Optimizer search legs answered from the search memo.
+    pub search_hits: u64,
+    /// Search-memo lookups that missed (the leg ran).
+    pub search_misses: u64,
     /// Accumulated wall-clock per named phase, in recording order.
     pub phases: Vec<(String, Duration)>,
 }
@@ -284,6 +340,15 @@ impl fmt::Display for MetricsSnapshot {
         }
         if self.schedule_reuses != 0 {
             writeln!(f, "  schedule reuse : {}", self.schedule_reuses)?;
+        }
+        for (label, hits, misses) in [
+            ("staircases     ", self.used_hits, self.used_misses),
+            ("dist costs     ", self.dist_hits, self.dist_misses),
+            ("search memo    ", self.search_hits, self.search_misses),
+        ] {
+            if hits != 0 || misses != 0 {
+                writeln!(f, "  {label}: {hits} hits / {misses} misses")?;
+            }
         }
         if self.speculative_probes != 0 || self.probe_batches != 0 {
             writeln!(
@@ -369,6 +434,27 @@ mod tests {
         assert!(!text.contains("schedule reuse"));
         assert!(!text.contains("probes"));
         assert!(!text.contains("memo"));
+        assert!(!text.contains("staircases"));
+        assert!(!text.contains("dist costs"));
+    }
+
+    #[test]
+    fn namespace_counters_accumulate() {
+        let m = Metrics::new();
+        m.count_used_hit();
+        m.count_used_miss();
+        m.count_used_miss();
+        m.count_dist_miss();
+        m.count_search_hit();
+        m.count_search_hit();
+        let snap = m.snapshot();
+        assert_eq!((snap.used_hits, snap.used_misses), (1, 2));
+        assert_eq!((snap.dist_hits, snap.dist_misses), (0, 1));
+        assert_eq!((snap.search_hits, snap.search_misses), (2, 0));
+        let text = snap.to_string();
+        assert!(text.contains("staircases     : 1 hits / 2 misses"));
+        assert!(text.contains("dist costs     : 0 hits / 1 misses"));
+        assert!(text.contains("search memo    : 2 hits / 0 misses"));
     }
 
     #[test]

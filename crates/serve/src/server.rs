@@ -19,7 +19,7 @@
 //! outcomes survive `kill -9` — see [`crate::journal`] and the job
 //! module docs for the recovery contract.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -42,8 +42,6 @@ pub use crate::job::RecoverMode;
 
 /// `Retry-After` seconds suggested on admission/queue rejections.
 const RETRY_AFTER_SECS: u64 = 1;
-/// Longest accept-loop idle backoff; accepts reset it to 1 ms.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(8);
 /// How often the monitor thread journals job checkpoints.
 const CHECKPOINT_INTERVAL: Duration = Duration::from_millis(100);
 
@@ -116,6 +114,8 @@ struct ServerState {
     rejected: AtomicU64,
     next_id: AtomicU64,
     shutdown: AtomicBool,
+    /// The listener's address, which [`wake_accept_loop`] connects to.
+    local_addr: SocketAddr,
     jobs: JobManager,
 }
 
@@ -182,6 +182,7 @@ impl Server {
                 rejected: AtomicU64::new(0),
                 next_id: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
+                local_addr,
                 jobs,
             }),
             job_workers: config.job_workers.max(1),
@@ -211,49 +212,47 @@ impl Server {
     ///
     /// [`ServeError`] when the accept loop cannot continue.
     pub fn run(self) -> Result<(), ServeError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError {
-                message: format!("cannot configure listener: {e}"),
-            })?;
-
         let mut job_workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for _ in 0..self.job_workers {
             let state = Arc::clone(&self.state);
             job_workers.push(std::thread::spawn(move || job_worker_loop(&state)));
         }
         let monitor_stop = Arc::new(AtomicBool::new(false));
+        // The monitor also wakes the blocked accept loop once a
+        // termination signal latched: std's `accept` retries on EINTR,
+        // so the signal alone never returns it. It backs up the wake
+        // `/admin/shutdown` sends itself, too.
         let monitor = {
             let state = Arc::clone(&self.state);
             let stop = Arc::clone(&monitor_stop);
             std::thread::spawn(move || {
+                let mut woken = false;
                 while !stop.load(Ordering::SeqCst) {
                     state.jobs.checkpoint_sweep();
+                    if !woken && state.stopping() {
+                        woken = wake_accept_loop(state.local_addr);
+                    }
                     std::thread::sleep(CHECKPOINT_INTERVAL);
                 }
             })
         };
 
+        // A blocking accept: a connection is taken the moment it
+        // arrives. Shutdown and termination wake the loop with a
+        // throwaway connection ([`wake_accept_loop`]), which is dropped.
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let mut backoff = Duration::from_millis(1);
         let accept_result = loop {
-            if self.state.shutdown.load(Ordering::SeqCst) || signal::terminate_requested() {
+            if self.state.stopping() {
                 break Ok(());
             }
             match self.listener.accept() {
+                Ok(_) if self.state.stopping() => break Ok(()),
                 Ok((stream, _)) => {
-                    backoff = Duration::from_millis(1);
                     let state = Arc::clone(&self.state);
                     workers.push(std::thread::spawn(move || {
                         handle_connection(stream, &state);
                     }));
                     workers.retain(|handle| !handle.is_finished());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Poll-with-backoff: stay responsive right after
-                    // traffic, back off to 8 ms when idle.
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
                 }
                 Err(e) => {
                     break Err(ServeError {
@@ -282,6 +281,28 @@ impl Server {
         }
         accept_result
     }
+}
+
+impl ServerState {
+    /// Whether the accept loop should stop: `/admin/shutdown` or a
+    /// SIGTERM/SIGINT latch.
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || signal::terminate_requested()
+    }
+}
+
+/// Connects to the daemon's own listener so that an accept loop
+/// blocked in `accept` returns and sees the shutdown or termination
+/// latch. An unspecified listen address is reached over loopback.
+/// Returns whether the connection was made.
+fn wake_accept_loop(mut addr: SocketAddr) -> bool {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
 }
 
 /// RAII admission slot; drops decrement the in-flight gauge even when
@@ -404,6 +425,7 @@ fn route(request: &Request, state: &ServerState) -> Response {
             // the accept loop even notices the flag.
             state.jobs.drain();
             state.shutdown.store(true, Ordering::SeqCst);
+            wake_accept_loop(state.local_addr);
             Response::json(
                 200,
                 &Json::obj(vec![("status", Json::str("shutting-down"))]),
@@ -881,6 +903,12 @@ fn metrics_json(state: &ServerState) -> Json {
                 ("probes_pruned", Json::Int(snapshot.probes_pruned as i128)),
                 ("memo_hits", Json::Int(snapshot.memo_hits as i128)),
                 ("memo_misses", Json::Int(snapshot.memo_misses as i128)),
+                ("used_hits", Json::Int(snapshot.used_hits as i128)),
+                ("used_misses", Json::Int(snapshot.used_misses as i128)),
+                ("dist_hits", Json::Int(snapshot.dist_hits as i128)),
+                ("dist_misses", Json::Int(snapshot.dist_misses as i128)),
+                ("search_hits", Json::Int(snapshot.search_hits as i128)),
+                ("search_misses", Json::Int(snapshot.search_misses as i128)),
                 (
                     "phases",
                     Json::Arr(

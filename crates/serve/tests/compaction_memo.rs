@@ -3,7 +3,9 @@
 //! recalls its compacted SI groups from the shared cache instead of
 //! generating and compacting again. Answers must be byte-identical to
 //! cold ones, and armed failpoints must fail a recalled request exactly
-//! as they fail a computed one.
+//! as they fail a computed one. Behind it, the search memo recalls
+//! every optimizer leg whose SOC, width budget and groups were searched
+//! before, whatever seed produced the groups.
 //!
 //! Failpoints are process-global, so every test here serializes on one
 //! mutex.
@@ -67,6 +69,14 @@ fn memo(addr: &str) -> (u64, u64) {
     let pool = metrics.get("pool").unwrap();
     let count = |name: &str| pool.get(name).unwrap().as_u64().unwrap();
     (count("memo_hits"), count("memo_misses"))
+}
+
+/// `(search_hits, search_misses)` from `/metrics`.
+fn search(addr: &str) -> (u64, u64) {
+    let metrics = Json::parse(&client::get(addr, "/metrics").unwrap().body).unwrap();
+    let pool = metrics.get("pool").unwrap();
+    let count = |name: &str| pool.get(name).unwrap().as_u64().unwrap();
+    (count("search_hits"), count("search_misses"))
 }
 
 fn cold_answer(body: &str) -> Json {
@@ -226,4 +236,36 @@ fn failpoints_fail_a_recalled_request_like_a_computed_one() {
     assert_eq!(status, 200);
     assert_eq!(memo(&addr), (4, 1));
     stop(&addr, handle);
+}
+
+fn d695_i1_body(seed: u64) -> String {
+    format!(
+        r#"{{"soc":"d695","params":{{"patterns":300,"width":16,"partitions":1,"seed":{seed}}}}}"#
+    )
+}
+
+#[test]
+fn repeated_searches_are_recalled_with_fresh_daemon_answers() {
+    let _serial = serialize();
+    let (addr, handle) = start(2);
+    // Seeds 1 and 7 both compact d695's 300 patterns at i = 1 to one
+    // all-core group of 15 patterns: different compactions, one search.
+    let answers: Vec<Json> = [1, 1, 7]
+        .into_iter()
+        .map(|seed| {
+            let (status, envelope) = optimize(&addr, &d695_i1_body(seed));
+            assert_eq!(status, 200, "{}", envelope.render());
+            envelope
+        })
+        .collect();
+    assert_eq!(memo(&addr), (1, 2));
+    // The first request searched both portfolio legs; the repeat and
+    // the other seed recalled them.
+    assert_eq!(search(&addr), (4, 2));
+    stop(&addr, handle);
+
+    assert!(output(&answers[2]).starts_with("d695: N_r=300 -> 15 compacted patterns in 1 groups"));
+    for (answer, seed) in answers.iter().zip([1, 1, 7]) {
+        assert_eq!(*answer, cold_answer(&d695_i1_body(seed)), "seed {seed}");
+    }
 }

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use soctam_exec::{fault, fx_fingerprint128, Fingerprinter, FpKey, MemoCache, Metrics};
+use soctam_exec::{fault, fx_fingerprint128, FpKey, MemoCache, Metrics};
 use soctam_model::{CoreId, Soc};
 use soctam_wrapper::{TimeTable, MAX_TAM_WIDTH};
 
@@ -72,9 +72,10 @@ const SPACE_RAIL: u8 = 0;
 const SPACE_ARCH: u8 = 1;
 /// Cache namespace: [`RailStaircases`] keyed by core-set fingerprint.
 const SPACE_USED: u8 = 2;
-/// Cache namespace: the makespans of patched probe rows, keyed by
-/// [`group_times_fp`].
-const SPACE_MAKESPAN: u8 = 3;
+/// Cache namespace: the committed rails of finished optimizer search
+/// legs, keyed by (objective, start perturbation); see
+/// [`Evaluator::search_cached`].
+const SPACE_SEARCH: u8 = 3;
 /// Cache namespace: objective costs of speculative wire
 /// redistributions, keyed by (candidate rails, freed wires, objective).
 const SPACE_DIST: u8 = 4;
@@ -85,18 +86,20 @@ const SPACE_DIST: u8 = 4;
 const SPACE_GROUPS: u8 = 5;
 
 /// One value of the shared evaluation store. All six logical caches
-/// (rail components, assembled architectures, staircases, makespans,
-/// redistribution costs, compacted group lists) live in a single
-/// sharded [`MemoCache`], disambiguated by the [`FpKey`] namespace tag.
+/// (rail components, assembled architectures, staircases,
+/// redistribution costs, finished searches, compacted group lists)
+/// live in a single sharded [`MemoCache`], disambiguated by the
+/// [`FpKey`] namespace tag.
 #[derive(Clone, Debug)]
 enum Cached {
     Rail(Arc<RailEval>),
     Arch(Arc<Evaluation>),
     Used(Arc<RailStaircases>),
-    Makespan(u64),
     Cost(u64),
     /// A thin `Arc<Vec<_>>`, not a fat `Arc<[_]>`: the wider pointer
     /// would widen every slot of the store, 48 → 64 bytes.
+    Search(Arc<Vec<TestRail>>),
+    /// Thin for the same reason.
     Groups(Arc<Vec<SiGroupSpec>>),
 }
 
@@ -231,16 +234,6 @@ pub(crate) fn patched_rows<'g>(
             Some((_, patched)) => patched,
             None => row,
         })
-}
-
-/// Fingerprint of what Algorithm 1 reads of the [`patched_rows`]: each
-/// row's time and rails, in group order.
-fn group_times_fp(base: &[SiGroupTime], changed: &[(usize, SiGroupTime)]) -> u128 {
-    let mut fp = Fingerprinter::new();
-    for row in patched_rows(base, changed) {
-        fp.write(&(row.time, &row.rails));
-    }
-    fp.finish()
 }
 
 /// A compacted SI test group as the TAM layer sees it: the involved cores
@@ -401,7 +394,7 @@ pub type RailEdit<'c> = (usize, Option<&'c Arc<RailEval>>);
 /// columns (each row ascending by rail index, as the group walk visits
 /// them) with its top-two, and the group-times vector and makespan. A
 /// state seeded for [`Objective::InTestOnly`] has no SI half, so its
-/// probes never patch a group row or look up a makespan.
+/// probes never patch a group row or run Algorithm 1.
 /// [`Evaluator::state_cost`] prices a list of [`RailEdit`]s read-only,
 /// so concurrent probes share one state; [`Evaluator::state_apply`]
 /// accepts them in place.
@@ -726,8 +719,8 @@ pub struct Evaluator<'a> {
     /// component visit only the groups its cores participate in.
     core_groups: Vec<Vec<u32>>,
     /// Shared store for the five evaluation namespaces (rail
-    /// components, assembled architectures, staircases, makespans,
-    /// redistribution costs), keyed by namespaced
+    /// components, assembled architectures, staircases, redistribution
+    /// costs, finished searches), keyed by namespaced
     /// fingerprint. The optimizer revisits the same rails
     /// and candidate architectures constantly (merge sweeps, wire
     /// redistribution, sort passes); evaluation is pure, so results are
@@ -741,7 +734,7 @@ pub struct Evaluator<'a> {
     /// budget, SI groups), mixed into every cache key so evaluators
     /// with different contexts can share one store without aliasing.
     ctx_fp: u128,
-    /// Optional sink for cache-hit/miss, rail-eval and schedule-reuse
+    /// Optional sink for the per-namespace hit/miss and schedule-reuse
     /// counters (the CLI `--stats` report).
     metrics: Option<Arc<Metrics>>,
 }
@@ -815,7 +808,7 @@ impl<'a> Evaluator<'a> {
     /// store and time table. The fork skips the full construction pass
     /// (SOC fingerprinting, wrapper time table) by cloning the ingested
     /// state, and — because the context fingerprint is identical —
-    /// every rail component, makespan and staircase either evaluator
+    /// every rail component, staircase and finished search either evaluator
     /// computes is immediately visible to the other. Objective-dependent
     /// entries carry the objective in their caller-side fingerprint, so
     /// forks running different objectives cannot alias.
@@ -841,6 +834,19 @@ impl<'a> Evaluator<'a> {
         FpKey::new(space, fp ^ self.ctx_fp)
     }
 
+    /// Counts a lookup that `found` its value (`hit`) or not (`miss`)
+    /// into the attached metrics, and passes the value through.
+    fn counted<T>(&self, found: Option<T>, hit: fn(&Metrics), miss: fn(&Metrics)) -> Option<T> {
+        if let Some(m) = &self.metrics {
+            if found.is_some() {
+                hit(m);
+            } else {
+                miss(m);
+            }
+        }
+        found
+    }
+
     /// [`Evaluator::evaluate`] of a rail list through the memo cache:
     /// rail lists with the same fingerprint share one evaluation. Takes
     /// a bare rail slice (the optimizer's candidate representation), so
@@ -849,14 +855,13 @@ impl<'a> Evaluator<'a> {
     /// so racing computations produce identical values.
     pub fn evaluate_cached(&self, rails: &[TestRail]) -> Arc<Evaluation> {
         let key = self.cache_key(SPACE_ARCH, arch_fingerprint(rails));
-        if let Some(Cached::Arch(eval)) = self.cache.get(&key) {
-            if let Some(m) = &self.metrics {
-                m.count_cache_hit();
-            }
+        let found = match self.cache.get(&key) {
+            Some(Cached::Arch(eval)) => Some(eval),
+            _ => None,
+        };
+        if let Some(eval) = self.counted(found, Metrics::count_cache_hit, Metrics::count_cache_miss)
+        {
             return eval;
-        }
-        if let Some(m) = &self.metrics {
-            m.count_cache_miss();
         }
         let eval = Arc::new(self.evaluate_rails(rails));
         self.insert_arch(key, eval)
@@ -948,8 +953,10 @@ impl<'a> Evaluator<'a> {
         st.recompute_t_in();
     }
 
-    /// `T_soc^si` of `group_times` with the `changed` rows substituted:
-    /// `t_si` itself when no row changed.
+    /// `T_soc^si` of `group_times` with the sorted `changed` rows
+    /// substituted: `t_si` itself when no row changed, else the
+    /// Algorithm 1 makespan read through the substitution — never a
+    /// schedule, never the patched vector.
     fn t_si_patched(
         &self,
         group_times: &[SiGroupTime],
@@ -962,7 +969,7 @@ impl<'a> Evaluator<'a> {
             }
             t_si
         } else {
-            self.makespan_patched(group_times, changed)
+            crate::schedule::makespan(patched_rows(group_times, changed))
         }
     }
 
@@ -987,14 +994,13 @@ impl<'a> Evaluator<'a> {
     pub fn component(&self, width: u32, cores: &[CoreId]) -> Arc<RailEval> {
         let fp = fx_fingerprint128(&(width, fx_fingerprint128(&cores)));
         let key = self.cache_key(SPACE_RAIL, fp);
-        if let Some(Cached::Rail(rail_eval)) = self.cache.get(&key) {
-            if let Some(m) = &self.metrics {
-                m.count_rail_eval_hit();
-            }
+        let found = match self.cache.get(&key) {
+            Some(Cached::Rail(rail_eval)) => Some(rail_eval),
+            _ => None,
+        };
+        let (hit, miss) = (Metrics::count_rail_eval_hit, Metrics::count_rail_eval_miss);
+        if let Some(rail_eval) = self.counted(found, hit, miss) {
             return rail_eval;
-        }
-        if let Some(m) = &self.metrics {
-            m.count_rail_eval_miss();
         }
         let rail_eval = Arc::new(self.compute_rail_eval(width, cores));
         match self
@@ -1096,23 +1102,6 @@ impl<'a> Evaluator<'a> {
         group_times
     }
 
-    /// The Algorithm 1 makespan of `base` with the sorted `changed` rows
-    /// substituted, served from the makespan memo or computed through
-    /// the substitution: never a schedule, never the patched vector.
-    fn makespan_patched(&self, base: &[SiGroupTime], changed: &[(usize, SiGroupTime)]) -> u64 {
-        let key = self.cache_key(SPACE_MAKESPAN, group_times_fp(base, changed));
-        if let Some(Cached::Makespan(makespan)) = self.cache.get(&key) {
-            if let Some(m) = &self.metrics {
-                m.count_schedule_reuse();
-            }
-            return makespan;
-        }
-        let makespan = crate::schedule::makespan(patched_rows(base, changed));
-        self.cache
-            .get_or_insert_with(key, || Cached::Makespan(makespan));
-        makespan
-    }
-
     /// The memoized objective cost of a speculative wire
     /// redistribution (`SPACE_DIST`), or `None` when not yet computed.
     /// `fp` is the caller's fingerprint of everything the cost depends
@@ -1126,10 +1115,11 @@ impl<'a> Evaluator<'a> {
     /// water-filling pass is a pure function of the candidate and the
     /// wire count, so its final cost can be reused verbatim.
     pub(crate) fn dist_cost_cached(&self, fp: u128) -> Option<u64> {
-        match self.cache.get(&self.cache_key(SPACE_DIST, fp)) {
+        let cost = match self.cache.get(&self.cache_key(SPACE_DIST, fp)) {
             Some(Cached::Cost(cost)) => Some(cost),
             _ => None,
-        }
+        };
+        self.counted(cost, Metrics::count_dist_hit, Metrics::count_dist_miss)
     }
 
     /// Publishes a redistribution cost for [`Evaluator::dist_cost_cached`].
@@ -1142,6 +1132,40 @@ impl<'a> Evaluator<'a> {
             .get_or_insert_with(self.cache_key(SPACE_DIST, fp), || Cached::Cost(cost));
     }
 
+    /// The committed rails of the finished optimizer search leg for
+    /// `objective` from start `perturbation` (`SPACE_SEARCH`), or
+    /// `None` when no such leg was stored. Together with the context
+    /// fingerprint every cache key carries (SOC, width budget, SI
+    /// groups), the key covers everything an unbudgeted, fault-free
+    /// leg reads, so a hit is exactly the rails the leg would commit.
+    pub(crate) fn search_cached(
+        &self,
+        objective: Objective,
+        perturbation: u64,
+    ) -> Option<Arc<Vec<TestRail>>> {
+        let key = self.cache_key(SPACE_SEARCH, fx_fingerprint128(&(objective, perturbation)));
+        let rails = match self.cache.get(&key) {
+            Some(Cached::Search(rails)) => Some(rails),
+            _ => None,
+        };
+        self.counted(rails, Metrics::count_search_hit, Metrics::count_search_miss)
+    }
+
+    /// Publishes a finished leg's rails for [`Evaluator::search_cached`].
+    ///
+    /// Callers must only store legs that ran unbudgeted, undegraded and
+    /// with no failpoint configured, so a later lookup observes exactly
+    /// what a fresh search would commit.
+    pub(crate) fn store_search(
+        &self,
+        objective: Objective,
+        perturbation: u64,
+        rails: Arc<Vec<TestRail>>,
+    ) {
+        let key = self.cache_key(SPACE_SEARCH, fx_fingerprint128(&(objective, perturbation)));
+        self.cache.get_or_insert_with(key, || Cached::Search(rails));
+    }
+
     /// The `time_used` and `time_in` staircases of a core set, one
     /// entry per width `1..=max_width`, memoized together by core-set
     /// fingerprint. The optimizer's wire distribution, rebalancing and
@@ -1149,7 +1173,12 @@ impl<'a> Evaluator<'a> {
     /// values.
     pub fn rail_staircases(&self, cores: &[CoreId]) -> Arc<RailStaircases> {
         let key = self.cache_key(SPACE_USED, fx_fingerprint128(&cores));
-        if let Some(Cached::Used(stairs)) = self.cache.get(&key) {
+        let found = match self.cache.get(&key) {
+            Some(Cached::Used(stairs)) => Some(stairs),
+            _ => None,
+        };
+        if let Some(stairs) = self.counted(found, Metrics::count_used_hit, Metrics::count_used_miss)
+        {
             return stairs;
         }
         let (used, intest) = (1..=self.max_width)

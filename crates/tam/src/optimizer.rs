@@ -867,9 +867,9 @@ impl<'a> TamOptimizer<'a> {
         }
         // The secondary leg forks the primary's evaluator: same context
         // fingerprint, shared memo store — every rail component and
-        // schedule the primary leg computed is already warm, and
-        // objective-dependent cost entries cannot alias because their
-        // fingerprints carry the objective.
+        // staircase the primary leg computed is already warm, and
+        // objective-dependent entries (redistribution costs, finished
+        // searches) cannot alias because their keys carry the objective.
         let alt = TamOptimizer {
             evaluator: self.evaluator.fork(),
             max_width: self.max_width,
@@ -960,19 +960,61 @@ impl<'a> TamOptimizer<'a> {
         Ok(best)
     }
 
-    /// One Algorithm 2 run. `perturbation == 0` uses the paper's start
-    /// solution (one one-wire rail per core, lines 1-16); other values
-    /// start from a structurally different architecture (a deterministic
-    /// round-robin packing into `2..` rails) so multi-start explores
-    /// different basins.
-    // Invariant: merged widths and `max_width` are >= 1 (checked at
-    // construction), and core assignments stay consistent throughout.
+    /// One Algorithm 2 leg from start `perturbation` (see
+    /// [`TamOptimizer::search`]), answered from the search memo when it
+    /// can be. A leg is deterministic: with an unlimited budget and no
+    /// failpoint configured, its rails depend only on the evaluator's
+    /// context (SOC, `W_max`, SI groups), the objective and the
+    /// perturbation, which is exactly the memo's key (DESIGN.md §12).
+    /// Only such a leg reads the memo, and only such a leg that
+    /// finished undegraded writes it, so budgeted, cancelled and
+    /// fault-injected runs search exactly as they would without it.
+    // Invariant: the search maintains a consistent core assignment,
+    // and a recalled leg is one a search committed for this context.
     #[allow(clippy::expect_used)]
     fn optimize_perturbed(
         &self,
         perturbation: u64,
         tracker: &BudgetTracker,
     ) -> Result<OptimizedArchitecture, TamError> {
+        let memo = self.run.budget.is_unlimited() && tracker.within() && !fault::any_active();
+        let recalled = memo
+            .then(|| self.evaluator.search_cached(self.objective, perturbation))
+            .flatten();
+        let rails = match recalled {
+            Some(rails) => rails.to_vec(),
+            None => {
+                let rails = self.search(perturbation, tracker);
+                if memo && !tracker.exhausted() && !fault::any_active() {
+                    let stored = Arc::new(rails.clone());
+                    self.evaluator
+                        .store_search(self.objective, perturbation, stored);
+                }
+                rails
+            }
+        };
+        let architecture = TestRailArchitecture::new(self.soc(), rails)
+            .expect("optimizer maintains a consistent core assignment");
+        debug_assert!(architecture.check_width(self.max_width).is_ok());
+        let evaluation = (*self.evaluator.evaluate_cached(architecture.rails())).clone();
+        self.publish_best(evaluation.t_total());
+        Ok(OptimizedArchitecture {
+            architecture,
+            evaluation,
+            degraded: tracker.exhausted(),
+        })
+    }
+
+    /// One Algorithm 2 run, returning the rails it commits.
+    /// `perturbation == 0` uses the paper's start solution (one
+    /// one-wire rail per core, lines 1-16); other values start from a
+    /// structurally different architecture (a deterministic round-robin
+    /// packing into `2..` rails) so multi-start explores different
+    /// basins.
+    // Invariant: merged widths and `max_width` are >= 1 (checked at
+    // construction), and core assignments stay consistent throughout.
+    #[allow(clippy::expect_used)]
+    fn search(&self, perturbation: u64, tracker: &BudgetTracker) -> Vec<TestRail> {
         let n = self.soc().num_cores();
         let w_max = self.max_width as usize;
 
@@ -1075,19 +1117,10 @@ impl<'a> TamOptimizer<'a> {
             .rails()
             .to_vec();
         if self.cost(&single) < self.cost(&rails) {
-            rails = single;
+            single
+        } else {
+            rails
         }
-
-        let architecture = TestRailArchitecture::new(self.soc(), rails)
-            .expect("optimizer maintains a consistent core assignment");
-        debug_assert!(architecture.check_width(self.max_width).is_ok());
-        let evaluation = (*self.evaluator.evaluate_cached(architecture.rails())).clone();
-        self.publish_best(evaluation.t_total());
-        Ok(OptimizedArchitecture {
-            architecture,
-            evaluation,
-            degraded: tracker.exhausted(),
-        })
     }
 
     /// An alternative start solution for multi-start runs: cores shuffled
@@ -1371,8 +1404,9 @@ mod tests {
     fn intest_only_probes_price_no_si_makespan() {
         // Only probes reuse a makespan: an incumbent evaluation always
         // runs Algorithm 1 afresh, so an InTest-only run, whose probes
-        // never look up or run it, reuses none. A Total run's probes
-        // price `T_soc^si` and reuse many.
+        // never price `T_soc^si`, reuses none. A Total run's probes
+        // reuse the incumbent's makespan whenever no group row changed,
+        // which many of them do.
         let soc = Benchmark::P34392.soc();
         let c = |range: std::ops::Range<u32>| -> Vec<CoreId> { range.map(CoreId::new).collect() };
         let groups = vec![
