@@ -118,11 +118,11 @@ fi
 # tam.probe is the one shipped failpoint that must NOT fail the run: a
 # faulted speculative probe is discarded (counted as wasted) and the
 # step falls back to the surviving candidates — deterministically at
-# every --probe-jobs value, so the faulted outputs must be identical.
+# every --jobs value, so the faulted outputs must be identical.
 probe_run() {
-    local spec="$1" probe_jobs="$2" out="$3"
+    local spec="$1" jobs="$2" out="$3"
     SOCTAM_FAILPOINTS="$spec" "$BIN" optimize d695 \
-        --patterns 500 --width 8 --partitions 2 --probe-jobs "$probe_jobs" \
+        --patterns 500 --width 8 --partitions 2 --jobs "$jobs" \
         >"$out" 2>"$WORK/probe.stderr"
 }
 for spec in "tam.probe=error@5" "tam.probe=panic@3"; do
@@ -132,16 +132,27 @@ for spec in "tam.probe=error@5" "tam.probe=panic@3"; do
     code_par=$?
     if [ "$code_serial" -ne 0 ] || [ "$code_par" -ne 0 ]; then
         echo "FAIL [$spec]: faulted probes must degrade, not fail" \
-            "(exit $code_serial serial, $code_par parallel)"
+            "(exit $code_serial at --jobs 1, $code_par at --jobs 4)"
         sed 's/^/    /' "$WORK/probe.stderr"
         failures=$((failures + 1))
     elif ! cmp -s "$WORK/probe.serial" "$WORK/probe.par"; then
-        echo "FAIL [$spec]: output diverges between --probe-jobs 1 and 4"
+        echo "FAIL [$spec]: output diverges between --jobs 1 and 4"
         failures=$((failures + 1))
     else
-        echo "ok   [$spec] -> contained at every --probe-jobs, identical output"
+        echo "ok   [$spec] -> contained at every --jobs, identical output"
     fi
 done
+
+# Probes run on the thread that enumerates them: there is no probe pool
+# to size, so the flag is unknown (usage error, exit 2).
+"$BIN" optimize d695 --patterns 100 --probe-jobs 2 >/dev/null 2>"$WORK/stderr"
+code=$?
+if [ "$code" -ne 2 ]; then
+    echo "FAIL [--probe-jobs]: expected usage error (exit 2), got $code"
+    failures=$((failures + 1))
+else
+    echo "ok   [--probe-jobs] -> rejected as usage error"
+fi
 
 # With the variable unset the same invocation must succeed.
 "$BIN" optimize d695 --patterns 500 --width 8 --partitions 2 >/dev/null 2>&1

@@ -207,11 +207,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let mut params = parse_cli(tool.params, rest).map_err(|e| CliError::usage(e.message))?;
     expand_profile(tool.params, &mut params)?;
 
-    // The run context and `stats` are front-end concerns: the pools and
-    // the cache are built here from `jobs`, `probe-jobs` and `cache-cap`
-    // (the daemon builds its own at startup), and statistics are
-    // appended after the tool returns. A `probe-jobs` of 1 keeps
-    // speculative probing on the optimizer's private serial pool.
+    // The run context and `stats` are front-end concerns: the pool and
+    // the cache are built here from `jobs` and `cache-cap` (the daemon
+    // builds its own at startup), and statistics are appended after the
+    // tool returns.
     let jobs = if params.contains("jobs") {
         params.usize("jobs")
     } else {
@@ -219,10 +218,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     };
     let pool = Pool::new(jobs);
     let mut ctx = RunCtx {
-        probe_pool: match params.opt_usize("probe-jobs") {
-            None | Some(1) => None,
-            Some(jobs) => Some(Pool::new(jobs)),
-        },
         eval_cache: params
             .opt_usize("cache-cap")
             .map(|cap| EvalCache::with_capacity_and_metrics(cap, pool.metrics())),
@@ -386,11 +381,19 @@ mod tests {
     fn unknown_flag_is_usage_error() {
         let err = run(&args(&["info", "d695"])); // no flags: fine
         assert!(err.is_ok());
-        // No tool takes `--backend`: it is unknown like any other flag.
-        for flags in [&["--bogus"][..], &["--backend", "tr-architect"]] {
-            let err = run(&args(&[&["optimize", "d695"][..], flags].concat())).unwrap_err();
-            assert_eq!(err.code, 2);
-            assert!(err.message.contains(flags[0]));
+        // No tool takes `--backend` or `--probe-jobs`: each is unknown
+        // like any other flag.
+        let unknown = [
+            &["--bogus"][..],
+            &["--backend", "tr-architect"],
+            &["--probe-jobs", "2"],
+        ];
+        for flags in unknown {
+            for tool in ["optimize", "table"] {
+                let err = run(&args(&[&[tool, "d695"][..], flags].concat())).unwrap_err();
+                assert_eq!(err.code, 2, "{tool} {flags:?}");
+                assert!(err.message.contains(flags[0]), "{}", err.message);
+            }
         }
     }
 
@@ -455,30 +458,6 @@ mod tests {
             let mut parallel = base.clone();
             parallel.extend(args(&["--jobs", jobs]));
             assert_eq!(run(&parallel).expect("runs"), serial, "--jobs {jobs}");
-        }
-    }
-
-    #[test]
-    fn probe_jobs_values_produce_identical_output() {
-        let base = args(&[
-            "optimize",
-            "d695",
-            "--patterns",
-            "300",
-            "--width",
-            "8",
-            "--partitions",
-            "2",
-        ]);
-        let serial = run(&base).expect("runs");
-        for (jobs, probe_jobs) in [("1", "4"), ("1", "8"), ("4", "4")] {
-            let mut parallel = base.clone();
-            parallel.extend(args(&["--jobs", jobs, "--probe-jobs", probe_jobs]));
-            assert_eq!(
-                run(&parallel).expect("runs"),
-                serial,
-                "--jobs {jobs} --probe-jobs {probe_jobs}"
-            );
         }
     }
 
@@ -548,8 +527,8 @@ mod tests {
         // both lines (gated on nonzero) must be present.
         assert!(out.contains("rail evals"));
         assert!(out.contains("schedule reuse"));
-        // The optimizer's move loops probe candidates speculatively even
-        // at --probe-jobs 1, so the probe counters must be reported.
+        // The optimizer's move loops probe candidates speculatively, so
+        // the probe counters must be reported.
         assert!(out.contains("speculative"), "{out}");
         assert!(out.contains("batches"), "{out}");
     }

@@ -9,7 +9,6 @@ use soctam_compaction::{
 };
 use soctam_exec::{fault, fx_fingerprint128, Metrics, Pool};
 use soctam_hypergraph::PartitionConfig;
-use soctam_model::parser::write_soc;
 use soctam_model::Soc;
 use soctam_patterns::{
     generate_random_packed, PackedSet, PatternError, RandomPatternConfig, SiPatternSet,
@@ -72,7 +71,6 @@ pub struct SiOptimizer<'a> {
     partitions: u32,
     seed: u64,
     objective: Objective,
-    restarts: u32,
     run: RunCtx,
 }
 
@@ -86,7 +84,6 @@ impl<'a> SiOptimizer<'a> {
             partitions: 4,
             seed: 0,
             objective: Objective::Total,
-            restarts: 1,
             run: RunCtx::default(),
         }
     }
@@ -138,13 +135,6 @@ impl<'a> SiOptimizer<'a> {
     /// reproduces the TR-Architect / `T_[8]` baseline).
     pub fn objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Sets the number of multi-start restarts for the TAM optimizer
-    /// (1 = the paper's single deterministic run).
-    pub fn restarts(mut self, restarts: u32) -> Self {
-        self.restarts = restarts.max(1);
         self
     }
 
@@ -213,7 +203,7 @@ impl<'a> SiOptimizer<'a> {
                     TamOptimizer::new(self.soc, self.max_tam_width, groups.to_vec())?
                         .objective(self.objective)
                         .run(self.run.clone())
-                        .optimize_multi(self.restarts)
+                        .optimize()
                 })
                 .map_err(SoctamError::from)
         })?;
@@ -325,10 +315,10 @@ impl<'a> SiOptimizer<'a> {
 
 /// The memo key of the group specs that generating `patterns` on `soc`
 /// and compacting them under `compaction` produce: a fingerprint of
-/// every input those two stages read. The SOC enters as its canonical
-/// ITC'02 text, so inline SOCs that share a name do not alias. The
-/// destructuring is exhaustive: a field added to any of the configs
-/// fails to compile here until it is keyed.
+/// every input those two stages read. The SOC enters by its contents
+/// (its name and every core spec), so inline SOCs that share a name do
+/// not alias. The destructuring is exhaustive: a field added to any of
+/// the configs fails to compile here until it is keyed.
 fn group_specs_key(
     soc: &Soc,
     patterns: &RandomPatternConfig,
@@ -357,7 +347,7 @@ fn group_specs_key(
         merge_order,
     } = compaction;
     fx_fingerprint128(&(
-        write_soc(soc),
+        soc,
         (
             count,
             seed,
@@ -469,15 +459,13 @@ mod tests {
         let single = SiOptimizer::new(&soc)
             .max_tam_width(16)
             .optimize(&patterns)
-            .expect("optimizes")
-            .total_time();
-        let multi = SiOptimizer::new(&soc)
-            .max_tam_width(16)
-            .restarts(4)
-            .optimize(&patterns)
-            .expect("optimizes")
-            .total_time();
-        assert!(multi <= single);
+            .expect("optimizes");
+        let groups = SiGroupSpec::from_compacted(single.compacted());
+        let multi = TamOptimizer::new(&soc, 16, groups)
+            .expect("valid")
+            .optimize_multi(4)
+            .expect("optimizes");
+        assert!(multi.evaluation().t_total() <= single.total_time());
     }
 
     #[test]

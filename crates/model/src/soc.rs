@@ -31,7 +31,7 @@ use crate::{CoreId, CoreSpec, Diagnostic, Diagnostics, ModelError, TerminalId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Soc {
     name: String,
     cores: Vec<CoreSpec>,

@@ -4,10 +4,10 @@
 //! Tool bodies are front-end-agnostic: they read typed parameters,
 //! run on the [`RunCtx`] they are handed and return a report string.
 //! Front-end concerns stay outside — the CLI builds the context from
-//! `--jobs`, `--probe-jobs`, `--cache-cap` and `--progress` and appends
-//! `--stats` output itself; the daemon builds it from its startup pool
-//! and warm shared cache plus the job's cancel token and progress sink.
-//! Tools construct no pool and no cache.
+//! `--jobs`, `--cache-cap` and `--progress` and appends `--stats`
+//! output itself; the daemon builds it from its startup pool and warm
+//! shared cache plus the job's cancel token and progress sink. Tools
+//! construct no pool and no cache.
 //!
 //! `optimize` gets its compacted SI groups from
 //! [`SiOptimizer::group_specs`], so when the context carries a shared
@@ -68,13 +68,6 @@ const STATS: ParamSpec = ParamSpec::new(
     ParamKind::Bool,
     Some("false"),
     "print runtime statistics (tasks, steals, cache); CLI only",
-);
-const PROBE_JOBS: ParamSpec = ParamSpec::new(
-    "probe-jobs",
-    ParamKind::Usize,
-    Some("1"),
-    "threads for speculative candidate probing (0 = all cores); \
-     bit-identical results at every value; CLI only",
 );
 const PROFILE: ParamSpec = ParamSpec::new(
     "profile",
@@ -142,7 +135,6 @@ static OPTIMIZE_PARAMS: &[ParamSpec] = &[
     PARTITIONS,
     SEED,
     JOBS,
-    PROBE_JOBS,
     STATS,
     PROGRESS,
     PROFILE,
@@ -153,7 +145,7 @@ static OPTIMIZE_PARAMS: &[ParamSpec] = &[
     CACHE_CAP,
 ];
 static TABLE_PARAMS: &[ParamSpec] = &[
-    PATTERNS, WIDTHS, PARTS, SEED, JOBS, PROBE_JOBS, STATS, PROGRESS, PROFILE, CACHE_CAP,
+    PATTERNS, WIDTHS, PARTS, SEED, JOBS, STATS, PROGRESS, PROFILE, CACHE_CAP,
 ];
 static COMPACT_PARAMS: &[ParamSpec] = &[PATTERNS, PARTITIONS, SEED, JOBS, STATS];
 static EXPORT_PARAMS: &[ParamSpec] = &[];
@@ -256,11 +248,28 @@ fn check_widths(widths: &[u32]) -> Result<(), ToolError> {
     widths
         .iter()
         .try_for_each(|&width| check_width_budget(width))
-        .map_err(|err| ToolError {
-            kind: ToolErrorKind::Invalid,
-            message: SoctamError::from(err).to_string(),
-            codes: Vec::new(),
-        })
+        .map_err(|err| invalid(SoctamError::from(err).to_string()))
+}
+
+/// Rejects a partition count of 0 as an invalid request, before any
+/// pattern is generated: the 1-D compaction is `i = 1`, and no other
+/// count means it.
+fn check_partitions(partitions: &[u32]) -> Result<(), ToolError> {
+    if partitions.contains(&0) {
+        return Err(invalid(
+            "SI partition count must be at least 1 (i = 1 is the 1-D compaction)",
+        ));
+    }
+    Ok(())
+}
+
+/// A well-formed request that no run can answer.
+fn invalid(message: impl Into<String>) -> ToolError {
+    ToolError {
+        kind: ToolErrorKind::Invalid,
+        message: message.into(),
+        codes: Vec::new(),
+    }
 }
 
 fn pipeline_err(err: impl Into<SoctamError>) -> ToolError {
@@ -310,6 +319,7 @@ fn export_tool(soc: &Soc, _params: &ParamValues, _ctx: &RunCtx) -> Result<ToolOu
 
 fn optimize_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     check_widths(&[params.u32("width")])?;
+    check_partitions(&[params.u32("partitions")])?;
     let objective = if params.bool("baseline") {
         Objective::InTestOnly
     } else {
@@ -371,6 +381,7 @@ fn table_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutpu
         seed: params.u64("seed"),
     };
     check_widths(&config.widths)?;
+    check_partitions(&config.partitions)?;
     let table = run_table_in(soc, &config, ctx).map_err(pipeline_err)?;
     Ok(ToolOutput::text(table.to_string()))
 }
@@ -386,6 +397,7 @@ fn compaction_config(params: &ParamValues) -> CompactionConfig {
 }
 
 fn compact_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
+    check_partitions(&[params.u32("partitions")])?;
     let pool = &ctx.pool;
     let patterns = pool
         .metrics()
@@ -433,6 +445,7 @@ fn compact_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOut
 fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     let widths = params.u32_list("widths");
     check_widths(&widths)?;
+    check_partitions(&[params.u32("partitions")])?;
     let pool = &ctx.pool;
     let patterns =
         generate_random_packed(soc, &pattern_config(params), pool).map_err(pipeline_err)?;
@@ -470,6 +483,7 @@ fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutp
 
 fn simulate_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutput, ToolError> {
     check_widths(&[params.u32("width")])?;
+    check_partitions(&[params.u32("partitions")])?;
     let result = SiOptimizer::new(soc)
         .max_tam_width(params.u32("width"))
         .partitions(params.u32("partitions"))

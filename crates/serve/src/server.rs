@@ -315,17 +315,19 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
+/// A response on its way out. The body stays a [`Json`] value until
+/// it is sent, so it is rendered once, request ID included.
 struct Response {
     status: u16,
-    body: String,
+    body: Json,
     retry_after: Option<u64>,
 }
 
 impl Response {
-    fn json(status: u16, value: &Json) -> Response {
+    fn json(status: u16, body: Json) -> Response {
         Response {
             status,
-            body: value.render(),
+            body,
             retry_after: None,
         }
     }
@@ -346,7 +348,7 @@ impl Response {
             fields.push(("request_id", Json::str(id)));
         }
         fields.push(("error", Json::obj(error_fields)));
-        Response::json(status, &Json::obj(fields))
+        Response::json(status, Json::obj(fields))
     }
 
     /// Attaches a `Retry-After` pacing hint (429/503 rejections).
@@ -386,7 +388,7 @@ fn send(stream: &mut TcpStream, response: &Response) {
     if let Some(secs) = response.retry_after {
         headers.push(("Retry-After", secs.to_string()));
     }
-    let _ = write_response_with(stream, response.status, &response.body, &headers);
+    let _ = write_response_with(stream, response.status, &response.body.render(), &headers);
 }
 
 fn route(request: &Request, state: &ServerState) -> Response {
@@ -395,24 +397,24 @@ fn route(request: &Request, state: &ServerState) -> Response {
     match (request.method.as_str(), path) {
         ("GET", "/v1/tools") => Response::json(
             200,
-            &Json::obj(vec![("tools", standard_registry().schema())]),
+            Json::obj(vec![("tools", standard_registry().schema())]),
         ),
         ("POST", _) if path.starts_with("/v1/tools/") => {
             let name = &path["/v1/tools/".len()..];
             invoke_tool(name, &request.body, state)
         }
         ("POST", "/v1/jobs") => submit_job(&request.body, state),
-        ("GET", "/v1/jobs") => Response::json(200, &state.jobs.list_json()),
+        ("GET", "/v1/jobs") => Response::json(200, state.jobs.list_json()),
         ("GET", _) if path.starts_with("/v1/jobs/") => {
             job_status(&path["/v1/jobs/".len()..], state)
         }
         ("DELETE", _) if path.starts_with("/v1/jobs/") => {
             cancel_job(&path["/v1/jobs/".len()..], state)
         }
-        ("GET", "/metrics") => Response::json(200, &metrics_json(state)),
+        ("GET", "/metrics") => Response::json(200, metrics_json(state)),
         ("GET", "/healthz") => Response::json(
             200,
-            &Json::obj(vec![
+            Json::obj(vec![
                 ("status", Json::str("ok")),
                 (
                     "inflight",
@@ -426,10 +428,7 @@ fn route(request: &Request, state: &ServerState) -> Response {
             state.jobs.drain();
             state.shutdown.store(true, Ordering::SeqCst);
             wake_accept_loop(state.local_addr);
-            Response::json(
-                200,
-                &Json::obj(vec![("status", Json::str("shutting-down"))]),
-            )
+            Response::json(200, Json::obj(vec![("status", Json::str("shutting-down"))]))
         }
         _ => Response::error(
             404,
@@ -475,7 +474,7 @@ fn invoke_tool(name: &str, body: &str, state: &ServerState) -> Response {
 }
 
 /// Runs one tool invocation to a response envelope. The body never
-/// contains a request ID: the synchronous path prepends one via
+/// contains a request ID: the synchronous path puts one first via
 /// [`respond_with_id`], while job results must be byte-identical
 /// across runs and restarts.
 fn execute(
@@ -507,8 +506,8 @@ fn execute(
     }
 
     // Startup state plus the job's token and sink only: nothing in the
-    // request body sizes a pool or a cache (`jobs`, `probe-jobs` and
-    // `cache-cap` are CLI-only), so admission bounds the daemon's threads.
+    // request body sizes a pool or a cache (`jobs` and `cache-cap` are
+    // CLI-only), so admission bounds the daemon's threads.
     let ctx = RunCtx {
         eval_cache: Some(state.cache.clone()),
         progress,
@@ -519,7 +518,7 @@ fn execute(
     match outcome {
         Ok(Ok(output)) => Response::json(
             200,
-            &Json::obj(vec![
+            Json::obj(vec![
                 ("tool", Json::str(tool.name)),
                 ("degraded", Json::Bool(output.degraded)),
                 ("output", Json::str(output.text)),
@@ -578,7 +577,7 @@ fn job_worker_loop(state: &Arc<ServerState>) {
             item.id,
             JobResult {
                 status: response.status,
-                body: response.body,
+                body: response.body.render(),
             },
         );
     }
@@ -613,7 +612,7 @@ fn submit_job(body: &str, state: &ServerState) -> Response {
     match state.jobs.submit(tool, &request) {
         Ok(id) => Response::json(
             202,
-            &Json::obj(vec![
+            Json::obj(vec![
                 ("job", Json::str(format!("j{id}"))),
                 ("state", Json::str("queued")),
             ]),
@@ -648,7 +647,7 @@ fn job_status(segment: &str, state: &ServerState) -> Response {
         );
     };
     match state.jobs.status_json(id) {
-        Some(status) => Response::json(200, &status),
+        Some(status) => Response::json(200, status),
         None => Response::error(
             404,
             None,
@@ -676,14 +675,14 @@ fn cancel_job(segment: &str, state: &ServerState) -> Response {
         ),
         CancelOutcome::CancelledQueued => Response::json(
             200,
-            &Json::obj(vec![
+            Json::obj(vec![
                 ("job", Json::str(segment)),
                 ("state", Json::str("cancelled")),
             ]),
         ),
         CancelOutcome::Requested => Response::json(
             202,
-            &Json::obj(vec![
+            Json::obj(vec![
                 ("job", Json::str(segment)),
                 ("state", Json::str("cancelling")),
             ]),
@@ -814,19 +813,13 @@ fn build_invocation(
     Ok((soc, params))
 }
 
-/// Re-renders a response so it carries the request ID first (the
-/// envelope helpers build ID-free bodies shared with the job path).
-fn respond_with_id(response: Response, request_id: &str) -> Response {
-    match Json::parse(&response.body) {
-        Ok(Json::Obj(mut fields)) => {
-            fields.insert(0, ("request_id".to_owned(), Json::str(request_id)));
-            Response {
-                body: Json::Obj(fields).render(),
-                ..response
-            }
-        }
-        _ => response,
+/// Puts the request ID first in a response's envelope (the envelope
+/// helpers build ID-free bodies shared with the job path).
+fn respond_with_id(mut response: Response, request_id: &str) -> Response {
+    if let Json::Obj(fields) = &mut response.body {
+        fields.insert(0, ("request_id".to_owned(), Json::str(request_id)));
     }
+    response
 }
 
 fn metrics_json(state: &ServerState) -> Json {

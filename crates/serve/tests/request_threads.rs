@@ -1,7 +1,7 @@
-//! A request cannot size the daemon's threads. `probe-jobs`, like `jobs`
-//! and `cache-cap`, is CLI-only: the daemon runs every request on the
-//! run context it builds from its startup state, so `--max-inflight`
-//! admission bounds its threads whatever a request body asks for.
+//! A request cannot size the daemon's threads. `jobs` and `cache-cap`
+//! are CLI-only: the daemon runs every request on the run context it
+//! builds from its startup state, so `--max-inflight` admission bounds
+//! its threads whatever a request body asks for.
 //!
 //! The check samples this process's `Threads:` count while a request
 //! runs, so it lives in a test binary of its own: no other test's
@@ -37,7 +37,7 @@ fn output_field(body: &str) -> String {
 }
 
 #[test]
-fn request_probe_jobs_spawns_no_threads() {
+fn request_jobs_spawns_no_threads() {
     let server = Server::bind(&ServerConfig {
         listen: "127.0.0.1:0".to_owned(),
         jobs: 2,
@@ -48,7 +48,7 @@ fn request_probe_jobs_spawns_no_threads() {
     let handle = std::thread::spawn(move || server.run().expect("serves"));
 
     let plain = r#"{"soc":"p34392","params":{"patterns":4000}}"#;
-    let asking = r#"{"soc":"p34392","params":{"patterns":4000,"probe-jobs":256}}"#;
+    let asking = r#"{"soc":"p34392","params":{"patterns":4000,"jobs":256}}"#;
     let reference = client::post(&addr, "/v1/tools/optimize", plain).expect("served");
     assert_eq!(reference.status, 200, "{}", reference.body);
     let idle = threads();
@@ -71,16 +71,27 @@ fn request_probe_jobs_spawns_no_threads() {
     assert_eq!(response.status, 200, "{}", response.body);
 
     // The request adds its client thread and its connection handler;
-    // a pool sized by the body would add `probe-jobs - 1` more.
+    // a pool sized by the body would add `jobs - 1` more.
     assert!(
         peak <= idle + 4,
-        "threads rose from {idle} to {peak} while serving `probe-jobs: 256`"
+        "threads rose from {idle} to {peak} while serving `jobs: 256`"
     );
     assert_eq!(
         output_field(&response.body),
         output_field(&reference.body),
-        "an ignored probe-jobs field must not change the output"
+        "an ignored jobs field must not change the output"
     );
+
+    // No tool has a probe pool to size: the field is unknown.
+    let probe = r#"{"soc":"p34392","params":{"patterns":4000,"probe-jobs":2}}"#;
+    let rejected = client::post(&addr, "/v1/tools/optimize", probe).expect("served");
+    assert_eq!(rejected.status, 400, "{}", rejected.body);
+    let error = Json::parse(&rejected.body)
+        .unwrap()
+        .get("error")
+        .unwrap()
+        .clone();
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("usage"));
 
     let shutdown = client::post(&addr, "/admin/shutdown", "").expect("shutdown");
     assert_eq!(shutdown.status, 200);

@@ -270,6 +270,51 @@ fn zero_widths_are_invalid_and_rejected_before_any_work() {
 }
 
 #[test]
+fn zero_partitions_are_invalid_and_rejected_before_any_work() {
+    let (addr, handle) = start(1, 0);
+    let work = |addr: &str| {
+        let metrics = Json::parse(&client::get(addr, "/metrics").unwrap().body).unwrap();
+        let read = |section: &str, key: &str| metrics.get(section)?.get(key).cloned();
+        (read("pool", "tasks_executed"), read("cache", "entries"))
+    };
+    let before = work(&addr);
+    // `i = 0` is no compaction: a table would print it as a `g0` column
+    // and price dTg% against the baseline, and optimize would run i = 1.
+    for (tool, param, json, value) in [
+        ("optimize", "partitions", "0", "0"),
+        ("simulate", "partitions", "0", "0"),
+        ("compact", "partitions", "0", "0"),
+        ("bounds", "partitions", "0", "0"),
+        ("table", "parts", "[0]", "0"),
+        ("table", "parts", "[1,0]", "1,0"),
+    ] {
+        let body = format!(r#"{{"soc":"d695","params":{{"patterns":100,"{param}":{json}}}}}"#);
+        let r = client::post(&addr, &format!("/v1/tools/{tool}"), &body).unwrap();
+        assert_eq!(r.status, 422, "{tool}: {}", r.body);
+        let error = Json::parse(&r.body).unwrap().get("error").unwrap().clone();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("invalid"));
+        let message = error.get("message").unwrap().as_str().unwrap().to_owned();
+        assert!(
+            message.contains("partition count must be at least 1"),
+            "{message}"
+        );
+
+        // The CLI reports the same message with exit 1.
+        let flag = format!("--{param}");
+        let args = [tool, "d695", "--patterns", "100", &flag, value].map(String::from);
+        let err = soctam_cli::run(&args).unwrap_err();
+        assert_eq!(err.code, 1, "{tool}: {}", err.message);
+        assert!(err.message.contains(&message), "{tool}: {}", err.message);
+    }
+    assert_eq!(
+        work(&addr),
+        before,
+        "a rejected request runs and stores nothing"
+    );
+    stop(&addr, handle);
+}
+
+#[test]
 fn inline_soc_text_matches_the_embedded_benchmark() {
     let (addr, handle) = start(1, 0);
     let export = client::post(&addr, "/v1/tools/export", r#"{"soc":"d695"}"#).unwrap();
@@ -320,8 +365,8 @@ fn cross_request_cache_hits_show_up_in_metrics() {
         "first run must warm the shared cache"
     );
 
-    // The optimizer probes candidates even with a serial probe pool, so
-    // one optimize request must surface the speculative-probe counters.
+    // The optimizer probes its candidates speculatively, so one
+    // optimize request must surface the speculative-probe counters.
     let pool = Json::parse(&client::get(&addr, "/metrics").unwrap().body).unwrap();
     let pool = pool.get("pool").unwrap().clone();
     let counter = |name: &str| pool.get(name).unwrap().as_u64().unwrap();

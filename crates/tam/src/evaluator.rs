@@ -764,9 +764,9 @@ impl<'a> Evaluator<'a> {
             }
         }
         // The context fingerprint covers everything a cached value can
-        // depend on: the SOC's full contents (via its canonical ITC'02
-        // rendering), the width budget and the ordered SI group list.
-        let ctx_fp = fx_fingerprint128(&(soctam_model::parser::write_soc(soc), max_width, &groups));
+        // depend on: the SOC's full contents (its name and every core
+        // spec), the width budget and the ordered SI group list.
+        let ctx_fp = fx_fingerprint128(&(soc, max_width, &groups));
         Ok(Evaluator {
             soc,
             table: Arc::new(TimeTable::new(soc, max_width)),

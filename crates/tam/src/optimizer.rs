@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use soctam_exec::{fault, fx_fingerprint128, FaultError, Pool};
+use soctam_exec::{fault, fx_fingerprint128, FaultError};
 use soctam_model::{CoreId, Soc};
 
 use crate::budget::BudgetTracker;
@@ -92,8 +92,6 @@ pub struct TamOptimizer<'a> {
     max_width: u32,
     objective: Objective,
     run: RunCtx,
-    /// `run.probe_pool`, or a private serial pool when that is unset.
-    probe_pool: Pool,
 }
 
 impl<'a> TamOptimizer<'a> {
@@ -114,7 +112,6 @@ impl<'a> TamOptimizer<'a> {
             max_width,
             objective: Objective::Total,
             run,
-            probe_pool: Pool::serial(),
         })
     }
 
@@ -126,11 +123,11 @@ impl<'a> TamOptimizer<'a> {
 
     /// Runs on the resources of `run` (builder style). Restarts run on
     /// `run.pool`, whose metrics count cache hits, misses and probes;
-    /// the four move loops probe candidates on `run.probe_pool` and
-    /// reduce them in candidate order, so the result is bit-identical
-    /// for every pool size, and with or without the shared
-    /// `run.eval_cache`. Once `run.budget` or `run.cancel` trips, the
-    /// run returns its best valid architecture so far, flagged
+    /// the four move loops probe their candidates in order on the
+    /// calling thread, so the result is bit-identical for every pool
+    /// size, and with or without the shared `run.eval_cache`. Once
+    /// `run.budget` or `run.cancel` trips, the run returns its best
+    /// valid architecture so far, flagged
     /// [`OptimizedArchitecture::degraded`] — never an error.
     pub fn run(mut self, run: RunCtx) -> Self {
         // Metrics first: attaching them clears a private cache but
@@ -139,7 +136,6 @@ impl<'a> TamOptimizer<'a> {
         if let Some(cache) = &run.eval_cache {
             self.evaluator.attach_cache(cache);
         }
-        self.probe_pool = run.probe_pool.clone().unwrap_or_else(Pool::serial);
         self.run = run;
         self
     }
@@ -192,33 +188,23 @@ impl<'a> TamOptimizer<'a> {
         }
     }
 
-    /// Speculatively prices one batch of move candidates and returns the
-    /// index and key of the first minimum ([`first_min`]), so the winner
-    /// is the same however the probes were scheduled. `f` yields `None`
-    /// for a candidate that cannot win.
-    ///
-    /// Probes run on the probe pool, except `nested` batches (probes
-    /// issued from inside another speculative candidate, like the
-    /// mergeTAMs wire redistribution), which stay on the calling worker.
+    /// Speculatively prices one batch of move candidates, in candidate
+    /// order on the calling thread, and returns the index and key of the
+    /// first minimum ([`first_min`]). `f` yields `None` for a candidate
+    /// that cannot win.
     ///
     /// A probe also yields `None` — and counts as wasted — when the
     /// budget tripped before it ran, or when the `tam.probe` failpoint
     /// fired (`Err` *or* panic: a panicking probe is caught and
     /// poisoned — dropping a non-winning candidate never changes the
-    /// first minimum, and a lost winner degrades to the serial no-move
+    /// first minimum, and a lost winner degrades to the no-move
     /// outcome). Panics from any other site unwind normally.
-    fn probe<T, K, F>(
+    fn probe<T, K: Ord>(
         &self,
         tracker: &BudgetTracker,
-        nested: bool,
         candidates: &[T],
-        f: F,
-    ) -> Option<(usize, K)>
-    where
-        T: Sync,
-        K: Ord + Send,
-        F: Fn(&T) -> Option<K> + Sync,
-    {
+        f: impl Fn(&T) -> Option<K>,
+    ) -> Option<(usize, K)> {
         if candidates.is_empty() {
             return None;
         }
@@ -258,11 +244,7 @@ impl<'a> TamOptimizer<'a> {
                 },
             }
         };
-        if nested {
-            first_min(candidates.iter().map(task))
-        } else {
-            first_min(self.probe_pool.par_map(candidates, task))
-        }
+        first_min(candidates.iter().map(task))
     }
 
     /// The rails whose time bounds the objective: all rails achieving
@@ -361,9 +343,8 @@ impl<'a> TamOptimizer<'a> {
     /// jump that minimizes `(T_soc, -time gain per wire, wires spent)`.
     ///
     /// `speculative` marks the calls made for a merge candidate: they
-    /// probe on the calling worker and never tick the iteration budget,
-    /// which probes racing from pool workers would make
-    /// thread-count-dependent.
+    /// read the iteration budget but never tick it, which counts
+    /// committed steps, not probes.
     // Invariant: `k` indexes a lane of the enumeration it came from.
     #[allow(clippy::expect_used)]
     fn spend_wires<'l>(
@@ -403,7 +384,7 @@ impl<'a> TamOptimizer<'a> {
                     candidates.push((k, (lane.label, Some(lane.rail.at(target))), d, neg_rate));
                 }
             }
-            let best = self.probe(tracker, speculative, &candidates, |&(_, edit, d, rate)| {
+            let best = self.probe(tracker, &candidates, |&(_, edit, d, rate)| {
                 let cost = self.evaluator.state_cost(st, &[edit]);
                 Some((self.objective.cost(cost.t_in, cost.t_si), rate, d))
             });
@@ -478,7 +459,7 @@ impl<'a> TamOptimizer<'a> {
         let rails_fp = fx_fingerprint128(&rails);
         let intest_only = self.objective == Objective::InTestOnly;
         let metrics = self.run.pool.metrics();
-        let best = self.probe(tracker, false, &candidates, |&(i, w, bound)| {
+        let best = self.probe(tracker, &candidates, |&(i, w, bound)| {
             // Whatever its exact cost, the candidate loses the `cost <
             // current` gate: it is settled without being built.
             if bound >= current {
@@ -689,7 +670,7 @@ impl<'a> TamOptimizer<'a> {
                 }
             }
             let metrics = self.run.pool.metrics();
-            let best = self.probe(tracker, false, &candidates, |&(b, delta)| {
+            let best = self.probe(tracker, &candidates, |&(b, delta)| {
                 let widths = rebalance_widths(&rails, &staircases, b, delta)?;
                 // Bounds before builds (DESIGN.md §12.2): a candidate
                 // bounded above the incumbent cost cannot win, so it
@@ -816,7 +797,7 @@ impl<'a> TamOptimizer<'a> {
                     TestRail::new(target, rails[t].width()).expect("target keeps its width"),
                 )
             };
-            let best = self.probe(tracker, false, &candidates, |&(b, core, t)| {
+            let best = self.probe(tracker, &candidates, |&(b, core, t)| {
                 let (source, target) = moved(b, core, t);
                 let source = self.evaluator.component(source.width(), source.cores());
                 let target = self.evaluator.component(target.width(), target.cores());
@@ -843,7 +824,8 @@ impl<'a> TamOptimizer<'a> {
     /// InTest-steered trajectory, judged on total time. The two greedy
     /// searches explore different basins and either can win; taking the
     /// better of the two on the true objective is strictly stronger than
-    /// either alone.
+    /// either alone. This is [`TamOptimizer::optimize_multi`] with a
+    /// single start.
     ///
     /// # Errors
     ///
@@ -852,10 +834,7 @@ impl<'a> TamOptimizer<'a> {
     /// error — the run returns its best-so-far architecture with
     /// [`OptimizedArchitecture::degraded`] set.
     pub fn optimize(&self) -> Result<OptimizedArchitecture, TamError> {
-        let tracker = BudgetTracker::start_in(&self.run);
-        let mut result = self.optimize_tracked(&tracker)?;
-        result.degraded = tracker.exhausted();
-        Ok(result)
+        self.optimize_multi(1)
     }
 
     fn optimize_tracked(&self, tracker: &BudgetTracker) -> Result<OptimizedArchitecture, TamError> {
@@ -875,7 +854,6 @@ impl<'a> TamOptimizer<'a> {
             max_width: self.max_width,
             objective: Objective::InTestOnly,
             run: self.run.clone(),
-            probe_pool: self.probe_pool.clone(),
         };
         let secondary = alt.optimize_perturbed(0, tracker)?;
         let winner = if secondary.evaluation().t_total() < primary.evaluation().t_total() {
@@ -1250,8 +1228,7 @@ fn first_min<K: Ord>(keys: impl IntoIterator<Item = Option<K>>) -> Option<(usize
 /// reaches: the wires are collected one at a time from the donors whose
 /// marginal `time_used` slowdown for giving up a wire is smallest (zero
 /// on a width plateau), or `None` when the donors cannot fund it. A pure
-/// function of the rails, so the probe is deterministic wherever it
-/// runs.
+/// function of the rails.
 fn rebalance_widths(
     rails: &[TestRail],
     staircases: &[Arc<RailStaircases>],
@@ -1330,6 +1307,7 @@ fn shuffle_cores(cores: &mut [CoreId], seed: u64) {
 mod tests {
     use super::*;
     use crate::OptimizerBudget;
+    use soctam_exec::Pool;
     use soctam_model::Benchmark;
 
     fn groups_for(soc: &Soc, patterns: u64) -> Vec<SiGroupSpec> {

@@ -8,15 +8,15 @@ use soctam_exec::{CancelToken, Pool, Progress};
 use crate::{EvalCache, OptimizerBudget};
 
 /// Everything a run executes *with*, as opposed to the problem it
-/// solves: worker pool, probe pool, evaluation cache, budget, progress
-/// sink and cancel token.
+/// solves: worker pool, evaluation cache, budget, progress sink and
+/// cancel token.
 ///
 /// A front end builds one per request (the CLI from its flags, the
 /// daemon from its startup state and the job's token and sink) and it
 /// is handed down unchanged: registry tool → `SiOptimizer` or the table
-/// harness → [`TamOptimizer`] and its budget tracker. Pools and the cache never change a result; the
-/// budget and the cancel token only degrade it to the best architecture
-/// found so far, flagged
+/// harness → [`TamOptimizer`] and its budget tracker. The pool and the
+/// cache never change a result; the budget and the cancel token only
+/// degrade it to the best architecture found so far, flagged
 /// [`degraded`](crate::OptimizedArchitecture::degraded).
 ///
 /// [`TamOptimizer`]: crate::TamOptimizer
@@ -44,9 +44,6 @@ use crate::{EvalCache, OptimizerBudget};
 pub struct RunCtx {
     /// Worker pool for every parallel stage; its metrics record the run.
     pub pool: Pool,
-    /// Dedicated pool for the optimizer's speculative candidate probes;
-    /// `None` probes on a private serial pool.
-    pub probe_pool: Option<Pool>,
     /// Evaluation cache shared across runs (a cheap handle clone);
     /// `None` gives every optimizer a private cache.
     pub eval_cache: Option<EvalCache>,
@@ -66,7 +63,6 @@ impl RunCtx {
     pub fn new(pool: Pool) -> Self {
         RunCtx {
             pool,
-            probe_pool: None,
             eval_cache: None,
             budget: OptimizerBudget::unlimited(),
             progress: None,

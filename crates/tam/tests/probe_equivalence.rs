@@ -1,11 +1,11 @@
-//! Property: speculative parallel probing equals serial probing.
+//! Property: a faulted speculative probe selects deterministically.
 //!
-//! The optimizer's move loops evaluate candidate batches on a probe
-//! pool and reduce them with a deterministic ordered rule (lowest cost,
-//! ties broken by candidate index). That reduction must make the probe
-//! pool's job count invisible: any probe-jobs value, and any armed
-//! `tam.probe` failpoint, must leave the chosen architecture
-//! bit-identical to the serial run under the same conditions.
+//! The optimizer's move loops price each candidate batch in candidate
+//! order on the calling thread and reduce it with a deterministic
+//! ordered rule (lowest cost, ties broken by candidate index). An armed
+//! `tam.probe` failpoint poisons single probes: the poisoned candidate
+//! drops out of that reduction, and the chosen architecture must stay
+//! bit-identical at every worker-pool size.
 //!
 //! The failpoint registry is process-global, so every test here
 //! serializes on one lock (the rest of the suite runs in other
@@ -15,12 +15,10 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use soctam_exec::check::{cases, forall, Gen};
 use soctam_exec::fault::{self, FaultAction};
 use soctam_exec::Pool;
-use soctam_model::synth::{synth_soc, SynthConfig};
 use soctam_model::{Benchmark, Soc};
-use soctam_tam::{OptimizerBudget, RunCtx, SiGroupSpec, TamOptimizer};
+use soctam_tam::{RunCtx, SiGroupSpec, TamOptimizer};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -32,107 +30,21 @@ fn guard() -> MutexGuard<'static, ()> {
     guard
 }
 
-/// A random SOC of `3..=8` cores with modest wrapper geometry.
-fn random_soc(g: &mut Gen) -> Soc {
-    let cores = g.usize_in(3, 9);
-    synth_soc(
-        &SynthConfig {
-            inputs: (1, 16),
-            outputs: (1, 16),
-            scan_chain_count: (1, 4),
-            scan_chain_len: (2, 40),
-            patterns: (3, 50),
-            ..SynthConfig::new(cores)
-        }
-        .with_seed(g.u64_in(0, u64::MAX)),
-    )
-    .expect("valid soc")
-}
-
-/// `1..=3` random SI test groups over random core subsets.
-fn random_groups(g: &mut Gen, soc: &Soc) -> Vec<SiGroupSpec> {
-    let n = g.usize_in(1, 4);
-    (0..n)
-        .map(|_| {
-            let cores: Vec<_> = soc.core_ids().filter(|_| g.bool_with(0.6)).collect();
-            let cores = if cores.is_empty() {
-                soc.core_ids().collect()
-            } else {
-                cores
-            };
-            SiGroupSpec::new(cores, g.u64_in(1, 80))
-        })
-        .collect()
-}
-
-/// Runs a full optimization with the given probe pool (`None` = serial
-/// in-loop probing) and returns the result pair the tests compare.
+/// Runs a full optimization on a `jobs`-worker pool and returns the
+/// result triple the tests compare.
 fn optimize_with(
     soc: &Soc,
     groups: &[SiGroupSpec],
     max_width: u32,
-    budget: Option<OptimizerBudget>,
-    probe_pool: Option<Pool>,
+    jobs: usize,
 ) -> (Vec<soctam_tam::TestRail>, u64, u64) {
-    let run = RunCtx {
-        probe_pool,
-        budget: budget.unwrap_or_default(),
-        ..RunCtx::default()
-    };
     let result = TamOptimizer::new(soc, max_width, groups.to_vec())
         .expect("valid")
-        .run(run)
+        .run(RunCtx::new(Pool::new(jobs)))
         .optimize()
         .expect("optimizes");
     let eval = result.evaluation();
     (result.architecture().rails().to_vec(), eval.t_in, eval.t_si)
-}
-
-#[test]
-fn parallel_probes_match_serial_probes() {
-    let _guard = guard();
-    forall("probe_parallel_vs_serial", cases(20), |g| {
-        let soc = random_soc(g);
-        let max_width = 8;
-        let groups = random_groups(g, &soc);
-        let serial = optimize_with(&soc, &groups, max_width, None, None);
-        for jobs in [4, 8] {
-            let parallel = optimize_with(&soc, &groups, max_width, None, Some(Pool::new(jobs)));
-            assert_eq!(
-                serial, parallel,
-                "probe-jobs {jobs} diverged from serial probing"
-            );
-        }
-    });
-}
-
-#[test]
-fn budgeted_parallel_probes_match_serial_probes() {
-    let _guard = guard();
-    forall("budgeted_probe_parallel_vs_serial", cases(15), |g| {
-        let soc = random_soc(g);
-        let max_width = 8;
-        let groups = random_groups(g, &soc);
-        // Budget ticks are charged per accepted step, never per probe,
-        // so a tight iteration cap must trip at the same step at every
-        // probe-jobs value.
-        let iters = g.u64_in(1, 12);
-        let budget = OptimizerBudget::unlimited().with_max_iterations(iters);
-        let serial = optimize_with(&soc, &groups, max_width, Some(budget), None);
-        for jobs in [4, 8] {
-            let parallel = optimize_with(
-                &soc,
-                &groups,
-                max_width,
-                Some(budget),
-                Some(Pool::new(jobs)),
-            );
-            assert_eq!(
-                serial, parallel,
-                "budgeted probe-jobs {jobs} diverged from serial (max_iters {iters})"
-            );
-        }
-    });
 }
 
 #[test]
@@ -144,29 +56,27 @@ fn panicked_speculative_probe_still_selects_deterministically() {
         SiGroupSpec::new(soc.core_ids().take(5).collect::<Vec<_>>(), 55),
     ];
     // Panic one speculative probe partway through the run: the poisoned
-    // candidate drops out of the ordered reduction, and every probe-jobs
-    // value must degrade to the same selection.
+    // candidate drops out of the ordered reduction, and every pool size
+    // must degrade to the same selection.
     for skip in [0_u64, 7, 100] {
         fault::set_after("tam.probe", FaultAction::Panic, skip);
-        let serial = optimize_with(&soc, &groups, 16, None, None);
+        let serial = optimize_with(&soc, &groups, 16, 1);
         fault::reset();
 
-        for jobs in [4, 8] {
-            fault::set_after("tam.probe", FaultAction::Panic, skip);
-            let parallel = optimize_with(&soc, &groups, 16, None, Some(Pool::new(jobs)));
-            fault::reset();
-            assert_eq!(
-                serial, parallel,
-                "faulted probe selection diverged at probe-jobs {jobs} (skip {skip})"
-            );
-        }
+        fault::set_after("tam.probe", FaultAction::Panic, skip);
+        let parallel = optimize_with(&soc, &groups, 16, 4);
+        fault::reset();
+        assert_eq!(
+            serial, parallel,
+            "faulted probe selection diverged at jobs 4 (skip {skip})"
+        );
     }
 
     // Arming the failpoint beyond the run's probe count must leave the
     // result bit-identical to the never-armed run.
-    let clean = optimize_with(&soc, &groups, 16, None, Some(Pool::new(4)));
+    let clean = optimize_with(&soc, &groups, 16, 4);
     fault::set_after("tam.probe", FaultAction::Panic, u64::MAX - 1);
-    let unreached = optimize_with(&soc, &groups, 16, None, Some(Pool::new(4)));
+    let unreached = optimize_with(&soc, &groups, 16, 4);
     fault::reset();
     assert_eq!(clean, unreached, "unreached failpoint perturbed the run");
 }
@@ -176,15 +86,12 @@ fn errored_probe_counts_as_wasted_and_run_still_succeeds() {
     let _guard = guard();
     let soc = Benchmark::D695.soc();
     let groups = vec![SiGroupSpec::new(soc.core_ids().collect::<Vec<_>>(), 40)];
-    let pool = Pool::serial();
+    let pool = Pool::new(4);
 
     fault::set_after("tam.probe", FaultAction::Error, 5);
     let result = TamOptimizer::new(&soc, 16, groups)
         .expect("valid")
-        .run(RunCtx {
-            probe_pool: Some(Pool::new(4)),
-            ..RunCtx::new(pool.clone())
-        })
+        .run(RunCtx::new(pool.clone()))
         .optimize();
     fault::reset();
 

@@ -1,12 +1,12 @@
 //! Thread-count independence of the parallel runtime.
 //!
 //! Every parallel stage in the pipeline (pattern generation, vertical
-//! compaction per bucket, the optimizer's candidate sweep, speculative
-//! candidate probing, the experiment grid) reduces its results in serial
-//! order with the serial tie-break, so the outcome must be
-//! **bit-identical** for every `--jobs` and `--probe-jobs` value. These
-//! tests pin that contract on two benchmarks across the full cross
-//! product of worker pools (1, 4, 8) and probe pools (1, 4, 8); only
+//! compaction per bucket, the experiment grid) reduces its results in
+//! serial order with the serial tie-break, and the optimizer's
+//! speculative probes run in candidate order on the thread that
+//! enumerates them, so the outcome must be
+//! **bit-identical** for every `--jobs` value. These tests pin that
+//! contract on two benchmarks across worker pools of 1, 4 and 8; only
 //! wall-clock time may differ.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -17,30 +17,10 @@ use soctam::{
     SiOptimizer, SiPatternSet,
 };
 
+/// Worker-pool sizes, baseline (1) first.
 const JOBS: [usize; 3] = [1, 4, 8];
-const PROBE_JOBS: [usize; 3] = [1, 4, 8];
 
-/// The full `--jobs` x `--probe-jobs` grid, baseline (1, 1) first.
-fn job_grid() -> impl Iterator<Item = (usize, usize)> {
-    JOBS.into_iter()
-        .flat_map(|jobs| PROBE_JOBS.into_iter().map(move |probe| (jobs, probe)))
-}
-
-/// The run context of one grid point: a `jobs`-worker pool, plus a
-/// dedicated probe pool unless `probe_jobs` is 1 (the CLI's mapping).
-fn run_ctx(jobs: usize, probe_jobs: usize) -> RunCtx {
-    RunCtx {
-        probe_pool: (probe_jobs != 1).then(|| Pool::new(probe_jobs)),
-        ..RunCtx::new(Pool::new(jobs))
-    }
-}
-
-fn optimize(
-    bench: Benchmark,
-    patterns: usize,
-    jobs: usize,
-    probe_jobs: usize,
-) -> SiOptimizationResult {
+fn optimize(bench: Benchmark, patterns: usize, jobs: usize) -> SiOptimizationResult {
     let soc = bench.soc();
     let set = SiPatternSet::random_with(
         &soc,
@@ -52,29 +32,29 @@ fn optimize(
         .max_tam_width(16)
         .partitions(2)
         .seed(3)
-        .run(run_ctx(jobs, probe_jobs))
+        .run(RunCtx::new(Pool::new(jobs)))
         .optimize(&set)
         .expect("optimizes")
 }
 
 fn assert_identical_runs(bench: Benchmark, patterns: usize) {
-    let baseline = optimize(bench, patterns, 1, 1);
-    for (jobs, probe_jobs) in job_grid().skip(1) {
-        let run = optimize(bench, patterns, jobs, probe_jobs);
+    let baseline = optimize(bench, patterns, 1);
+    for jobs in JOBS.into_iter().skip(1) {
+        let run = optimize(bench, patterns, jobs);
         assert_eq!(
             run.compacted().groups(),
             baseline.compacted().groups(),
-            "{bench}: compacted groups diverge at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: compacted groups diverge at jobs={jobs}"
         );
         assert_eq!(
             run.architecture(),
             baseline.architecture(),
-            "{bench}: architecture diverges at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: architecture diverges at jobs={jobs}"
         );
         assert_eq!(
             run.evaluation(),
             baseline.evaluation(),
-            "{bench}: schedule diverges at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: schedule diverges at jobs={jobs}"
         );
     }
 }
@@ -91,12 +71,7 @@ fn p34392_is_bit_identical_across_jobs() {
 
 /// Like [`optimize`], but with an active iteration-bounded
 /// [`OptimizerBudget`] (deadline unset, so the bound is deterministic).
-fn optimize_budgeted(
-    bench: Benchmark,
-    patterns: usize,
-    jobs: usize,
-    probe_jobs: usize,
-) -> SiOptimizationResult {
+fn optimize_budgeted(bench: Benchmark, patterns: usize, jobs: usize) -> SiOptimizationResult {
     let soc = bench.soc();
     let set = SiPatternSet::random_with(
         &soc,
@@ -110,35 +85,35 @@ fn optimize_budgeted(
         .seed(3)
         .run(RunCtx {
             budget: OptimizerBudget::unlimited().with_max_iterations(6),
-            ..run_ctx(jobs, probe_jobs)
+            ..RunCtx::new(Pool::new(jobs))
         })
         .optimize(&set)
         .expect("optimizes")
 }
 
 /// An iteration-bounded budget must trip at the same point regardless of
-/// the worker or probe-worker count: candidate probes are speculative
-/// (they never tick the tracker; the budget is charged once per accepted
-/// step), so the committed-move sequence — and therefore the result — is
-/// identical for every `--jobs` x `--probe-jobs` combination.
+/// the worker count: candidate probes are speculative (they never tick
+/// the tracker; the budget is charged once per accepted step), so the
+/// committed-move sequence — and therefore the result — is identical
+/// for every `--jobs` value.
 fn assert_identical_budgeted_runs(bench: Benchmark, patterns: usize) {
-    let baseline = optimize_budgeted(bench, patterns, 1, 1);
-    for (jobs, probe_jobs) in job_grid().skip(1) {
-        let run = optimize_budgeted(bench, patterns, jobs, probe_jobs);
+    let baseline = optimize_budgeted(bench, patterns, 1);
+    for jobs in JOBS.into_iter().skip(1) {
+        let run = optimize_budgeted(bench, patterns, jobs);
         assert_eq!(
             run.architecture(),
             baseline.architecture(),
-            "{bench}: budgeted architecture diverges at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: budgeted architecture diverges at jobs={jobs}"
         );
         assert_eq!(
             run.evaluation(),
             baseline.evaluation(),
-            "{bench}: budgeted schedule diverges at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: budgeted schedule diverges at jobs={jobs}"
         );
         assert_eq!(
             run.degraded(),
             baseline.degraded(),
-            "{bench}: budgeted degradation flag diverges at jobs={jobs} probe-jobs={probe_jobs}"
+            "{bench}: budgeted degradation flag diverges at jobs={jobs}"
         );
     }
 }
@@ -174,12 +149,8 @@ fn experiment_table_is_bit_identical_across_jobs() {
         seed: 5,
     };
     let baseline = run_table_with(&soc, &config, &Pool::serial()).expect("runs");
-    for (jobs, probe_jobs) in job_grid().skip(1) {
-        let run = run_ctx(jobs, probe_jobs);
-        let table = run_table_in(&soc, &config, &run).expect("runs");
-        assert_eq!(
-            table, baseline,
-            "table diverges at jobs={jobs} probe-jobs={probe_jobs}"
-        );
+    for jobs in JOBS.into_iter().skip(1) {
+        let table = run_table_in(&soc, &config, &RunCtx::new(Pool::new(jobs))).expect("runs");
+        assert_eq!(table, baseline, "table diverges at jobs={jobs}");
     }
 }
