@@ -1,7 +1,7 @@
 //! Timing benches for the Section 3 compaction machinery: the greedy
 //! clique cover, the full two-dimensional pipeline, the front half of
-//! a request (pattern generation plus compaction) and a table sweep's
-//! compactions.
+//! a request (pattern generation plus compaction), a table sweep's
+//! compactions and the cover on buses wider than the paper's.
 //!
 //! Pass `--json <path>` to additionally write the results as a JSON
 //! report (used by the CI perf-smoke job).
@@ -12,7 +12,9 @@ use soctam::compaction::{
     compact_greedy, compact_packed_with, compact_two_dimensional, compact_two_dimensional_with,
     CompactionConfig, PreparedSet,
 };
+use soctam::model::synth::{synth_soc, SynthConfig};
 use soctam::patterns::generate_random_packed;
+use soctam::patterns::packed::{first_fit_cover, words_for_terminals};
 use soctam::{Benchmark, Pool, RandomPatternConfig, SiPatternSet};
 use soctam_bench::harness::{samples, Session};
 use soctam_bench::{bench_patterns, TABLE_SEED};
@@ -86,5 +88,23 @@ fn main() {
                 .expect("compaction succeeds")
         })
     });
+    // The single-threaded cover on synthesized SOCs past the embedded
+    // benchmarks: 20 000 patterns over more than 64 distinct bus lines
+    // (300 cores, 128 lines), and with about 600 drivers on each line
+    // (600 cores, 2 lines), visited in input order.
+    drop(set);
+    for (label, cores, bus_lines) in [("wide_bus", 300, 128), ("many_drivers", 600, 2)] {
+        let soc = synth_soc(&SynthConfig::new(cores).with_seed(TABLE_SEED)).expect("valid soc");
+        let config = RandomPatternConfig {
+            bus_lines,
+            ..RandomPatternConfig::new(20_000).with_seed(TABLE_SEED)
+        };
+        let set = generate_random_packed(&soc, &config, &Pool::serial()).expect("valid set");
+        let visit: Vec<u32> = (0..set.len() as u32).collect();
+        let words = words_for_terminals(soc.total_wocs() as usize);
+        session.bench(&format!("first_fit_cover/{label}"), samples, || {
+            first_fit_cover(&set, &visit, words)
+        });
+    }
     session.finish();
 }

@@ -5,7 +5,9 @@ use std::cmp::Ordering;
 use std::hash::Hasher;
 
 use soctam_exec::{FxHasher, Pool};
-use soctam_hypergraph::{Hypergraph, HypergraphBuilder, Partition, PartitionConfig};
+use soctam_hypergraph::{
+    Hypergraph, HypergraphBuilder, HypergraphError, Partition, PartitionConfig,
+};
 use soctam_model::{CoreId, Soc};
 use soctam_patterns::{PackedLayout, PackedSet, SiPattern};
 
@@ -256,14 +258,17 @@ pub fn group_patterns_packed(
             "pattern references a bus driver outside the soc"
         );
     }
-    if parts <= 1 {
+    if parts == 1 {
         return Ok(PatternGrouping::single(soc, set.len()));
     }
     CoreHypergraph::extract(soc, set, layout).group(parts, partition_config, &Pool::serial())
 }
 
-/// Rejects more parts than `soc` has cores.
+/// Rejects a partition count of 0 and more parts than `soc` has cores.
 pub(crate) fn check_parts(soc: &Soc, parts: u32) -> Result<(), CompactionError> {
+    if parts == 0 {
+        return Err(CompactionError::Partition(HypergraphError::ZeroParts));
+    }
     if parts as usize > soc.num_cores() {
         return Err(CompactionError::TooManyPartitions {
             partitions: parts,

@@ -44,7 +44,7 @@ impl CompactionConfig {
     pub fn new(partitions: u32) -> Self {
         CompactionConfig {
             partitions,
-            partition_config: PartitionConfig::new(partitions.max(1)),
+            partition_config: PartitionConfig::new(partitions),
             merge_order: MergeOrder::InputOrder,
         }
     }
@@ -191,7 +191,7 @@ pub fn compact_packed_with(
 pub struct PreparedSet<'a> {
     soc: &'a Soc,
     set: &'a PackedSet,
-    /// Accumulator words of the greedy covers.
+    /// Terminal words of the greedy covers' clique planes.
     terminal_words: usize,
     /// `repeat[i]`: pattern `i` repeats a lower-indexed pattern exactly.
     repeat: Vec<bool>,
@@ -259,7 +259,7 @@ impl<'a> PreparedSet<'a> {
 
         let mut stats = CompactionStats {
             raw_patterns: set.len(),
-            partitions: config.partitions.max(1),
+            partitions: config.partitions,
             cut_weight: grouping.cut_weight,
             raw_remainder_patterns: grouping.remainder.len(),
             ..CompactionStats::default()
@@ -315,7 +315,7 @@ impl<'a> PreparedSet<'a> {
         Ok(CompactedSiTests::new(groups, stats))
     }
 
-    /// The grouping of `config.partitions` parts: one bucket at `i <= 1`,
+    /// The grouping of `config.partitions` parts: one bucket at `i = 1`,
     /// else a partition of the shared core hypergraph.
     fn group(
         &self,
@@ -324,7 +324,7 @@ impl<'a> PreparedSet<'a> {
     ) -> Result<PatternGrouping, CompactionError> {
         let parts = config.partitions;
         check_parts(self.soc, parts)?;
-        if parts <= 1 {
+        if parts == 1 {
             return Ok(PatternGrouping::single(self.soc, self.set.len()));
         }
         self.cores().group(parts, &config.partition_config, pool)
@@ -593,7 +593,7 @@ mod tests {
         let work = reference_work_items(raw, &grouping);
         let mut stats = CompactionStats {
             raw_patterns: set.len(),
-            partitions: config.partitions.max(1),
+            partitions: config.partitions,
             cut_weight: grouping.cut_weight,
             raw_remainder_patterns: grouping.remainder.len(),
             duplicate_patterns: set.len() - work.iter().map(Vec::len).sum::<usize>(),

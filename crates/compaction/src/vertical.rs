@@ -103,7 +103,7 @@ pub fn compact_greedy_ordered(
 }
 
 /// Checks the set against `soc`'s terminal space and returns the
-/// accumulator word count.
+/// terminal word count of the cover's clique planes.
 pub(crate) fn assert_in_terminal_space(soc: &Soc, set: &PackedSet) -> usize {
     if let Some(max) = set.max_terminal() {
         assert!(
@@ -139,10 +139,8 @@ fn visit_order(set: &PackedSet, indices: &[u32], order: MergeOrder) -> Vec<u32> 
 /// counters of the run.
 ///
 /// Delegates to the kernel's single-pass
-/// [`first_fit_cover`](soctam_patterns::packed::first_fit_cover), which
-/// produces the same cliques as the epoch-based sweep but scans a
-/// cache-resident clique-state array instead of re-streaming the arena
-/// once per clique.
+/// [`first_fit_cover`](soctam_patterns::packed::first_fit_cover), the
+/// one greedy cover for every bus width and driver count.
 pub(crate) fn compact_packed_subset(
     set: &PackedSet,
     indices: &[u32],

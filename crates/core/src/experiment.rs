@@ -347,6 +347,32 @@ mod tests {
     }
 
     #[test]
+    fn a_partition_count_of_zero_is_an_error() {
+        use soctam_compaction::{compact_packed_with, CompactionError};
+        use soctam_hypergraph::HypergraphError;
+
+        let zero_parts = CompactionError::Partition(HypergraphError::ZeroParts);
+        let soc = Benchmark::D695.soc();
+        let config = ExperimentConfig {
+            pattern_count: 100,
+            widths: vec![8],
+            partitions: vec![0],
+            seed: 3,
+        };
+        assert_eq!(
+            run_table(&soc, &config).unwrap_err(),
+            SoctamError::Compaction(zero_parts.clone())
+        );
+        let pool = Pool::serial();
+        let set =
+            generate_random_packed(&soc, &RandomPatternConfig::new(100), &pool).expect("valid set");
+        assert_eq!(
+            compact_packed_with(&soc, &set, &CompactionConfig::new(0), &pool).unwrap_err(),
+            zero_parts
+        );
+    }
+
+    #[test]
     fn delta_metrics_match_definitions() {
         let row = TableRow {
             w_max: 8,

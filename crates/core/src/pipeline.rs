@@ -3,13 +3,11 @@
 use std::panic;
 use std::sync::Arc;
 
-use soctam_compaction::{
-    compact_packed_with, compact_two_dimensional_with, CompactedSiTests, CompactionConfig,
-    CompactionError,
-};
+use soctam_compaction::{compact_packed_with, CompactedSiTests, CompactionConfig, CompactionError};
 use soctam_exec::{fault, fx_fingerprint128, Metrics, Pool};
 use soctam_hypergraph::PartitionConfig;
 use soctam_model::Soc;
+use soctam_patterns::packed::check_packable;
 use soctam_patterns::{
     generate_random_packed, PackedSet, PatternError, RandomPatternConfig, SiPatternSet,
 };
@@ -275,13 +273,21 @@ impl<'a> SiOptimizer<'a> {
         self.compact_arena(&set)
     }
 
-    /// Validates the SOC and `patterns`, then compacts them under the
-    /// `compact` phase with panic containment.
+    /// Validates the SOC and `patterns`, then packs and compacts them
+    /// under the `compact` phase with panic containment. The set is
+    /// walked once to validate it; the packed arena then validates from
+    /// its summary.
     fn compact(&self, patterns: &SiPatternSet) -> Result<CompactedSiTests, SoctamError> {
         self.soc.validate().into_result()?;
         patterns.validate(self.soc).into_result()?;
         self.compact_phase(|config, pool| {
-            compact_two_dimensional_with(self.soc, patterns, config, pool)
+            check_packable(self.soc)?;
+            compact_packed_with(
+                self.soc,
+                &PackedSet::build(patterns.as_slice()),
+                config,
+                pool,
+            )
         })
     }
 
@@ -435,6 +441,40 @@ mod tests {
             assert!(result.total_time() > 0, "{bench}");
             assert!(result.architecture().total_width() <= 16);
         }
+    }
+
+    #[test]
+    fn invalid_sparse_sets_keep_their_errors() {
+        use soctam_model::{CoreSpec, Diagnostic, TerminalId};
+        use soctam_patterns::packed::MAX_PACKED_DRIVERS;
+        use soctam_patterns::{SiPattern, Symbol};
+
+        let soc = Benchmark::D695.soc();
+        let outside = (TerminalId::new(soc.total_wocs()), Symbol::Rise);
+        let patterns = SiPatternSet::from(vec![
+            SiPattern::new(vec![outside], vec![]).expect("valid pattern"),
+            SiPattern::default(),
+        ]);
+        let Err(SoctamError::Validation(diags)) = SiOptimizer::new(&soc).optimize(&patterns) else {
+            panic!("an invalid set fails validation");
+        };
+        let codes: Vec<&str> = diags.items().iter().map(Diagnostic::code).collect();
+        assert_eq!(codes, ["PAT-V01", "PAT-V02"]);
+
+        let core = CoreSpec::new("c", 1, 2, 0, vec![], 1).expect("valid core");
+        let soc = Soc::new("huge", vec![core; MAX_PACKED_DRIVERS as usize + 1]).expect("valid");
+        let patterns =
+            SiPatternSet::random(&soc, &RandomPatternConfig::new(50).with_seed(1)).expect("valid");
+        assert_eq!(
+            SiOptimizer::new(&soc)
+                .partitions(1)
+                .optimize(&patterns)
+                .unwrap_err(),
+            SoctamError::Compaction(CompactionError::Pattern(PatternError::TooManyCores {
+                cores: MAX_PACKED_DRIVERS as usize + 1,
+                limit: MAX_PACKED_DRIVERS,
+            }))
+        );
     }
 
     #[test]

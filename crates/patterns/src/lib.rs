@@ -53,10 +53,7 @@ mod symbol;
 
 pub use error::PatternError;
 pub use generator::{generate_random_packed, RandomPatternConfig};
-pub use packed::{
-    first_fit_cover, KernelStats, PackedAccumulator, PackedLayout, PackedPattern, PackedRef,
-    PackedSet,
-};
+pub use packed::{first_fit_cover, KernelStats, PackedLayout, PackedPattern, PackedRef, PackedSet};
 pub use pattern::SiPattern;
 pub use set::SiPatternSet;
 pub use stats::PatternSetStats;

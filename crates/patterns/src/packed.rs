@@ -23,14 +23,13 @@
 //! overlap a clique are rejected after `O(own words)` comparisons.
 //!
 //! The bus postfix packs into a line byte and a 16-bit driver core id
-//! per occupied line ([`PackedBusLine`]); the clique accumulator keys a
-//! dense occupancy plane by driver core (one `driver + 1` entry per
-//! line, `0` = free), so "no shared line is driven from two different
-//! core boundaries" is one table probe per occupied line. On random SI
-//! sets most incompatibilities are bus-driver conflicts, so the
-//! accumulator checks the bus *first* and the common reject path never
-//! touches the symbol planes — this prefilter is what
-//! [`KernelStats::fast_rejects`] counts.
+//! per occupied line ([`PackedBusLine`]). On random SI sets most
+//! incompatibilities are bus-driver conflicts ("a shared line driven
+//! from two different core boundaries"), so the greedy cover
+//! ([`first_fit_cover`]) checks the bus *first*, against every open
+//! clique at once, and the common reject path never touches the symbol
+//! planes — this prefilter is what [`KernelStats::fast_rejects`]
+//! counts.
 //!
 //! The conversion to and from [`SiPattern`] is lossless;
 //! [`PackedPattern::to_sparse`] ∘ [`PackedPattern::from_sparse`] is the
@@ -61,11 +60,8 @@ pub fn check_packable(soc: &Soc) -> Result<(), PatternError> {
     Ok(())
 }
 
-/// Number of `u64` words spanning the 256-line bus space.
-const BUS_WORDS: usize = 4;
-
 /// Number of bus lines addressable by the packed postfix.
-const BUS_LINES: usize = BUS_WORDS * 64;
+const BUS_LINES: usize = 256;
 
 /// Number of `u64` words needed to cover `terminals` terminal ids.
 #[must_use]
@@ -104,7 +100,7 @@ pub struct PackedBusLine {
 /// where both patterns care and their symbols disagree.
 ///
 /// This is the **single source of the terminal-compatibility
-/// semantics** — the greedy clique accumulator, the pairwise
+/// semantics** — the greedy clique cover, the pairwise
 /// [`PackedPattern`] operations and (through them) the exact
 /// branch-and-bound cover all call it.
 #[inline]
@@ -322,7 +318,7 @@ impl PackedPattern {
         &self.bus
     }
 
-    /// A borrowed view usable with [`PackedAccumulator`].
+    /// A borrowed view of the pattern, the form [`PackedSet::get`] returns.
     #[must_use]
     pub fn as_packed_ref(&self) -> PackedRef<'_> {
         PackedRef {
@@ -561,8 +557,8 @@ impl PackedSet {
     }
 
     /// The largest care terminal id in the set, `None` when no pattern
-    /// has care bits. Used to size accumulators and validate against a
-    /// SOC's terminal space.
+    /// has care bits. Used to size the cover's clique planes and to
+    /// validate against a SOC's terminal space.
     #[must_use]
     pub fn max_terminal(&self) -> Option<u32> {
         self.max_terminal
@@ -656,179 +652,17 @@ struct Plane {
     hi: u64,
 }
 
-/// Dense clique accumulator for the greedy cover: full care/symbol
-/// planes over the SOC's terminal words, a bus-occupancy plane and a
-/// dense per-line driver table (`driver + 1`, `0` = free).
-///
-/// Between cliques only the *touched* terminal words are cleared, so a
-/// pass over `N` patterns costs `O(Σ pattern words)` regardless of the
-/// SOC size.
-///
-/// # Example
-///
-/// ```
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use soctam_model::TerminalId;
-/// use soctam_patterns::{PackedAccumulator, PackedPattern, SiPattern, Symbol};
-///
-/// let a = PackedPattern::from_sparse(&SiPattern::new(
-///     vec![(TerminalId::new(0), Symbol::Rise)], vec![])?);
-/// let b = PackedPattern::from_sparse(&SiPattern::new(
-///     vec![(TerminalId::new(0), Symbol::Fall)], vec![])?);
-/// let mut acc = PackedAccumulator::new(1);
-/// acc.begin_clique();
-/// acc.absorb(a.as_packed_ref());
-/// assert!(!acc.is_compatible(b.as_packed_ref()));
-/// assert_eq!(acc.extract().to_sparse(), a.to_sparse());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct PackedAccumulator {
-    planes: Vec<Plane>,
-    touched: Vec<u32>,
-    bus_occupied: [u64; BUS_WORDS],
-    line_driver: [u32; BUS_LINES],
-    stats: KernelStats,
-}
-
-impl PackedAccumulator {
-    /// Creates an accumulator covering `terminal_words` words (use
-    /// [`words_for_terminals`] of the SOC's terminal count).
-    #[must_use]
-    pub fn new(terminal_words: usize) -> Self {
-        PackedAccumulator {
-            planes: vec![Plane::default(); terminal_words],
-            touched: Vec::new(),
-            bus_occupied: [0; BUS_WORDS],
-            line_driver: [0; BUS_LINES],
-            stats: KernelStats::default(),
-        }
-    }
-
-    /// Clears the accumulated clique (touched words only).
-    pub fn begin_clique(&mut self) {
-        for &index in &self.touched {
-            self.planes[index as usize] = Plane::default();
-        }
-        self.touched.clear();
-        if self.bus_occupied != [0; BUS_WORDS] {
-            self.bus_occupied = [0; BUS_WORDS];
-            self.line_driver = [0; BUS_LINES];
-        }
-    }
-
-    /// `true` when `p` is compatible with the accumulated clique.
-    ///
-    /// The bus postfix is checked *first*: on random SI sets most
-    /// incompatibilities are driver conflicts, so the common reject path
-    /// never touches the care planes ([`KernelStats::fast_rejects`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` references a word beyond the accumulator's
-    /// terminal space.
-    #[must_use]
-    #[inline]
-    pub fn is_compatible(&mut self, p: PackedRef<'_>) -> bool {
-        for pl in p.bus {
-            let stored = self.line_driver[pl.line as usize];
-            if stored != 0 && stored != u32::from(pl.driver) + 1 {
-                self.stats.fast_rejects += 1;
-                return false;
-            }
-        }
-        let mut compared = 0u64;
-        for w in p.words {
-            compared += 1;
-            let plane = self.planes[w.index as usize];
-            if conflict_planes(w.care, w.lo, w.hi, plane.care, plane.lo, plane.hi) != 0 {
-                self.stats.words_compared += compared;
-                return false;
-            }
-        }
-        self.stats.words_compared += compared;
-        true
-    }
-
-    /// Merges `p` into the clique (word-wise OR). The caller must have
-    /// established compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` references a word beyond the accumulator's
-    /// terminal space.
-    #[inline]
-    pub fn absorb(&mut self, p: PackedRef<'_>) {
-        for w in p.words {
-            let plane = &mut self.planes[w.index as usize];
-            if plane.care == 0 {
-                self.touched.push(w.index);
-            }
-            plane.care |= w.care;
-            plane.lo |= w.lo;
-            plane.hi |= w.hi;
-        }
-        for pl in p.bus {
-            self.bus_occupied[pl.line as usize / 64] |= 1 << (pl.line % 64);
-            self.line_driver[pl.line as usize] = u32::from(pl.driver) + 1;
-        }
-    }
-
-    /// Snapshots the accumulated clique as a standalone pattern.
-    pub fn extract(&mut self) -> PackedPattern {
-        self.touched.sort_unstable();
-        let words = self
-            .touched
-            .iter()
-            .map(|&index| {
-                let plane = self.planes[index as usize];
-                PackedWord {
-                    index,
-                    care: plane.care,
-                    lo: plane.lo,
-                    hi: plane.hi,
-                }
-            })
-            .collect();
-        let mut bus = Vec::new();
-        for (word, &occupied) in self.bus_occupied.iter().enumerate() {
-            let mut mask = occupied;
-            while mask != 0 {
-                let line = word as u32 * 64 + mask.trailing_zeros();
-                bus.push(PackedBusLine {
-                    line: line as u8,
-                    driver: (self.line_driver[line as usize] - 1) as u16,
-                });
-                mask &= mask - 1;
-            }
-        }
-        PackedPattern { words, bus }
-    }
-
-    /// The kernel counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> KernelStats {
-        self.stats
-    }
-
-    /// Returns and resets the kernel counters.
-    pub fn take_stats(&mut self) -> KernelStats {
-        std::mem::take(&mut self.stats)
-    }
-}
-
 /// Number of driver-code bit-planes carried per pattern during bus
-/// recoding. Bus recoding gives up on a line with more than 256 distinct
-/// drivers, so codes fit one byte and eight planes always suffice.
-const MAX_CODE_PLANES: usize = 8;
+/// recoding: a line carries at most [`MAX_PACKED_DRIVERS`] distinct
+/// drivers, so sixteen planes code every packable set.
+const MAX_CODE_PLANES: usize = 16;
 
 /// The per-line driver recoding of a visited subset: every pattern's
 /// bus postfix as flattened `(slot, code)` pairs, plus the inverse maps
 /// (`slot → line`, `(slot, code) → driver`) used to decode cliques.
 struct RecodedBus {
     /// `(slot, code)` pairs of all visited patterns, concatenated.
-    pairs: Vec<(u8, u8)>,
+    pairs: Vec<(u8, u16)>,
     /// Pair range of the `k`-th visited pattern:
     /// `pairs[offsets[k]..offsets[k + 1]]`.
     offsets: Vec<u32>,
@@ -845,13 +679,14 @@ struct RecodedBus {
 /// order. The map is injective per line, so "same line, different
 /// driver" is exactly "same slot, different code" and driver equality
 /// against a whole clique population can be tested with XORs over
-/// per-slot code bit-planes.
-///
-/// Returns `None` when the subset occupies more than 64 distinct lines,
-/// or when one line carries more than 256 distinct drivers (the caller
-/// falls back to the accumulator cover).
-fn recode_bus(set: &PackedSet, visit: &[u32]) -> Option<RecodedBus> {
-    let mut line_slot = [u8::MAX; BUS_LINES];
+/// per-slot code bit-planes. Every line of the bus space fits a slot
+/// and every driver id a code, so any packed set recodes.
+fn recode_bus(set: &PackedSet, visit: &[u32]) -> RecodedBus {
+    let drivers = set.max_driver().map_or(0, |d| usize::from(d) + 1);
+    let mut slot_of_line: [Option<u8>; BUS_LINES] = [None; BUS_LINES];
+    // Per slot, indexed by driver id: the driver's code plus one, or 0
+    // while the driver has no code on that line.
+    let mut code_of: Vec<Vec<u32>> = Vec::new();
     let mut rec = RecodedBus {
         pairs: Vec::new(),
         offsets: Vec::with_capacity(visit.len() + 1),
@@ -863,34 +698,25 @@ fn recode_bus(set: &PackedSet, visit: &[u32]) -> Option<RecodedBus> {
     rec.offsets.push(0);
     for &i in visit {
         for pl in set.get(i as usize).bus {
-            let mut slot = line_slot[pl.line as usize];
-            if slot == u8::MAX {
-                if rec.line_of_slot.len() == 64 {
-                    return None;
-                }
-                slot = rec.line_of_slot.len() as u8;
-                line_slot[pl.line as usize] = slot;
+            let slot = *slot_of_line[pl.line as usize].get_or_insert_with(|| {
                 rec.line_of_slot.push(pl.line);
                 rec.driver_of_code.push(Vec::new());
+                code_of.push(vec![0; drivers]);
+                (rec.line_of_slot.len() - 1) as u8
+            });
+            let code = &mut code_of[slot as usize][usize::from(pl.driver)];
+            if *code == 0 {
+                let codes = &mut rec.driver_of_code[slot as usize];
+                codes.push(pl.driver);
+                max_codes = max_codes.max(codes.len());
+                *code = codes.len() as u32;
             }
-            let codes = &mut rec.driver_of_code[slot as usize];
-            let code = match codes.iter().position(|&d| d == pl.driver) {
-                Some(code) => code,
-                None => {
-                    if codes.len() == 1 << MAX_CODE_PLANES {
-                        return None;
-                    }
-                    codes.push(pl.driver);
-                    max_codes = max_codes.max(codes.len());
-                    codes.len() - 1
-                }
-            };
-            rec.pairs.push((slot, code as u8));
+            rec.pairs.push((slot, (*code - 1) as u16));
         }
         rec.offsets.push(rec.pairs.len() as u32);
     }
     rec.plane_bits = (usize::BITS as usize - (max_codes - 1).leading_zeros() as usize).max(1);
-    Some(rec)
+    rec
 }
 
 /// Greedy first-fit clique cover over `visit` (indices into `set`,
@@ -911,10 +737,8 @@ fn recode_bus(set: &PackedSet, visit: &[u32]) -> Option<RecodedBus> {
 /// that stays cache-resident, which is worth ~5× on 10^4-pattern sets.
 ///
 /// The bus prefilter runs on per-line driver-code planes built by the
-/// internal bus recoding; subsets spanning more than 64 distinct bus
-/// lines, or with more than 256 distinct drivers on one line, take the
-/// [`PackedAccumulator`] path instead (identical output, per the same
-/// equivalence argument).
+/// internal bus recoding, which covers every packed set: all 256 bus
+/// lines and up to [`MAX_PACKED_DRIVERS`] drivers on one line.
 ///
 /// # Panics
 ///
@@ -926,22 +750,24 @@ pub fn first_fit_cover(
     visit: &[u32],
     terminal_words: usize,
 ) -> (Vec<PackedPattern>, KernelStats) {
-    match recode_bus(set, visit) {
-        Some(rec) => match rec.plane_bits {
-            1 => cover_with_planes::<1>(set, visit, &rec, terminal_words),
-            2 => cover_with_planes::<2>(set, visit, &rec, terminal_words),
-            3 => cover_with_planes::<3>(set, visit, &rec, terminal_words),
-            4 => cover_with_planes::<4>(set, visit, &rec, terminal_words),
-            5 => cover_with_planes::<5>(set, visit, &rec, terminal_words),
-            6 => cover_with_planes::<6>(set, visit, &rec, terminal_words),
-            _ => cover_with_planes::<MAX_CODE_PLANES>(set, visit, &rec, terminal_words),
-        },
-        None => cover_with_accumulator(set, visit, terminal_words),
+    let rec = recode_bus(set, visit);
+    match rec.plane_bits {
+        1 => cover_with_planes::<1>(set, visit, &rec, terminal_words),
+        2 => cover_with_planes::<2>(set, visit, &rec, terminal_words),
+        3 => cover_with_planes::<3>(set, visit, &rec, terminal_words),
+        4 => cover_with_planes::<4>(set, visit, &rec, terminal_words),
+        5 => cover_with_planes::<5>(set, visit, &rec, terminal_words),
+        6 => cover_with_planes::<6>(set, visit, &rec, terminal_words),
+        7 => cover_with_planes::<7>(set, visit, &rec, terminal_words),
+        8 => cover_with_planes::<8>(set, visit, &rec, terminal_words),
+        9 => cover_with_planes::<9>(set, visit, &rec, terminal_words),
+        10 => cover_with_planes::<10>(set, visit, &rec, terminal_words),
+        _ => cover_with_planes::<MAX_CODE_PLANES>(set, visit, &rec, terminal_words),
     }
 }
 
-/// The fast path of [`first_fit_cover`], monomorphized over the driver
-/// code width `P`.
+/// The body of [`first_fit_cover`], monomorphized over the driver code
+/// width `P`.
 ///
 /// Clique bus state is kept *transposed*: for every line slot, one
 /// bitmask over cliques marking who occupies the line (`occ`) plus `P`
@@ -1125,42 +951,6 @@ fn absorb_words(planes: &mut [Plane], words: &[PackedWord]) {
     }
 }
 
-/// The general-case path of [`first_fit_cover`] (more than 64 distinct
-/// bus lines in the subset, or more than 256 drivers on one line): the
-/// epoch-based sweep over a
-/// [`PackedAccumulator`], whose dense per-line driver table handles the
-/// full 256-line space.
-// Invariant: the loop only runs while `alive` is non-empty, so the seed draw always succeeds.
-#[allow(clippy::expect_used)]
-fn cover_with_accumulator(
-    set: &PackedSet,
-    visit: &[u32],
-    terminal_words: usize,
-) -> (Vec<PackedPattern>, KernelStats) {
-    let mut alive = visit.to_vec();
-    let mut accumulator = PackedAccumulator::new(terminal_words);
-    let mut rejected: Vec<u32> = Vec::new();
-    let mut result = Vec::new();
-    while !alive.is_empty() {
-        accumulator.begin_clique();
-        let mut iter = alive.iter();
-        let &seed = iter.next().expect("alive is non-empty");
-        accumulator.absorb(set.get(seed as usize));
-        for &i in iter {
-            let p = set.get(i as usize);
-            if accumulator.is_compatible(p) {
-                accumulator.absorb(p);
-            } else {
-                rejected.push(i);
-            }
-        }
-        result.push(accumulator.extract());
-        std::mem::swap(&mut alive, &mut rejected);
-        rejected.clear();
-    }
-    (result, accumulator.take_stats())
-}
-
 /// Word-aligned ownership map of a SOC's terminal space: for every
 /// terminal word, the cores owning bits of that word and their in-word
 /// masks. Built once per SOC, it turns care-core extraction (hypergraph
@@ -1268,6 +1058,7 @@ impl PackedLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soctam_exec::check::{cases, forall, Gen};
 
     fn t(i: u32) -> TerminalId {
         TerminalId::new(i)
@@ -1395,42 +1186,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_agrees_with_pairwise_merge() {
-        let a = sparse(&[(3, Symbol::Rise), (90, Symbol::Zero)], &[(1, 2)]);
-        let b = sparse(&[(4, Symbol::Fall)], &[(1, 2), (5, 3)]);
-        let c = sparse(&[(3, Symbol::Fall)], &[]); // symbol conflict with a
-        let d = sparse(&[], &[(5, 4)]); // driver conflict with b
-
-        let mut acc = PackedAccumulator::new(2);
-        acc.begin_clique();
-        acc.absorb(PackedPattern::from_sparse(&a).as_packed_ref());
-        assert!(acc.is_compatible(PackedPattern::from_sparse(&b).as_packed_ref()));
-        acc.absorb(PackedPattern::from_sparse(&b).as_packed_ref());
-        assert!(!acc.is_compatible(PackedPattern::from_sparse(&c).as_packed_ref()));
-        assert!(!acc.is_compatible(PackedPattern::from_sparse(&d).as_packed_ref()));
-
-        let clique = acc.extract().to_sparse();
-        assert_eq!(clique, a.merged(&b).expect("compatible"));
-
-        let stats = acc.take_stats();
-        assert!(stats.words_compared > 0);
-        assert_eq!(stats.fast_rejects, 1); // only d rejects at the bus stage
-        assert_eq!(acc.stats(), KernelStats::default());
-    }
-
-    #[test]
-    fn accumulator_reset_clears_state() {
-        let a = sparse(&[(3, Symbol::Rise)], &[(1, 2)]);
-        let conflicting = sparse(&[(3, Symbol::Fall)], &[(1, 3)]);
-        let mut acc = PackedAccumulator::new(1);
-        acc.begin_clique();
-        acc.absorb(PackedPattern::from_sparse(&a).as_packed_ref());
-        assert!(!acc.is_compatible(PackedPattern::from_sparse(&conflicting).as_packed_ref()));
-        acc.begin_clique();
-        assert!(acc.is_compatible(PackedPattern::from_sparse(&conflicting).as_packed_ref()));
-    }
-
-    #[test]
     fn driver_ids_below_the_limit_roundtrip() {
         let largest = MAX_PACKED_DRIVERS - 1;
         let p = sparse(&[], &[(0, 256), (1, largest)]);
@@ -1537,7 +1292,7 @@ mod tests {
     }
 
     /// First-fit cover built from pairwise [`PackedPattern::merged`]
-    /// calls only — the semantic reference both cover paths must match.
+    /// calls only — the semantic reference the cover must match.
     fn reference_cover(set: &PackedSet, visit: &[u32]) -> Vec<PackedPattern> {
         let mut cliques: Vec<PackedPattern> = Vec::new();
         for &i in visit {
@@ -1578,9 +1333,8 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_cover_falls_back_beyond_64_lines() {
-        // 70 distinct lines force the accumulator path; its output must
-        // still match the pairwise reference.
+    fn first_fit_cover_matches_the_reference_beyond_64_lines() {
+        // More than 64 distinct lines (70), each recoded to its own slot.
         let patterns: Vec<SiPattern> = (0..140u32)
             .map(|i| {
                 let symbol = if i % 2 == 0 {
@@ -1619,8 +1373,8 @@ mod tests {
 
     #[test]
     fn first_fit_cover_matches_the_reference_with_many_drivers_per_line() {
-        // 256 drivers per line still fit eight code planes; 350 force the
-        // accumulator path. Both must match the pairwise reference.
+        // 256 drivers per line fill eight code planes; 350 take nine.
+        // Both must match the pairwise reference.
         for drivers_per_line in [256, 350] {
             let set = many_driver_set(drivers_per_line);
             let visit: Vec<u32> = (0..set.len() as u32).collect();
@@ -1632,6 +1386,45 @@ mod tests {
             );
             assert!(cover.len() > 1);
         }
+    }
+
+    /// A random arena for the cover property. Each case draws the width
+    /// of its driver codes (1 to 10 bit-planes), a driver count per line
+    /// that needs that width (up to 600) and as many bus lines (up to
+    /// 256) as about 1 200 patterns fill. Pattern `k` is driven by core
+    /// `k / lines % drivers` on line `k % lines`, often on a second
+    /// random line too, and has up to three care bits on two terminal
+    /// words.
+    fn random_arena(g: &mut Gen) -> PackedSet {
+        let planes = g.u32_in(1, 11);
+        let drivers = g.u32_in((1 << planes) / 2 + 1, (1 << planes).min(600) + 1);
+        let lines = g.u32_in(1, (1_200 / drivers).clamp(1, 256) + 1);
+        let patterns: Vec<SiPattern> = (0..lines * drivers)
+            .map(|k| {
+                let first = g.u32_in(0, 126);
+                let care: Vec<(u32, Symbol)> = (first..first + g.u32_in(0, 4))
+                    .map(|t| (t, Symbol::ALL[g.usize_in(0, 4)]))
+                    .collect();
+                let driver = k / lines % drivers;
+                let mut bus = vec![((k % lines) as u8, driver)];
+                if g.bool_with(0.3) {
+                    bus.push((g.u32_in(0, lines) as u8, driver));
+                }
+                sparse(&care, &bus)
+            })
+            .collect();
+        PackedSet::build(&patterns)
+    }
+
+    #[test]
+    fn first_fit_cover_matches_the_reference_on_random_arenas() {
+        forall("first_fit_cover_matches_reference", cases(16), |g| {
+            let set = random_arena(g);
+            let mut visit: Vec<u32> = (0..set.len() as u32).collect();
+            g.rng().shuffle(&mut visit);
+            let (cover, _) = first_fit_cover(&set, &visit, 2);
+            assert_eq!(cover, reference_cover(&set, &visit));
+        });
     }
 
     #[test]

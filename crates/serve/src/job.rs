@@ -80,10 +80,10 @@ impl JobState {
 /// A finished invocation: HTTP-ish status plus the response envelope
 /// (which never contains a request ID — job bodies must be
 /// byte-identical across runs and restarts).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct JobResult {
     pub(crate) status: u16,
-    pub(crate) body: String,
+    pub(crate) body: Json,
 }
 
 /// One tracked job.
@@ -257,14 +257,16 @@ impl JobManager {
                                 "failed" => JobState::Failed,
                                 _ => JobState::Cancelled,
                             };
+                            // The record holds the rendered envelope; one
+                            // that does not parse is kept as a JSON string.
+                            let body = record
+                                .get("body")
+                                .and_then(Json::as_str)
+                                .unwrap_or_default();
                             job.result = Some(JobResult {
                                 status: record.get("status").and_then(Json::as_u64).unwrap_or(500)
                                     as u16,
-                                body: record
-                                    .get("body")
-                                    .and_then(Json::as_str)
-                                    .unwrap_or_default()
-                                    .to_owned(),
+                                body: Json::parse(body).unwrap_or_else(|_| Json::str(body)),
                             });
                         }
                     }
@@ -355,7 +357,7 @@ impl JobManager {
                 ("job", Json::Int(id as i128)),
                 ("tool", Json::str(tool)),
                 ("status", Json::Int(i128::from(result.status))),
-                ("body", Json::str(result.body.clone())),
+                ("body", Json::str(result.body.render())),
             ]),
             true,
         );
@@ -671,7 +673,7 @@ pub(crate) fn parse_job_id(segment: &str) -> Option<u64> {
     segment.strip_prefix('j')?.parse().ok()
 }
 
-fn error_envelope(tool: &str, message: &str) -> String {
+fn error_envelope(tool: &str, message: &str) -> Json {
     Json::obj(vec![
         ("tool", Json::str(tool)),
         (
@@ -682,7 +684,6 @@ fn error_envelope(tool: &str, message: &str) -> String {
             ]),
         ),
     ])
-    .render()
 }
 
 fn cancelled_queued_result(tool: &str) -> JobResult {
@@ -704,8 +705,7 @@ fn interrupted_result(tool: &str) -> JobResult {
                     ("message", Json::str("interrupted by daemon restart")),
                 ]),
             ),
-        ])
-        .render(),
+        ]),
     }
 }
 
@@ -734,10 +734,7 @@ fn job_json(id: u64, job: &Job) -> Json {
     }
     if let Some(result) = &job.result {
         fields.push(("status", Json::Int(i128::from(result.status))));
-        fields.push((
-            "result",
-            Json::parse(&result.body).unwrap_or_else(|_| Json::str(result.body.clone())),
-        ));
+        fields.push(("result", result.body.clone()));
     }
     Json::obj(fields)
 }
@@ -758,7 +755,7 @@ mod tests {
             1,
             JobResult {
                 status: 200,
-                body: r#"{"tool":"info","degraded":false,"output":"x"}"#.to_owned(),
+                body: Json::parse(r#"{"tool":"info","degraded":false,"output":"x"}"#).unwrap(),
             },
         );
         let status = manager.status_json(1).unwrap();
@@ -798,7 +795,7 @@ mod tests {
             id,
             JobResult {
                 status: 200,
-                body: r#"{"tool":"optimize","degraded":true,"output":"x"}"#.to_owned(),
+                body: Json::parse(r#"{"tool":"optimize","degraded":true,"output":"x"}"#).unwrap(),
             },
         );
         let status = manager.status_json(id).unwrap();

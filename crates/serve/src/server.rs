@@ -577,7 +577,7 @@ fn job_worker_loop(state: &Arc<ServerState>) {
             item.id,
             JobResult {
                 status: response.status,
-                body: response.body.render(),
+                body: response.body,
             },
         );
     }
