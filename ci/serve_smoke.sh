@@ -117,6 +117,22 @@ expect 422 "unresolvable SOC" post /v1/tools/info '{"soc":"/nonexistent/x.soc"}'
 
 expect 200 "metrics" get /metrics && body_has "metrics" '"requests"'
 
+# Connection handlers are reused: 50 sequential requests, each on a
+# connection of its own, leave a handful of handler threads spawned.
+not_ok=0
+for _ in $(seq 1 50); do
+    "$CTL" "$ADDR" get /healthz >/dev/null 2>&1 || not_ok=$((not_ok + 1))
+done
+expect 200 "handler metrics" get /metrics
+spawned="$(grep -o '"handlers_spawned":[0-9]*' "$WORK/body" | cut -d: -f2)"
+if [ "$not_ok" -ne 0 ] || [ -z "$spawned" ] || [ "$spawned" -gt 4 ]; then
+    echo "FAIL [handler reuse]: $not_ok of 50 healthz failed;" \
+        "expected <= 4 handlers spawned, got '${spawned:-none}'"
+    failures=$((failures + 1))
+else
+    echo "ok   [handler reuse] -> 50 sequential healthz, $spawned handler(s) spawned"
+fi
+
 expect 200 "shutdown" post /admin/shutdown
 wait "$SERVER_PID"
 code=$?

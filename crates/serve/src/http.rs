@@ -125,36 +125,38 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 /// # Errors
 ///
 /// Forwards socket failures.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+pub fn write_response(stream: &mut impl Write, status: u16, body: &str) -> std::io::Result<()> {
     write_response_with(stream, status, body, &[])
 }
 
 /// [`write_response`] with extra response headers (e.g. `Retry-After`).
-/// Header names and values must be ASCII without CR/LF.
+/// Header names and values must be ASCII without CR/LF. Head and body
+/// go out in one write: one syscall, and no small head segment sent
+/// ahead of the body.
 ///
 /// # Errors
 ///
 /// Forwards socket failures.
 pub fn write_response_with(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     body: &str,
     headers: &[(&str, String)],
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut out = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
         reason(status),
         body.len()
     );
     for (name, value) in headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        out.push_str(name);
+        out.push_str(": ");
+        out.push_str(value);
+        out.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.push_str("\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -209,6 +211,39 @@ mod tests {
         let req = roundtrip("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.body, "");
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_head_and_body() {
+        let mut out = Writes::default();
+        let body = r#"{"error":{"kind":"rejected"}}"#;
+        write_response_with(&mut out, 429, body, &[("Retry-After", "1".to_owned())]).unwrap();
+        assert_eq!(out.0.len(), 1, "head and body go out in one write");
+        assert_eq!(
+            String::from_utf8(out.0.concat()).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\n\
+             Content-Type: application/json\r\n\
+             Content-Length: 29\r\n\
+             Connection: close\r\n\
+             Retry-After: 1\r\n\
+             \r\n\
+             {\"error\":{\"kind\":\"rejected\"}}"
+        );
     }
 
     #[test]

@@ -49,4 +49,4 @@ mod job;
 pub mod journal;
 mod server;
 
-pub use server::{RecoverMode, ServeError, Server, ServerConfig};
+pub use server::{RecoverMode, ServeError, Server, ServerConfig, MAX_IDLE_HANDLERS};

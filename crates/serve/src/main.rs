@@ -131,8 +131,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // SIGTERM/SIGINT latch an atomic flag the accept loop polls, so a
-    // signal gets the same graceful drain as POST /admin/shutdown.
+    // SIGTERM/SIGINT latch an atomic flag; the checkpoint monitor sees
+    // it and wakes the accept loop blocked in `accept` with a throwaway
+    // connection, so a signal gets the same graceful drain as
+    // POST /admin/shutdown.
     signal::install_terminate_handlers();
     if let Some(summary) = server.replay_summary() {
         eprintln!("soctam-serve: {summary}");

@@ -1,5 +1,8 @@
-//! The daemon: connection-per-thread HTTP server over the shared tool
-//! registry, plus an asynchronous job subsystem.
+//! The daemon: an HTTP server over the shared tool registry, plus an
+//! asynchronous job subsystem. Each connection runs on a handler thread
+//! of its own, reused across connections: a handler parks after its
+//! connection and the accept loop hands the next stream to a parked one,
+//! spawning only when none is parked.
 //!
 //! Every worker connection shares one [`Pool`] (so `--jobs` bounds
 //! total parallelism, not per-request parallelism) and one warm
@@ -23,7 +26,9 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, SendError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use soctam::{EvalCache, MetricsSnapshot, Pool, RunCtx, Soc};
@@ -44,6 +49,10 @@ pub use crate::job::RecoverMode;
 const RETRY_AFTER_SECS: u64 = 1;
 /// How often the monitor thread journals job checkpoints.
 const CHECKPOINT_INTERVAL: Duration = Duration::from_millis(100);
+/// Connection handlers the daemon keeps parked for reuse; a handler
+/// that finishes its connection while this many are parked exits
+/// instead (`handlers_idle` in `/metrics` never exceeds it).
+pub const MAX_IDLE_HANDLERS: usize = 8;
 
 /// How the daemon is configured; see `soctam-serve --help`.
 #[derive(Clone, Debug)]
@@ -117,6 +126,51 @@ struct ServerState {
     /// The listener's address, which [`wake_accept_loop`] connects to.
     local_addr: SocketAddr,
     jobs: JobManager,
+    /// Connections the accept loop handed to a handler.
+    connections: AtomicU64,
+    /// Connection handler threads started.
+    handlers_spawned: AtomicU64,
+    parked: ParkedHandlers,
+}
+
+/// The connection handlers waiting for their next connection, each
+/// behind the channel the accept loop sends it over. `None` once the
+/// drain closed the set: a handler that finishes then exits.
+struct ParkedHandlers(Mutex<Option<Vec<Sender<TcpStream>>>>);
+
+impl ParkedHandlers {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Vec<Sender<TcpStream>>>> {
+        // Every update is a single push, pop or reset, so a poisoned
+        // set is still a valid one.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The most recently parked handler, if any.
+    fn take(&self) -> Option<Sender<TcpStream>> {
+        self.lock().as_mut()?.pop()
+    }
+
+    /// Parks a handler behind `next`; false when the set is closed or
+    /// already holds [`MAX_IDLE_HANDLERS`], and the handler should exit.
+    fn park(&self, next: Sender<TcpStream>) -> bool {
+        match self.lock().as_mut() {
+            Some(parked) if parked.len() < MAX_IDLE_HANDLERS => {
+                parked.push(next);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Closes the set: every parked handler's channel disconnects, so it
+    /// exits, and no handler parks again.
+    fn close(&self) {
+        *self.lock() = None;
+    }
+
+    fn idle(&self) -> usize {
+        self.lock().as_ref().map_or(0, Vec::len)
+    }
 }
 
 /// A bound, not-yet-running daemon.
@@ -184,6 +238,9 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 local_addr,
                 jobs,
+                connections: AtomicU64::new(0),
+                handlers_spawned: AtomicU64::new(0),
+                parked: ParkedHandlers(Mutex::new(Some(Vec::new()))),
             }),
             job_workers: config.job_workers.max(1),
             stats: config.stats,
@@ -212,7 +269,7 @@ impl Server {
     ///
     /// [`ServeError`] when the accept loop cannot continue.
     pub fn run(self) -> Result<(), ServeError> {
-        let mut job_workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut job_workers: Vec<JoinHandle<()>> = Vec::new();
         for _ in 0..self.job_workers {
             let state = Arc::clone(&self.state);
             job_workers.push(std::thread::spawn(move || job_worker_loop(&state)));
@@ -238,9 +295,11 @@ impl Server {
         };
 
         // A blocking accept: a connection is taken the moment it
-        // arrives. Shutdown and termination wake the loop with a
-        // throwaway connection ([`wake_accept_loop`]), which is dropped.
-        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        // arrives and handed to a parked handler, or to a new one when
+        // none is parked, so no connection waits behind a busy handler.
+        // Shutdown and termination wake the loop with a throwaway
+        // connection ([`wake_accept_loop`]), which is dropped.
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         let accept_result = loop {
             if self.state.stopping() {
                 break Ok(());
@@ -248,11 +307,11 @@ impl Server {
             match self.listener.accept() {
                 Ok(_) if self.state.stopping() => break Ok(()),
                 Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
-                    workers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &state);
-                    }));
-                    workers.retain(|handle| !handle.is_finished());
+                    self.state.connections.fetch_add(1, Ordering::Relaxed);
+                    if let Some(handle) = hand_over(stream, &self.state) {
+                        handlers.retain(|handle| !handle.is_finished());
+                        handlers.push(handle);
+                    }
                 }
                 Err(e) => {
                     break Err(ServeError {
@@ -263,11 +322,13 @@ impl Server {
         };
 
         // Drain: no new admissions, queued jobs cancel terminally,
-        // running jobs degrade to best-so-far; then every thread joins
-        // and the journal is fsynced. Runs even when the accept loop
-        // failed, so no thread is leaked.
+        // running jobs degrade to best-so-far, parked handlers exit and
+        // busy ones exit after their connection; then every thread
+        // joins and the journal is fsynced. Runs even when the accept
+        // loop failed, so no thread is leaked.
         self.state.jobs.drain();
-        for handle in workers {
+        self.state.parked.close();
+        for handle in handlers {
             let _ = handle.join();
         }
         for handle in job_workers {
@@ -358,29 +419,65 @@ impl Response {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, state: &ServerState) {
+/// Hands `stream` to the most recently parked handler, or starts a
+/// handler for it when none is parked (returning its join handle).
+fn hand_over(mut stream: TcpStream, state: &Arc<ServerState>) -> Option<JoinHandle<()>> {
+    while let Some(handler) = state.parked.take() {
+        match handler.send(stream) {
+            Ok(()) => return None,
+            // The handler is gone: the stream goes to the next one.
+            Err(SendError(back)) => stream = back,
+        }
+    }
+    state.handlers_spawned.fetch_add(1, Ordering::Relaxed);
+    let state = Arc::clone(state);
+    Some(std::thread::spawn(move || handler_loop(stream, &state)))
+}
+
+/// One connection handler: serves `stream`, parks, and serves each
+/// stream the accept loop hands it next, until the parked set is full
+/// or closed.
+fn handler_loop(mut stream: TcpStream, state: &ServerState) {
+    loop {
+        handle_connection(&mut stream, state);
+        let (next, parked) = mpsc::channel();
+        let reused = state.parked.park(next);
+        // Closed only once parked: a client that sees its connection
+        // end and connects again finds this handler waiting.
+        drop(stream);
+        if !reused {
+            return;
+        }
+        match parked.recv() {
+            Ok(handed) => stream = handed,
+            Err(_) => return,
+        }
+    }
+}
+
+fn handle_connection(stream: &mut TcpStream, state: &ServerState) {
     // Read the request before any rejection: closing a socket with
     // unread data sends a TCP RST, which clients see instead of the
     // structured response we wrote.
-    let request = read_request(&mut stream);
+    let request = read_request(stream);
     // Failpoint: an injected accept-path fault must still produce a
     // structured response on the open socket, never a hung connection.
     if let Err(e) = fault::check("serve.accept") {
         let response = Response::error(503, None, "unavailable", &ToolError::failed(e.to_string()))
             .retry_after(RETRY_AFTER_SECS);
-        send(&mut stream, &response);
+        send(stream, &response);
         return;
     }
     let request = match request {
         Ok(request) => request,
         Err(e) => {
             let response = Response::error(400, None, "malformed", &ToolError::failed(e.message));
-            send(&mut stream, &response);
+            send(stream, &response);
             return;
         }
     };
     let response = route(&request, state);
-    send(&mut stream, &response);
+    send(stream, &response);
 }
 
 fn send(stream: &mut TcpStream, response: &Response) {
@@ -844,6 +941,15 @@ fn metrics_json(state: &ServerState) -> Json {
                     "rejected",
                     Json::Int(state.rejected.load(Ordering::Relaxed) as i128),
                 ),
+                (
+                    "connections",
+                    Json::Int(state.connections.load(Ordering::Relaxed) as i128),
+                ),
+                (
+                    "handlers_spawned",
+                    Json::Int(state.handlers_spawned.load(Ordering::Relaxed) as i128),
+                ),
+                ("handlers_idle", Json::Int(state.parked.idle() as i128)),
             ]),
         ),
         ("jobs", state.jobs.metrics_json()),

@@ -6,12 +6,14 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use soctam_exec::fault::{FaultAction, ScopedFault};
 use soctam_registry::Json;
-use soctam_serve::{client, Server, ServerConfig};
+use soctam_serve::{client, Server, ServerConfig, MAX_IDLE_HANDLERS};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -141,4 +143,107 @@ fn tool_panics_are_contained_to_a_500_response() {
     let response = client::get(&addr, "/healthz").unwrap();
     assert_eq!(response.status, 200, "daemon survives the panic");
     stop(&addr, handle);
+}
+
+/// A `server` counter (or gauge) from `/metrics`.
+fn server_count(addr: &str, key: &str) -> u64 {
+    let metrics = Json::parse(&client::get(addr, "/metrics").unwrap().body).unwrap();
+    metrics
+        .get("server")
+        .and_then(|server| server.get(key))
+        .and_then(Json::as_u64)
+        .unwrap()
+}
+
+fn inflight(response: &client::ClientResponse) -> u64 {
+    Json::parse(&response.body)
+        .unwrap()
+        .get("inflight")
+        .and_then(Json::as_u64)
+        .unwrap()
+}
+
+#[test]
+fn healthz_answers_while_a_call_is_held_in_dispatch() {
+    let _serial = serialize();
+    let (addr, handle) = start(1, 0);
+    let delay = Duration::from_millis(300);
+    let _fault = ScopedFault::new("serve.dispatch", FaultAction::Delay(delay));
+    let call = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            client::post(&addr, "/v1/tools/info", r#"{"soc":"d695"}"#).unwrap()
+        })
+    };
+    // `/healthz` is routed before dispatch, so it never passes the
+    // delay; poll it until the call holds its admission slot.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while inflight(&client::get(&addr, "/healthz").unwrap()) == 0 {
+        assert!(Instant::now() < deadline, "the call was never admitted");
+    }
+    let asked = Instant::now();
+    let health = client::get(&addr, "/healthz").unwrap();
+    let waited = asked.elapsed();
+    assert_eq!(health.status, 200);
+    assert_eq!(
+        inflight(&health),
+        1,
+        "answered while the call was in flight"
+    );
+    assert!(
+        waited < delay / 2,
+        "/healthz took {waited:?} behind a call held for {delay:?}"
+    );
+    assert_eq!(call.join().unwrap().status, 200);
+    stop(&addr, handle);
+}
+
+#[test]
+fn a_burst_parks_at_most_the_cap_and_shutdown_joins_every_handler() {
+    let _serial = serialize();
+    let (addr, handle) = start(1, 0);
+    // Connections that send nothing hold their handlers, so the burst
+    // needs one handler each.
+    let burst = MAX_IDLE_HANDLERS + 4;
+    let mut held: Vec<TcpStream> = (0..burst)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    // Every `/metrics` read is a connection of its own: once the count
+    // covers the burst plus the reads, the burst was accepted.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut reads = 0;
+    loop {
+        reads += 1;
+        if server_count(&addr, "connections") >= (burst + reads) as u64 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the burst was never accepted");
+    }
+    assert!(server_count(&addr, "handlers_spawned") > MAX_IDLE_HANDLERS as u64);
+    for stream in &mut held {
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+            .unwrap();
+    }
+    for stream in &mut held {
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    }
+    let idle = server_count(&addr, "handlers_idle");
+    assert!(
+        idle <= MAX_IDLE_HANDLERS as u64,
+        "{idle} handlers parked, above the cap of {MAX_IDLE_HANDLERS}"
+    );
+
+    // The drain must join every handler, parked or not.
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop(&addr, handle);
+        let _ = done.send(());
+    });
+    assert!(
+        joined.recv_timeout(Duration::from_secs(60)).is_ok(),
+        "shutdown failed, or hung joining the connection handlers"
+    );
 }

@@ -395,3 +395,23 @@ fn cross_request_cache_hits_show_up_in_metrics() {
     );
     stop(&addr, handle);
 }
+
+#[test]
+fn sequential_connections_reuse_their_handler() {
+    let (addr, handle) = start(1, 0);
+    for _ in 0..50 {
+        assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
+    }
+    let metrics = Json::parse(&client::get(&addr, "/metrics").unwrap().body).unwrap();
+    let server = metrics.get("server").unwrap();
+    let count = |key: &str| server.get(key).and_then(Json::as_u64).unwrap();
+    assert!(count("connections") >= 50, "{}", server.render());
+    // A handler parks before it closes its connection, so each next
+    // connection finds it waiting.
+    assert!(
+        count("handlers_spawned") <= 2,
+        "50 sequential requests spawned {} handlers",
+        count("handlers_spawned")
+    );
+    stop(&addr, handle);
+}

@@ -13,7 +13,7 @@
 //! Everything read off the state is bit-identical to
 //! [`Evaluator::evaluate`], the from-scratch referee (see DESIGN.md §12).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use soctam_exec::{fault, fx_fingerprint128, FpKey, MemoCache, Metrics};
 use soctam_model::{CoreId, Soc};
@@ -706,9 +706,10 @@ impl Evaluation {
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     soc: &'a Soc,
-    /// Shared with every [`fork`](Evaluator::fork): read-only after
-    /// construction.
-    table: Arc<TimeTable>,
+    /// Built on first read and shared with every
+    /// [`fork`](Evaluator::fork): a request whose legs all come from
+    /// the search memo never reads it, so it never pays for it.
+    table: Arc<OnceLock<TimeTable>>,
     max_width: u32,
     groups: Vec<SiGroupSpec>,
     /// Per core: `Σ_{s ∋ c} patterns(s)` — the total SI pattern load the
@@ -769,7 +770,7 @@ impl<'a> Evaluator<'a> {
         let ctx_fp = fx_fingerprint128(&(soc, max_width, &groups));
         Ok(Evaluator {
             soc,
-            table: Arc::new(TimeTable::new(soc, max_width)),
+            table: Arc::new(OnceLock::new()),
             max_width,
             groups,
             core_si_weight,
@@ -806,10 +807,11 @@ impl<'a> Evaluator<'a> {
 
     /// A second evaluator over the same context sharing this one's memo
     /// store and time table. The fork skips the full construction pass
-    /// (SOC fingerprinting, wrapper time table) by cloning the ingested
-    /// state, and — because the context fingerprint is identical —
-    /// every rail component, staircase and finished search either evaluator
-    /// computes is immediately visible to the other. Objective-dependent
+    /// (SOC fingerprinting) by cloning the ingested state, shares the
+    /// time table whichever evaluator builds it first, and — because
+    /// the context fingerprint is identical — every rail component,
+    /// staircase and finished search either evaluator computes is
+    /// immediately visible to the other. Objective-dependent
     /// entries carry the objective in their caller-side fingerprint, so
     /// forks running different objectives cannot alias.
     pub(crate) fn fork(&self) -> Evaluator<'a> {
@@ -1022,14 +1024,15 @@ impl<'a> Evaluator<'a> {
     /// bit-identical to the from-scratch result.
     fn compute_rail_eval(&self, width: u32, cores: &[CoreId]) -> RailEval {
         fault::hit("tam.rail_eval");
+        let table = self.time_table();
         let t_in = cores
             .iter()
-            .map(|&c| self.table.intest(c, width))
+            .map(|&c| table.intest(c, width))
             .fold(0u64, u64::saturating_add);
         let mut shift = vec![0u64; self.groups.len()];
         let mut touched: Vec<u32> = Vec::new();
         for &core in cores {
-            let per_pattern = self.table.si_shift(core, width);
+            let per_pattern = table.si_shift(core, width);
             if per_pattern == 0 {
                 continue;
             }
@@ -1199,9 +1202,10 @@ impl<'a> Evaluator<'a> {
     /// step of [`Evaluator::rail_staircases`]. `time_in` folds exactly
     /// as a component's `t_in` does.
     fn rail_times_at(&self, cores: &[CoreId], width: u32) -> (u64, u64) {
+        let table = self.time_table();
         cores.iter().fold((0u64, 0u64), |(used, t_in), &c| {
-            let intest = self.table.intest(c, width);
-            let si = self.core_si_weight[c.index()].saturating_mul(self.table.si_shift(c, width));
+            let intest = table.intest(c, width);
+            let si = self.core_si_weight[c.index()].saturating_mul(table.si_shift(c, width));
             (
                 used.saturating_add(intest.saturating_add(si)),
                 t_in.saturating_add(intest),
@@ -1224,9 +1228,11 @@ impl<'a> Evaluator<'a> {
         self.max_width
     }
 
-    /// The per-core time table every evaluation reads.
+    /// The per-core time table every evaluation reads, built on the
+    /// first call (by this evaluator or any fork of it).
     pub fn time_table(&self) -> &TimeTable {
-        &self.table
+        self.table
+            .get_or_init(|| TimeTable::new(self.soc, self.max_width))
     }
 
     /// Full evaluation of `arch`: per-rail times, per-group SI times
@@ -1456,6 +1462,40 @@ mod tests {
         .expect("valid");
         evaluator.evaluate_cached(other.rails());
         assert_eq!(metrics.snapshot().cache_misses, 2);
+    }
+
+    #[test]
+    fn a_run_recalled_from_a_warm_store_builds_no_time_table() {
+        // Both legs of the warm run (the `Total` search and its forked
+        // InTest-only portfolio leg) come from the search memo and their
+        // evaluations from the architecture namespace, so nothing reads
+        // the table; a cold run builds it.
+        use crate::{RunCtx, TamOptimizer};
+        let soc = Benchmark::P34392.soc();
+        let groups = vec![SiGroupSpec::new(soc.core_ids().collect(), 200)];
+        let optimizer = |run: RunCtx| {
+            TamOptimizer::new(&soc, 32, groups.clone())
+                .expect("valid")
+                .run(run)
+        };
+        let cold = optimizer(RunCtx::default());
+        let cold_result = cold.optimize().expect("optimizes");
+        assert!(cold.evaluator().table.get().is_some());
+
+        let cache = EvalCache::new();
+        let through = || RunCtx {
+            eval_cache: Some(cache.clone()),
+            ..RunCtx::new(soctam_exec::Pool::serial())
+        };
+        optimizer(through()).optimize().expect("optimizes");
+        let warm_run = through();
+        let metrics = warm_run.pool.metrics();
+        let warm = optimizer(warm_run);
+        let warm_result = warm.optimize().expect("optimizes");
+        let snapshot = metrics.snapshot();
+        assert_eq!((snapshot.search_hits, snapshot.search_misses), (2, 0));
+        assert!(warm.evaluator().table.get().is_none());
+        assert_eq!(warm_result, cold_result);
     }
 
     #[test]
