@@ -5,7 +5,10 @@
 # failure), and never 101 (an uncaught panic abort).
 #
 # Usage: ci/fault_smoke.sh [path/to/soctam]
-# Builds the release binary first when no path is given.
+# A binary given by path (the CLI as the argument, the daemon and its
+# client as SERVE and CTL) is used as is. One that is not given is
+# brought up to date by cargo first (a no-op when it is fresh), so a
+# local run never drives a binary from an older tree.
 #
 # Exit-code convention (shared with `soctam-analyze check`): 0 = clean,
 # 1 = a reported, structured failure (findings / contained fault),
@@ -14,10 +17,14 @@
 
 set -u
 
-BIN="${1:-target/release/soctam}"
-if [ ! -x "$BIN" ]; then
+if [ $# -lt 1 ]; then
     echo "building release CLI..."
     cargo build --release --offline -p soctam-cli || exit 1
+fi
+BIN="${1:-target/release/soctam}"
+if [ ! -x "$BIN" ]; then
+    echo "FAIL: $BIN is not an executable"
+    exit 1
 fi
 
 WORK="$(mktemp -d)"
@@ -168,12 +175,18 @@ fi
 # An armed serve.dispatch fault must surface as a structured HTTP error
 # on the open connection — never a hung socket or a dead daemon — and
 # the daemon must still shut down cleanly afterwards.
-SERVE="${SERVE:-target/release/soctam-serve}"
-CTL="${CTL:-target/release/soctam-servectl}"
-if [ ! -x "$SERVE" ] || [ ! -x "$CTL" ]; then
+if [ -z "${SERVE:-}" ] || [ -z "${CTL:-}" ]; then
     echo "building release daemon..."
     cargo build --release --offline -p soctam-serve || exit 1
 fi
+SERVE="${SERVE:-target/release/soctam-serve}"
+CTL="${CTL:-target/release/soctam-servectl}"
+for bin in "$SERVE" "$CTL"; do
+    if [ ! -x "$bin" ]; then
+        echo "FAIL: $bin is not an executable"
+        exit 1
+    fi
+done
 
 SOCTAM_FAILPOINTS="serve.dispatch=error" \
     "$SERVE" --listen 127.0.0.1:0 >"$WORK/serve.log" 2>&1 &

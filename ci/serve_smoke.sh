@@ -5,16 +5,24 @@
 # down cleanly.
 #
 # Usage: ci/serve_smoke.sh [path/to/soctam-serve [path/to/soctam-servectl]]
-# Builds the release binaries first when no paths are given.
+# A binary given by path is used as is. When either path is missing,
+# cargo brings the release binaries up to date first (a no-op when they
+# are fresh), so a local run never drives a daemon from an older tree.
 
 set -u
 
-SERVE="${1:-target/release/soctam-serve}"
-CTL="${2:-target/release/soctam-servectl}"
-if [ ! -x "$SERVE" ] || [ ! -x "$CTL" ]; then
+if [ $# -lt 2 ]; then
     echo "building release daemon..."
     cargo build --release --offline -p soctam-serve || exit 1
 fi
+SERVE="${1:-target/release/soctam-serve}"
+CTL="${2:-target/release/soctam-servectl}"
+for bin in "$SERVE" "$CTL"; do
+    if [ ! -x "$bin" ]; then
+        echo "FAIL: $bin is not an executable"
+        exit 1
+    fi
+done
 
 WORK="$(mktemp -d)"
 SERVER_PID=""

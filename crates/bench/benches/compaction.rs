@@ -1,7 +1,8 @@
 //! Timing benches for the Section 3 compaction machinery: the greedy
 //! clique cover, the full two-dimensional pipeline, the front half of
-//! a request (pattern generation plus compaction), a table sweep's
-//! compactions and the cover on buses wider than the paper's.
+//! a request (pattern generation plus compaction, and generation
+//! alone), a table sweep's compactions and the cover on buses wider
+//! than the paper's.
 //!
 //! Pass `--json <path>` to additionally write the results as a JSON
 //! report (used by the CI perf-smoke job).
@@ -61,11 +62,17 @@ fn main() {
     // The front half of an `optimize --patterns 100000 --partitions 4
     // --jobs 2` request: generation straight into the packed arena plus
     // the packed compaction, next to the sparse set plus the sparse
-    // entry it replaced. Both include dropping what they built.
+    // entry it replaced, and the generation alone. All include dropping
+    // what they built. A loop in one process reuses the memory it
+    // freed, so these rows show copies but not the page faults a fresh
+    // CLI process pays for touching new memory.
     drop(raw);
     let pool = Pool::new(2);
     let patterns = RandomPatternConfig::new(100_000).with_seed(TABLE_SEED);
     let config = CompactionConfig::new(4);
+    session.bench("generate_random_packed/p93791/100000", samples, || {
+        generate_random_packed(&soc, &patterns, &pool).expect("generation succeeds")
+    });
     session.bench("front_half/p93791/100000/4", samples, || {
         let set = generate_random_packed(&soc, &patterns, &pool).expect("generation succeeds");
         compact_packed_with(&soc, &set, &config, &pool).expect("compaction succeeds")

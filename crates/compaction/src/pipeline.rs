@@ -269,18 +269,28 @@ impl<'a> PreparedSet<'a> {
         let has_remainder = !grouping.remainder.is_empty();
         stats.duplicate_patterns = set.len() - work.iter().map(Vec::len).sum::<usize>();
 
-        let compacted_buckets = pool.par_map(&work, |indices| {
+        // The pool hands each participant a contiguous run of items, so
+        // the covers go out largest first: the longest one (usually the
+        // cut remainder) starts at once instead of last. Ties keep bucket
+        // order, and the results return to bucket order for the
+        // reduction.
+        let mut order: Vec<usize> = (0..work.len()).collect();
+        order.sort_by_key(|&item| std::cmp::Reverse(work[item].len()));
+        let covers = pool.par_map(&order, |&item| {
             soctam_exec::fault::hit("compaction.bucket");
+            let indices = &work[item];
             if indices.is_empty() {
                 (Vec::new(), KernelStats::default())
             } else {
                 compact_packed_subset(set, indices, self.terminal_words, config.merge_order)
             }
         });
+        let mut compacted_buckets: Vec<_> = order.into_iter().zip(covers).collect();
+        compacted_buckets.sort_unstable_by_key(|&(item, _)| item);
 
         let mut groups = Vec::new();
         let mut kernel = KernelStats::default();
-        let mut iter = compacted_buckets.into_iter();
+        let mut iter = compacted_buckets.into_iter().map(|(_, cover)| cover);
         for part in 0..grouping.buckets.len() {
             // Invariant: `par_map` returns exactly one result per work item.
             #[allow(clippy::expect_used)]
@@ -724,6 +734,52 @@ mod tests {
                 }
             },
         );
+    }
+
+    #[test]
+    fn largest_first_dispatch_returns_bucket_order() {
+        let soc = Benchmark::P93791.soc();
+        let raw = SiPatternSet::random(&soc, &RandomPatternConfig::new(6_000).with_seed(2007))
+            .expect("valid");
+        let set = PackedSet::build(raw.as_slice());
+        let config = CompactionConfig::new(4).with_seed(2007);
+        // The premise: the cut remainder is the largest work item and the
+        // buckets differ in size, so largest-first reorders the items.
+        let grouping = group_patterns_packed(
+            &soc,
+            &set,
+            &PackedLayout::new(&soc),
+            4,
+            &config.partition_config,
+        )
+        .expect("groups");
+        let sizes: Vec<usize> = work_items(&repeated_patterns(&set, fingerprint), &grouping)
+            .iter()
+            .map(Vec::len)
+            .collect();
+        let (remainder, buckets) = sizes.split_last().expect("work items");
+        assert!(!grouping.remainder.is_empty(), "{sizes:?}");
+        assert!(buckets.iter().all(|size| size < remainder), "{sizes:?}");
+        assert!(buckets.windows(2).any(|w| w[0] < w[1]), "{sizes:?}");
+
+        let reference = per_call_reference(&soc, &raw, &set, &config).expect("valid");
+        for jobs in [1, 2, 4] {
+            let pool = Pool::new(jobs);
+            let prepared = PreparedSet::new(&soc, &set, &[4], &pool).expect("valid");
+            let got = prepared.compact(&config, &pool).expect("valid");
+            assert_eq!(got, reference, "jobs {jobs}");
+            let metrics = pool.metrics().snapshot();
+            assert_eq!(
+                metrics.kernel_words_compared,
+                reference.stats().kernel_words_compared,
+                "jobs {jobs}"
+            );
+            assert_eq!(
+                metrics.kernel_fast_rejects,
+                reference.stats().kernel_fast_rejects,
+                "jobs {jobs}"
+            );
+        }
     }
 
     #[test]

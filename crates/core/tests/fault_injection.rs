@@ -178,6 +178,43 @@ fn counted_failpoint_fires_on_the_nth_hit_only() {
 }
 
 #[test]
+fn bucket_failpoint_is_hit_once_per_work_item() {
+    let _guard = guard();
+    let soc = Benchmark::P93791.soc();
+    let patterns =
+        SiPatternSet::random(&soc, &RandomPatternConfig::new(3_000).with_seed(5)).expect("valid");
+    for jobs in [1, 2] {
+        let optimizer = SiOptimizer::new(&soc)
+            .max_tam_width(16)
+            .partitions(4)
+            .run(RunCtx::new(Pool::new(jobs)));
+        let stats = optimizer
+            .optimize(&patterns)
+            .expect("optimizes")
+            .compacted()
+            .stats()
+            .clone();
+        // One cover per part bucket, plus the cut remainder.
+        assert!(stats.raw_remainder_patterns > 0, "jobs {jobs}");
+        let items = stats.group_patterns.len() as u64 + 1;
+        fault::set_after("compaction.bucket", FaultAction::Panic, items - 1);
+        let err = optimizer
+            .optimize(&patterns)
+            .expect_err("the last item fires");
+        fault::reset();
+        match err {
+            SoctamError::Internal { site, .. } => assert_eq!(site, "compaction.bucket"),
+            other => panic!("jobs {jobs}: expected Internal, got {other:?}"),
+        }
+        fault::set_after("compaction.bucket", FaultAction::Panic, items);
+        optimizer
+            .optimize(&patterns)
+            .unwrap_or_else(|err| panic!("jobs {jobs}: armed past the last item: {err}"));
+        fault::reset();
+    }
+}
+
+#[test]
 fn env_spec_round_trips_through_the_parser() {
     let _guard = guard();
     let parsed = fault::parse_spec("tam.merge=panic;model.parse=error@3,exec.pool.task=delay:5")

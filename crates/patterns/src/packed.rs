@@ -418,31 +418,74 @@ impl From<&SiPattern> for PackedPattern {
     }
 }
 
-/// Packed arena over a whole pattern set: every pattern's words live in
-/// two shared flat buffers, addressed by per-pattern spans. Packing once
-/// per input set avoids one small allocation pair per pattern in the
-/// compaction hot path, and the clique-cover scan streams the arena
-/// sequentially.
+/// Patterns per block of a [`PackedSet`], and per pool item of the
+/// arena generator: enough that claiming an item costs nothing next to
+/// drawing it, few enough that two workers still balance on a few
+/// thousand patterns.
+pub(crate) const BLOCK: usize = 1024;
+
+/// Packed arena over a whole pattern set, in blocks of 1 024
+/// consecutive patterns: each block holds its patterns' words and bus
+/// lines in two flat buffers, addressed by block-local spans, and
+/// pattern `i` lives in block `i / 1024`. Packing once per input set
+/// avoids one small allocation pair per pattern in the compaction hot
+/// path, and a generator that packs its blocks in parallel moves them
+/// into the set without copying a word.
 ///
+/// Every block but the last holds exactly 1 024 patterns, so sets that
+/// hold the same patterns compare equal however they were put together.
 /// The arena keeps a summary of what it holds (the largest care
 /// terminal, the largest bus driver and the number of empty patterns),
 /// so a set that fits a SOC validates in O(1).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PackedSet {
-    words: Vec<PackedWord>,
-    bus: Vec<PackedBusLine>,
-    spans: Vec<PackedSpan>,
+    blocks: Vec<PackedBlock>,
     max_terminal: Option<u32>,
     max_driver: Option<u16>,
     empty: usize,
 }
 
+/// Up to [`BLOCK`] consecutive patterns of a [`PackedSet`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct PackedBlock {
+    words: Vec<PackedWord>,
+    bus: Vec<PackedBusLine>,
+    spans: Vec<PackedSpan>,
+}
+
+/// Where one pattern's words and bus lines sit in its block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PackedSpan {
     word_off: u32,
     word_len: u32,
     bus_off: u32,
     bus_len: u32,
+}
+
+impl PackedBlock {
+    /// Borrows the block's `k`-th pattern.
+    #[inline]
+    fn get(&self, k: usize) -> PackedRef<'_> {
+        let span = self.spans[k];
+        PackedRef {
+            words: &self.words[span.word_off as usize..(span.word_off + span.word_len) as usize],
+            bus: &self.bus[span.bus_off as usize..(span.bus_off + span.bus_len) as usize],
+        }
+    }
+
+    /// Appends one pattern, whose words and bus lines `fill` appends to
+    /// the block's buffers.
+    fn push(&mut self, fill: impl FnOnce(&mut Vec<PackedWord>, &mut Vec<PackedBusLine>)) {
+        let word_off = self.words.len() as u32;
+        let bus_off = self.bus.len() as u32;
+        fill(&mut self.words, &mut self.bus);
+        self.spans.push(PackedSpan {
+            word_off,
+            word_len: self.words.len() as u32 - word_off,
+            bus_off,
+            bus_len: self.bus.len() as u32 - bus_off,
+        });
+    }
 }
 
 impl PackedSet {
@@ -453,20 +496,41 @@ impl PackedSet {
     /// Panics when a bus driver core id is ≥ [`MAX_PACKED_DRIVERS`].
     #[must_use]
     pub fn build(patterns: &[SiPattern]) -> Self {
-        let total_bus: usize = patterns.iter().map(|p| p.bus_lines().len()).sum();
-        // One care bit occupies at most one word: a safe upper bound that
-        // avoids regrowing the arena mid-pack.
-        let total_care: usize = patterns.iter().map(|p| p.care_bits().len()).sum();
         let mut set = PackedSet {
-            words: Vec::with_capacity(total_care),
-            bus: Vec::with_capacity(total_bus),
-            spans: Vec::with_capacity(patterns.len()),
+            blocks: Vec::with_capacity(patterns.len().div_ceil(BLOCK)),
             ..PackedSet::default()
         };
-        for pattern in patterns {
-            set.push_sorted(pattern.care_bits(), pattern.bus_lines());
+        for chunk in patterns.chunks(BLOCK) {
+            // One care bit occupies at most one word: a safe upper bound
+            // that avoids regrowing a block mid-pack.
+            let care = chunk.iter().map(|p| p.care_bits().len()).sum();
+            let bus = chunk.iter().map(|p| p.bus_lines().len()).sum();
+            set.reserve_block(chunk.len(), care, bus);
+            for pattern in chunk {
+                set.push_sorted(pattern.care_bits(), pattern.bus_lines());
+            }
         }
         set
+    }
+
+    /// Reserves room in the block the next pattern goes to for
+    /// `patterns` more patterns holding `words` words and `bus` bus lines
+    /// in all. Callers push those patterns next, so no block stays empty.
+    pub(crate) fn reserve_block(&mut self, patterns: usize, words: usize, bus: usize) {
+        let block = self.open_block();
+        block.words.reserve(words);
+        block.bus.reserve(bus);
+        block.spans.reserve(patterns);
+    }
+
+    /// The block the next pattern goes to: the last one while it has
+    /// room, else a new one.
+    fn open_block(&mut self) -> &mut PackedBlock {
+        if self.blocks.last().map_or(true, |b| b.spans.len() == BLOCK) {
+            self.blocks.push(PackedBlock::default());
+        }
+        let last = self.blocks.len() - 1;
+        &mut self.blocks[last]
     }
 
     /// Appends one pattern, given as care bits sorted by terminal and bus
@@ -481,21 +545,16 @@ impl PackedSet {
         care: &[(TerminalId, Symbol)],
         bus: &[(BusLineId, CoreId)],
     ) {
-        let word_off = self.words.len() as u32;
-        let bus_off = self.bus.len() as u32;
-        pack_care(care, &mut self.words);
-        pack_bus(bus, &mut self.bus);
-        self.spans.push(PackedSpan {
-            word_off,
-            word_len: self.words.len() as u32 - word_off,
-            bus_off,
-            bus_len: self.bus.len() as u32 - bus_off,
+        let block = self.open_block();
+        let bus_off = block.bus.len();
+        block.push(|words, lines| {
+            pack_care(care, words);
+            pack_bus(bus, lines);
         });
+        let max_driver = block.bus[bus_off..].iter().map(|line| line.driver).max();
+        self.max_driver = self.max_driver.max(max_driver);
         if let Some(&(t, _)) = care.last() {
             self.max_terminal = self.max_terminal.max(Some(t.raw()));
-        }
-        for line in &self.bus[bus_off as usize..] {
-            self.max_driver = self.max_driver.max(Some(line.driver));
         }
         if care.is_empty() && bus.is_empty() {
             self.empty += 1;
@@ -504,27 +563,32 @@ impl PackedSet {
 
     /// Concatenates arenas in order: the result holds the patterns of
     /// `parts[0]`, then those of `parts[1]`, and so on, exactly as if
-    /// they had been appended to one arena.
+    /// they had been appended to one arena. A part that starts on a
+    /// block edge of the result hands over its blocks without a copy;
+    /// any other part is appended pattern by pattern.
     pub(crate) fn concat(parts: Vec<PackedSet>) -> PackedSet {
+        let total: usize = parts.iter().map(PackedSet::len).sum();
         let mut set = PackedSet {
-            words: Vec::with_capacity(parts.iter().map(|p| p.words.len()).sum()),
-            bus: Vec::with_capacity(parts.iter().map(|p| p.bus.len()).sum()),
-            spans: Vec::with_capacity(parts.iter().map(PackedSet::len).sum()),
+            blocks: Vec::with_capacity(total.div_ceil(BLOCK)),
             ..PackedSet::default()
         };
         for part in parts {
-            let word_base = set.words.len() as u32;
-            let bus_base = set.bus.len() as u32;
-            set.words.extend_from_slice(&part.words);
-            set.bus.extend_from_slice(&part.bus);
-            set.spans.extend(part.spans.iter().map(|span| PackedSpan {
-                word_off: span.word_off + word_base,
-                bus_off: span.bus_off + bus_base,
-                ..*span
-            }));
             set.max_terminal = set.max_terminal.max(part.max_terminal);
             set.max_driver = set.max_driver.max(part.max_driver);
             set.empty += part.empty;
+            if set.len() % BLOCK == 0 {
+                set.blocks.extend(part.blocks);
+                continue;
+            }
+            for block in &part.blocks {
+                for k in 0..block.spans.len() {
+                    let p = block.get(k);
+                    set.open_block().push(|words, bus| {
+                        words.extend_from_slice(p.words);
+                        bus.extend_from_slice(p.bus);
+                    });
+                }
+            }
         }
         set
     }
@@ -532,13 +596,15 @@ impl PackedSet {
     /// Number of packed patterns.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.blocks
+            .last()
+            .map_or(0, |last| (self.blocks.len() - 1) * BLOCK + last.spans.len())
     }
 
     /// `true` when the set holds no patterns.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.len() == 0
     }
 
     /// Borrows pattern `i`.
@@ -549,11 +615,7 @@ impl PackedSet {
     #[must_use]
     #[inline]
     pub fn get(&self, i: usize) -> PackedRef<'_> {
-        let span = self.spans[i];
-        PackedRef {
-            words: &self.words[span.word_off as usize..(span.word_off + span.word_len) as usize],
-            bus: &self.bus[span.bus_off as usize..(span.bus_off + span.bus_len) as usize],
-        }
+        self.blocks[i / BLOCK].get(i % BLOCK)
     }
 
     /// The largest care terminal id in the set, `None` when no pattern
@@ -777,8 +839,8 @@ pub fn first_fit_cover(
 /// broadcast(code bit))` accumulated over the pattern's pairs — instead
 /// of one probe per clique, and the candidate cliques surviving the
 /// bus prefilter are walked in index order for the care/symbol word
-/// check. Clique care/symbol planes live in one flat buffer with stride
-/// `terminal_words`.
+/// check. Each clique owns its `terminal_words` care/symbol planes, so
+/// opening a clique allocates one slice and copies no other clique's.
 fn cover_with_planes<const P: usize>(
     set: &PackedSet,
     visit: &[u32],
@@ -793,7 +855,7 @@ fn cover_with_planes<const P: usize>(
     let mut code_cliques = vec![0u64; nslots * P * cap];
     let mut conflict = vec![0u64; cap];
     let mut ncliques = 0usize;
-    let mut cplanes: Vec<Plane> = Vec::new();
+    let mut cplanes: Vec<Box<[Plane]>> = Vec::new();
     let mut stats = KernelStats::default();
 
     for (k, &i) in visit.iter().enumerate() {
@@ -829,12 +891,12 @@ fn cover_with_planes<const P: usize>(
             while candidates != 0 {
                 let bit = candidates.trailing_zeros();
                 let j = w * 64 + bit as usize;
-                let base = j * terminal_words;
+                let planes = &cplanes[j];
                 let mut compared = 0u64;
                 let mut compatible = true;
                 for pw in words {
                     compared += 1;
-                    let plane = cplanes[base + pw.index as usize];
+                    let plane = planes[pw.index as usize];
                     if conflict_planes(pw.care, pw.lo, pw.hi, plane.care, plane.lo, plane.hi) != 0 {
                         compatible = false;
                         break;
@@ -854,10 +916,7 @@ fn cover_with_planes<const P: usize>(
 
         let j = match placed {
             Some(j) => {
-                absorb_words(
-                    &mut cplanes[j * terminal_words..(j + 1) * terminal_words],
-                    words,
-                );
+                absorb_words(&mut cplanes[j], words);
                 j
             }
             None => {
@@ -882,9 +941,9 @@ fn cover_with_planes<const P: usize>(
                     cap = new_cap;
                 }
                 ncliques += 1;
-                let base = cplanes.len();
-                cplanes.resize(base + terminal_words, Plane::default());
-                absorb_words(&mut cplanes[base..], words);
+                let mut planes = vec![Plane::default(); terminal_words].into_boxed_slice();
+                absorb_words(&mut planes, words);
+                cplanes.push(planes);
                 j
             }
         };
@@ -902,10 +961,11 @@ fn cover_with_planes<const P: usize>(
         }
     }
 
-    let patterns = (0..ncliques)
-        .map(|j| {
-            let base = j * terminal_words;
-            let words = cplanes[base..base + terminal_words]
+    let patterns = cplanes
+        .iter()
+        .enumerate()
+        .map(|(j, planes)| {
+            let words = planes
                 .iter()
                 .enumerate()
                 .filter(|(_, plane)| plane.care != 0)
@@ -1183,6 +1243,90 @@ mod tests {
             assert_eq!(set.get(i), packed.as_packed_ref());
         }
         assert_ne!(set.get(0), set.get(2));
+    }
+
+    /// Packs `patterns` as uneven parts and concatenates them: empty
+    /// parts, parts that end off a block edge (appended pattern by
+    /// pattern) and parts that start on one (moved whole).
+    fn concat_unevenly(patterns: &[SiPattern]) -> PackedSet {
+        let mut parts = vec![PackedSet::default()];
+        let mut rest = patterns;
+        for &size in [1, BLOCK - 1, 0, BLOCK + 1, 5, BLOCK, 2 * BLOCK]
+            .iter()
+            .cycle()
+        {
+            if rest.is_empty() {
+                break;
+            }
+            let (part, tail) = rest.split_at(size.min(rest.len()));
+            parts.push(PackedSet::build(part));
+            rest = tail;
+        }
+        parts.push(PackedSet::default());
+        PackedSet::concat(parts)
+    }
+
+    /// Checks `set` against the sparse patterns it packs: every index,
+    /// the length, the summary and both validations, on a SOC the set
+    /// fits and on one it does not.
+    fn assert_packs(set: &PackedSet, patterns: &[SiPattern], what: &str) {
+        assert_eq!(set.len(), patterns.len(), "{what}");
+        assert_eq!(set.is_empty(), patterns.is_empty(), "{what}");
+        for (i, p) in patterns.iter().enumerate() {
+            let packed = PackedPattern::from_sparse(p);
+            assert_eq!(set.get(i), packed.as_packed_ref(), "{what}: pattern {i}");
+            assert_eq!(&set.get(i).to_sparse(), p, "{what}: pattern {i}");
+        }
+        let max_terminal = patterns
+            .iter()
+            .filter_map(|p| p.care_bits().last().map(|&(t, _)| t.raw()))
+            .max();
+        let max_driver = patterns
+            .iter()
+            .flat_map(|p| p.bus_lines().iter().map(|&(_, d)| d.raw() as u16))
+            .max();
+        let empty = patterns
+            .iter()
+            .filter(|p| p.care_bits().is_empty() && p.bus_lines().is_empty())
+            .count();
+        assert_eq!(set.max_terminal(), max_terminal, "{what}");
+        assert_eq!(set.max_driver(), max_driver, "{what}");
+        assert_eq!(set.empty_patterns(), empty, "{what}");
+        let sparse = SiPatternSet::from_patterns(patterns.to_vec());
+        for soc in [soctam_model::Benchmark::D695, soctam_model::Benchmark::U226] {
+            let soc = soc.soc();
+            assert_eq!(set.validate(&soc), sparse.validate(&soc), "{what}");
+            assert_eq!(set.validate_for(&soc), sparse.validate_for(&soc), "{what}");
+        }
+    }
+
+    #[test]
+    fn arenas_agree_at_every_block_edge() {
+        use crate::{generate_random_packed, RandomPatternConfig};
+        use soctam_exec::Pool;
+        let soc = soctam_model::Benchmark::D695.soc();
+        let pools: Vec<Pool> = [1, 2, 4, 8].into_iter().map(Pool::new).collect();
+        for count in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+            let config = RandomPatternConfig::new(count).with_seed(31);
+            let patterns = SiPatternSet::random(&soc, &config)
+                .expect("valid")
+                .into_vec();
+            let built = PackedSet::build(&patterns);
+            assert_packs(&built, &patterns, &format!("build of {count}"));
+            assert_eq!(concat_unevenly(&patterns), built, "concat of {count}");
+            for pool in &pools {
+                let generated = generate_random_packed(&soc, &config, pool).expect("valid");
+                assert_eq!(generated, built, "{count} generated, jobs {}", pool.jobs());
+            }
+            // Empty patterns across the edges, for the summary's count.
+            let mut with_empty = patterns;
+            for at in (0..=with_empty.len()).rev().step_by(BLOCK / 3) {
+                with_empty.insert(at, SiPattern::default());
+            }
+            let built = PackedSet::build(&with_empty);
+            assert_packs(&built, &with_empty, &format!("{count} with empties"));
+            assert_eq!(concat_unevenly(&with_empty), built, "{count} with empties");
+        }
     }
 
     #[test]
