@@ -141,6 +141,34 @@ else
     echo "ok   [handler reuse] -> 50 sequential healthz, $spawned handler(s) spawned"
 fi
 
+# The shared cache keeps only what a later request can read: a fresh
+# optimize without a budget adds its compacted groups, its legs' rails
+# and their evaluations (a handful of entries), never its working set
+# (about 500 rail components, staircases, costs and incumbents on d695).
+cache_entries() {
+    expect 200 "cache metrics" get /metrics >&2 &&
+        grep -o '"entries":[0-9]*' "$WORK/body" | cut -d: -f2
+}
+entries_before="$(cache_entries)"
+for seed in $(seq 101 110); do
+    expect 200 "optimize seed $seed" post /v1/tools/optimize \
+        "{\"soc\":\"d695\",\"params\":{\"patterns\":300,\"width\":16,\"partitions\":2,\"seed\":$seed}}" \
+        >/dev/null
+done
+entries_after="$(cache_entries)"
+case "$entries_before$entries_after" in
+*[!0-9]* | "") entries_before="" ;;
+esac
+if [ -z "$entries_before" ] || [ -z "$entries_after" ] ||
+    [ "$entries_after" -gt $((entries_before + 50)) ]; then
+    echo "FAIL [cache growth]: 10 fresh optimize requests grew cache.entries" \
+        "from '${entries_before:-none}' to '${entries_after:-none}' (limit +50)"
+    failures=$((failures + 1))
+else
+    echo "ok   [cache growth] -> 10 fresh optimize requests," \
+        "cache.entries $entries_before -> $entries_after"
+fi
+
 expect 200 "shutdown" post /admin/shutdown
 wait "$SERVER_PID"
 code=$?

@@ -89,34 +89,58 @@ pub mod harness {
     /// binary was invoked with `--json <path>` — additionally records
     /// every entry and writes them as a JSON report in [`finish`].
     ///
+    /// Plain (non-flag) arguments select rows: a row runs when its
+    /// label contains one of them, and every row runs when none is
+    /// given. `cargo bench -p soctam-bench --bench compaction --
+    /// front_half` times the `front_half` rows alone, in a process of
+    /// their own, so a row does not inherit the allocator state that
+    /// the rows before it left.
+    ///
     /// [`finish`]: Session::finish
     #[derive(Debug, Default)]
     pub struct Session {
         json_path: Option<PathBuf>,
+        filters: Vec<String>,
         entries: Vec<Entry>,
     }
 
     impl Session {
         /// Builds a session from the process arguments, honouring an
-        /// optional `--json <path>` pair anywhere on the command line.
+        /// optional `--json <path>` pair anywhere on the command line
+        /// and taking every plain argument as a row filter. Other flags,
+        /// such as the `--bench` that `cargo bench` passes, are ignored.
         #[must_use]
         pub fn from_args() -> Self {
-            let mut args = std::env::args().skip(1);
-            let mut json_path = None;
+            Self::parse(std::env::args().skip(1))
+        }
+
+        pub(crate) fn parse(mut args: impl Iterator<Item = String>) -> Self {
+            let mut session = Session::default();
             while let Some(arg) = args.next() {
                 if arg == "--json" {
-                    json_path = args.next().map(PathBuf::from);
+                    session.json_path = args.next().map(PathBuf::from);
+                } else if !arg.starts_with('-') {
+                    session.filters.push(arg);
                 }
             }
-            Session {
-                json_path,
-                entries: Vec::new(),
-            }
+            session
+        }
+
+        /// Whether the row `label` was selected: no filter was given,
+        /// or the label contains one. A bench binary asks before it
+        /// sets a row up, so an unselected row costs nothing.
+        #[must_use]
+        pub fn wants(&self, label: &str) -> bool {
+            self.filters.is_empty() || self.filters.iter().any(|f| label.contains(f.as_str()))
         }
 
         /// Times `samples` runs of `f` (one discarded warm-up first),
         /// prints the summary line and records it for the JSON report.
+        /// An unselected row ([`Session::wants`]) is skipped.
         pub fn bench<R>(&mut self, label: &str, samples: usize, mut f: impl FnMut() -> R) {
+            if !self.wants(label) {
+                return;
+            }
             let (min, median, mean) = measure(samples, &mut f);
             print_line(label, samples, min, median, mean);
             self.entries.push(Entry {
@@ -280,6 +304,37 @@ mod tests {
         assert!(json.contains("\"label\": \"kernel/smoke\""));
         assert!(json.contains("\"samples\": 2"));
         assert!(json.contains("\"min_ns\": "));
+    }
+
+    #[test]
+    fn session_arguments_select_rows() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let all = harness::Session::parse(args(&["--bench"]).into_iter());
+        assert!(all.wants("front_half/p93791/100000/4"));
+
+        let some = harness::Session::parse(
+            args(&[
+                "front_half",
+                "--bench",
+                "--json",
+                "out.json",
+                "table_counts",
+            ])
+            .into_iter(),
+        );
+        assert!(some.wants("front_half/p93791/100000/4"));
+        assert!(some.wants("front_half_sparse/p93791/100000/4"));
+        assert!(some.wants("table_counts/p93791/100000"));
+        assert!(!some.wants("table_compaction/p93791/100000"));
+        // The `--json` value is a path, not a filter.
+        assert!(!some.wants("out.json"));
+
+        let mut session = some;
+        session.bench("compact_greedy/1000", 1, || unreachable!("unselected"));
+        session.bench("front_half/smoke", 1, || 1 + 1);
+        let json = session.to_json();
+        assert!(json.contains("front_half/smoke"));
+        assert!(!json.contains("compact_greedy"));
     }
 
     #[test]

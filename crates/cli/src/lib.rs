@@ -581,6 +581,10 @@ mod tests {
         capped.extend(args(&["--cache-cap", "64"]));
         // A tiny cache only costs recomputation, never correctness.
         assert_eq!(run(&capped).expect("runs"), unbounded);
+        // The bound holds the run's working set too, so the run evicts.
+        capped.push("--stats".to_owned());
+        let stats = run(&capped).expect("runs");
+        assert_eq!(stats_lines(&stats, "cache evictions").len(), 1, "{stats}");
     }
 
     /// The `--stats` lines starting with `prefix`.

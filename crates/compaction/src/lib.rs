@@ -18,7 +18,10 @@
 //! [`SiTestGroup`]s the TAM optimizer schedules; [`compact_packed_with`]
 //! runs the same pipeline on an already-packed pattern arena, and
 //! [`PreparedSet`] splits it into the half that reads only the raw
-//! patterns, done once, and a step per partition count.
+//! patterns, done once, and a step per partition count. A caller that
+//! reads only each group's cores and pattern count (the TAM optimizer,
+//! the lower bounds) runs the counts step ([`count_packed_with`],
+//! [`PreparedSet::counts`]), which emits no compacted pattern.
 //!
 //! # Example
 //!
@@ -54,10 +57,10 @@ pub use grouping::{
     PatternGrouping,
 };
 pub use pipeline::{
-    compact_packed_with, compact_two_dimensional, compact_two_dimensional_with, CompactionConfig,
-    PreparedSet,
+    compact_packed_with, compact_two_dimensional, compact_two_dimensional_with, count_packed_with,
+    CompactionConfig, PreparedSet,
 };
-pub use types::{CompactedSiTests, CompactionStats, SiTestGroup};
+pub use types::{CompactedCounts, CompactedSiTests, CompactionStats, GroupCount, SiTestGroup};
 pub use vertical::{
     compact_greedy, compact_greedy_ordered, compact_optimal, MergeOrder, EXACT_COVER_LIMIT,
 };

@@ -5,15 +5,16 @@ use std::sync::OnceLock;
 
 use soctam_exec::{FxHasher, Pool};
 use soctam_hypergraph::PartitionConfig;
-use soctam_model::Soc;
+use soctam_model::{CoreId, Soc};
 use soctam_patterns::packed::check_packable;
-use soctam_patterns::{KernelStats, PackedLayout, PackedRef, PackedSet, SiPatternSet};
+use soctam_patterns::{CliqueCover, KernelStats, PackedLayout, PackedRef, PackedSet, SiPatternSet};
 
 use crate::first_seen::FirstSeen;
 use crate::grouping::{check_parts, CoreHypergraph};
-use crate::vertical::{assert_in_terminal_space, compact_packed_subset};
+use crate::vertical::{assert_in_terminal_space, cover_packed_subset, sparse_cliques};
 use crate::{
-    CompactedSiTests, CompactionError, CompactionStats, MergeOrder, PatternGrouping, SiTestGroup,
+    CompactedCounts, CompactedSiTests, CompactionError, CompactionStats, MergeOrder,
+    PatternGrouping, SiTestGroup,
 };
 
 /// Configuration for [`compact_two_dimensional`].
@@ -153,6 +154,24 @@ pub fn compact_packed_with(
     PreparedSet::new(soc, set, &[config.partitions], pool)?.compact(config, pool)
 }
 
+/// [`compact_packed_with`] for a caller that reads only each group's
+/// cores and compacted pattern count: the same preparation and the
+/// counts step ([`PreparedSet::counts`]), which emits no compacted
+/// pattern. Groups, statistics and metrics equal those of
+/// [`compact_packed_with`].
+///
+/// # Errors
+///
+/// Same contract as [`compact_two_dimensional`].
+pub fn count_packed_with(
+    soc: &Soc,
+    set: &PackedSet,
+    config: &CompactionConfig,
+    pool: &Pool,
+) -> Result<CompactedCounts, CompactionError> {
+    PreparedSet::new(soc, set, &[config.partitions], pool)?.counts(config, pool)
+}
+
 /// A packed pattern set prepared for compaction: the half of
 /// [`compact_packed_with`] that reads only the raw patterns, done once
 /// and shared by every partition count that [`PreparedSet::compact`]
@@ -253,6 +272,46 @@ impl<'a> PreparedSet<'a> {
         config: &CompactionConfig,
         pool: &Pool,
     ) -> Result<CompactedSiTests, CompactionError> {
+        let (groups, stats) = self.step(config, pool, |cover| sparse_cliques(&cover))?;
+        let groups = groups
+            .into_iter()
+            .map(|(cores, _, patterns)| SiTestGroup::new(cores, patterns))
+            .collect();
+        Ok(CompactedSiTests::new(groups, stats))
+    }
+
+    /// [`PreparedSet::compact`] without the compacted patterns: each
+    /// group's cores and count, the same [`CompactionStats`] and the
+    /// same pool metrics, with no clique emitted. Equals
+    /// [`count_packed_with`] of the prepared set under `config`.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedSet::compact`].
+    pub fn counts(
+        &self,
+        config: &CompactionConfig,
+        pool: &Pool,
+    ) -> Result<CompactedCounts, CompactionError> {
+        let (groups, stats) = self.step(config, pool, |_| ())?;
+        let groups = groups
+            .into_iter()
+            .map(|(cores, count, ())| (cores, count))
+            .collect();
+        Ok(CompactedCounts::new(groups, stats))
+    }
+
+    /// The body of both steps: partitions, buckets, drops duplicates
+    /// and covers each work item on `pool`, handing every non-empty
+    /// cover to `emit` on the task that ran it. Returns each group's
+    /// cores, compacted count and emitted content, in group order
+    /// (remainder last), plus the step's statistics.
+    fn step<T: Default + Send>(
+        &self,
+        config: &CompactionConfig,
+        pool: &Pool,
+        emit: impl Fn(CliqueCover) -> T + Sync,
+    ) -> Result<(Vec<StepGroup<T>>, CompactionStats), CompactionError> {
         soctam_exec::fault::check("compaction.partition")?;
         let (soc, set) = (self.soc, self.set);
         let grouping = self.group(config, pool)?;
@@ -280,9 +339,11 @@ impl<'a> PreparedSet<'a> {
             soctam_exec::fault::hit("compaction.bucket");
             let indices = &work[item];
             if indices.is_empty() {
-                (Vec::new(), KernelStats::default())
+                (0, KernelStats::default(), T::default())
             } else {
-                compact_packed_subset(set, indices, self.terminal_words, config.merge_order)
+                let cover =
+                    cover_packed_subset(set, indices, self.terminal_words, config.merge_order);
+                (cover.len(), cover.stats(), emit(cover))
             }
         });
         let mut compacted_buckets: Vec<_> = order.into_iter().zip(covers).collect();
@@ -294,25 +355,20 @@ impl<'a> PreparedSet<'a> {
         for part in 0..grouping.buckets.len() {
             // Invariant: `par_map` returns exactly one result per work item.
             #[allow(clippy::expect_used)]
-            let (compacted, bucket_kernel) = iter.next().expect("one result per bucket");
+            let (count, bucket_kernel, content) = iter.next().expect("one result per bucket");
             kernel.merge(bucket_kernel);
-            if compacted.is_empty() {
-                stats.group_patterns.push(0);
-                continue;
+            stats.group_patterns.push(count);
+            if count > 0 {
+                groups.push((grouping.part_cores(part as u32), count, content));
             }
-            stats.group_patterns.push(compacted.len());
-            groups.push(SiTestGroup::new(
-                grouping.part_cores(part as u32),
-                compacted,
-            ));
         }
         if has_remainder {
             // Invariant: `work_items` puts the remainder last when it is non-empty.
             #[allow(clippy::expect_used)]
-            let (compacted, remainder_kernel) = iter.next().expect("remainder result present");
+            let (count, remainder_kernel, content) = iter.next().expect("remainder result present");
             kernel.merge(remainder_kernel);
-            stats.remainder_patterns = compacted.len();
-            groups.push(SiTestGroup::new(soc.core_ids().collect(), compacted));
+            stats.remainder_patterns = count;
+            groups.push((soc.core_ids().collect(), count, content));
         }
         stats.kernel_words_compared = kernel.words_compared;
         stats.kernel_fast_rejects = kernel.fast_rejects;
@@ -322,7 +378,7 @@ impl<'a> PreparedSet<'a> {
         metrics.add_kernel_fast_rejects(kernel.fast_rejects);
         metrics.add_duplicates_removed(stats.duplicate_patterns as u64);
 
-        Ok(CompactedSiTests::new(groups, stats))
+        Ok((groups, stats))
     }
 
     /// The grouping of `config.partitions` parts: one bucket at `i = 1`,
@@ -347,6 +403,10 @@ impl<'a> PreparedSet<'a> {
         })
     }
 }
+
+/// One group of a compaction step: its cores, its compacted pattern
+/// count and what the step emitted of its cover.
+type StepGroup<T> = (Vec<CoreId>, usize, T);
 
 /// The greedy covers' work items: one per part bucket, plus the
 /// cross-partition remainder (when any pattern was cut) as the final
@@ -612,9 +672,9 @@ mod tests {
         let mut groups = Vec::new();
         let mut kernel = KernelStats::default();
         for (item, indices) in work.iter().enumerate() {
-            let (compacted, item_kernel) =
-                compact_packed_subset(set, indices, terminal_words, config.merge_order);
-            kernel.merge(item_kernel);
+            let cover = cover_packed_subset(set, indices, terminal_words, config.merge_order);
+            kernel.merge(cover.stats());
+            let compacted = sparse_cliques(&cover);
             if item == grouping.buckets.len() {
                 stats.remainder_patterns = compacted.len();
                 groups.push(SiTestGroup::new(soc.core_ids().collect(), compacted));
@@ -709,28 +769,47 @@ mod tests {
                     reference.iter().map(|c| field(c.stats()) as u64).sum()
                 };
                 for jobs in [1, 2, 4] {
-                    let pool = Pool::new(jobs);
+                    // The counts step runs on a pool of its own, so each
+                    // pool's counters cover one step per configuration.
+                    let (pool, count_pool) = (Pool::new(jobs), Pool::new(jobs));
                     let prepared = PreparedSet::new(&soc, &set, &announced, &pool).expect("valid");
                     for (config, expected) in configs.iter().zip(&reference) {
                         let got = prepared.compact(config, &pool).expect("valid");
                         assert_eq!(&got, expected, "jobs {jobs}, {config:?}");
+                        let counts = prepared.counts(config, &count_pool).expect("valid");
+                        let cores_and_counts: Vec<(&[CoreId], u64)> = counts
+                            .groups()
+                            .iter()
+                            .map(|g| (g.cores(), g.pattern_count()))
+                            .collect();
+                        let expected_groups: Vec<(&[CoreId], u64)> = expected
+                            .groups()
+                            .iter()
+                            .map(|g| (g.cores(), g.pattern_count()))
+                            .collect();
+                        assert_eq!(cores_and_counts, expected_groups, "jobs {jobs}, {config:?}");
+                        assert_eq!(counts.stats(), expected.stats(), "jobs {jobs}, {config:?}");
+                        assert_eq!(counts.total_patterns(), expected.total_patterns());
+                        assert_eq!(counts.data_volume(&soc), expected.data_volume(&soc));
                     }
-                    let metrics = pool.metrics().snapshot();
-                    assert_eq!(
-                        metrics.kernel_words_compared,
-                        recorded(|s| s.kernel_words_compared as usize),
-                        "jobs {jobs}"
-                    );
-                    assert_eq!(
-                        metrics.kernel_fast_rejects,
-                        recorded(|s| s.kernel_fast_rejects as usize),
-                        "jobs {jobs}"
-                    );
-                    assert_eq!(
-                        metrics.duplicates_removed,
-                        recorded(|s| s.duplicate_patterns),
-                        "jobs {jobs}"
-                    );
+                    for pool in [&pool, &count_pool] {
+                        let metrics = pool.metrics().snapshot();
+                        assert_eq!(
+                            metrics.kernel_words_compared,
+                            recorded(|s| s.kernel_words_compared as usize),
+                            "jobs {jobs}"
+                        );
+                        assert_eq!(
+                            metrics.kernel_fast_rejects,
+                            recorded(|s| s.kernel_fast_rejects as usize),
+                            "jobs {jobs}"
+                        );
+                        assert_eq!(
+                            metrics.duplicates_removed,
+                            recorded(|s| s.duplicate_patterns),
+                            "jobs {jobs}"
+                        );
+                    }
                 }
             },
         );

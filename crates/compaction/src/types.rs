@@ -91,14 +91,88 @@ impl CompactedSiTests {
     pub fn data_volume(&self, soc: &Soc) -> u64 {
         self.groups
             .iter()
-            .map(|g| {
-                let width: u64 = g
-                    .cores()
-                    .iter()
-                    .map(|&c| u64::from(soc.core(c).woc_count()))
-                    .sum();
-                g.pattern_count() * width
+            .map(|g| group_volume(soc, g.cores(), g.pattern_count()))
+            .sum()
+    }
+}
+
+/// The data volume of `count` patterns over `cores`: one bit per
+/// wrapper output cell of each core.
+fn group_volume(soc: &Soc, cores: &[CoreId], count: u64) -> u64 {
+    let width: u64 = cores
+        .iter()
+        .map(|&c| u64::from(soc.core(c).woc_count()))
+        .sum();
+    count * width
+}
+
+/// One compacted SI test group without its pattern bodies: the cores
+/// and the compacted pattern count (`C(s)` and `pattern(s)` in Fig. 4),
+/// all that TAM optimization reads of a group.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GroupCount {
+    cores: Vec<CoreId>,
+    pattern_count: u64,
+}
+
+impl GroupCount {
+    /// The cores involved in this group (`C(s)`), sorted.
+    pub fn cores(&self) -> &[CoreId] {
+        &self.cores
+    }
+
+    /// Number of compacted patterns (`pattern(s)`).
+    pub fn pattern_count(&self) -> u64 {
+        self.pattern_count
+    }
+}
+
+/// The result of a counts step ([`PreparedSet::counts`](crate::PreparedSet::counts)):
+/// the groups of the [`CompactedSiTests`] the same compaction produces,
+/// as cores and counts, with the same statistics.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CompactedCounts {
+    groups: Vec<GroupCount>,
+    stats: CompactionStats,
+}
+
+impl CompactedCounts {
+    pub(crate) fn new(groups: Vec<(Vec<CoreId>, usize)>, stats: CompactionStats) -> Self {
+        let groups = groups
+            .into_iter()
+            .map(|(mut cores, count)| {
+                cores.sort_unstable();
+                cores.dedup();
+                GroupCount {
+                    cores,
+                    pattern_count: count as u64,
+                }
             })
+            .collect();
+        CompactedCounts { groups, stats }
+    }
+
+    /// The SI test groups, remainder (cross-partition) group last if any.
+    pub fn groups(&self) -> &[GroupCount] {
+        &self.groups
+    }
+
+    /// Compaction statistics.
+    pub fn stats(&self) -> &CompactionStats {
+        &self.stats
+    }
+
+    /// Total compacted pattern count over all groups.
+    pub fn total_patterns(&self) -> u64 {
+        self.groups.iter().map(GroupCount::pattern_count).sum()
+    }
+
+    /// Total SI test data volume in bits, as
+    /// [`CompactedSiTests::data_volume`] reports it.
+    pub fn data_volume(&self, soc: &Soc) -> u64 {
+        self.groups
+            .iter()
+            .map(|g| group_volume(soc, g.cores(), g.pattern_count()))
             .sum()
     }
 }

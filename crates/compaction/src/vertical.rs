@@ -11,7 +11,7 @@
 
 use soctam_model::Soc;
 use soctam_patterns::packed::{first_fit_cover, words_for_terminals};
-use soctam_patterns::{KernelStats, PackedPattern, PackedSet, SiPattern};
+use soctam_patterns::{CliqueCover, PackedPattern, PackedSet, SiPattern};
 
 use crate::CompactionError;
 
@@ -99,7 +99,7 @@ pub fn compact_greedy_ordered(
     let set = PackedSet::build(patterns);
     let indices: Vec<u32> = (0..patterns.len() as u32).collect();
     let terminal_words = assert_in_terminal_space(soc, &set);
-    compact_packed_subset(&set, &indices, terminal_words, order).0
+    sparse_cliques(&cover_packed_subset(&set, &indices, terminal_words, order))
 }
 
 /// Checks the set against `soc`'s terminal space and returns the
@@ -135,24 +135,30 @@ fn visit_order(set: &PackedSet, indices: &[u32], order: MergeOrder) -> Vec<u32> 
 
 /// Greedy clique cover over a subset of an arena-packed pattern set;
 /// the workhorse behind [`compact_greedy_ordered`] and the per-bucket
-/// parallel pipeline. Returns the compacted patterns plus the kernel
-/// counters of the run.
+/// parallel pipeline. Returns the cover's clique state, from which the
+/// compacted count and the kernel counters are read and, on demand,
+/// the compacted patterns emitted ([`sparse_cliques`]).
 ///
 /// Delegates to the kernel's single-pass
 /// [`first_fit_cover`](soctam_patterns::packed::first_fit_cover), the
 /// one greedy cover for every bus width and driver count.
-pub(crate) fn compact_packed_subset(
+pub(crate) fn cover_packed_subset(
     set: &PackedSet,
     indices: &[u32],
     terminal_words: usize,
     order: MergeOrder,
-) -> (Vec<SiPattern>, KernelStats) {
+) -> CliqueCover {
     let visit = visit_order(set, indices, order);
-    let (cliques, stats) = first_fit_cover(set, &visit, terminal_words);
-    (
-        cliques.iter().map(PackedPattern::to_sparse).collect(),
-        stats,
-    )
+    first_fit_cover(set, &visit, terminal_words)
+}
+
+/// The compacted patterns of `cover`, in clique order.
+pub(crate) fn sparse_cliques(cover: &CliqueCover) -> Vec<SiPattern> {
+    cover
+        .patterns()
+        .iter()
+        .map(PackedPattern::to_sparse)
+        .collect()
 }
 
 /// Maximum input size accepted by [`compact_optimal`].
@@ -350,10 +356,9 @@ mod tests {
         let set = PackedSet::build(raw.as_slice());
         let indices: Vec<u32> = (0..raw.len() as u32).collect();
         let words = assert_in_terminal_space(&soc, &set);
-        let (compacted, stats) =
-            compact_packed_subset(&set, &indices, words, MergeOrder::InputOrder);
-        assert!(!compacted.is_empty());
-        assert!(stats.words_compared > 0, "kernel counted no words");
+        let cover = cover_packed_subset(&set, &indices, words, MergeOrder::InputOrder);
+        assert!(!cover.is_empty());
+        assert!(cover.stats().words_compared > 0, "kernel counted no words");
     }
 
     #[test]

@@ -195,7 +195,9 @@ pub fn run_table_with(
 /// The patterns are generated once, straight into a packed arena, and
 /// prepared once ([`PreparedSet`]): generation, validation, duplicate
 /// detection and care-core extraction happen once per table, and only
-/// the partition, the buckets and the covers run per partition count.
+/// the partition, the buckets and the covers run per partition count,
+/// through the counts step ([`PreparedSet::counts`]): the table reads
+/// each group's cores and count, so no compacted pattern is emitted.
 /// Each stage runs with panic containment, like
 /// [`SiOptimizer`](crate::SiOptimizer)'s.
 ///
@@ -228,8 +230,8 @@ pub fn run_table_in(
             let prepared = PreparedSet::new(soc, &set, &config.partitions, pool)?;
             pool.par_map(&config.partitions, |&parts| {
                 prepared
-                    .compact(&CompactionConfig::new(parts).with_seed(config.seed), pool)
-                    .map(|c| (parts, c.total_patterns(), SiGroupSpec::from_compacted(&c)))
+                    .counts(&CompactionConfig::new(parts).with_seed(config.seed), pool)
+                    .map(|c| (parts, c.total_patterns(), SiGroupSpec::from_counts(&c)))
                     .map_err(SoctamError::from)
             })
             .into_iter()

@@ -66,8 +66,8 @@ pub use soctam_wrapper as wrapper;
 
 // The workhorse types, flattened for convenience.
 pub use soctam_compaction::{
-    compact_packed_with, compact_two_dimensional, compact_two_dimensional_with, CompactedSiTests,
-    CompactionConfig, SiTestGroup,
+    compact_packed_with, compact_two_dimensional, compact_two_dimensional_with, count_packed_with,
+    CompactedCounts, CompactedSiTests, CompactionConfig, SiTestGroup,
 };
 pub use soctam_exec::{FaultAction, FaultError, Metrics, MetricsSnapshot, Pool};
 pub use soctam_model::{Benchmark, CoreId, CoreSpec, Diagnostic, Diagnostics, Soc, TerminalId};

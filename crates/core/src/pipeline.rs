@@ -3,7 +3,9 @@
 use std::panic;
 use std::sync::Arc;
 
-use soctam_compaction::{compact_packed_with, CompactedSiTests, CompactionConfig, CompactionError};
+use soctam_compaction::{
+    compact_packed_with, count_packed_with, CompactedSiTests, CompactionConfig, CompactionError,
+};
 use soctam_exec::{fault, fx_fingerprint128, Metrics, Pool};
 use soctam_hypergraph::PartitionConfig;
 use soctam_model::Soc;
@@ -165,7 +167,7 @@ impl<'a> SiOptimizer<'a> {
         &self,
         patterns: &RandomPatternConfig,
     ) -> Result<SiOptimizationResult, SoctamError> {
-        self.optimize_compacted(self.generate_and_compact(patterns)?)
+        self.optimize_compacted(self.compact_arena(&self.generate(patterns)?, compact_packed_with)?)
     }
 
     /// Runs only the TAM-optimization half on already-compacted groups.
@@ -211,7 +213,10 @@ impl<'a> SiOptimizer<'a> {
 
     /// Generates the random SI patterns `patterns` describes, compacts
     /// them and returns the group specs the optimizer reads, in group
-    /// order (remainder last).
+    /// order (remainder last). The compaction runs the counts step
+    /// ([`count_packed_with`]): it emits no compacted pattern, and its
+    /// specs, `--stats` counters and phases equal those of
+    /// [`SiOptimizer::optimize_random`]'s compaction.
     ///
     /// When the run carries a shared [`EvalCache`](soctam_tam::EvalCache),
     /// the specs are memoized there under a fingerprint of every input
@@ -234,8 +239,8 @@ impl<'a> SiOptimizer<'a> {
         patterns: &RandomPatternConfig,
     ) -> Result<Arc<Vec<SiGroupSpec>>, SoctamError> {
         let compute = || {
-            let compacted = self.generate_and_compact(patterns)?;
-            Ok(Arc::new(SiGroupSpec::from_compacted(&compacted)))
+            let counts = self.compact_arena(&self.generate(patterns)?, count_packed_with)?;
+            Ok(Arc::new(SiGroupSpec::from_counts(&counts)))
         };
         let Some(cache) = &self.run.eval_cache else {
             return compute();
@@ -256,21 +261,16 @@ impl<'a> SiOptimizer<'a> {
         contain_panics("pipeline.compact", || Ok(cache.insert_groups(key, groups)))
     }
 
-    /// The front half of [`SiOptimizer::optimize_random`]: generation
-    /// into a packed arena under the `generate` phase, then
-    /// [`SiOptimizer::compact_arena`].
-    fn generate_and_compact(
-        &self,
-        patterns: &RandomPatternConfig,
-    ) -> Result<CompactedSiTests, SoctamError> {
-        let set = contain_panics("pipeline.generate", || {
+    /// Generation into a packed arena under the `generate` phase, with
+    /// panic containment.
+    fn generate(&self, patterns: &RandomPatternConfig) -> Result<PackedSet, SoctamError> {
+        contain_panics("pipeline.generate", || {
             self.metrics()
                 .time("generate", || {
                     generate_random_packed(self.soc, patterns, &self.run.pool)
                 })
                 .map_err(SoctamError::from)
-        })?;
-        self.compact_arena(&set)
+        })
     }
 
     /// Validates the SOC and `patterns`, then packs and compacts them
@@ -292,19 +292,25 @@ impl<'a> SiOptimizer<'a> {
     }
 
     /// [`SiOptimizer::compact`] on a packed arena, which validates from
-    /// its summary.
-    fn compact_arena(&self, set: &PackedSet) -> Result<CompactedSiTests, SoctamError> {
+    /// its summary, with the step to run: the full step
+    /// ([`compact_packed_with`]) or the counts step
+    /// ([`count_packed_with`]).
+    fn compact_arena<T>(
+        &self,
+        set: &PackedSet,
+        step: fn(&Soc, &PackedSet, &CompactionConfig, &Pool) -> Result<T, CompactionError>,
+    ) -> Result<T, SoctamError> {
         self.soc.validate().into_result()?;
         set.validate(self.soc).into_result()?;
-        self.compact_phase(|config, pool| compact_packed_with(self.soc, set, config, pool))
+        self.compact_phase(|config, pool| step(self.soc, set, config, pool))
     }
 
     /// Runs `compact` on this pipeline's configuration and pool under the
     /// `compact` phase, with panic containment.
-    fn compact_phase(
+    fn compact_phase<T>(
         &self,
-        compact: impl FnOnce(&CompactionConfig, &Pool) -> Result<CompactedSiTests, CompactionError>,
-    ) -> Result<CompactedSiTests, SoctamError> {
+        compact: impl FnOnce(&CompactionConfig, &Pool) -> Result<T, CompactionError>,
+    ) -> Result<T, SoctamError> {
         contain_panics("pipeline.compact", || {
             self.metrics()
                 .time("compact", || {

@@ -211,6 +211,24 @@ fn bucket_failpoint_is_hit_once_per_work_item() {
             .optimize(&patterns)
             .unwrap_or_else(|err| panic!("jobs {jobs}: armed past the last item: {err}"));
         fault::reset();
+
+        // The counts step behind `group_specs` covers the same items,
+        // generated from the same recipe, once each.
+        let recipe = RandomPatternConfig::new(3_000).with_seed(5);
+        fault::set_after("compaction.bucket", FaultAction::Panic, items - 1);
+        let err = optimizer
+            .group_specs(&recipe)
+            .expect_err("the last item fires");
+        fault::reset();
+        match err {
+            SoctamError::Internal { site, .. } => assert_eq!(site, "compaction.bucket"),
+            other => panic!("jobs {jobs}: expected Internal, got {other:?}"),
+        }
+        fault::set_after("compaction.bucket", FaultAction::Panic, items);
+        optimizer
+            .group_specs(&recipe)
+            .unwrap_or_else(|err| panic!("jobs {jobs}: armed past the last item: {err}"));
+        fault::reset();
     }
 }
 

@@ -120,6 +120,13 @@ impl<K: Clone + Eq + Hash, V: Clone> MemoCache<K, V> {
         Self::build(shards, Some(metrics), Some(capacity))
     }
 
+    /// An empty cache with `shards` lock domains, bounded to this one's
+    /// total capacity (or unbounded like it) and counting its evictions
+    /// into the same sink.
+    pub fn empty_like(&self, shards: usize) -> Self {
+        Self::build(shards, self.metrics.clone(), self.capacity())
+    }
+
     fn build(shards: usize, metrics: Option<Arc<Metrics>>, capacity: Option<usize>) -> Self {
         let shards = shards.max(1);
         Self {
@@ -298,6 +305,25 @@ mod tests {
         assert_eq!(cache.evictions(), 3);
         // Hits and misses belong to the callers; the store counts none.
         assert_eq!((snap.cache_hits, snap.cache_misses), (0, 0));
+    }
+
+    #[test]
+    fn an_empty_like_cache_keeps_the_bound_and_the_eviction_sink() {
+        let metrics = Arc::new(Metrics::new());
+        let cache: MemoCache<u64, u64> =
+            MemoCache::bounded_with_metrics(8, 16, Arc::clone(&metrics));
+        cache.get_or_insert_with(1, || 1);
+        let like = cache.empty_like(2);
+        assert!(like.is_empty());
+        assert_eq!(like.capacity(), Some(16));
+        for i in 0..40u64 {
+            like.get_or_insert_with(i, || i);
+        }
+        assert_eq!(like.len(), 16);
+        assert_eq!(metrics.snapshot().cache_evictions, 24);
+        assert_eq!(cache.len(), 1, "the original is untouched");
+        let unbounded: MemoCache<u64, u64> = MemoCache::new(4);
+        assert_eq!(unbounded.empty_like(2).capacity(), None);
     }
 
     #[test]

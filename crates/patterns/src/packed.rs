@@ -781,9 +781,97 @@ fn recode_bus(set: &PackedSet, visit: &[u32]) -> RecodedBus {
     rec
 }
 
+/// The state a greedy first-fit cover ends in: every clique's
+/// care/symbol planes and its bus lines, held transposed as the kernel
+/// screens them, plus the kernel counters. The clique count and the
+/// counters are read off it directly; [`CliqueCover::patterns`] emits
+/// the clique bodies only for a caller that needs them.
+#[derive(Clone, Debug)]
+pub struct CliqueCover {
+    /// Per clique, its `terminal_words` care/symbol planes.
+    planes: Vec<Box<[Plane]>>,
+    /// Per line slot, `cap` words marking the cliques occupying it.
+    occ: Vec<u64>,
+    /// Per line slot and code bit, `cap` words holding each occupant's
+    /// driver-code bit.
+    code: Vec<u64>,
+    /// Row length of `occ` and `code`, in 64-clique words.
+    cap: usize,
+    /// Driver-code bit-planes per slot.
+    code_planes: usize,
+    line_of_slot: Vec<u8>,
+    driver_of_code: Vec<Vec<u16>>,
+    stats: KernelStats,
+}
+
+impl CliqueCover {
+    /// The number of cliques: the compacted pattern count.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.planes.len()
+    }
+
+    /// True when the cover has no clique (it visited no pattern).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.planes.is_empty()
+    }
+
+    /// The kernel counters of the cover.
+    #[must_use]
+    pub fn stats(&self) -> KernelStats {
+        self.stats
+    }
+
+    /// Every clique as a merged pattern, in clique order: its nonzero
+    /// care/symbol words and its bus lines, ascending by line.
+    #[must_use]
+    pub fn patterns(&self) -> Vec<PackedPattern> {
+        let (cap, planes) = (self.cap, self.code_planes);
+        self.planes
+            .iter()
+            .enumerate()
+            .map(|(j, clique)| {
+                let words = clique
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, plane)| plane.care != 0)
+                    .map(|(index, plane)| PackedWord {
+                        index: index as u32,
+                        care: plane.care,
+                        lo: plane.lo,
+                        hi: plane.hi,
+                    })
+                    .collect();
+                let (word, mask) = (j / 64, 1u64 << (j % 64));
+                let mut bus = Vec::new();
+                for (slot, &line) in self.line_of_slot.iter().enumerate() {
+                    if self.occ[slot * cap + word] & mask == 0 {
+                        continue;
+                    }
+                    let mut code = 0usize;
+                    for bit in 0..planes {
+                        if self.code[(slot * planes + bit) * cap + word] & mask != 0 {
+                            code |= 1 << bit;
+                        }
+                    }
+                    bus.push(PackedBusLine {
+                        line,
+                        driver: self.driver_of_code[slot][code],
+                    });
+                }
+                bus.sort_unstable_by_key(|pl| pl.line);
+                PackedPattern { words, bus }
+            })
+            .collect()
+    }
+}
+
 /// Greedy first-fit clique cover over `visit` (indices into `set`,
 /// already in the desired visit order): each pattern joins the
-/// lowest-index compatible clique or opens a new one. `terminal_words`
+/// lowest-index compatible clique or opens a new one, and the cover
+/// returns the cliques' state, from which the clique count is read
+/// without emitting a clique body. `terminal_words`
 /// sizes the per-clique planes and must cover every care terminal of
 /// the set (use [`words_for_terminals`] of the SOC's terminal count).
 ///
@@ -807,24 +895,20 @@ fn recode_bus(set: &PackedSet, visit: &[u32]) -> RecodedBus {
 /// Panics when a pattern references a care word at or beyond
 /// `terminal_words`.
 #[must_use]
-pub fn first_fit_cover(
-    set: &PackedSet,
-    visit: &[u32],
-    terminal_words: usize,
-) -> (Vec<PackedPattern>, KernelStats) {
+pub fn first_fit_cover(set: &PackedSet, visit: &[u32], terminal_words: usize) -> CliqueCover {
     let rec = recode_bus(set, visit);
     match rec.plane_bits {
-        1 => cover_with_planes::<1>(set, visit, &rec, terminal_words),
-        2 => cover_with_planes::<2>(set, visit, &rec, terminal_words),
-        3 => cover_with_planes::<3>(set, visit, &rec, terminal_words),
-        4 => cover_with_planes::<4>(set, visit, &rec, terminal_words),
-        5 => cover_with_planes::<5>(set, visit, &rec, terminal_words),
-        6 => cover_with_planes::<6>(set, visit, &rec, terminal_words),
-        7 => cover_with_planes::<7>(set, visit, &rec, terminal_words),
-        8 => cover_with_planes::<8>(set, visit, &rec, terminal_words),
-        9 => cover_with_planes::<9>(set, visit, &rec, terminal_words),
-        10 => cover_with_planes::<10>(set, visit, &rec, terminal_words),
-        _ => cover_with_planes::<MAX_CODE_PLANES>(set, visit, &rec, terminal_words),
+        1 => cover_with_planes::<1>(set, visit, rec, terminal_words),
+        2 => cover_with_planes::<2>(set, visit, rec, terminal_words),
+        3 => cover_with_planes::<3>(set, visit, rec, terminal_words),
+        4 => cover_with_planes::<4>(set, visit, rec, terminal_words),
+        5 => cover_with_planes::<5>(set, visit, rec, terminal_words),
+        6 => cover_with_planes::<6>(set, visit, rec, terminal_words),
+        7 => cover_with_planes::<7>(set, visit, rec, terminal_words),
+        8 => cover_with_planes::<8>(set, visit, rec, terminal_words),
+        9 => cover_with_planes::<9>(set, visit, rec, terminal_words),
+        10 => cover_with_planes::<10>(set, visit, rec, terminal_words),
+        _ => cover_with_planes::<MAX_CODE_PLANES>(set, visit, rec, terminal_words),
     }
 }
 
@@ -844,9 +928,9 @@ pub fn first_fit_cover(
 fn cover_with_planes<const P: usize>(
     set: &PackedSet,
     visit: &[u32],
-    rec: &RecodedBus,
+    rec: RecodedBus,
     terminal_words: usize,
-) -> (Vec<PackedPattern>, KernelStats) {
+) -> CliqueCover {
     let nslots = rec.line_of_slot.len();
     // Capacity of the clique bitmasks, in 64-clique words; doubled (with
     // a re-layout) whenever the clique count hits the ceiling.
@@ -961,43 +1045,16 @@ fn cover_with_planes<const P: usize>(
         }
     }
 
-    let patterns = cplanes
-        .iter()
-        .enumerate()
-        .map(|(j, planes)| {
-            let words = planes
-                .iter()
-                .enumerate()
-                .filter(|(_, plane)| plane.care != 0)
-                .map(|(index, plane)| PackedWord {
-                    index: index as u32,
-                    care: plane.care,
-                    lo: plane.lo,
-                    hi: plane.hi,
-                })
-                .collect();
-            let (word, mask) = (j / 64, 1u64 << (j % 64));
-            let mut bus = Vec::new();
-            for slot in 0..nslots {
-                if occ_cliques[slot * cap + word] & mask == 0 {
-                    continue;
-                }
-                let mut code = 0usize;
-                for bit in 0..P {
-                    if code_cliques[(slot * P + bit) * cap + word] & mask != 0 {
-                        code |= 1 << bit;
-                    }
-                }
-                bus.push(PackedBusLine {
-                    line: rec.line_of_slot[slot],
-                    driver: rec.driver_of_code[slot][code],
-                });
-            }
-            bus.sort_unstable_by_key(|pl| pl.line);
-            PackedPattern { words, bus }
-        })
-        .collect();
-    (patterns, stats)
+    CliqueCover {
+        planes: cplanes,
+        occ: occ_cliques,
+        code: code_cliques,
+        cap,
+        code_planes: P,
+        line_of_slot: rec.line_of_slot,
+        driver_of_code: rec.driver_of_code,
+        stats,
+    }
 }
 
 /// ORs `words` into a clique's care/symbol planes.
@@ -1435,6 +1492,16 @@ mod tests {
         layout.care_core_bits(p.as_packed_ref(), &mut [0]);
     }
 
+    /// The cliques and counters of `first_fit_cover`, checking that the
+    /// cover's clique count is the number of cliques it emits.
+    fn cover_of(set: &PackedSet, visit: &[u32], words: usize) -> (Vec<PackedPattern>, KernelStats) {
+        let cover = first_fit_cover(set, visit, words);
+        let cliques = cover.patterns();
+        assert_eq!(cover.len(), cliques.len());
+        assert_eq!(cover.is_empty(), cliques.is_empty());
+        (cliques, cover.stats())
+    }
+
     /// First-fit cover built from pairwise [`PackedPattern::merged`]
     /// calls only — the semantic reference the cover must match.
     fn reference_cover(set: &PackedSet, visit: &[u32]) -> Vec<PackedPattern> {
@@ -1469,7 +1536,7 @@ mod tests {
         let set = PackedSet::build(raw.as_slice());
         let visit: Vec<u32> = (0..raw.len() as u32).collect();
         let words = words_for_terminals(soc.total_wocs() as usize);
-        let (cover, stats) = first_fit_cover(&set, &visit, words);
+        let (cover, stats) = cover_of(&set, &visit, words);
         assert_eq!(cover, reference_cover(&set, &visit));
         assert!(cover.len() < raw.len());
         assert!(stats.words_compared > 0);
@@ -1491,7 +1558,7 @@ mod tests {
             .collect();
         let set = PackedSet::build(&patterns);
         let visit: Vec<u32> = (0..patterns.len() as u32).collect();
-        let (cover, _) = first_fit_cover(&set, &visit, 1);
+        let (cover, _) = cover_of(&set, &visit, 1);
         assert_eq!(cover, reference_cover(&set, &visit));
         assert!(cover.len() > 1);
     }
@@ -1522,7 +1589,7 @@ mod tests {
         for drivers_per_line in [256, 350] {
             let set = many_driver_set(drivers_per_line);
             let visit: Vec<u32> = (0..set.len() as u32).collect();
-            let (cover, _) = first_fit_cover(&set, &visit, 1);
+            let (cover, _) = cover_of(&set, &visit, 1);
             assert_eq!(
                 cover,
                 reference_cover(&set, &visit),
@@ -1566,14 +1633,14 @@ mod tests {
             let set = random_arena(g);
             let mut visit: Vec<u32> = (0..set.len() as u32).collect();
             g.rng().shuffle(&mut visit);
-            let (cover, _) = first_fit_cover(&set, &visit, 2);
+            let (cover, _) = cover_of(&set, &visit, 2);
             assert_eq!(cover, reference_cover(&set, &visit));
         });
     }
 
     #[test]
     fn first_fit_cover_handles_empty_and_busless_sets() {
-        let (cover, stats) = first_fit_cover(&PackedSet::default(), &[], 4);
+        let (cover, stats) = cover_of(&PackedSet::default(), &[], 4);
         assert!(cover.is_empty());
         assert_eq!(stats, KernelStats::default());
 
@@ -1585,7 +1652,7 @@ mod tests {
             sparse(&[(1, Symbol::One)], &[]),
         ];
         let set = PackedSet::build(&patterns);
-        let (cover, _) = first_fit_cover(&set, &[0, 1, 2], 1);
+        let (cover, _) = cover_of(&set, &[0, 1, 2], 1);
         assert_eq!(cover, reference_cover(&set, &[0, 1, 2]));
         assert_eq!(cover.len(), 2);
     }

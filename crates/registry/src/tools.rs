@@ -20,8 +20,11 @@
 //! own paths, so only `optimize` consults the memo.
 //!
 //! Every tool that draws random patterns generates them straight into a
-//! packed arena ([`generate_random_packed`]) and compacts that arena
-//! ([`compact_packed_with`]); none builds a sparse pattern set.
+//! packed arena ([`generate_random_packed`]) and compacts that arena;
+//! none builds a sparse pattern set. `optimize`, `table`, `compact` and
+//! `bounds` read only each group's cores and pattern count, so they run
+//! the counts step ([`count_packed_with`]) and no compacted pattern is
+//! emitted; only `simulate` drives the compacted patterns themselves.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -31,7 +34,7 @@ use soctam::model::parser::{parse_soc, write_soc};
 use soctam::tam::bounds::{intest_lower_bound, si_lower_bound};
 use soctam::tam::{check_width_budget, render_schedule, render_schedule_svg};
 use soctam::{
-    compact_packed_with, generate_random_packed, Benchmark, CompactionConfig, Objective,
+    count_packed_with, generate_random_packed, Benchmark, CompactionConfig, Objective,
     OptimizerBudget, RandomPatternConfig, RunCtx, SiGroupSpec, SiOptimizer, Soc, SoctamError,
 };
 
@@ -123,9 +126,10 @@ const CACHE_CAP: ParamSpec = ParamSpec::new(
     "cache-cap",
     ParamKind::Usize,
     None,
-    "bound the evaluator cache to this many entries (FIFO eviction; \
-     0 = unbounded); ignored by the daemon, which sizes its shared \
-     cache at startup",
+    "bound the evaluator cache to this many entries, both the store \
+     it shares and each run's working set (FIFO eviction; 0 = \
+     unbounded); ignored by the daemon, which sizes its shared cache at \
+     startup",
 );
 
 static INFO_PARAMS: &[ParamSpec] = &[];
@@ -408,7 +412,7 @@ fn compact_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOut
     let compacted = pool
         .metrics()
         .time("compact", || {
-            compact_packed_with(soc, &patterns, &compaction_config(params), pool)
+            count_packed_with(soc, &patterns, &compaction_config(params), pool)
         })
         .map_err(pipeline_err)?;
     let stats = compacted.stats();
@@ -449,9 +453,9 @@ fn bounds_tool(soc: &Soc, params: &ParamValues, ctx: &RunCtx) -> Result<ToolOutp
     let pool = &ctx.pool;
     let patterns =
         generate_random_packed(soc, &pattern_config(params), pool).map_err(pipeline_err)?;
-    let compacted = compact_packed_with(soc, &patterns, &compaction_config(params), pool)
+    let compacted = count_packed_with(soc, &patterns, &compaction_config(params), pool)
         .map_err(pipeline_err)?;
-    let groups = SiGroupSpec::from_compacted(&compacted);
+    let groups = SiGroupSpec::from_counts(&compacted);
 
     let mut out = String::new();
     let _ = writeln!(

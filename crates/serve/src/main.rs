@@ -17,8 +17,9 @@ OPTIONS:
     --jobs <N>           worker threads (0 = all cores)      [default: 0]
     --max-inflight <N>   concurrent sync job limit
                          (0 = unlimited)                     [default: 0]
-    --cache-cap <N>      shared cache entry bound: evaluations and
-                         memoized compactions
+    --cache-cap <N>      cache entry bound, of the shared store
+                         (searches, evaluations, compactions)
+                         and of each run's working set
                          (0 = unbounded)                [default: 1048576]
     --queue-cap <N>      async job queue bound (0 = unbounded)
                                                             [default: 64]

@@ -6,13 +6,17 @@
 //!
 //! Every worker connection shares one [`Pool`] (so `--jobs` bounds
 //! total parallelism, not per-request parallelism) and one warm
-//! [`EvalCache`]; identical sub-evaluations across requests — same SOC,
-//! same width budget, same groups — hit the cache instead of
-//! recomputing, and an `optimize` request whose SOC, pattern count,
-//! seed and partition count were seen before recalls its compacted SI
-//! groups instead of generating and compacting again (`memo_hits` in
-//! `/metrics`). Admission control caps concurrently-running synchronous
-//! jobs and rejects the overflow with a structured `429` (carrying a
+//! [`EvalCache`], which keeps only what a later request can read: a
+//! search repeated across requests — same SOC, same width budget, same
+//! groups — is recalled with its evaluation instead of recomputed, and
+//! an `optimize` request whose SOC, pattern count, seed and partition
+//! count were seen before recalls its compacted SI groups instead of
+//! generating and compacting again (`memo_hits` in `/metrics`). Each
+//! request's working set stays in a store of its own run, unless the
+//! request carries a budget: the search memo never answers a budgeted
+//! run, so its working set goes to the shared store to warm a repeat.
+//! Admission control caps concurrently-running synchronous jobs and
+//! rejects the overflow with a structured `429` (carrying a
 //! `Retry-After` pacing hint) instead of queueing unboundedly.
 //!
 //! Long invocations go through `POST /v1/jobs` instead: a bounded FIFO
@@ -87,7 +91,9 @@ impl Default for ServerConfig {
             jobs: 0,
             max_inflight: 0,
             // A long-running daemon must not grow without bound; one
-            // million entries is roomy (a d695 optimize needs ~10^3).
+            // million entries is roomy: a fresh optimize adds at most
+            // five (its group list, two legs and their evaluations), a
+            // budgeted one its working set too (~3 * 10^3).
             cache_cap: 1 << 20,
             queue_cap: 64,
             job_workers: 2,

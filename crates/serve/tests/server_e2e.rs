@@ -397,6 +397,36 @@ fn cross_request_cache_hits_show_up_in_metrics() {
 }
 
 #[test]
+fn fresh_requests_leave_only_their_legs_in_the_shared_cache() {
+    let (addr, handle) = start(1, 0);
+    let entries = |addr: &str| {
+        let metrics = Json::parse(&client::get(addr, "/metrics").unwrap().body).unwrap();
+        let cache = metrics.get("cache").unwrap();
+        cache.get("entries").and_then(Json::as_u64).unwrap()
+    };
+    let mut before = entries(&addr);
+    for seed in 1..=20 {
+        let body = format!(
+            r#"{{"soc":"d695","params":{{"patterns":500,"width":24,"partitions":1,"seed":{seed}}}}}"#
+        );
+        let response = client::post(&addr, "/v1/tools/optimize", &body).unwrap();
+        assert_eq!(response.status, 200, "seed {seed}: {}", response.body);
+        // The compacted groups, the rails of the two portfolio legs and
+        // at most one evaluation per leg: a run's working set (its rail
+        // components, staircases, redistribution costs and incumbents)
+        // stays out of the shared store.
+        let after = entries(&addr);
+        assert!(
+            after - before <= 5,
+            "seed {seed}: one request added {} entries",
+            after - before
+        );
+        before = after;
+    }
+    stop(&addr, handle);
+}
+
+#[test]
 fn sequential_connections_reuse_their_handler() {
     let (addr, handle) = start(1, 0);
     for _ in 0..50 {

@@ -22,7 +22,8 @@ use soctam_wrapper::{TimeTable, MAX_TAM_WIDTH};
 use crate::schedule::{schedule_si_tests, SiSchedule};
 use crate::{Objective, TamError, TestRail, TestRailArchitecture};
 
-/// Cache shard count; evaluation keys hash cheaply, contention is low.
+/// Shard count of a run's working store; evaluation keys hash cheaply,
+/// contention is low.
 const CACHE_SHARDS: usize = 16;
 
 /// Checks a TAM width budget against `1..=`[`MAX_TAM_WIDTH`].
@@ -65,31 +66,43 @@ pub(crate) fn check_context(
     Ok(())
 }
 
-/// Cache namespace: per-rail components keyed by rail fingerprint.
+/// Cache namespace (working store): per-rail components keyed by rail
+/// fingerprint.
 const SPACE_RAIL: u8 = 0;
 /// Cache namespace: assembled evaluations keyed by architecture
-/// fingerprint.
+/// fingerprint. The incumbents the move loops price live in the
+/// working store; the evaluations of committed legs also go to the
+/// shared store (see [`Evaluator::evaluate_committed`]).
 const SPACE_ARCH: u8 = 1;
-/// Cache namespace: [`RailStaircases`] keyed by core-set fingerprint.
+/// Cache namespace (working store): [`RailStaircases`] keyed by
+/// core-set fingerprint.
 const SPACE_USED: u8 = 2;
-/// Cache namespace: the committed rails of finished optimizer search
-/// legs, keyed by (objective, start perturbation); see
-/// [`Evaluator::search_cached`].
+/// Cache namespace (shared store): the committed rails of finished
+/// optimizer search legs, keyed by (objective, start perturbation);
+/// see [`Evaluator::search_cached`].
 const SPACE_SEARCH: u8 = 3;
-/// Cache namespace: objective costs of speculative wire
-/// redistributions, keyed by (candidate rails, freed wires, objective).
+/// Cache namespace (working store): objective costs of speculative
+/// wire redistributions, keyed by (candidate rails, freed wires,
+/// objective).
 const SPACE_DIST: u8 = 4;
-/// Cache namespace: compacted SI group lists, keyed by the caller's
-/// fingerprint of everything generation and compaction read (see
-/// [`EvalCache::groups`]). The only namespace an [`Evaluator`] never
-/// touches: its values are the input evaluators are built from.
+/// Cache namespace (shared store): compacted SI group lists, keyed by
+/// the caller's fingerprint of everything generation and compaction
+/// read (see [`EvalCache::groups`]). The only namespace an
+/// [`Evaluator`] never touches: its values are the input evaluators
+/// are built from.
 const SPACE_GROUPS: u8 = 5;
 
-/// One value of the shared evaluation store. All six logical caches
-/// (rail components, assembled architectures, staircases,
-/// redistribution costs, finished searches, compacted group lists)
-/// live in a single sharded [`MemoCache`], disambiguated by the
-/// [`FpKey`] namespace tag.
+/// One value of an evaluation store. The six logical caches (rail
+/// components, assembled architectures, staircases, redistribution
+/// costs, finished searches, compacted group lists) are namespaces of
+/// a sharded [`MemoCache`], disambiguated by the [`FpKey`] namespace
+/// tag. An [`Evaluator`] keeps them in two such stores: a working
+/// store private to one optimizer run (rail components, staircases,
+/// redistribution costs, incumbent evaluations) and, when one is
+/// attached, the shared [`EvalCache`] (group lists, finished searches,
+/// committed evaluations). Without a shared store the working store
+/// serves both roles; a budgeted run makes the shared store its
+/// working store too.
 #[derive(Clone, Debug)]
 enum Cached {
     Rail(Arc<RailEval>),
@@ -107,19 +120,31 @@ enum Cached {
 const _: () = assert!(std::mem::size_of::<Cached>() <= 2 * std::mem::size_of::<u64>());
 
 /// A shareable evaluation store, usable across many [`Evaluator`]s —
-/// and, in `soctam-serve`, across many requests: every key an
+/// and, in `soctam-serve`, across many requests. It keeps only what a
+/// later run can read: compacted SI group lists for the pipeline
+/// ([`EvalCache::groups`]), so a repeated request skips pattern
+/// generation and compaction; the committed rails of finished search
+/// legs, so a repeated search is one lookup; and those legs'
+/// evaluations, so a recalled leg builds no time table. Every key an
 /// evaluator issues is mixed with a fingerprint of its full evaluation
 /// context (SOC, width budget, SI groups), so evaluators with
-/// different contexts can share one warm store without aliasing while
-/// identical contexts get cross-run cache hits. The same store also
-/// memoizes compacted SI group lists for the pipeline
-/// ([`EvalCache::groups`]), so a repeated request skips pattern
-/// generation and compaction.
+/// different contexts share one warm store without aliasing.
+///
+/// The rest of what a run memoizes (rail components, staircases,
+/// redistribution costs, the incumbents its move loops price) stays in
+/// the run's own working store and is dropped with the run
+/// ([`Evaluator::attach_cache`]): a later run could only hit it with
+/// the same context, and a repeated context with an unlimited budget is
+/// answered by the search memo. A fresh search therefore adds a few
+/// entries per leg here, not its whole working set. A budgeted run
+/// reads no search memo, so its working set comes here too
+/// ([`TamOptimizer::run`](crate::TamOptimizer::run)) and warms a
+/// repeat of it.
 ///
 /// Cheap to clone (an `Arc` handle). An optional capacity bound evicts
 /// the oldest entries FIFO so a long-running service cannot grow
-/// without limit; eviction only costs recomputation, never changes
-/// results.
+/// without limit, and bounds each run's working store alike; eviction
+/// only costs recomputation, never changes results.
 #[derive(Clone, Debug)]
 pub struct EvalCache {
     store: Arc<MemoCache<FpKey, Cached>>,
@@ -220,6 +245,28 @@ fn arch_fingerprint(rails: &[TestRail]) -> u128 {
     fx_fingerprint128(&rails)
 }
 
+/// The assembled evaluation `store` holds under `key`, if any.
+fn arch_in(store: &MemoCache<FpKey, Cached>, key: &FpKey) -> Option<Arc<Evaluation>> {
+    match store.get(key) {
+        Some(Cached::Arch(eval)) => Some(eval),
+        _ => None,
+    }
+}
+
+/// Publishes an assembled evaluation under `key` in `store`, returning
+/// the store's copy (first insert wins under concurrency).
+fn insert_arch(
+    store: &MemoCache<FpKey, Cached>,
+    key: FpKey,
+    eval: Arc<Evaluation>,
+) -> Arc<Evaluation> {
+    match store.get_or_insert_with(key, || Cached::Arch(Arc::clone(&eval))) {
+        Cached::Arch(stored) => stored,
+        // Namespaces are disjoint: SPACE_ARCH only stores Arch.
+        _ => eval,
+    }
+}
+
 /// The rows of `base` with the sorted `(index, row)` substitutions in
 /// `changed` applied, without building the patched vector.
 pub(crate) fn patched_rows<'g>(
@@ -278,10 +325,22 @@ impl SiGroupSpec {
     pub fn from_compacted(compacted: &soctam_compaction::CompactedSiTests) -> Vec<SiGroupSpec> {
         compacted.groups().iter().map(SiGroupSpec::from).collect()
     }
+
+    /// [`SiGroupSpec::from_compacted`] of a counts step's result, which
+    /// carries no pattern bodies.
+    pub fn from_counts(counts: &soctam_compaction::CompactedCounts) -> Vec<SiGroupSpec> {
+        counts.groups().iter().map(SiGroupSpec::from).collect()
+    }
 }
 
 impl From<&soctam_compaction::SiTestGroup> for SiGroupSpec {
     fn from(group: &soctam_compaction::SiTestGroup) -> Self {
+        SiGroupSpec::new(group.cores().to_vec(), group.pattern_count())
+    }
+}
+
+impl From<&soctam_compaction::GroupCount> for SiGroupSpec {
+    fn from(group: &soctam_compaction::GroupCount) -> Self {
         SiGroupSpec::new(group.cores().to_vec(), group.pattern_count())
     }
 }
@@ -719,18 +778,21 @@ pub struct Evaluator<'a> {
     /// rail→groups index (built once on ingestion) that lets a rail
     /// component visit only the groups its cores participate in.
     core_groups: Vec<Vec<u32>>,
-    /// Shared store for the five evaluation namespaces (rail
-    /// components, assembled architectures, staircases, redistribution
-    /// costs, finished searches), keyed by namespaced
-    /// fingerprint. The optimizer revisits the same rails
-    /// and candidate architectures constantly (merge sweeps, wire
-    /// redistribution, sort passes); evaluation is pure, so results are
-    /// shared. May be a private per-run store or a shared [`EvalCache`]
-    /// serving many evaluators (see [`Evaluator::attach_cache`]).
-    cache: Arc<MemoCache<FpKey, Cached>>,
-    /// True when `cache` is a shared [`EvalCache`]; a shared store is
-    /// never cleared by this evaluator's bookkeeping.
-    cache_shared: bool,
+    /// The run's working store: rail components, staircases,
+    /// redistribution costs and the incumbent evaluations the move
+    /// loops price, keyed by namespaced fingerprint. The optimizer
+    /// revisits the same rails and candidate architectures constantly
+    /// (merge sweeps, wire redistribution, sort passes); evaluation is
+    /// pure, so results are shared by the run's legs, its
+    /// [`fork`](Evaluator::fork) and its restarts, and by nothing
+    /// else — unless it is the shared store itself
+    /// ([`Evaluator::attach_cache_with_working_set`]).
+    work: Arc<MemoCache<FpKey, Cached>>,
+    /// The shared [`EvalCache`] store, when one is attached (see
+    /// [`Evaluator::attach_cache`]): finished searches and committed
+    /// evaluations. `None` means `work` serves both roles. Never
+    /// cleared by this evaluator's bookkeeping.
+    shared: Option<Arc<MemoCache<FpKey, Cached>>>,
     /// Fingerprint of the full evaluation context (SOC contents, width
     /// budget, SI groups), mixed into every cache key so evaluators
     /// with different contexts can share one store without aliasing.
@@ -775,8 +837,8 @@ impl<'a> Evaluator<'a> {
             groups,
             core_si_weight,
             core_groups,
-            cache: Arc::new(MemoCache::new(CACHE_SHARDS)),
-            cache_shared: false,
+            work: Arc::new(MemoCache::new(CACHE_SHARDS)),
+            shared: None,
             ctx_fp,
             metrics: None,
         })
@@ -784,36 +846,56 @@ impl<'a> Evaluator<'a> {
 
     /// Counts cache hits, misses, rail-eval and schedule-reuse events
     /// into `metrics` (typically a pool's [`Metrics`]) from now on.
-    /// Call before evaluating; a private per-run store is cleared so
+    /// Call before evaluating; a private working store is cleared so
     /// the counters cover the whole run, a shared [`EvalCache`] is left
     /// warm.
     pub fn attach_metrics(&mut self, metrics: Arc<Metrics>) {
         self.metrics = Some(metrics);
-        if !self.cache_shared {
-            self.cache.clear();
+        let working_set_shared = self
+            .shared
+            .as_ref()
+            .is_some_and(|shared| Arc::ptr_eq(shared, &self.work));
+        if !working_set_shared {
+            self.work.clear();
         }
     }
 
-    /// Serves every cache lookup from `cache`, a store that may be
-    /// shared with other evaluators (and, in a long-running service,
-    /// with other requests). Keys are mixed with this evaluator's
-    /// context fingerprint, so a shared store is safe across different
-    /// SOCs, width budgets and group sets — and identical contexts get
-    /// warm cross-run hits. Results stay bit-identical either way.
+    /// Reads and publishes what a later run can use through `cache`, a
+    /// store that may be shared with other evaluators (and, in a
+    /// long-running service, with other requests): finished search
+    /// legs and their committed evaluations. Keys are mixed with this
+    /// evaluator's context fingerprint, so a shared store is safe
+    /// across different SOCs, width budgets and group sets — and a
+    /// repeated context recalls its searches. Everything else goes to a
+    /// fresh working store of the run, bounded like `cache` (a capped
+    /// `cache` caps the run's memory, not only what it shares). Results
+    /// stay bit-identical either way.
     pub fn attach_cache(&mut self, cache: &EvalCache) {
-        self.cache = Arc::clone(&cache.store);
-        self.cache_shared = true;
+        self.work = Arc::new(cache.store.empty_like(CACHE_SHARDS));
+        self.shared = Some(Arc::clone(&cache.store));
     }
 
-    /// A second evaluator over the same context sharing this one's memo
-    /// store and time table. The fork skips the full construction pass
+    /// [`Evaluator::attach_cache`] with the working set kept in `cache`
+    /// too, as one store, for a run the search memo cannot answer (a
+    /// budgeted one, [`TamOptimizer::run`](crate::TamOptimizer::run)):
+    /// a repeat of such a run searches again, and finds every rail
+    /// component, staircase and redistribution cost the first run
+    /// priced already warm.
+    pub(crate) fn attach_cache_with_working_set(&mut self, cache: &EvalCache) {
+        self.work = Arc::clone(&cache.store);
+        self.shared = Some(Arc::clone(&cache.store));
+    }
+
+    /// A second evaluator over the same context sharing this one's
+    /// stores and time table. The fork skips the full construction pass
     /// (SOC fingerprinting) by cloning the ingested state, shares the
     /// time table whichever evaluator builds it first, and — because
     /// the context fingerprint is identical — every rail component,
     /// staircase and finished search either evaluator computes is
-    /// immediately visible to the other. Objective-dependent
-    /// entries carry the objective in their caller-side fingerprint, so
-    /// forks running different objectives cannot alias.
+    /// immediately visible to the other: the fork shares the working
+    /// store, not a copy of it. Objective-dependent entries carry the
+    /// objective in their caller-side fingerprint, so forks running
+    /// different objectives cannot alias.
     pub(crate) fn fork(&self) -> Evaluator<'a> {
         Evaluator {
             soc: self.soc,
@@ -822,11 +904,17 @@ impl<'a> Evaluator<'a> {
             groups: self.groups.clone(),
             core_si_weight: self.core_si_weight.clone(),
             core_groups: self.core_groups.clone(),
-            cache: Arc::clone(&self.cache),
-            cache_shared: self.cache_shared,
+            work: Arc::clone(&self.work),
+            shared: self.shared.clone(),
             ctx_fp: self.ctx_fp,
             metrics: self.metrics.clone(),
         }
+    }
+
+    /// The store finished searches and committed evaluations go to:
+    /// the shared one when attached, else the working store.
+    fn shared_store(&self) -> &MemoCache<FpKey, Cached> {
+        self.shared.as_deref().unwrap_or(&self.work)
     }
 
     /// The cache key for `fp` in `space`, mixed with the context
@@ -849,24 +937,40 @@ impl<'a> Evaluator<'a> {
         found
     }
 
-    /// [`Evaluator::evaluate`] of a rail list through the memo cache:
-    /// rail lists with the same fingerprint share one evaluation. Takes
-    /// a bare rail slice (the optimizer's candidate representation), so
-    /// no architecture needs to be constructed to probe the cache. Safe
-    /// for concurrent use; evaluation is a pure function of the rails,
-    /// so racing computations produce identical values.
+    /// [`Evaluator::evaluate`] of a rail list through the working
+    /// store: rail lists with the same fingerprint share one
+    /// evaluation. Takes a bare rail slice (the optimizer's candidate
+    /// representation), so no architecture needs to be constructed to
+    /// probe the cache. Safe for concurrent use; evaluation is a pure
+    /// function of the rails, so racing computations produce identical
+    /// values.
     pub fn evaluate_cached(&self, rails: &[TestRail]) -> Arc<Evaluation> {
         let key = self.cache_key(SPACE_ARCH, arch_fingerprint(rails));
-        let found = match self.cache.get(&key) {
-            Some(Cached::Arch(eval)) => Some(eval),
-            _ => None,
-        };
+        let found = arch_in(&self.work, &key);
         if let Some(eval) = self.counted(found, Metrics::count_cache_hit, Metrics::count_cache_miss)
         {
             return eval;
         }
-        let eval = Arc::new(self.evaluate_rails(rails));
-        self.insert_arch(key, eval)
+        insert_arch(&self.work, key, Arc::new(self.evaluate_rails(rails)))
+    }
+
+    /// [`Evaluator::evaluate_cached`] of the rails a search leg
+    /// commits, the one evaluation a later run reads: looked up in the
+    /// shared store first and published there, so a leg recalled from
+    /// the search memo finds its evaluation without building a time
+    /// table. Counts one cache hit or miss, as `evaluate_cached` does.
+    pub(crate) fn evaluate_committed(&self, rails: &[TestRail]) -> Arc<Evaluation> {
+        let Some(shared) = &self.shared else {
+            return self.evaluate_cached(rails);
+        };
+        let key = self.cache_key(SPACE_ARCH, arch_fingerprint(rails));
+        if let Some(eval) = arch_in(shared, &key) {
+            if let Some(m) = &self.metrics {
+                m.count_cache_hit();
+            }
+            return eval;
+        }
+        insert_arch(shared, key, self.evaluate_cached(rails))
     }
 
     /// Seeds a [`SwapState`] from `base` for pricing moves under
@@ -975,19 +1079,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Publishes an assembled evaluation under `key`, returning the
-    /// store's copy (first insert wins under concurrency).
-    fn insert_arch(&self, key: FpKey, eval: Arc<Evaluation>) -> Arc<Evaluation> {
-        match self
-            .cache
-            .get_or_insert_with(key, || Cached::Arch(Arc::clone(&eval)))
-        {
-            Cached::Arch(stored) => stored,
-            // Namespaces are disjoint: SPACE_ARCH only stores Arch.
-            _ => eval,
-        }
-    }
-
     /// The memoized rail component for (`width`, `cores`): every rail
     /// the optimizer prices comes from here. The key fingerprints the
     /// width and the core list; collision odds are the documented
@@ -996,7 +1087,7 @@ impl<'a> Evaluator<'a> {
     pub fn component(&self, width: u32, cores: &[CoreId]) -> Arc<RailEval> {
         let fp = fx_fingerprint128(&(width, fx_fingerprint128(&cores)));
         let key = self.cache_key(SPACE_RAIL, fp);
-        let found = match self.cache.get(&key) {
+        let found = match self.work.get(&key) {
             Some(Cached::Rail(rail_eval)) => Some(rail_eval),
             _ => None,
         };
@@ -1006,7 +1097,7 @@ impl<'a> Evaluator<'a> {
         }
         let rail_eval = Arc::new(self.compute_rail_eval(width, cores));
         match self
-            .cache
+            .work
             .get_or_insert_with(key, || Cached::Rail(Arc::clone(&rail_eval)))
         {
             Cached::Rail(stored) => stored,
@@ -1118,7 +1209,7 @@ impl<'a> Evaluator<'a> {
     /// water-filling pass is a pure function of the candidate and the
     /// wire count, so its final cost can be reused verbatim.
     pub(crate) fn dist_cost_cached(&self, fp: u128) -> Option<u64> {
-        let cost = match self.cache.get(&self.cache_key(SPACE_DIST, fp)) {
+        let cost = match self.work.get(&self.cache_key(SPACE_DIST, fp)) {
             Some(Cached::Cost(cost)) => Some(cost),
             _ => None,
         };
@@ -1131,7 +1222,7 @@ impl<'a> Evaluator<'a> {
     /// (the budget did not trip mid-pass), so a later lookup observes
     /// the same value a fresh computation would produce.
     pub(crate) fn store_dist_cost(&self, fp: u128, cost: u64) {
-        self.cache
+        self.work
             .get_or_insert_with(self.cache_key(SPACE_DIST, fp), || Cached::Cost(cost));
     }
 
@@ -1147,7 +1238,7 @@ impl<'a> Evaluator<'a> {
         perturbation: u64,
     ) -> Option<Arc<Vec<TestRail>>> {
         let key = self.cache_key(SPACE_SEARCH, fx_fingerprint128(&(objective, perturbation)));
-        let rails = match self.cache.get(&key) {
+        let rails = match self.shared_store().get(&key) {
             Some(Cached::Search(rails)) => Some(rails),
             _ => None,
         };
@@ -1166,7 +1257,8 @@ impl<'a> Evaluator<'a> {
         rails: Arc<Vec<TestRail>>,
     ) {
         let key = self.cache_key(SPACE_SEARCH, fx_fingerprint128(&(objective, perturbation)));
-        self.cache.get_or_insert_with(key, || Cached::Search(rails));
+        self.shared_store()
+            .get_or_insert_with(key, || Cached::Search(rails));
     }
 
     /// The `time_used` and `time_in` staircases of a core set, one
@@ -1176,7 +1268,7 @@ impl<'a> Evaluator<'a> {
     /// values.
     pub fn rail_staircases(&self, cores: &[CoreId]) -> Arc<RailStaircases> {
         let key = self.cache_key(SPACE_USED, fx_fingerprint128(&cores));
-        let found = match self.cache.get(&key) {
+        let found = match self.work.get(&key) {
             Some(Cached::Used(stairs)) => Some(stairs),
             _ => None,
         };
@@ -1189,7 +1281,7 @@ impl<'a> Evaluator<'a> {
             .unzip();
         let stairs = Arc::new(RailStaircases { used, intest });
         match self
-            .cache
+            .work
             .get_or_insert_with(key, || Cached::Used(Arc::clone(&stairs)))
         {
             Cached::Used(stored) => stored,
@@ -1521,12 +1613,47 @@ mod tests {
         let other = Arc::new(vec![SiGroupSpec::new(vec![c(0)], 3)]);
         assert!(Arc::ptr_eq(&cache.insert_groups(7, other), &list));
         assert!(cache.groups(8).is_none());
-        // Evaluator entries share the store and leave the list alone.
+        // A rail component stays in the evaluator's working store: the
+        // shared store keeps only what a later run can read, and the
+        // list is left alone.
         let mut evaluator = Evaluator::new(&soc, 16, list.to_vec()).expect("valid");
         evaluator.attach_cache(&cache);
         evaluator.component(8, &[c(0)]);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), 1);
         assert_eq!(cache.groups(7), Some(list));
+    }
+
+    #[test]
+    fn a_capped_shared_store_caps_the_working_store_too() {
+        let soc = Benchmark::D695.soc();
+        let groups = vec![SiGroupSpec::new(soc.core_ids().collect(), 10)];
+        let metrics = Arc::new(Metrics::new());
+        let cache = EvalCache::with_capacity_and_metrics(64, Arc::clone(&metrics));
+        let mut evaluator = Evaluator::new(&soc, 64, groups).expect("valid");
+        evaluator.attach_metrics(Arc::clone(&metrics));
+        evaluator.attach_cache(&cache);
+        for width in 1..=64 {
+            evaluator.component(width, &[c(0)]);
+            evaluator.component(width, &[c(1), c(2)]);
+        }
+        let kept = evaluator.work.len() as u64;
+        assert!(kept <= 64, "{kept} working entries");
+        assert_eq!(metrics.snapshot().cache_evictions, 128 - kept);
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_shared_working_set_lands_in_the_shared_store_and_stays_warm() {
+        let soc = Benchmark::D695.soc();
+        let groups = vec![SiGroupSpec::new(soc.core_ids().collect(), 10)];
+        let cache = EvalCache::new();
+        let mut evaluator = Evaluator::new(&soc, 16, groups).expect("valid");
+        evaluator.attach_cache_with_working_set(&cache);
+        evaluator.component(8, &[c(0)]);
+        assert_eq!(cache.len(), 1);
+        // Attaching metrics afterwards clears no shared store.
+        evaluator.attach_metrics(Arc::new(Metrics::new()));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

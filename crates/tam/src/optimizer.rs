@@ -125,16 +125,25 @@ impl<'a> TamOptimizer<'a> {
     /// `run.pool`, whose metrics count cache hits, misses and probes;
     /// the four move loops probe their candidates in order on the
     /// calling thread, so the result is bit-identical for every pool
-    /// size, and with or without the shared `run.eval_cache`. Once
+    /// size, and with or without the shared `run.eval_cache`. A run
+    /// with an unlimited budget shares only its finished legs and their
+    /// evaluations there; a budgeted run, which reads no search memo,
+    /// keeps its working set there too (DESIGN.md §6). Once
     /// `run.budget` or `run.cancel` trips, the run returns its best
     /// valid architecture so far, flagged
     /// [`OptimizedArchitecture::degraded`] — never an error.
     pub fn run(mut self, run: RunCtx) -> Self {
-        // Metrics first: attaching them clears a private cache but
-        // leaves a shared store warm.
+        // Attaching metrics clears the working store, so the counters
+        // cover this run; a shared store stays warm.
         self.evaluator.attach_metrics(run.pool.metrics());
         if let Some(cache) = &run.eval_cache {
-            self.evaluator.attach_cache(cache);
+            // A budgeted run reads no search memo (`optimize_perturbed`),
+            // so only its working set can warm a repeat of it.
+            if run.budget.is_unlimited() {
+                self.evaluator.attach_cache(cache);
+            } else {
+                self.evaluator.attach_cache_with_working_set(cache);
+            }
         }
         self.run = run;
         self
@@ -845,7 +854,7 @@ impl<'a> TamOptimizer<'a> {
             return Ok(primary);
         }
         // The secondary leg forks the primary's evaluator: same context
-        // fingerprint, shared memo store — every rail component and
+        // fingerprint, same working store — every rail component and
         // staircase the primary leg computed is already warm, and
         // objective-dependent entries (redistribution costs, finished
         // searches) cannot alias because their keys carry the objective.
@@ -974,7 +983,7 @@ impl<'a> TamOptimizer<'a> {
         let architecture = TestRailArchitecture::new(self.soc(), rails)
             .expect("optimizer maintains a consistent core assignment");
         debug_assert!(architecture.check_width(self.max_width).is_ok());
-        let evaluation = (*self.evaluator.evaluate_cached(architecture.rails())).clone();
+        let evaluation = (*self.evaluator.evaluate_committed(architecture.rails())).clone();
         self.publish_best(evaluation.t_total());
         Ok(OptimizedArchitecture {
             architecture,

@@ -5,18 +5,20 @@
 //! warm answer must equal a cold one field for field, and budgeted,
 //! cancelled and fault-injected runs must neither read nor write the
 //! memo. The counters of the run's pool tell which legs were recalled.
+//! The shared store keeps only what a later run reads: the legs and
+//! their committed evaluations, never a run's working set.
 //!
 //! The failpoint registry is process-global, so every test here
 //! serializes on one lock.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use soctam_exec::check::{cases, forall, Gen};
 use soctam_exec::fault::{self, FaultAction};
-use soctam_exec::{CancelToken, MetricsSnapshot, Pool};
+use soctam_exec::{CancelToken, Metrics, MetricsSnapshot, Pool};
 use soctam_model::synth::{synth_soc, SynthConfig};
 use soctam_model::{Benchmark, CoreId, Soc};
 use soctam_tam::{
@@ -133,6 +135,77 @@ fn warm_store_answers_equal_cold_ones() {
     });
 }
 
+/// Random SOCs, groups, width budgets, both objectives and 1–3
+/// restarts: a cold run through a fresh shared store leaves exactly
+/// one search entry per leg there and at most one evaluation per leg
+/// (that of the rails it committed), none of the rail components,
+/// staircases, redistribution costs or incumbents the run priced; a
+/// warm repeat adds nothing and equals the cold answer.
+#[test]
+fn a_cold_run_leaves_only_its_legs_in_the_shared_store() {
+    let _guard = guard();
+    forall("shared_store_holds_only_legs", cases(24), |g| {
+        let soc = random_soc(g);
+        let groups = random_groups(g, &soc);
+        let max_width = g.u32_in(2, 40);
+        let objective = if g.bool_with(0.5) {
+            Objective::Total
+        } else {
+            Objective::InTestOnly
+        };
+        let restarts = g.u32_in(1, 4);
+        let legs = legs(objective, restarts);
+        let run = |ctx| optimize(&soc, &groups, max_width, objective, restarts, ctx);
+        let cache = EvalCache::new();
+        let (cold, snap) = run(through(&cache));
+        assert_eq!(search(&snap), (0, legs));
+        // Each leg's miss stored one search entry under its own key (the
+        // warm repeat below recalls all of them); what is left are the
+        // committed legs' evaluations, one per distinct rail list.
+        let entries = cache.len() as u64;
+        assert!(
+            entries > legs && entries <= 2 * legs,
+            "{entries} entries for {legs} legs"
+        );
+        let (warm, snap) = run(through(&cache));
+        assert_eq!(search(&snap), (legs, 0));
+        assert_eq!(cache.len() as u64, entries, "a warm repeat adds nothing");
+        assert_eq!(warm, cold);
+    });
+}
+
+/// A shared store far smaller than what the runs publish evicts legs
+/// and evaluations independently, so a leg can be recalled without its
+/// evaluation; every answer still equals a cold run's.
+#[test]
+fn an_evicting_store_answers_like_a_cold_run() {
+    let _guard = guard();
+    let soc = Benchmark::D695.soc();
+    let groups = vec![
+        SiGroupSpec::new(soc.core_ids().collect(), 60),
+        SiGroupSpec::new((0..5).map(CoreId::new).collect(), 90),
+    ];
+    // One entry per shard: every width's legs and evaluations compete
+    // for the same few slots.
+    let cache = EvalCache::with_capacity_and_metrics(1, Arc::new(Metrics::new()));
+    let mut recalled = (0, 0);
+    for pass in 0..2 {
+        for width in 4..28 {
+            let run = |ctx| optimize(&soc, &groups, width, Objective::Total, 2, ctx);
+            let (warm, snap) = run(through(&cache));
+            let (cold, _) = run(RunCtx::default());
+            assert_eq!(warm, cold, "pass {pass}, width {width}");
+            if pass == 1 {
+                recalled.0 += snap.search_hits;
+                recalled.1 += snap.search_misses;
+            }
+        }
+    }
+    assert!(cache.evictions() > 0);
+    // The second pass found some legs and searched the evicted ones again.
+    assert!(recalled.0 > 0 && recalled.1 > 0, "{recalled:?}");
+}
+
 /// The InTest-only baseline on the groups of an earlier `Total` run is
 /// that run's portfolio second leg: recalled, not searched again.
 #[test]
@@ -213,4 +286,42 @@ fn budgets_cancellation_and_failpoints_bypass_the_memo() {
         let (_, snap) = run(through(&fresh));
         assert_eq!(search(&snap), (0, 3), "{label}: the run wrote the memo");
     }
+}
+
+/// A budgeted run reads no search memo, so it keeps its working set in
+/// the shared store: a repeat of it searches again with every rail
+/// component, staircase, redistribution cost and incumbent warm, and
+/// answers as a run without a shared store does.
+#[test]
+fn a_budgeted_repeat_finds_its_working_set_warm() {
+    let _guard = guard();
+    let soc = Benchmark::D695.soc();
+    let groups = vec![
+        SiGroupSpec::new(soc.core_ids().collect(), 60),
+        SiGroupSpec::new((0..5).map(CoreId::new).collect(), 90),
+    ];
+    let budget = OptimizerBudget::unlimited().with_max_iterations(1 << 40);
+    let run = |ctx| optimize(&soc, &groups, 16, Objective::Total, 2, ctx);
+    let budgeted = |cache| RunCtx {
+        budget,
+        ..through(cache)
+    };
+    let (cold, _) = run(RunCtx::default());
+    let cache = EvalCache::new();
+    let (first, snap) = run(budgeted(&cache));
+    assert_eq!(first, cold);
+    assert!(snap.rail_eval_misses > 0);
+    let entries = cache.len();
+    assert!(entries as u64 > snap.rail_eval_misses, "{entries} entries");
+    let (repeat, snap) = run(budgeted(&cache));
+    assert_eq!(repeat, cold);
+    assert_eq!(search(&snap), (0, 0));
+    let misses = (
+        snap.rail_eval_misses,
+        snap.used_misses,
+        snap.dist_misses,
+        snap.cache_misses,
+    );
+    assert_eq!(misses, (0, 0, 0, 0), "the repeat priced something cold");
+    assert_eq!(cache.len(), entries, "a warm repeat adds nothing");
 }
